@@ -1,0 +1,40 @@
+"""Byte-for-byte golden outputs of the CLI on the default equation and a
+small ODE corpus.  A change to any golden file is a change in behaviour and
+must be made on purpose."""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from merosolve.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+WIDTH = "y'' + omega^2*y - y^-3"
+
+CASES = {
+    "analyze-default": ["analyze"],
+    "series-default": ["series"],
+    "closed-form-default": ["closed-form"],
+    "report-default": ["report"],
+    "analyze-width-exact": ["analyze", "--ode", WIDTH, "--param", "omega=3/2"],
+    "analyze-width-float": ["analyze", "--ode", WIDTH, "--param", "omega=1.5"],
+    "analyze-riccati-cot": ["analyze", "--ode", "y' + 1 + y^2"],
+    "analyze-cubic": ["analyze", "--ode", "y'' - 2*y^3"],
+    "analyze-quadratic": ["analyze", "--ode", "y'' - 6*y^2"],
+    "analyze-kdv": ["analyze", "--ode", "y''' - 12*y*y'"],
+}
+
+
+def cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name):
+    expected = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert cli_stdout(CASES[name]) == expected
