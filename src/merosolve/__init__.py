@@ -25,7 +25,6 @@ from .exactlab import (
     OscillatorBasis,
     QuadFormParams,
     ermakov_invariant,
-    mobius_transform,
     oscillator_basis,
     pinney_solution,
     riccati_residual,
@@ -90,7 +89,6 @@ __all__ = [
     "fit_local_exponent",
     "integrate",
     "invariant_drift",
-    "mobius_transform",
     "monomial_exponent",
     "normalize",
     "oscillator_basis",

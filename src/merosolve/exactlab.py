@@ -4,21 +4,17 @@
 Provides the classical linear-oscillator basis, quadratic-form (Pinney)
 superposition solutions, the superposition built directly from initial
 conditions, the coupled-oscillator invariant, the third-order
-maximal-symmetry check for ``alpha**2``, Moebius maps of the extended plane,
-and the complex Riccati reduction residual.  Every construction exposes
-analytic derivatives so downstream checks avoid numeric differentiation
-where possible.
+maximal-symmetry check for ``alpha**2``, and the complex Riccati reduction
+residual.  Every construction exposes analytic derivatives so downstream
+checks avoid numeric differentiation where possible.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 from .errors import EvaluationDomainError
-
-POINT_AT_INFINITY = complex(math.inf, math.inf)
 
 # central-difference steps balancing truncation against roundoff per order;
 # higher orders need larger steps because roundoff grows like eps/h**order
@@ -271,39 +267,6 @@ def third_order_residual(x, omega):
         return numeric_derivative(x, t, 3) + 4 * omega2 * numeric_derivative(x, t, 1)
 
     return residual
-
-
-def mobius_transform(t, coeffs) -> complex:
-    """Homographic map ``t -> (a t + b) / (c t + d)`` on the extended plane.
-
-    ``coeffs`` is (a, b, c, d) with nonzero determinant; the pole maps to
-    :data:`POINT_AT_INFINITY` and infinity maps to a/c.
-    """
-    a, b, c, d = (complex(x) for x in coeffs)
-    det = a * d - b * c
-    if abs(det) <= 1e-14 * max(1.0, abs(a * d), abs(b * c)):
-        raise ValueError("degenerate coefficients: a*d - b*c = 0")
-    if t == POINT_AT_INFINITY or (
-        isinstance(t, complex) and (math.isinf(t.real) or math.isinf(t.imag))
-    ):
-        return POINT_AT_INFINITY if c == 0 else a / c
-    t = complex(t)
-    denom = c * t + d
-    if denom == 0:
-        return POINT_AT_INFINITY
-    return (a * t + b) / denom
-
-
-def mobius_compose(outer, inner):
-    """Coefficients of outer ∘ inner (matrix product outer @ inner)."""
-    a2, b2, c2, d2 = (complex(x) for x in outer)
-    a1, b1, c1, d1 = (complex(x) for x in inner)
-    return (
-        a2 * a1 + b2 * c1,
-        a2 * b1 + b2 * d1,
-        c2 * a1 + d2 * c1,
-        c2 * b1 + d2 * d1,
-    )
 
 
 def riccati_residual(alpha, dalpha, ddalpha, omega) -> complex:

@@ -298,11 +298,6 @@ def integrate(
     return traj
 
 
-def integrate_batch(ode, jobs, tol: float = 1e-10):
-    """Integrate several (ic, path) jobs; results in input order."""
-    return [integrate(ode, ic, path, tol=tol) for ic, path in jobs]
-
-
 @dataclass(frozen=True)
 class SingularityProbe:
     t_star: complex

@@ -77,18 +77,6 @@ def ast_parameters(ast) -> set:
     return set()
 
 
-def ast_max_order(ast) -> int:
-    if isinstance(ast, Y):
-        return ast.order
-    if isinstance(ast, Add):
-        return max(ast_max_order(t) for t in ast.terms)
-    if isinstance(ast, Mul):
-        return max(ast_max_order(f) for f in ast.factors)
-    if isinstance(ast, Pow):
-        return ast_max_order(ast.base)
-    return 0
-
-
 def eval_ast(ast, env, y_values):
     """Evaluate the tree given parameter bindings and derivative values.
 

@@ -169,10 +169,6 @@ class QComplex:
     def __abs__(self):
         return math.hypot(float(self.re), float(self.im))
 
-    def abs2(self) -> Fraction:
-        """Exact squared magnitude."""
-        return self.re * self.re + self.im * self.im
-
     def conjugate(self) -> "QComplex":
         return QComplex(self.re, -self.im)
 

@@ -112,13 +112,6 @@ class PuiseuxSeries:
             )
         return self.coeffs.get(j, 0)
 
-    def coeff_at(self, exponent: Fraction):
-        """Coefficient of tau**exponent."""
-        e = Fraction(exponent) * self.n
-        if e.denominator != 1:
-            return 0
-        return self.coeff(int(e))
-
     def exponent(self, j: int) -> Fraction:
         return Fraction(j, self.n)
 
@@ -292,9 +285,6 @@ class PuiseuxSeries:
             total += to_complex(c) * zeta ** j
         return total
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(to_complex(c)) for c in self.coeffs.values()), default=0.0)
-
     def to_json_terms(self):
         return [
             [j, to_complex(c).real, to_complex(c).imag] for j, c in self.terms()
@@ -404,15 +394,6 @@ class LocalSolution:
         if self.series.n != 1:
             raise ValueError("residue undefined for branched data")
         return self.series.coeffs.get(-1, 0)
-
-    def principal_part(self) -> dict:
-        """Map k -> c_{-k} over the pole orders present (Laurent data)."""
-        if self.series.n != 1:
-            raise ValueError("principal part undefined for branched data")
-        return {-j: c for j, c in self.series.coeffs.items() if j < 0}
-
-    def unsatisfied_orders(self):
-        return [c.resonance for c in self.compatibility if not c.satisfied]
 
 
 def _compat_tolerance(poly: DifferentialPolynomial, a) -> float:

@@ -6,13 +6,10 @@ import pytest
 
 from merosolve.errors import EvaluationDomainError
 from merosolve.exactlab import (
-    POINT_AT_INFINITY,
     QuadFormParams,
     constraint_report,
     ep_residual_of,
     ermakov_invariant,
-    mobius_compose,
-    mobius_transform,
     numeric_derivative,
     oscillator_basis,
     pinney_solution,
@@ -221,44 +218,6 @@ def test_numeric_derivative_orders():
         approx = numeric_derivative(f, 1.0, order)
         exact = 0.5 ** order * cmath.exp(0.5)
         assert abs(approx - exact) < tol, f"order {order}"
-
-
-# ---------------------------------------------------------------------------
-# Moebius maps
-# ---------------------------------------------------------------------------
-
-def test_mobius_identity():
-    assert mobius_transform(2.0, (1, 0, 0, 1)) == 2
-
-
-def test_mobius_inversion():
-    assert mobius_transform(2.0, (0, 1, 1, 0)) == 0.5
-
-
-def test_mobius_degenerate_rejected():
-    with pytest.raises(ValueError):
-        mobius_transform(2.0, (1, 1, 1, 1))
-
-
-def test_mobius_infinity_handling():
-    assert mobius_transform(-1.0, (1, 0, 1, 1)) == POINT_AT_INFINITY
-    assert mobius_transform(POINT_AT_INFINITY, (2, 1, 1, 3)) == 2
-    assert mobius_transform(POINT_AT_INFINITY, (2, 1, 0, 3)) == POINT_AT_INFINITY
-
-
-def test_mobius_composition_property():
-    rng = random.Random(13)
-    for _ in range(50):
-        m1 = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
-        m2 = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
-        det1 = m1[0] * m1[3] - m1[1] * m1[2]
-        det2 = m2[0] * m2[3] - m2[1] * m2[2]
-        if abs(det1) < 0.1 or abs(det2) < 0.1:
-            continue
-        t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        direct = mobius_transform(mobius_transform(t, m1), m2)
-        composed = mobius_transform(t, mobius_compose(m2, m1))
-        assert abs(direct - composed) < 1e-12 * max(1.0, abs(direct))
 
 
 # ---------------------------------------------------------------------------

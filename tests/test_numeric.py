@@ -17,7 +17,6 @@ from merosolve.numeric import (
     detect_singularity,
     fit_local_exponent,
     integrate,
-    integrate_batch,
     invariant_drift,
     series_vs_numeric,
 )
@@ -101,13 +100,6 @@ def test_integrate_shared_sample_grid():
                   sample_points=shared, record_samples_only=True)
     assert [p.t for p in a.points] == [p.t for p in b.points]
     assert len(a.points) == 5  # start + 3 samples + end
-
-
-def test_integrate_batch_order():
-    jobs = [((1.0, 0.0), [0, 1]), ((2.0, 0.0), [0, 1])]
-    out = integrate_batch(EpWidthOde(1.0), jobs, tol=1e-9)
-    assert abs(out[0].points[0].value - 1.0) < 1e-15
-    assert abs(out[1].points[0].value - 2.0) < 1e-15
 
 
 def test_order_of_accuracy_under_halving():

@@ -17,7 +17,6 @@ from merosolve.odemodel import (
     Param,
     Pow,
     Y,
-    ast_max_order,
     eval_ast,
     normalize,
     parse_ode,
@@ -44,7 +43,6 @@ def test_parse_ep_has_three_addends():
 def test_parse_fourth_derivative():
     ast = parse_ode("y'''' ")
     assert ast == Y(4)
-    assert ast_max_order(ast) == 4
 
 
 def test_parse_stray_operator_reports_position():
