@@ -197,26 +197,11 @@ def render_text(payload, indent: int = 0) -> str:
 
 def _cmd_analysis_like(args):
     ode_text, env = _resolve_ode(args)
-    free = _parse_free(args.free)
-    payload = rpt.analyze_payload(
+    analysis = rpt.Analysis(
         ode_text, env, K=args.order, n_max=args.branch_max,
-        window=args.window, free=free,
+        window=args.window, free=_parse_free(args.free),
     )
-    if args.command == "series":
-        payload = {
-            "schema_version": rpt.SCHEMA_VERSION,
-            "command": "series",
-            "ode": payload["ode"],
-            "series": payload["series"],
-        }
-    elif args.command == "closed-form":
-        payload = {
-            "schema_version": rpt.SCHEMA_VERSION,
-            "command": "closed-form",
-            "ode": payload["ode"],
-            "closed_form": payload["closed_form"],
-        }
-    return payload
+    return rpt.analysis_payload(analysis, args.command)
 
 
 def _cmd_integrate(args):

@@ -1,5 +1,8 @@
-"""Analysis report assembly: JSON-ready payload builders, the published
-claims ledger, and a deterministic JSON emitter.
+"""Analysis report assembly: one ``Analysis`` record per call, the payload
+sections and the published claims ledger as pure functions of it, and a
+deterministic JSON emitter.  The record computes each costly stage at most
+once and only when a section needs it, so a command pays only for the
+sections it prints.
 
 Every published claim the pipeline can test appears in the ledger with an
 anchor string, a status in {confirmed, refuted, not-applicable} and the
@@ -10,10 +13,14 @@ never hard-coded.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .balance import find_balances, monomial_exponent
 from .closedform import (
+    DEFAULT_VERIFY_ORDER,
+    ClosedFormCandidate,
     build_periodic,
     build_rational,
     elliptic_admissible,
@@ -44,6 +51,7 @@ from .numeric import (
 from .odemodel import normalize, parse_ode, unique_highest_degree_term, unparse
 from .scalars import QComplex, is_exact, is_zero, mul_frac, to_complex
 from .series import (
+    LocalSolution,
     cot_laurent,
     solve_local_series,
     substitute,
@@ -139,13 +147,6 @@ def _scalar_match(claimed, computed, rel_tol: float = 1e-9) -> bool:
     return diff <= rel_tol * scale
 
 
-def _claim(claim_id: str, anchor: str, status: str, evidence: dict) -> dict:
-    if status not in ("confirmed", "refuted", "not-applicable"):
-        raise ValueError(f"bad claim status {status!r}")
-    return {"id": claim_id, "anchor": anchor, "status": status,
-            "evidence": evidence}
-
-
 # ---------------------------------------------------------------------------
 # claimed pole expansion (published recursion formulas, evaluated as claims)
 # ---------------------------------------------------------------------------
@@ -171,40 +172,130 @@ def claimed_pole_coefficients(omega, residue):
     return {-1: a, 0: a0, 1: a1, 2: a2, 3: a3}
 
 
-def recomputed_pole_coefficients(poly, families, residue, K: int = 6):
-    """Independent recomputation: force the simple-pole ansatz with the given
-    residue into the cleared equation and solve order by order.  Returns the
-    LocalSolution (or None when no p = -1 family was reported)."""
-    fam = next((f for f in families if f.p == Fraction(-1)), None)
-    if fam is None:
-        return None
-    return solve_local_series(poly, fam, residue, K=K, force=True)
+@dataclass(frozen=True)
+class ClaimedPole:
+    """The published pole coefficients put to the test: the Laurent solution
+    they define, the cot candidate matched to it or the reason none could be
+    built, and the period-formula values (None without a candidate)."""
+
+    local: LocalSolution
+    candidate: ClosedFormCandidate | None
+    error: str | None
+    period_formula: dict | None
 
 
 # ---------------------------------------------------------------------------
-# section builders
+# the analysis record
 # ---------------------------------------------------------------------------
 
-def ode_section(ode_text: str, ast, env, poly) -> dict:
+class Analysis:
+    """One ODE analysed once, for one call.
+
+    Building it parses and clears the equation, finds the balance families
+    and evaluates the published pole coefficients at the residue i.  The
+    costly stages are cached properties, each computed on first use and at
+    most once: ``locals``, ``forced`` and ``claimed``.
+    """
+
+    def __init__(self, ode_text: str, env: dict, K: int = 12, n_max: int = 4,
+                 window: int = 6, free=None):
+        self.ode_text = ode_text
+        self.env = env
+        self.K = K
+        self.n_max = n_max
+        self.window = window
+        self.free = free
+        self.omega = env.get("omega")
+        self.ast = parse_ode(ode_text)
+        self.poly = normalize(self.ast, env)
+        self.families = find_balances(self.poly, n_max=n_max, window=window)
+        self.pole_family = next((f for f in self.families if f.p == -1), None)
+        self.residue = QComplex(0, 1) if is_exact(self.omega) else 1j
+        # None without a frequency or when a recursion denominator vanishes
+        self.claimed_coefficients = (
+            None if self.omega is None
+            else claimed_pole_coefficients(self.omega, self.residue)
+        )
+
+    @cached_property
+    def locals(self) -> list:
+        """One local solution per consistent family, with ``free`` injected
+        at the resonances."""
+        return [
+            solve_local_series(self.poly, fam, fam.leading_coeffs[0], K=self.K,
+                               free=self.free)
+            for fam in self.families
+            if fam.consistent
+        ]
+
+    @cached_property
+    def forced(self):
+        """Independent recomputation of the pole coefficients: the simple-pole
+        ansatz with ``residue`` forced into the cleared equation and solved
+        order by order.  None without a p = -1 family."""
+        if self.pole_family is None:
+            return None
+        return solve_local_series(self.poly, self.pole_family, self.residue, K=6,
+                                  force=True)
+
+    @cached_property
+    def claimed(self):
+        """The :class:`ClaimedPole` block, or None without claimed
+        coefficients."""
+        if self.claimed_coefficients is None:
+            return None
+        local = synthetic_laurent_solution(
+            self.poly, dict(self.claimed_coefficients), trunc=3
+        )
+        try:
+            cand = build_periodic(local)
+        except NoPeriodicCandidateError as exc:
+            return ClaimedPole(local, None, str(exc), None)
+        formula_T = period_from_pole_data(local)
+        branch_values = period_branch_values(formula_T)
+        tol = 1e-8 * max(1.0, abs(cand.period))
+        return ClaimedPole(local, cand, None, {
+            "value": complex_json(formula_T),
+            "branch_values": [complex_json(v) for v in branch_values],
+            "matched_period": complex_json(cand.period),
+            "magnitude_consistent": abs(abs(formula_T) - abs(cand.period)) <= tol,
+            "branch_consistent": any(abs(v - cand.period) <= tol
+                                     for v in branch_values),
+        })
+
+
+# ---------------------------------------------------------------------------
+# section builders: pure functions of an Analysis
+# ---------------------------------------------------------------------------
+
+def ode_section(a: Analysis) -> dict:
     return {
-        "input": ode_text,
-        "normalized_input": unparse(ast),
+        "input": a.ode_text,
+        "normalized_input": unparse(a.ast),
         "parameters": {
-            name: complex_json(env[name]) for name in sorted(env)
+            name: complex_json(a.env[name]) for name in sorted(a.env)
         },
         "cleared": {
-            "text": poly.to_text(),
-            "clearing_multiplier": poly.clearing_multiplier,
+            "text": a.poly.to_text(),
+            "clearing_multiplier": a.poly.clearing_multiplier,
             "monomials": [
                 {
                     "coeff": complex_json(m.coeff),
                     "degrees": {str(k): d for k, d in m.degrees},
                 }
-                for m in poly.monomials
+                for m in a.poly.monomials
             ],
-            "exact_coefficients": poly.is_exact,
+            "exact_coefficients": a.poly.is_exact,
         },
     }
+
+
+def _uncleared_q(fam, poly) -> str:
+    """The family's q in the original, uncleared equation."""
+    return frac_str(
+        min(monomial_exponent(mono, fam.p) for mono in poly.monomials)
+        - poly.clearing_multiplier * fam.p
+    )
 
 
 def family_json(fam, poly) -> dict:
@@ -225,22 +316,20 @@ def family_json(fam, poly) -> dict:
         "consistent": fam.consistent,
         "resonances": [frac_str(r) for r in fam.resonances],
         "uncleared_exponents": uncleared,
-        "uncleared_q": frac_str(
-            min(monomial_exponent(mono, fam.p) for mono in poly.monomials)
-            - m * fam.p
-        ),
+        "uncleared_q": _uncleared_q(fam, poly),
     }
 
 
-def balance_section(poly, families, n_max: int, window: int) -> dict:
+def balance_section(a: Analysis) -> dict:
+    top = unique_highest_degree_term(a.poly)
     return {
-        "branch_max": n_max,
-        "window": window,
+        "branch_max": a.n_max,
+        "window": a.window,
         "top_degree_uniqueness": {
-            "holds": unique_highest_degree_term(poly).holds,
-            "top_degree": unique_highest_degree_term(poly).top_degree,
+            "holds": top.holds,
+            "top_degree": top.top_degree,
         },
-        "families": [family_json(f, poly) for f in families],
+        "families": [family_json(f, a.poly) for f in a.families],
     }
 
 
@@ -281,32 +370,24 @@ def _residual_norm(local) -> float:
     return norm
 
 
-def series_section(poly, families, K: int, free=None) -> dict:
-    solutions = []
-    for fam in families:
-        if not fam.consistent:
-            continue
-        local = solve_local_series(poly, fam, fam.leading_coeffs[0], K=K, free=free)
-        solutions.append(local_solution_json(local))
-    return {"order": K, "solutions": solutions}
+def series_section(a: Analysis) -> dict:
+    return {
+        "order": a.K,
+        "solutions": [local_solution_json(local) for local in a.locals],
+        "coefficient_comparison": coefficient_comparison_section(a),
+    }
 
 
-def coefficient_comparison_section(poly, families, omega, residue_scale=1):
+def coefficient_comparison_section(a: Analysis):
     """Side-by-side table of the published pole-coefficient recursion versus
-    the forced recomputation, with per-coefficient match flags."""
-    residue = QComplex(0, residue_scale) if is_exact(omega) else complex(
-        0, residue_scale
-    )
-    claimed = claimed_pole_coefficients(omega, residue)
-    if claimed is None:
-        return None
-    forced = recomputed_pole_coefficients(poly, families, residue)
-    if forced is None:
+    the forced recomputation, with per-coefficient match flags; None when
+    either side is unavailable."""
+    if a.claimed_coefficients is None or a.forced is None:
         return None
     rows = []
     for k in range(0, 4):
-        claim_value = claimed[k]
-        computed = forced.series.coeffs.get(k, 0)
+        claim_value = a.claimed_coefficients[k]
+        computed = a.forced.series.coeffs.get(k, 0)
         rows.append(
             {
                 "index": k,
@@ -316,10 +397,10 @@ def coefficient_comparison_section(poly, families, omega, residue_scale=1):
             }
         )
     leading_violation = next(
-        (c for c in forced.compatibility if c.resonance == 0), None
+        (c for c in a.forced.compatibility if c.resonance == 0), None
     )
     return {
-        "residue": complex_json(residue),
+        "residue": complex_json(a.residue),
         "rows": rows,
         "leading_equation_violated": (
             not leading_violation.satisfied if leading_violation else False
@@ -351,14 +432,25 @@ def _candidate_json(cand, source: str) -> dict:
     }
 
 
-def closedform_section(poly, families, K: int, omega=None) -> dict:
+def _claimed_pole_data(a: Analysis):
+    block = a.claimed
+    if block is None:
+        return None
+    data = {"coefficients": {str(k): complex_json(v) for k, v in
+                             sorted(a.claimed_coefficients.items())}}
+    if block.candidate is None:
+        data["periodic_error"] = block.error
+    else:
+        data["period_formula"] = block.period_formula
+    return data
+
+
+def closedform_section(a: Analysis) -> dict:
     candidates = []
     errors = []
     elliptic = []
-    for fam in families:
-        if not fam.consistent:
-            continue
-        local = solve_local_series(poly, fam, fam.leading_coeffs[0], K=K)
+    for local in a.locals:
+        fam = local.family
         if fam.branch_order == 1:
             # elliptic forms are only gated by the necessary condition
             # (vanishing residue); no construction is attempted either way
@@ -367,7 +459,7 @@ def closedform_section(poly, families, K: int, omega=None) -> dict:
                 "admissible": elliptic_admissible(local),
             })
             candidates.append(
-                _candidate_json(build_rational(local, m=max(0, K // 2)),
+                _candidate_json(build_rational(local, m=max(0, a.K // 2)),
                                 "local-series")
             )
         else:
@@ -381,334 +473,236 @@ def closedform_section(poly, families, K: int, omega=None) -> dict:
             candidates.append(_candidate_json(cand, "local-series"))
         except (NoPeriodicCandidateError, NotLaurentError) as exc:
             errors.append({"p": frac_str(fam.p), "error": str(exc)})
-    period_block = None
-    if omega is not None:
-        period_block = _claimed_candidate_block(poly, omega)
-        if period_block and period_block.get("candidate"):
-            candidates.append(period_block["candidate"])
+    if a.claimed is not None and a.claimed.candidate is not None:
+        candidates.append(_candidate_json(a.claimed.candidate, "claimed-pole-data"))
     return {
         "candidates": candidates,
         "periodic_errors": errors,
         "elliptic_admissibility": elliptic,
-        "claimed_pole_data": period_block["summary"] if period_block else None,
+        "claimed_pole_data": _claimed_pole_data(a),
     }
 
 
-def _claimed_candidate_block(poly, omega, residue_scale=1):
-    residue = QComplex(0, residue_scale) if is_exact(omega) else complex(
-        0, residue_scale
-    )
-    claimed = claimed_pole_coefficients(omega, residue)
-    if claimed is None:
-        return None
-    local = synthetic_laurent_solution(
-        poly, dict(claimed), trunc=3
-    )
-    summary = {"coefficients": {str(k): complex_json(v) for k, v in
-                                sorted(claimed.items())}}
-    try:
-        cand = build_periodic(local)
-    except NoPeriodicCandidateError as exc:
-        summary["periodic_error"] = str(exc)
-        return {"summary": summary, "candidate": None}
-    formula_T = period_from_pole_data(local)
-    matched_T = cand.period
-    magnitude_consistent = abs(abs(formula_T) - abs(matched_T)) <= 1e-8 * max(
-        1.0, abs(matched_T)
-    )
-    branch_values = period_branch_values(formula_T)
-    branch_consistent = any(
-        abs(bv - matched_T) <= 1e-8 * max(1.0, abs(matched_T))
-        for bv in branch_values
-    )
-    summary["period_formula"] = {
-        "value": complex_json(formula_T),
-        "branch_values": [complex_json(v) for v in branch_values],
-        "matched_period": complex_json(matched_T),
-        "magnitude_consistent": magnitude_consistent,
-        "branch_consistent": branch_consistent,
-    }
-    return {"summary": summary, "candidate": _candidate_json(cand, "claimed-pole-data")}
-
-
 # ---------------------------------------------------------------------------
-# claims ledger
+# claims ledger: one anchor per claim, one check per claim
 # ---------------------------------------------------------------------------
 
-def analysis_claims(poly, families, omega=None) -> list:
-    claims = []
-
-    # simple-pole family
-    fam_m1 = next((f for f in families if f.p == Fraction(-1)), None)
-    if fam_m1 is None:
-        claims.append(_claim(
-            "simple-pole-family",
-            "(p, q) = (-1, -3) simple-pole family",
-            "not-applicable",
-            {"note": "no p = -1 exponent inside the search window"},
-        ))
-    else:
-        status = "confirmed" if fam_m1.consistent else "refuted"
-        claims.append(_claim(
-            "simple-pole-family",
-            "(p, q) = (-1, -3) simple-pole family",
-            status,
-            {
-                "consistent": fam_m1.consistent,
-                "leading_polynomial": [complex_json(c) for c in fam_m1.leading_poly],
-                "cleared_q": frac_str(fam_m1.q),
-                "uncleared_q": frac_str(
-                    min(monomial_exponent(m, fam_m1.p) for m in poly.monomials)
-                    - poly.clearing_multiplier * fam_m1.p
-                ),
-            },
-        ))
-
-    # branch point of order two
-    branch = [f for f in families if f.consistent and f.branch_order == 2]
-    claims.append(_claim(
-        "branch-point-order-two",
+CLAIM_ANCHORS = {
+    "simple-pole-family": "(p, q) = (-1, -3) simple-pole family",
+    "branch-point-order-two":
         "leading-order balance admits a branch point with n = 2",
-        "confirmed" if branch else "refuted",
-        {
-            "consistent_branch_families": [frac_str(f.p) for f in branch],
-            "leading_coefficients": [
-                complex_json(a) for f in branch for a in f.leading_coeffs
-            ],
-        },
-    ))
+    "imaginary-free-residue":
+        "principal coefficient a_{-1} = c*i with arbitrary real c",
+    "pole-coefficient-recursion":
+        "a_0 = 0, a_1 = -(2/3) w^2 a_{-1}, a_2, a_3 recursion values",
+    "exact-cot-solution":
+        "exact solution a_{-1} (pi/T) cot(pi (t - t_0)/T) + h_0",
+    "period-formula": "T = pi (a_{-1}/45)^(1/4) / a_3^(1/4)",
+    "cot-expansion-magnitudes": "cot expansion magnitudes 1/3, 1/45, 2/945",
+    "no-painleve-property":
+        "movable algebraic branching defeats the Painleve property",
+    "global-exponential-form": "global exponential-form closed solution",
+    "quadratic-form-superposition":
+        "width = sqrt(A u^2 + 2 B u v + C v^2) solves the width equation",
+    "constraint-sign": "constraint B^2 - A*C = 1/W^2",
+    "invariant-conservation":
+        "I = ((eta' a - eta a')^2 + (eta/a)^2)/2 is constant",
+    "third-order-maximal-symmetry": "x = width^2 satisfies x''' + 4 w^2 x' = 0",
+    "riccati-reduction":
+        "Y' + Y^2 + w^2 = 0 with Y_I = 1/width^2 yields the width equation",
+    "imaginary-axis-confinement":
+        "detected singular times confined to the imaginary axis",
+}
 
-    # purely imaginary free residue
-    if fam_m1 is None:
-        claims.append(_claim(
-            "imaginary-free-residue",
-            "principal coefficient a_{-1} = c*i with arbitrary real c",
-            "not-applicable",
-            {"note": "no p = -1 family reported"},
-        ))
-    elif not fam_m1.consistent:
-        claims.append(_claim(
-            "imaginary-free-residue",
-            "principal coefficient a_{-1} = c*i with arbitrary real c",
-            "refuted",
-            {"note": "the p = -1 leading equation admits only the zero root",
-             "leading_polynomial": [complex_json(c) for c in fam_m1.leading_poly]},
-        ))
-    else:
-        all_imag = all(
-            abs(to_complex(a).real) <= 1e-10 for a in fam_m1.leading_coeffs
-        )
-        free_residue = len(fam_m1.leading_coeffs) == 0
-        claims.append(_claim(
-            "imaginary-free-residue",
-            "principal coefficient a_{-1} = c*i with arbitrary real c",
-            "confirmed" if (all_imag and free_residue) else "refuted",
-            {
-                "leading_coefficients": [
-                    complex_json(a) for a in fam_m1.leading_coeffs
-                ],
-                "note": "leading coefficients are pinned by the leading "
-                        "equation, not free",
-            },
-        ))
 
-    # coefficient recursion
-    if omega is None:
-        claims.append(_claim(
-            "pole-coefficient-recursion",
-            "a_0 = 0, a_1 = -(2/3) w^2 a_{-1}, a_2, a_3 recursion values",
-            "not-applicable",
-            {"note": "no frequency parameter bound"},
-        ))
-    else:
-        table = coefficient_comparison_section(poly, families, omega)
-        if table is None:
-            claims.append(_claim(
-                "pole-coefficient-recursion",
-                "a_0 = 0, a_1 = -(2/3) w^2 a_{-1}, a_2, a_3 recursion values",
-                "not-applicable",
-                {"note": "recursion denominators vanish or no p = -1 family"},
-            ))
-        else:
-            all_match = all(row["match"] for row in table["rows"])
-            claims.append(_claim(
-                "pole-coefficient-recursion",
-                "a_0 = 0, a_1 = -(2/3) w^2 a_{-1}, a_2, a_3 recursion values",
-                "confirmed" if all_match else "refuted",
-                {"rows": table["rows"],
-                 "leading_equation_violated": table["leading_equation_violated"]},
-            ))
+def _ledger(checks: dict, subject) -> list:
+    """Run each ``claim_id -> check`` of ``checks`` on ``subject``; a check
+    returns ``(status, evidence)``."""
+    claims = []
+    for claim_id, check in checks.items():
+        status, evidence = check(subject)
+        if status not in ("confirmed", "refuted", "not-applicable"):
+            raise ValueError(f"bad claim status {status!r}")
+        claims.append({"id": claim_id, "anchor": CLAIM_ANCHORS[claim_id],
+                       "status": status, "evidence": evidence})
+    return claims
 
-    # exact cot-form solution and period formula
-    if omega is None:
-        claims.append(_claim(
-            "exact-cot-solution",
-            "exact solution a_{-1} (pi/T) cot(pi (t - t_0)/T) + h_0",
-            "not-applicable",
-            {"note": "no frequency parameter bound"},
-        ))
-        claims.append(_claim(
-            "period-formula",
-            "T = pi (a_{-1}/45)^(1/4) / a_3^(1/4)",
-            "not-applicable",
-            {"note": "no frequency parameter bound"},
-        ))
-    else:
-        block = _claimed_candidate_block(poly, omega)
-        if block is None or block["candidate"] is None:
-            note = (
-                block["summary"].get("periodic_error")
-                if block
-                else "claimed coefficients unavailable"
-            )
-            claims.append(_claim(
-                "exact-cot-solution",
-                "exact solution a_{-1} (pi/T) cot(pi (t - t_0)/T) + h_0",
-                "not-applicable",
-                {"note": note},
-            ))
-            claims.append(_claim(
-                "period-formula",
-                "T = pi (a_{-1}/45)^(1/4) / a_3^(1/4)",
-                "not-applicable",
-                {"note": note},
-            ))
-        else:
-            cand = block["candidate"]
-            status = "confirmed" if cand["verified"] else "refuted"
-            evidence = {
-                "residual_norm": cand["residual_norm"],
-                "first_failing_order": cand["first_failing_order"],
-                "verified_through_order": 10,
-            }
-            if not cand["verified"]:
-                evidence["verdict"] = "refuted at order <= 10"
-            claims.append(_claim(
-                "exact-cot-solution",
-                "exact solution a_{-1} (pi/T) cot(pi (t - t_0)/T) + h_0",
-                status,
-                evidence,
-            ))
-            pf = block["summary"]["period_formula"]
-            claims.append(_claim(
-                "period-formula",
-                "T = pi (a_{-1}/45)^(1/4) / a_3^(1/4)",
-                "confirmed" if pf["magnitude_consistent"] else "refuted",
-                pf,
-            ))
 
-    # cot expansion magnitudes
+def _verdict(holds: bool) -> str:
+    return "confirmed" if holds else "refuted"
+
+
+def _simple_pole_family(a: Analysis):
+    fam = a.pole_family
+    if fam is None:
+        return "not-applicable", {"note": "no p = -1 exponent inside the search window"}
+    return _verdict(fam.consistent), {
+        "consistent": fam.consistent,
+        "leading_polynomial": [complex_json(c) for c in fam.leading_poly],
+        "cleared_q": frac_str(fam.q),
+        "uncleared_q": _uncleared_q(fam, a.poly),
+    }
+
+
+def _branch_point_order_two(a: Analysis):
+    branch = [f for f in a.families if f.consistent and f.branch_order == 2]
+    return _verdict(bool(branch)), {
+        "consistent_branch_families": [frac_str(f.p) for f in branch],
+        "leading_coefficients": [
+            complex_json(c) for f in branch for c in f.leading_coeffs
+        ],
+    }
+
+
+def _imaginary_free_residue(a: Analysis):
+    fam = a.pole_family
+    if fam is None:
+        return "not-applicable", {"note": "no p = -1 family reported"}
+    if not fam.consistent:
+        return "refuted", {
+            "note": "the p = -1 leading equation admits only the zero root",
+            "leading_polynomial": [complex_json(c) for c in fam.leading_poly],
+        }
+    all_imag = all(abs(to_complex(c).real) <= 1e-10 for c in fam.leading_coeffs)
+    free_residue = len(fam.leading_coeffs) == 0
+    return _verdict(all_imag and free_residue), {
+        "leading_coefficients": [complex_json(c) for c in fam.leading_coeffs],
+        "note": "leading coefficients are pinned by the leading equation, not free",
+    }
+
+
+def _pole_coefficient_recursion(a: Analysis):
+    if a.omega is None:
+        return "not-applicable", {"note": "no frequency parameter bound"}
+    table = coefficient_comparison_section(a)
+    if table is None:
+        return "not-applicable", {
+            "note": "recursion denominators vanish or no p = -1 family"}
+    return _verdict(all(row["match"] for row in table["rows"])), {
+        "rows": table["rows"],
+        "leading_equation_violated": table["leading_equation_violated"],
+    }
+
+
+def _claimed_unavailable(a: Analysis):
+    """Why there is no claimed-pole candidate to judge, or None."""
+    if a.omega is None:
+        return "no frequency parameter bound"
+    if a.claimed is None:
+        return "claimed coefficients unavailable"
+    return a.claimed.error
+
+
+def _exact_cot_solution(a: Analysis):
+    note = _claimed_unavailable(a)
+    if note is not None:
+        return "not-applicable", {"note": note}
+    cand = _candidate_json(a.claimed.candidate, "claimed-pole-data")
+    evidence = {
+        "residual_norm": cand["residual_norm"],
+        "first_failing_order": cand["first_failing_order"],
+        "verified_through_order": DEFAULT_VERIFY_ORDER,
+    }
+    if not cand["verified"]:
+        evidence["verdict"] = f"refuted at order <= {DEFAULT_VERIFY_ORDER}"
+    return _verdict(cand["verified"]), evidence
+
+
+def _period_formula(a: Analysis):
+    note = _claimed_unavailable(a)
+    if note is not None:
+        return "not-applicable", {"note": note}
+    pf = a.claimed.period_formula
+    return _verdict(pf["magnitude_consistent"]), pf
+
+
+def _cot_expansion_magnitudes(a: Analysis):
     cot = cot_laurent(7)
     expected = {
         1: QComplex(Fraction(1, 3)),
         3: QComplex(Fraction(1, 45)),
         5: QComplex(Fraction(2, 945)),
     }
-    got = {
-        1: -cot.coeffs.get(1, 0),
-        3: -cot.coeffs.get(3, 0),
-        5: -cot.coeffs.get(5, 0),
+    got = {k: -cot.coeffs.get(k, 0) for k in expected}
+    return _verdict(got == expected), {
+        "coefficients": {str(k): complex_json(v) for k, v in sorted(got.items())}
     }
-    cot_ok = all(got[k] == expected[k] for k in expected)
-    claims.append(_claim(
-        "cot-expansion-magnitudes",
-        "cot expansion magnitudes 1/3, 1/45, 2/945",
-        "confirmed" if cot_ok else "refuted",
-        {"coefficients": {str(k): complex_json(v) for k, v in sorted(got.items())}},
-    ))
 
-    # integrability verdict
-    consistent = [f for f in families if f.consistent]
+
+def _no_painleve_property(a: Analysis):
+    consistent = [f for f in a.families if f.consistent]
     branching = [f for f in consistent if f.branch_order > 1]
-    if not consistent:
-        verdict_status = "not-applicable"
-    else:
-        verdict_status = "confirmed" if branching else "refuted"
-    claims.append(_claim(
-        "no-painleve-property",
-        "movable algebraic branching defeats the Painleve property",
-        verdict_status,
-        {
-            "consistent_families": [frac_str(f.p) for f in consistent],
-            "branching_families": [frac_str(f.p) for f in branching],
-        },
-    ))
+    status = _verdict(bool(branching)) if consistent else "not-applicable"
+    return status, {
+        "consistent_families": [frac_str(f.p) for f in consistent],
+        "branching_families": [frac_str(f.p) for f in branching],
+    }
 
-    # excluded global closed form
-    claims.append(_claim(
-        "global-exponential-form",
-        "global exponential-form closed solution",
-        "not-applicable",
-        {"note": "no derivation available; recorded as an untrusted "
-                 "candidate and not implemented"},
-    ))
-    return claims
+
+def _global_exponential_form(a: Analysis):
+    return "not-applicable", {"note": "no derivation available; recorded as an "
+                                      "untrusted candidate and not implemented"}
+
+
+ANALYSIS_CHECKS = {
+    "simple-pole-family": _simple_pole_family,
+    "branch-point-order-two": _branch_point_order_two,
+    "imaginary-free-residue": _imaginary_free_residue,
+    "pole-coefficient-recursion": _pole_coefficient_recursion,
+    "exact-cot-solution": _exact_cot_solution,
+    "period-formula": _period_formula,
+    "cot-expansion-magnitudes": _cot_expansion_magnitudes,
+    "no-painleve-property": _no_painleve_property,
+    "global-exponential-form": _global_exponential_form,
+}
+
+EXACTLAB_CHECKS = {
+    "quadratic-form-superposition": lambda r: (
+        _verdict(r["pinney"]["max_residual"] < 1e-8),
+        {"max_residual": r["pinney"]["max_residual"],
+         "params": r["pinney"]["params"]},
+    ),
+    "constraint-sign": lambda r: (
+        _verdict(r["pinney"]["constraint"]["reversed_sign_holds"]),
+        r["pinney"]["constraint"],
+    ),
+    "invariant-conservation": lambda r: (
+        _verdict(r["invariant"]["drift"] < 1e-8), r["invariant"]),
+    "third-order-maximal-symmetry": lambda r: (
+        _verdict(r["third_order"]["max_residual"] < 1e-6), r["third_order"]),
+    "riccati-reduction": lambda r: (
+        _verdict(r["riccati"]["max_residual"] < 1e-6), r["riccati"]),
+}
+
+
+def _imaginary_axis_confinement(probe_results: list):
+    located = [p for p in probe_results if p["kind"] == "zero-of-alpha"]
+    if not located:
+        return "not-applicable", {
+            "note": "no singular approach detected on the probe paths"}
+    ts = [complex(*p["t_star"]) for p in located]
+    conjugate = any(
+        abs(a - b.conjugate()) < 1e-3 for i, a in enumerate(ts) for b in ts[i + 1:]
+    )
+    return _verdict(all(abs(t.real) < 1e-3 for t in ts)), {
+        "t_stars": [p["t_star"] for p in located],
+        "conjugate_pair_found": conjugate,
+    }
+
+
+NUMERIC_CHECKS = {"imaginary-axis-confinement": _imaginary_axis_confinement}
+
+
+def analysis_claims(a: Analysis) -> list:
+    return _ledger(ANALYSIS_CHECKS, a)
 
 
 def exactlab_claims(results: dict) -> list:
-    claims = []
-    claims.append(_claim(
-        "quadratic-form-superposition",
-        "width = sqrt(A u^2 + 2 B u v + C v^2) solves the width equation",
-        "confirmed" if results["pinney"]["max_residual"] < 1e-8 else "refuted",
-        {"max_residual": results["pinney"]["max_residual"],
-         "params": results["pinney"]["params"]},
-    ))
-    constraint = results["pinney"]["constraint"]
-    claims.append(_claim(
-        "constraint-sign",
-        "constraint B^2 - A*C = 1/W^2",
-        "refuted" if not constraint["reversed_sign_holds"] else "confirmed",
-        constraint,
-    ))
-    claims.append(_claim(
-        "invariant-conservation",
-        "I = ((eta' a - eta a')^2 + (eta/a)^2)/2 is constant",
-        "confirmed" if results["invariant"]["drift"] < 1e-8 else "refuted",
-        results["invariant"],
-    ))
-    claims.append(_claim(
-        "third-order-maximal-symmetry",
-        "x = width^2 satisfies x''' + 4 w^2 x' = 0",
-        "confirmed" if results["third_order"]["max_residual"] < 1e-6 else "refuted",
-        results["third_order"],
-    ))
-    claims.append(_claim(
-        "riccati-reduction",
-        "Y' + Y^2 + w^2 = 0 with Y_I = 1/width^2 yields the width equation",
-        "confirmed" if results["riccati"]["max_residual"] < 1e-6 else "refuted",
-        results["riccati"],
-    ))
-    return claims
+    return _ledger(EXACTLAB_CHECKS, results)
 
 
 def numeric_claims(probe_results: list) -> list:
-    located = [p for p in probe_results if p["kind"] == "zero-of-alpha"]
-    if not located:
-        return [_claim(
-            "imaginary-axis-confinement",
-            "detected singular times confined to the imaginary axis",
-            "not-applicable",
-            {"note": "no singular approach detected on the probe paths"},
-        )]
-    on_axis = all(abs(p["t_star"][0]) < 1e-3 for p in located)
-    conjugate = False
-    if len(located) >= 2:
-        ts = [complex(p["t_star"][0], p["t_star"][1]) for p in located]
-        conjugate = any(
-            abs(a - b.conjugate()) < 1e-3 for i, a in enumerate(ts)
-            for b in ts[i + 1:]
-        )
-    status = "confirmed" if (on_axis and conjugate) else (
-        "refuted" if not on_axis else "confirmed"
-    )
-    return [_claim(
-        "imaginary-axis-confinement",
-        "detected singular times confined to the imaginary axis",
-        status,
-        {"t_stars": [p["t_star"] for p in located],
-         "conjugate_pair_found": conjugate},
-    )]
+    return _ledger(NUMERIC_CHECKS, probe_results)
 
 
 # ---------------------------------------------------------------------------
@@ -866,50 +860,48 @@ def numeric_section(omega, ic=(1.0, 0.0), reach: float = 0.999,
 # top-level payloads
 # ---------------------------------------------------------------------------
 
-def prepare_ode(ode_text: str, env: dict):
-    ast = parse_ode(ode_text)
-    poly = normalize(ast, env)
-    return ast, poly
+ANALYSIS_SECTIONS = {
+    "ode": ode_section,
+    "balance": balance_section,
+    "series": series_section,
+    "closed_form": closedform_section,
+    "claims": analysis_claims,
+}
+
+# the sections each analysis command prints, in output order
+COMMAND_SECTIONS = {
+    "analyze": tuple(ANALYSIS_SECTIONS),
+    "report": tuple(ANALYSIS_SECTIONS),
+    "series": ("ode", "series"),
+    "closed-form": ("ode", "closed_form"),
+}
+
+
+def analysis_payload(a: Analysis, command: str) -> dict:
+    """The payload of ``command``: only the sections it prints are built."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command}
+    for key in COMMAND_SECTIONS[command]:
+        payload[key] = ANALYSIS_SECTIONS[key](a)
+    return payload
 
 
 def analyze_payload(ode_text: str, env: dict, K: int = 12, n_max: int = 4,
                     window: int = 6, free=None) -> dict:
-    ast, poly = prepare_ode(ode_text, env)
-    families = find_balances(poly, n_max=n_max, window=window)
-    omega = env.get("omega")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze",
-        "ode": ode_section(ode_text, ast, env, poly),
-        "balance": balance_section(poly, families, n_max, window),
-        "series": {
-            **series_section(poly, families, K, free=free),
-            "coefficient_comparison": coefficient_comparison_section(
-                poly, families, omega
-            ) if omega is not None else None,
-        },
-        "closed_form": closedform_section(poly, families, K, omega=omega),
-        "claims": analysis_claims(poly, families, omega=omega),
-    }
-    return payload
+    return analysis_payload(Analysis(ode_text, env, K, n_max, window, free),
+                            "analyze")
 
 
 def full_report_payload(ode_text: str, env: dict, K: int = 12, n_max: int = 4,
                         window: int = 6, free=None, tol: float = 1e-10,
                         ic=(1.0, 0.0)) -> dict:
-    payload = analyze_payload(ode_text, env, K=K, n_max=n_max, window=window,
-                              free=free)
-    payload["command"] = "report"
-    omega = env.get("omega", 1)
-    lab = exactlab_results(omega=to_complex(omega), tol=tol)
-    numeric = numeric_section(to_complex(omega), ic=ic, tol=tol)
+    payload = analysis_payload(Analysis(ode_text, env, K, n_max, window, free),
+                               "report")
+    omega = to_complex(env.get("omega", 1))
+    lab = exactlab_results(omega=omega, tol=tol)
+    numeric = numeric_section(omega, ic=ic, tol=tol)
     payload["exact_lab"] = lab
-    payload["numeric"] = {"probes": numeric["probes"]}
-    payload["claims"] = (
-        payload["claims"]
-        + exactlab_claims(lab)
-        + numeric_claims(numeric["probes"])
-    )
+    payload["numeric"] = numeric
+    payload["claims"] += exactlab_claims(lab) + numeric_claims(numeric["probes"])
     return payload
 
 

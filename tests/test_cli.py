@@ -72,6 +72,17 @@ def test_series_free_parameter_flag(tmp_path):
     assert terms_bump[3] == (1.0, 0.0)
 
 
+def test_free_parameter_reaches_closed_form_candidates(tmp_path):
+    # the candidates are built from the printed series, free value included
+    payload = run_json(
+        tmp_path, ["analyze", "--ode", "y'' - 2*y^3", "--free", "4=1"]
+    )
+    rational = next(
+        c for c in payload["closed_form"]["candidates"] if c["kind"] == "rational"
+    )
+    assert [3, 1.0, 0.0] in rational["tail"]
+
+
 def test_closed_form_command(tmp_path):
     payload = run_json(tmp_path, ["closed-form", "--ode", "y' + 1 + y^2"])
     cands = payload["closed_form"]["candidates"]
@@ -221,7 +232,7 @@ def test_internal_inconsistency_exits_3(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InternalInconsistencyError("forced failure for the exit path")
 
-    monkeypatch.setattr(rpt, "analyze_payload", broken)
+    monkeypatch.setattr(rpt, "analysis_payload", broken)
     assert main(["analyze", "--out", str(tmp_path / "x.json")]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
 

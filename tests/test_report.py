@@ -4,16 +4,16 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from merosolve.balance import find_balances
+from merosolve import report
 from merosolve.report import (
     REPORT_SCHEMA,
+    Analysis,
     analyze_payload,
     claimed_pole_coefficients,
     coefficient_comparison_section,
     complex_json,
     frac_str,
     numeric_claims,
-    recomputed_pole_coefficients,
     to_json,
 )
 from merosolve.scalars import QComplex
@@ -35,24 +35,23 @@ def test_claimed_coefficients_at_unit_frequency():
     assert claimed[3] is not None
 
 
-def test_recomputed_coefficients_at_unit_frequency(ep_poly):
+def test_recomputed_coefficients_at_unit_frequency():
     # hand-derived forced expansion: y = i/tau + c1 tau + c3 tau^3 + ...
     # order tau^-5 gives c0 = 0; tau^-4 gives 6 a^3 c1 + a^4 = 0, so
     # c1 = -i/6; tau^-3 vanishes identically, c2 = 0; tau^-2 carries
     # 6 a^2 c1^2 + 4 a^3 c1 = -1/2 against response 12 a^3 = -12i, so
     # c3 = i/24.
-    families = find_balances(ep_poly)
-    forced = recomputed_pole_coefficients(ep_poly, families, QComplex(0, 1))
-    series = forced.series.coeffs
+    analysis = Analysis(EP_TEXT, {"omega": 1})
+    assert analysis.residue == QComplex(0, 1)
+    series = analysis.forced.series.coeffs
     assert series.get(0, 0) == 0
     assert series[1] == QComplex(0, Fraction(-1, 6))
     assert series.get(2, 0) == 0
     assert series[3] == QComplex(0, Fraction(1, 24))
 
 
-def test_comparison_table_flags(ep_poly):
-    families = find_balances(ep_poly)
-    table = coefficient_comparison_section(ep_poly, families, QComplex(1))
+def test_comparison_table_flags():
+    table = coefficient_comparison_section(Analysis(EP_TEXT, {"omega": 1}))
     rows = {row["index"]: row for row in table["rows"]}
     assert rows[0]["match"] is True
     assert rows[1]["match"] is False
@@ -61,13 +60,32 @@ def test_comparison_table_flags(ep_poly):
 
 
 def test_comparison_table_none_without_pole_family():
-    from merosolve.odemodel import normalize, parse_ode
+    # a numerator window of 0 admits no exponent, so there is no p = -1
+    # family, no forced solve and no table
+    analysis = Analysis(EP_TEXT, {"omega": 1}, window=0)
+    assert analysis.pole_family is None
+    assert analysis.forced is None
+    assert coefficient_comparison_section(analysis) is None
 
-    # first-order equation: the p = -1 family exists, so a table is built;
-    # a window excluding -1 yields no family and no table
-    poly = normalize(parse_ode(EP_TEXT), {"omega": 1})
-    families = [f for f in find_balances(poly) if f.p != Fraction(-1)]
-    assert coefficient_comparison_section(poly, families, QComplex(1)) is None
+
+def test_analyze_solves_each_series_once(monkeypatch):
+    # one solve for the single consistent family (p = 1/2) plus the forced
+    # p = -1 solve; the claimed-pole block is built once for the closed-form
+    # section and the ledger together
+    calls = {"solve": 0, "synthetic": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(report, "solve_local_series",
+                        counted("solve", report.solve_local_series))
+    monkeypatch.setattr(report, "synthetic_laurent_solution",
+                        counted("synthetic", report.synthetic_laurent_solution))
+    analyze_payload(EP_TEXT, {"omega": QComplex(1)})
+    assert calls == {"solve": 2, "synthetic": 1}
 
 
 # ---------------------------------------------------------------------------
