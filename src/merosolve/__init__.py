@@ -55,8 +55,6 @@ from .series import (
     LocalSolution,
     PuiseuxSeries,
     cot_laurent,
-    series_differentiate,
-    series_pow,
     solve_local_series,
     substitute,
 )
@@ -96,8 +94,6 @@ __all__ = [
     "period_from_pole_data",
     "pinney_solution",
     "riccati_residual",
-    "series_differentiate",
-    "series_pow",
     "series_vs_numeric",
     "solve_local_series",
     "substitute",

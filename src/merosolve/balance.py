@@ -6,12 +6,27 @@ at least two monomials share the minimal exponent q and every other monomial
 sits at or above it.  Negative integer p are additionally reported even when
 a single monomial dominates, so claimed pole families always receive an
 explicit verdict instead of silently disappearing.
+
+The leading equation, the resonance polynomial and the solver's linear
+response all read one linearization of the dominant monomials
+(``_dominant_terms``).
+
+Roots follow one rule.  Exact coefficients are cleared to primitive
+Gaussian integers with leading coefficient d.  By the rational-root theorem
+in Z[i] every root in Q(i) has a denominator dividing d, so ``round(z*d)/d``
+is the only candidate near a numeric root z, and exact evaluation decides.
+Leading coefficients that fail it stay numeric (irrational roots);
+resonances that fail it, or are not real, are left out.  For float
+coefficients the leading roots stay numeric and resonances snap to
+denominators dividing 360.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -23,6 +38,7 @@ from .scalars import (
     is_exact,
     is_zero,
     mul_frac,
+    poly_eval,
     scalar_pow,
     to_complex,
 )
@@ -30,7 +46,14 @@ from .scalars import (
 DEFAULT_BRANCH_MAX = 4
 DEFAULT_WINDOW = 6
 
-_ROOT_SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 12)
+# A root candidate is evaluated only within this of the numeric root z,
+# relative to max(1, |z|).  It spares the exact evaluation of most candidates
+# for irrational roots, yet admits a double root, which numpy returns spread
+# by about 1e-8.
+_ROOT_PREFILTER = 1e-7
+# float resonance polynomials snap to denominators dividing this and must
+# leave a residual <= 1e-8 relative
+_FLOAT_RESONANCE_DENOM = 360
 
 
 def falling(x: Fraction, k: int) -> Fraction:
@@ -80,46 +103,18 @@ def _fall_poly_in_r(p: Fraction, k: int):
 def _perturbation_poly(mono: DiffMonomial, p: Fraction):
     """Fraction-coefficient polynomial in r multiplying ``a**total_degree``
     when y = a*tau**p*(1 + eps*tau**r) is linearized inside the monomial."""
-    degrees = mono.degree_map()
-    out = [Fraction(0)]
-    for k, d in degrees.items():
+    out = []
+    for k, d in mono.degrees:
         prefactor = Fraction(d) * falling(p, k) ** (d - 1)
-        for l, dl in degrees.items():
+        for l, dl in mono.degrees:
             if l != k:
                 prefactor *= falling(p, l) ** dl
-        if prefactor == 0:
-            continue
-        fall_poly = _fall_poly_in_r(p, k)
-        if len(fall_poly) > len(out):
-            out.extend([Fraction(0)] * (len(fall_poly) - len(out)))
-        for deg, c in enumerate(fall_poly):
-            out[deg] += prefactor * c
+        out = _poly_add(out, [prefactor * c for c in _fall_poly_in_r(p, k)])
     return out
 
 
-def _scalar_poly_add(acc, poly):
-    if len(poly) > len(acc):
-        acc.extend([0] * (len(poly) - len(acc)))
-    for i, c in enumerate(poly):
-        acc[i] = acc[i] + c
-    return acc
-
-
-def _scalar_poly_scale(poly, scalar):
-    return [scalar * c for c in poly]
-
-
-def _frac_poly_to_scalar(poly, scalar):
-    return [mul_frac(scalar, c) for c in poly]
-
-
-def _poly_eval(coeffs, x):
-    total = 0
-    power = 1
-    for c in coeffs:
-        total = total + c * power
-        power = power * x
-    return total
+def _poly_add(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def _trim(coeffs):
@@ -129,38 +124,107 @@ def _trim(coeffs):
     return out
 
 
-def _leading_polynomial(poly: DifferentialPolynomial, p: Fraction, dominant):
-    """Leading equation in the coefficient a, ascending powers."""
-    coeffs = [0]
+def _dominant_terms(poly: DifferentialPolynomial, p: Fraction, dominant):
+    """One linearization of the dominant monomials: a triple ``(s, phi,
+    gamma)`` per monomial, scaled by its coefficient.  Under y = a*tau**p
+    the monomial contributes ``phi * a**s`` to the leading equation; under
+    y = a*tau**p*(1 + eps*tau**r) it gains ``eps * gamma(r) * a**s`` at
+    relative order r, with gamma ascending in r."""
+    terms = []
     for idx in dominant:
         mono = poly.monomials[idx]
         weight = Fraction(1)
         for k, d in mono.degrees:
             weight *= falling(p, k) ** d
-        s = mono.total_degree
+        gamma = [mul_frac(mono.coeff, c) for c in _perturbation_poly(mono, p)]
+        terms.append((mono.total_degree, mul_frac(mono.coeff, weight), gamma))
+    return terms
+
+
+def _leading_polynomial(terms):
+    """Leading equation in the coefficient a, ascending powers."""
+    coeffs = [0]
+    for s, phi, _ in terms:
         if len(coeffs) <= s:
             coeffs.extend([0] * (s + 1 - len(coeffs)))
-        coeffs[s] = coeffs[s] + mul_frac(mono.coeff, weight)
+        coeffs[s] = coeffs[s] + phi
     return coeffs
 
 
-def _snap_root(root: complex, lead_coeffs, exact: bool):
-    """Replace a numeric root by a nearby Gaussian rational when it verifies
-    exactly against an exact leading polynomial."""
-    if not exact:
-        return root
-    for den in _ROOT_SNAP_DENOMS:
-        cand = QComplex(
-            Fraction(round(root.real * den), den),
-            Fraction(round(root.imag * den), den),
-        )
-        if abs(complex(cand) - root) < 1e-9 and _poly_eval(lead_coeffs, cand) == 0:
-            return cand
-    return root
+def _response(terms, a):
+    """R(r) = sum of a**s * gamma(r): the response of the leading order to
+    the scaled perturbation, ascending in r."""
+    out = []
+    for s, _, gamma in terms:
+        out = _poly_add(out, [scalar_pow(a, s) * c for c in gamma])
+    return out
+
+
+def _resonance_poly(poly: DifferentialPolynomial, fam: BalanceFamily, a):
+    """Polynomial whose roots are the resonances.  With at most two
+    total-degree groups the leading equation eliminates a, so the result is
+    exact for exact input; otherwise it is R(r) at the given a."""
+    terms = _dominant_terms(poly, fam.p, fam.dominant)
+    groups = {}
+    for s, phi, gamma in terms:
+        old_phi, old_gamma = groups.get(s, (0, []))
+        groups[s] = (old_phi + phi, _poly_add(old_gamma, gamma))
+    if len(groups) == 1:
+        ((_, gamma),) = groups.values()
+        return gamma
+    if len(groups) == 2:
+        (phi1, gamma1), (phi2, gamma2) = (groups[s] for s in sorted(groups))
+        return _poly_add([phi2 * c for c in gamma1], [-(phi1 * c) for c in gamma2])
+    return _response(terms, a)
+
+
+def linear_response(poly: DifferentialPolynomial, fam: BalanceFamily, a):
+    """Response polynomial R(r)/a, ascending in r.  Its value at r is the
+    coefficient multiplying a raw series coefficient injected at relative
+    order r: the scaled perturbation y = a*tau**p*(1 + eps*tau**r) responds
+    with eps * R(r), and a raw coefficient delta at the same order
+    corresponds to eps = delta/a."""
+    a = canonical_scalar(a)
+    terms = _dominant_terms(poly, fam.p, fam.dominant)
+    return [c / a for c in _response(terms, a)]
+
+
+def _is_exact_poly(coeffs) -> bool:
+    return all(is_exact(c) or c == 0 for c in coeffs)
+
+
+def _numpy_roots(coeffs):
+    return [complex(z) for z in np.roots([to_complex(c) for c in reversed(coeffs)])]
+
+
+def _cleared_lead(coeffs):
+    """Leading coefficient of exact coefficients cleared to primitive
+    Gaussian integers: divided by their rational content, the gcd of every
+    numerator over the lcm of every denominator."""
+    parts = [x for c in coeffs if is_exact(c) for x in (QComplex(c).re, QComplex(c).im)]
+    content = Fraction(math.gcd(*(x.numerator for x in parts)),
+                       math.lcm(*(x.denominator for x in parts)))
+    return QComplex(coeffs[-1]) / content
+
+
+def _snap(coeffs, z, d, exact: bool):
+    """The root rule: ``round(z*d)/d`` when it lies near the numeric root z
+    and is a root of coeffs (exactly for exact coeffs, to 1e-8 relative
+    otherwise); else None."""
+    w = z * complex(d)
+    cand = QComplex(round(w.real), round(w.imag)) / d
+    if abs(complex(cand) - z) > _ROOT_PREFILTER * max(1.0, abs(z)):
+        return None
+    value = poly_eval(coeffs, cand)
+    if exact:
+        return cand if value == 0 else None
+    scale = max(abs(to_complex(c)) for c in coeffs)
+    return cand if abs(to_complex(value)) <= 1e-8 * scale else None
 
 
 def _nonzero_roots(lead_coeffs):
-    """Nonzero roots of the leading polynomial, snapped and sorted."""
+    """Nonzero roots of the leading polynomial, sorted by (re, im): exact
+    where the root rule finds them, numeric otherwise."""
     trimmed = _trim(lead_coeffs)
     low = 0
     while low < len(trimmed) and is_zero(trimmed[low], 1e-14):
@@ -168,132 +232,49 @@ def _nonzero_roots(lead_coeffs):
     core = trimmed[low:]
     if len(core) <= 1:
         return ()
-    exact = all(is_exact(c) or c == 0 for c in lead_coeffs)
-    descending = [to_complex(c) for c in reversed(core)]
-    roots = np.roots(descending)
-    snapped = [_snap_root(complex(r), lead_coeffs, exact) for r in roots]
-    snapped.sort(key=lambda z: (to_complex(z).real, to_complex(z).imag))
-    return tuple(snapped)
+    roots = _numpy_roots(core)
+    if _is_exact_poly(core):
+        d = _cleared_lead(core)
+        snapped = (_snap(core, z, d, True) for z in roots)
+        roots = [z if c is None else c for z, c in zip(roots, snapped)]
+    roots.sort(key=lambda z: (to_complex(z).real, to_complex(z).imag))
+    return tuple(roots)
 
 
-def _reduced_resonance_poly(poly: DifferentialPolynomial, fam: BalanceFamily):
-    """Resonance polynomial with powers of the leading coefficient eliminated
-    through the leading equation.  Exact whenever the dominant monomials fall
-    into at most two total-degree groups; otherwise None."""
-    groups = {}
-    for idx in fam.dominant:
-        mono = poly.monomials[idx]
-        s = mono.total_degree
-        weight = Fraction(1)
-        for k, d in mono.degrees:
-            weight *= falling(fam.p, k) ** d
-        phi = mul_frac(mono.coeff, weight)
-        gamma = _frac_poly_to_scalar(_perturbation_poly(mono, fam.p), mono.coeff)
-        if s in groups:
-            old_phi, old_gamma = groups[s]
-            groups[s] = (old_phi + phi, _scalar_poly_add(list(old_gamma), gamma))
-        else:
-            groups[s] = (phi, gamma)
-    if len(groups) == 1:
-        (_, (_, gamma)), = groups.items()
-        return gamma
-    if len(groups) == 2:
-        (s1, (phi1, gamma1)), (s2, (phi2, gamma2)) = sorted(groups.items())
-        lhs = _scalar_poly_scale(gamma1, phi2)
-        rhs = _scalar_poly_scale(gamma2, phi1)
-        neg_rhs = [-c for c in rhs]
-        return _scalar_poly_add(lhs, neg_rhs)
-    return None
-
-
-def _numeric_resonance_poly(poly: DifferentialPolynomial, fam: BalanceFamily, a):
-    coeffs = [0]
-    for idx in fam.dominant:
-        mono = poly.monomials[idx]
-        weight = mono.coeff * scalar_pow(a, mono.total_degree)
-        gamma = _frac_poly_to_scalar(_perturbation_poly(mono, fam.p), weight)
-        coeffs = _scalar_poly_add(coeffs, gamma)
-    return coeffs
-
-
-def linear_response(poly: DifferentialPolynomial, fam: BalanceFamily, a, r: Fraction):
-    """Coefficient multiplying a raw series coefficient injected at relative
-    order r.  The scaled perturbation y = a*tau**p*(1 + eps*tau**r) responds
-    with eps * R(r); a raw coefficient delta at the same order corresponds to
-    eps = delta/a, so the response is R(r)/a."""
-    total = 0
-    for idx in fam.dominant:
-        mono = poly.monomials[idx]
-        weight = mono.coeff * scalar_pow(a, mono.total_degree)
-        g = _poly_eval(
-            [mul_frac(weight, c) for c in _perturbation_poly(mono, fam.p)],
-            canonical_scalar(r),
+def rational_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
+    """Rational resonances (orders at which free coefficients enter) of one
+    family at leading coefficient a, sorted.  Roots that are not real and
+    rational are left out; callers decide whether that is an error.  There
+    is no -1 membership requirement, so force-solved families, whose
+    leading equation is knowingly violated, use this directly."""
+    coeffs = _trim(_resonance_poly(poly, fam, canonical_scalar(a)))
+    if not coeffs:
+        raise DegenerateFamilyError(
+            f"degenerate family at p = {fam.p}: resonance polynomial vanishes"
         )
-        total = total + g
-    return total / a
-
-
-def _rationalize_roots(coeffs):
-    """Roots of a scalar polynomial as Fractions; each candidate is verified
-    (exactly in exact mode) before being accepted.  Non-rational roots are
-    dropped -- callers decide whether that is an error."""
-    trimmed = _trim(coeffs)
-    if len(trimmed) <= 1:
-        return [], trimmed
-    exact = all(is_exact(c) or c == 0 for c in coeffs)
-    scale = max(abs(to_complex(c)) for c in trimmed)
-    descending = [to_complex(c) for c in reversed(trimmed)]
-    found = []
-    for root in np.roots(descending):
-        root = complex(root)
-        if abs(root.imag) > 1e-7 * max(1.0, abs(root)):
-            continue
-        for den in (1, 2, 3, 4, 6, 12, 24, 60, 120, 360):
-            cand = Fraction(round(root.real * den), den)
-            if abs(float(cand) - root.real) > 1e-7 * max(1.0, abs(root)):
-                continue
-            value = _poly_eval(coeffs, QComplex(cand))
-            cond = value == 0 if exact else abs(to_complex(value)) <= 1e-8 * scale
-            if cond:
-                found.append(cand)
-                break
-    return sorted(set(found)), trimmed
+    exact = _is_exact_poly(coeffs)
+    d = _cleared_lead(coeffs) if exact else _FLOAT_RESONANCE_DENOM
+    found = set()
+    for z in _numpy_roots(coeffs):
+        cand = _snap(coeffs, z, d, exact)
+        if cand is not None and cand.im == 0:
+            found.add(cand.re)
+    return sorted(found)
 
 
 def compute_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
-    """Resonances (orders at which free coefficients enter) for one family.
+    """Resonances of one family at a nonzero leading coefficient a.
 
-    The leading coefficient powers are eliminated through the leading
-    equation whenever possible, so the result is exact for exact input.
     -1 must appear (it tracks the free singularity location); its absence
     signals an inconsistent balance and raises.
     """
     a = canonical_scalar(a)
     if is_zero(a, 0.0):
         raise ValueError("leading coefficient must be nonzero")
-    reduced = _reduced_resonance_poly(poly, fam)
-    coeffs = reduced if reduced is not None else _numeric_resonance_poly(poly, fam, a)
-    roots, trimmed = _rationalize_roots(coeffs)
-    if not trimmed:
-        raise DegenerateFamilyError(
-            f"degenerate family at p = {fam.p}: resonance polynomial vanishes"
-        )
+    roots = rational_resonances(poly, fam, a)
     if Fraction(-1) not in roots:
         raise InternalInconsistencyError(
             f"resonance -1 missing for family p = {fam.p}; balance inconsistent"
-        )
-    return roots
-
-
-def rational_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
-    """Rational resonances without the -1 membership requirement; used for
-    force-solved families whose leading equation is knowingly violated."""
-    reduced = _reduced_resonance_poly(poly, fam)
-    coeffs = reduced if reduced is not None else _numeric_resonance_poly(poly, fam, a)
-    roots, trimmed = _rationalize_roots(coeffs)
-    if not trimmed:
-        raise DegenerateFamilyError(
-            f"degenerate family at p = {fam.p}: resonance polynomial vanishes"
         )
     return roots
 
@@ -333,33 +314,21 @@ def find_balances(
         two_term = len(dominant) >= 2
         if not two_term and not (p.denominator == 1 and p < 0):
             continue
-        lead = _leading_polynomial(poly, p, dominant)
+        lead = _leading_polynomial(_dominant_terms(poly, p, dominant))
         roots = _nonzero_roots(lead)
-        consistent = bool(roots)
-        resonances = ()
-        if consistent:
-            resonances = tuple(compute_resonances(poly, fam=BalanceFamily(
-                p=p,
-                branch_order=p.denominator,
-                q=q,
-                dominant=dominant,
-                leading_poly=tuple(lead),
-                leading_coeffs=roots,
-                consistent=True,
-                resonances=(),
-                two_term=two_term,
-            ), a=roots[0]))
-        families.append(
-            BalanceFamily(
-                p=p,
-                branch_order=p.denominator,
-                q=q,
-                dominant=dominant,
-                leading_poly=tuple(lead),
-                leading_coeffs=roots,
-                consistent=consistent,
-                resonances=resonances,
-                two_term=two_term,
-            )
+        fam = BalanceFamily(
+            p=p,
+            branch_order=p.denominator,
+            q=q,
+            dominant=dominant,
+            leading_poly=tuple(lead),
+            leading_coeffs=roots,
+            consistent=bool(roots),
+            resonances=(),
+            two_term=two_term,
         )
+        if fam.consistent:
+            resonances = compute_resonances(poly, fam, roots[0])
+            fam = replace(fam, resonances=tuple(resonances))
+        families.append(fam)
     return families

@@ -21,6 +21,7 @@ from .exactlab import ermakov_invariant
 from .series import LocalSolution
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
+MAX_STEPS = 500_000  # accepted plus rejected steps per integration
 
 # Dormand-Prince 5(4) tableau
 _DP_A = (
@@ -159,7 +160,6 @@ def integrate(
     path,
     tol: float = 1e-10,
     sample_points=None,
-    max_steps: int = 500_000,
     record_samples_only: bool = False,
 ) -> ComplexTrajectory:
     """Adaptive Dormand-Prince 5(4) integration along a complex path.
@@ -219,7 +219,7 @@ def integrate(
         base_s = path.cums[seg]
         direction = path.direction(seg)
         while s_cur < target - 1e-13 * max(1.0, path.length):
-            if stats["accepted"] + stats["rejected"] >= max_steps:
+            if stats["accepted"] + stats["rejected"] >= MAX_STEPS:
                 traj.halted = True
                 traj.halt_reason = "step budget exhausted"
                 halted = True

@@ -427,9 +427,6 @@ class DiffMonomial:
                 raise ValueError(f"invalid degree entry ({k}, {d})")
         return cls(canonical_scalar(coeff), degrees)
 
-    def degree_map(self) -> dict:
-        return dict(self.degrees)
-
     @property
     def total_degree(self) -> int:
         return sum(d for _, d in self.degrees)

@@ -558,14 +558,20 @@ def _imaginary_free_residue(a: Analysis):
     fam = a.pole_family
     if fam is None:
         return "not-applicable", {"note": "no p = -1 family reported"}
+    leading_polynomial = [complex_json(c) for c in fam.leading_poly]
+    if all(is_zero(c, 1e-14) for c in fam.leading_poly):
+        return "confirmed", {
+            "note": "the p = -1 leading polynomial vanishes identically, so every "
+                    "residue, c*i included, solves it; this holds at leading "
+                    "order only",
+            "leading_polynomial": leading_polynomial,
+        }
     if not fam.consistent:
         return "refuted", {
             "note": "the p = -1 leading equation admits only the zero root",
-            "leading_polynomial": [complex_json(c) for c in fam.leading_poly],
+            "leading_polynomial": leading_polynomial,
         }
-    all_imag = all(abs(to_complex(c).real) <= 1e-10 for c in fam.leading_coeffs)
-    free_residue = len(fam.leading_coeffs) == 0
-    return _verdict(all_imag and free_residue), {
+    return "refuted", {
         "leading_coefficients": [complex_json(c) for c in fam.leading_coeffs],
         "note": "leading coefficients are pinned by the leading equation, not free",
     }

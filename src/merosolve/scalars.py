@@ -217,6 +217,14 @@ def mul_frac(x, f: Fraction):
     return complex(x) * float(f)
 
 
+def poly_eval(coeffs, x):
+    """Horner evaluation of ascending coefficients at x."""
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
 def scalar_pow(x, e: int):
     if isinstance(x, _EXACT_INPUTS):
         x = QComplex(x)

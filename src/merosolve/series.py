@@ -26,6 +26,7 @@ from .scalars import (
     is_exact,
     is_zero,
     mul_frac,
+    poly_eval,
     to_complex,
 )
 
@@ -304,16 +305,6 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({body or '0'}; trunc={self.trunc})"
 
 
-def series_pow(s: PuiseuxSeries, e: int) -> PuiseuxSeries:
-    return s.pow(e)
-
-
-def series_differentiate(s: PuiseuxSeries, k: int = 1) -> PuiseuxSeries:
-    if k < 1:
-        raise ValueError("derivative order must be at least 1")
-    return s.differentiate(k)
-
-
 def substitute(
     poly: DifferentialPolynomial, s: PuiseuxSeries, through=None
 ) -> PuiseuxSeries:
@@ -432,37 +423,27 @@ def solve_local_series(
         raise InternalInconsistencyError("q is not resolvable on the branch lattice")
     q_idx = int(q_scaled)
 
-    if force:
-        resonance_list = rational_resonances(poly, fam, a)
-    else:
-        lead_val = 0
-        power = canonical_scalar(1)
-        for c in fam.leading_poly:
-            lead_val = lead_val + c * power
-            power = power * a
-        if not is_zero(lead_val, 1e-8 * max(1.0, abs(to_complex(a)))):
-            raise ValueError(
-                "a does not satisfy the leading equation; pass force=True "
-                "to inject it anyway"
-            )
-        resonance_list = fam.resonances
+    lead_val = poly_eval(fam.leading_poly, a)
+    if not force and not is_zero(lead_val, 1e-8 * max(1.0, abs(to_complex(a)))):
+        raise ValueError(
+            "a does not satisfy the leading equation; pass force=True "
+            "to inject it anyway"
+        )
     resonance_orders = {}
-    for r in resonance_list:
+    for r in rational_resonances(poly, fam, a):
         if r > 0:
             scaled = Fraction(r) * n
             if scaled.denominator == 1:
                 resonance_orders[int(scaled)] = Fraction(r)
+    response = linear_response(poly, fam, a)
 
     tol = _compat_tolerance(poly, a)
     coeffs = {j0: a}
     compatibility = []
     free_used = {r: free.get(r, canonical_scalar(0)) for r in resonance_orders.values()}
-
     if force:
-        res0 = substitute(poly, PuiseuxSeries(n, coeffs, math.inf))
-        e0 = res0.coeffs.get(q_idx, 0)
         compatibility.append(
-            CompatibilityCheck(Fraction(0), is_zero(e0, tol), e0)
+            CompatibilityCheck(Fraction(0), is_zero(lead_val, tol), lead_val)
         )
 
     for rho in range(1, K + 1):
@@ -476,7 +457,7 @@ def solve_local_series(
             if not is_zero(value, 0.0):
                 coeffs[j0 + rho] = value
             continue
-        lam = linear_response(poly, fam, a, Fraction(rho, n))
+        lam = poly_eval(response, Fraction(rho, n))
         if is_zero(lam, 1e-13):
             raise InternalInconsistencyError(
                 f"singular linear step at non-resonant order {Fraction(rho, n)}"

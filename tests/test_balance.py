@@ -1,7 +1,9 @@
+import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from merosolve.balance import (
     BalanceFamily,
@@ -10,9 +12,11 @@ from merosolve.balance import (
     linear_response,
     monomial_exponent,
 )
+from merosolve.cli import main
 from merosolve.errors import DegenerateFamilyError
-from merosolve.odemodel import DiffMonomial
-from merosolve.scalars import QComplex, to_complex
+from merosolve.odemodel import DiffMonomial, normalize, parse_ode
+from merosolve.scalars import QComplex, is_exact, to_complex
+from merosolve.series import solve_local_series
 
 
 def poly_eval(coeffs, a):
@@ -161,6 +165,70 @@ def test_degenerate_family_raises(ep_poly):
 
 
 def test_linear_response_matches_resonance_roots(w3_poly, w3_family):
-    # the linear response vanishes exactly at resonances and nowhere else
-    assert linear_response(w3_poly, w3_family, 1, Fraction(4)) == 0
-    assert linear_response(w3_poly, w3_family, 1, Fraction(2)) != 0
+    # the response polynomial vanishes exactly at resonances and nowhere else
+    response = linear_response(w3_poly, w3_family, 1)
+    assert poly_eval(response, Fraction(4)) == 0
+    assert poly_eval(response, Fraction(2)) != 0
+
+
+# ---------------------------------------------------------------------------
+# one root rule: exact roots of any denominator, float input stays float
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=12),
+    num=st.integers(min_value=-12, max_value=12).filter(bool),
+    den=st.integers(min_value=1, max_value=12),
+)
+def test_power_law_families_are_exact(m, num, den):
+    # y'' = c*y^m with c = p(p-1)/a^(m-1) has the pole or branch family
+    # y ~ a*tau^p, p = -2/(m-1), with resonances -1 and 2(m+1)/(m-1)
+    a = Fraction(num, den)
+    p = Fraction(-2, m - 1)
+    c = p * (p - 1) / a ** (m - 1)
+    poly = normalize(parse_ode(f"y'' - c*y^{m}"), {"c": QComplex(c)})
+    fams = [f for f in find_balances(poly, n_max=m - 1) if f.consistent]
+    assert [f.p for f in fams] == [p]
+    fam = fams[0]
+    r = Fraction(2 * (m + 1), m - 1)
+    assert set(fam.resonances) == {Fraction(-1), r}
+    assert QComplex(a) in fam.leading_coeffs
+    local = solve_local_series(poly, fam, QComplex(a), K=int(r * fam.branch_order))
+    assert [(c.resonance, c.satisfied) for c in local.compatibility] == [(r, True)]
+
+
+def test_three_group_balance_resonances_follow_the_root():
+    # leading equation -a(a + 2)(a - 1) = 0 spans three degree groups, so
+    # each root has its own resonances
+    poly = normalize(parse_ode("y'' - y^3 + y*y'"), {})
+    fam = next(f for f in find_balances(poly) if f.consistent)
+    assert set(fam.leading_coeffs) == {QComplex(-2), QComplex(1)}
+    expected = {QComplex(-2): [Fraction(-1), Fraction(6)],
+                QComplex(1): [Fraction(-1), Fraction(3)]}
+    for a, resonances in expected.items():
+        assert compute_resonances(poly, fam, a) == resonances
+        local = solve_local_series(poly, fam, a, K=8)
+        assert local.compatibility
+        assert all(c.satisfied for c in local.compatibility)
+
+
+def test_resonance_with_denominator_seven_is_kept(tmp_path):
+    out = tmp_path / "out.json"
+    rc = main(["analyze", "--ode", "y'' - y^8", "--branch-max", "7",
+               "--order", "20", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    fam = next(f for f in payload["balance"]["families"] if f["consistent"])
+    assert fam["p"] == "-2/7"
+    assert fam["resonances"] == ["-1", "18/7"]
+
+
+def test_float_coefficients_keep_float_roots():
+    poly = normalize(parse_ode("y'' - 1.5*y^3"), {})
+    fam = next(f for f in find_balances(poly) if f.consistent)
+    assert fam.resonances == (Fraction(-1), Fraction(4))
+    assert fam.leading_coeffs
+    for a in fam.leading_coeffs:
+        assert not is_exact(a)
+        assert abs(to_complex(a) ** 2 - 4 / 3) < 1e-12

@@ -41,6 +41,18 @@ def test_analyze_custom_ode(tmp_path):
     assert families["-1"]["resonances"] == ["-1", "4"]
 
 
+def test_vanishing_pole_leading_polynomial_frees_the_residue(tmp_path):
+    # y*y'' - 2*y'^2 + y^3: the p = -1 leading polynomial is identically
+    # zero, and y = 1/(t^2/2 + c1*t + c0) has a free residue
+    payload = run_json(tmp_path, ["analyze", "--ode", "y*y'' - 2*y'^2 + y^3"])
+    families = {f["p"]: f for f in payload["balance"]["families"]}
+    assert families["-1"]["leading_polynomial"] == [[0, 0]] * 3
+    claim = next(c for c in payload["claims"] if c["id"] == "imaginary-free-residue")
+    assert claim["status"] == "confirmed"
+    assert "leading order only" in claim["evidence"]["note"]
+    assert "zero root" not in claim["evidence"]["note"]
+
+
 def test_analyze_reads_ode_from_file(tmp_path):
     ode_file = tmp_path / "equation.txt"
     ode_file.write_text("y'' - 2*y^3\n", encoding="utf-8")

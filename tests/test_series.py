@@ -10,8 +10,6 @@ from merosolve.scalars import QComplex
 from merosolve.series import (
     PuiseuxSeries,
     cot_laurent,
-    series_differentiate,
-    series_pow,
     solve_local_series,
     substitute,
     synthetic_laurent_solution,
@@ -35,7 +33,7 @@ def assert_same_through_common_order(a, b):
 
 def test_pow_identity():
     s = PuiseuxSeries.monomial(QComplex(1), -1)
-    prod = series_pow(s, 1) * PuiseuxSeries.monomial(QComplex(1), 1)
+    prod = s.pow(1) * PuiseuxSeries.monomial(QComplex(1), 1)
     assert prod == PuiseuxSeries.one()
 
 
@@ -49,7 +47,7 @@ def test_inverse_geometric():
 def test_branch_monomial_fourth_power():
     a = QComplex(1, 1)  # a**4 == -4
     s = PuiseuxSeries.monomial(a, 1, n=2)
-    out = series_pow(s, 4)
+    out = s.pow(4)
     assert out.coeffs == {4: QComplex(-4)}
     assert out.n == 2
 
@@ -73,21 +71,21 @@ def test_inverse_of_unbounded_multiterm_requires_truncation():
 
 def test_differentiate_half_power():
     s = PuiseuxSeries.monomial(QComplex(1), 1, n=2)  # tau^(1/2)
-    d = series_differentiate(s)
+    d = s.differentiate()
     assert d.coeffs == {-1: QComplex(Fraction(1, 2))}
 
 
 def test_differentiate_twice_branch_monomial():
     a = QComplex(2, 1)
     s = PuiseuxSeries.monomial(a, 1, n=2)
-    d2 = series_differentiate(s, 2)
+    d2 = s.differentiate(2)
     expected = QComplex(Fraction(-1, 4)) * a
     assert d2.coeffs == {-3: expected}
 
 
 def test_differentiate_constant():
     s = PuiseuxSeries.monomial(QComplex(5), 0)
-    assert series_differentiate(s).is_zero_series
+    assert s.differentiate().is_zero_series
 
 
 def test_series_evaluate_matches_closed_form():
