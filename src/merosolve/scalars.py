@@ -3,8 +3,9 @@
 Coefficient arithmetic throughout the package runs in one of two modes:
 
 * exact mode  -- every coefficient is a :class:`QComplex`, a complex number
-  whose real and imaginary parts are ``fractions.Fraction`` values; all
-  arithmetic is exact and zero tests are decidable;
+  stored as a Gaussian-integer numerator ``a + b*i`` over one positive
+  integer denominator ``d``; all arithmetic is exact and zero tests are
+  decidable;
 * float mode  -- coefficients are plain ``complex``; tolerances apply.
 
 Mixing an exact value with a float degrades the result to ``complex``, so a
@@ -20,48 +21,95 @@ import sys
 from fractions import Fraction
 
 _EXACT_INPUTS = (int, Fraction)
+_gcd = math.gcd
+_new = object.__new__
+
+
+def _parts(x):
+    """``(a, b, d)`` of an exact scalar, or None for anything else."""
+    if isinstance(x, QComplex):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _norm(a: int, b: int, d: int) -> "QComplex":
+    """Canonical ``(a + b*i) / d`` for ``d > 0``: ``gcd(a, b, d) == 1``."""
+    g = _gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    q = _new(QComplex)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+def _div(a1, b1, d1, a2, b2, d2) -> "QComplex":
+    """``((a1 + b1*i) / d1) / ((a2 + b2*i) / d2)``, as
+    ``d2 * (a1 + b1*i) * (a2 - b2*i) / (d1 * (a2**2 + b2**2))``."""
+    if b2 == 0:
+        if a2 == 0:
+            raise ZeroDivisionError("division by exact zero")
+        if a2 < 0:
+            a2, d2 = -a2, -d2
+        return _norm(a1 * d2, b1 * d2, d1 * a2)
+    return _norm(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2),
+                 d1 * (a2 * a2 + b2 * b2))
 
 
 class QComplex:
     """Complex number with exact rational real and imaginary parts.
 
+    The value is ``(a + b*i) / d`` with Gaussian-integer numerator
+    ``a + b*i`` and one denominator ``d``, kept canonical: ``d > 0`` and
+    ``gcd(a, b, d) == 1``, so zero is ``(0, 0, 1)`` and equal values have
+    equal fields.  ``re`` and ``im`` are the parts as ``Fraction``.
+
     Construct from ints, Fractions or strings; floats are rejected on
     purpose so rounding noise never masquerades as an exact value.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, QComplex):
             if im != 0:
                 raise TypeError("cannot combine QComplex with extra imaginary part")
-            object.__setattr__(self, "re", re.re)
-            object.__setattr__(self, "im", re.im)
+            self._a, self._b, self._d = re._a, re._b, re._d
             return
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("QComplex takes int, Fraction or str parts, not float")
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        dr, di = re.denominator, im.denominator
+        d = dr // _gcd(dr, di) * di
+        self._a = re.numerator * (d // dr)
+        self._b = im.numerator * (d // di)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QComplex is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
-    # -- coercion ---------------------------------------------------------
-
-    @staticmethod
-    def _as_exact(other):
-        if isinstance(other, QComplex):
-            return other
-        if isinstance(other, _EXACT_INPUTS):
-            return QComplex(other)
-        return None
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        q = self._as_exact(other)
-        if q is not None:
-            return QComplex(self.re + q.re, self.im + q.im)
+        p = _parts(other)
+        if p is not None:
+            a, b, d = p
+            if d == self._d:
+                return _norm(self._a + a, self._b + b, d)
+            return _norm(self._a * d + a * self._d, self._b * d + b * self._d,
+                         self._d * d)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -69,28 +117,35 @@ class QComplex:
     __radd__ = __add__
 
     def __sub__(self, other):
-        q = self._as_exact(other)
-        if q is not None:
-            return QComplex(self.re - q.re, self.im - q.im)
+        p = _parts(other)
+        if p is not None:
+            a, b, d = p
+            if d == self._d:
+                return _norm(self._a - a, self._b - b, d)
+            return _norm(self._a * d - a * self._d, self._b * d - b * self._d,
+                         self._d * d)
         if isinstance(other, (float, complex)):
             return complex(self) - other
         return NotImplemented
 
     def __rsub__(self, other):
-        q = self._as_exact(other)
-        if q is not None:
-            return QComplex(q.re - self.re, q.im - self.im)
+        p = _parts(other)
+        if p is not None:
+            a, b, d = p
+            return _norm(a * self._d - self._a * d, b * self._d - self._b * d,
+                         self._d * d)
         if isinstance(other, (float, complex)):
             return other - complex(self)
         return NotImplemented
 
     def __mul__(self, other):
-        q = self._as_exact(other)
-        if q is not None:
-            return QComplex(
-                self.re * q.re - self.im * q.im,
-                self.re * q.im + self.im * q.re,
-            )
+        p = _parts(other)
+        if p is not None:
+            a, b, d = p
+            sa, sb = self._a, self._b
+            if b == 0:
+                return _norm(sa * a, sb * a, self._d * d)
+            return _norm(sa * a - sb * b, sa * b + sb * a, self._d * d)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -98,23 +153,17 @@ class QComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        q = self._as_exact(other)
-        if q is not None:
-            d = q.re * q.re + q.im * q.im
-            if d == 0:
-                raise ZeroDivisionError("division by exact zero")
-            return QComplex(
-                (self.re * q.re + self.im * q.im) / d,
-                (self.im * q.re - self.re * q.im) / d,
-            )
+        p = _parts(other)
+        if p is not None:
+            return _div(self._a, self._b, self._d, *p)
         if isinstance(other, (float, complex)):
             return complex(self) / other
         return NotImplemented
 
     def __rtruediv__(self, other):
-        q = self._as_exact(other)
-        if q is not None:
-            return q / self
+        p = _parts(other)
+        if p is not None:
+            return _div(*p, self._a, self._b, self._d)
         if isinstance(other, (float, complex)):
             return other / complex(self)
         return NotImplemented
@@ -125,8 +174,8 @@ class QComplex:
                 return complex(self) ** exponent
             return NotImplemented
         if exponent < 0:
-            return (QComplex(1) / self) ** (-exponent)
-        result = QComplex(1)
+            return (1 / self) ** (-exponent)
+        result = _ONE
         base = self
         e = exponent
         while e:
@@ -137,7 +186,9 @@ class QComplex:
         return result
 
     def __neg__(self):
-        return QComplex(-self.re, -self.im)
+        q = _new(QComplex)
+        q._a, q._b, q._d = -self._a, -self._b, self._d
+        return q
 
     def __pos__(self):
         return self
@@ -145,9 +196,10 @@ class QComplex:
     # -- comparisons and conversions --------------------------------------
 
     def __eq__(self, other):
-        q = self._as_exact(other)
-        if q is not None:
-            return self.re == q.re and self.im == q.im
+        p = _parts(other)
+        if p is not None:
+            # both sides are canonical, so equal values have equal parts
+            return (self._a, self._b, self._d) == p
         if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
@@ -161,27 +213,35 @@ class QComplex:
         return -2 if h == -1 else h
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
 
     def __abs__(self):
-        return math.hypot(float(self.re), float(self.im))
+        return math.hypot(self._a / self._d, self._b / self._d)
 
     def conjugate(self) -> "QComplex":
-        return QComplex(self.re, -self.im)
+        q = _new(QComplex)
+        q._a, q._b, q._d = self._a, -self._b, self._d
+        return q
 
     def __repr__(self):
         return f"QComplex('{self.re}', '{self.im}')"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+_ONE = QComplex(1)
+_EXACT_SCALARS = (QComplex,) + _EXACT_INPUTS
 
 
 def canonical_scalar(x):
@@ -194,7 +254,7 @@ def canonical_scalar(x):
 
 
 def is_exact(x) -> bool:
-    return isinstance(x, (QComplex,) + _EXACT_INPUTS)
+    return isinstance(x, _EXACT_SCALARS)
 
 
 def to_complex(x) -> complex:
@@ -203,17 +263,17 @@ def to_complex(x) -> complex:
 
 def is_zero(x, tol: float = 0.0) -> bool:
     """Zero test: decidable for exact scalars, tolerance-based for floats."""
-    if isinstance(x, (QComplex,) + _EXACT_INPUTS):
-        return x == 0
+    if isinstance(x, _EXACT_SCALARS):
+        return not x
     return abs(x) <= tol
 
 
 def mul_frac(x, f: Fraction):
     """Multiply a scalar by an exact rational, staying exact when possible."""
     if isinstance(x, QComplex):
-        return QComplex(x.re * f, x.im * f)
+        return x * f
     if isinstance(x, _EXACT_INPUTS):
-        return QComplex(Fraction(x) * f)
+        return QComplex(x) * f
     return complex(x) * float(f)
 
 

@@ -447,8 +447,11 @@ def solve_local_series(
         )
 
     for rho in range(1, K + 1):
-        partial = PuiseuxSeries(n, coeffs, math.inf)
-        residual = substitute(poly, partial)
+        # the residual at q_idx + rho needs coefficients through j0 + rho
+        # only, the unknown one taken as 0; truncating there keeps the
+        # products short, and `through` raises if that index is uncertified
+        partial = PuiseuxSeries(n, coeffs, j0 + rho)
+        residual = substitute(poly, partial, through=q_idx + rho)
         e = residual.coeffs.get(q_idx + rho, 0)
         if rho in resonance_orders:
             r = resonance_orders[rho]

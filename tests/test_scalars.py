@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from merosolve.scalars import (
     QComplex,
@@ -102,3 +104,136 @@ def test_principal_root():
     r = principal_root(-4, 4)
     assert abs(r - (1 + 1j)) < 1e-14
     assert principal_root(0, 3) == 0
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-integer kernel against a reference pair of Fractions
+# ---------------------------------------------------------------------------
+
+fracs = st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 9)
+qcomplexes = st.builds(QComplex, fracs, fracs)
+exact_reals = st.one_of(st.integers(-10 ** 12, 10 ** 12), fracs)
+
+
+def parts(q):
+    return (q.re, q.im)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    d = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d)
+
+
+def ref_pow(x, e):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(e)):
+        out = ref_mul(out, x)
+    return ref_div((Fraction(1), Fraction(0)), out) if e < 0 else out
+
+
+def assert_canonical(q):
+    assert isinstance(q, QComplex)
+    assert q._d > 0
+    assert math.gcd(q._a, q._b, q._d) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(qcomplexes, qcomplexes)
+def test_arithmetic_matches_fraction_pairs(x, y):
+    rx, ry = parts(x), parts(y)
+    results = {
+        "+": (x + y, (rx[0] + ry[0], rx[1] + ry[1])),
+        "-": (x - y, (rx[0] - ry[0], rx[1] - ry[1])),
+        "*": (x * y, ref_mul(rx, ry)),
+        "neg": (-x, (-rx[0], -rx[1])),
+        "conj": (x.conjugate(), (rx[0], -rx[1])),
+    }
+    if y:
+        results["/"] = (x / y, ref_div(rx, ry))
+    for op, (got, want) in results.items():
+        assert_canonical(got)
+        assert parts(got) == want, op
+
+
+@settings(max_examples=200, deadline=None)
+@given(qcomplexes, exact_reals)
+def test_mixed_exact_operands_match_fraction_pairs(x, r):
+    rx, rr = parts(x), (Fraction(r), Fraction(0))
+    results = {
+        "x+r": (x + r, (rx[0] + rr[0], rx[1])),
+        "r+x": (r + x, (rx[0] + rr[0], rx[1])),
+        "x-r": (x - r, (rx[0] - rr[0], rx[1])),
+        "r-x": (r - x, (rr[0] - rx[0], -rx[1])),
+        "x*r": (x * r, ref_mul(rx, rr)),
+        "r*x": (r * x, ref_mul(rr, rx)),
+    }
+    if r:
+        results["x/r"] = (x / r, ref_div(rx, rr))
+    if x:
+        results["r/x"] = (r / x, ref_div(rr, rx))
+    for op, (got, want) in results.items():
+        assert_canonical(got)
+        assert parts(got) == want, op
+
+
+@settings(max_examples=100, deadline=None)
+@given(qcomplexes, st.integers(-6, 6))
+def test_integer_powers_match_fraction_pairs(x, e):
+    assume(x or e >= 0)
+    got = x ** e
+    assert_canonical(got)
+    assert parts(got) == ref_pow(parts(x), e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_reals)
+def test_exact_reals_compare_and_hash_like_builtins(x):
+    q = QComplex(x)
+    assert_canonical(q)
+    assert q == x
+    assert hash(q) == hash(x)
+    assert str(q) == str(Fraction(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(qcomplexes)
+def test_constructor_copies_and_hash_is_numeric(q):
+    copy = QComplex(q)
+    assert_canonical(copy)
+    assert copy == q and hash(copy) == hash(q)
+    assert QComplex(q.re, q.im) == q
+    if q.im == 0:
+        assert hash(q) == hash(q.re)
+
+
+def test_zero_is_canonical():
+    for z in (QComplex(0), QComplex(Fraction(0, 5), 0), QComplex(3, 4) - QComplex(3, 4)):
+        assert (z._a, z._b, z._d) == (0, 0, 1)
+        assert not z and z == 0
+
+
+@pytest.mark.parametrize("re,im", [(0.5, 0), (0, 0.5), (1, 2.0)])
+def test_float_parts_rejected(re, im):
+    with pytest.raises(TypeError):
+        QComplex(re, im)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qcomplexes, st.floats(-1e6, 1e6), st.complex_numbers(max_magnitude=1e6))
+def test_float_and_complex_contact_degrades(q, f, z):
+    for other in (f, z):
+        for got in (q + other, other + q, q - other, other - q, q * other, other * q):
+            assert type(got) is complex
+        if other:
+            assert type(q / other) is complex
+        if q:
+            assert type(other / q) is complex
+    assert q + f == complex(q) + f
+    assert q * z == complex(q) * z
+    # the conversion rounds each part once, exactly as float(Fraction) does
+    assert complex(q) == complex(float(q.re), float(q.im))
+    assert abs(q) == math.hypot(float(q.re), float(q.im))

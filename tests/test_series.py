@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from merosolve.balance import find_balances, linear_response, rational_resonances
 from merosolve.errors import TruncationError
 from merosolve.odemodel import normalize, parse_ode
-from merosolve.scalars import QComplex
+from merosolve.scalars import QComplex, is_zero, poly_eval
 from merosolve.series import (
     PuiseuxSeries,
     cot_laurent,
@@ -275,6 +276,57 @@ def test_free_parameter_count_matches_positive_resonances(
         positive = [r for r in fam.resonances if r > 0]
         assert set(local.free_parameters) == set(positive)
         assert len(positive) + 1 <= poly.max_order
+
+
+def test_deep_exact_solve_leaves_no_residual():
+    poly = normalize(parse_ode("y'' + omega^2*y - y^-3"), {"omega": Fraction(3, 2)})
+    fam = next(f for f in find_balances(poly) if f.consistent)
+    K = 64
+    q_idx = int(fam.q * fam.branch_order)
+    for a in fam.leading_coeffs:
+        local = solve_local_series(poly, fam, a, K=K)
+        assert all(c.satisfied for c in local.compatibility)
+        residual = substitute(poly, local.series)
+        assert residual.trunc >= q_idx + K
+        assert all(j > q_idx + K for j in residual.coeffs)
+
+
+def reference_solve(poly, fam, a, K):
+    """The solver's loop without truncation: substitute the whole partial
+    series at every order, free values 0."""
+    n = fam.branch_order
+    j0, q_idx = int(fam.p * n), int(fam.q * n)
+    resonant = {r * n for r in rational_resonances(poly, fam, a) if r > 0}
+    response = linear_response(poly, fam, a)
+    coeffs = {j0: a}
+    for rho in range(1, K + 1):
+        e = substitute(poly, PuiseuxSeries(n, coeffs, math.inf)).coeffs.get(q_idx + rho, 0)
+        if rho not in resonant and not is_zero(e, 0.0):
+            coeffs[j0 + rho] = -(e / poly_eval(response, Fraction(rho, n)))
+    return PuiseuxSeries(n, coeffs, j0 + K)
+
+
+@pytest.mark.parametrize("text,env,exact", [
+    ("y'' - c*y^3", {"c": 2}, True),
+    ("y'' - c*y^3", {"c": 2.0}, False),
+    ("y''' - c*y*y'", {"c": 12}, True),
+    ("y''' - c*y*y'", {"c": 12.0}, False),
+    ("y'' + omega^2*y - y^-3", {"omega": Fraction(3, 2)}, True),
+    ("y'' + omega^2*y - y^-3", {"omega": 1.5}, False),
+    ("y'' + omega^2*y - y^-3", {"omega": 0.7}, False),
+    ("y'' + y - y^3", {}, False),  # exact input, irrational a = +-sqrt(2)
+])
+def test_truncated_solve_matches_untruncated_reference(text, env, exact):
+    # `==` on float coefficients pins them bit for bit; the last two cases
+    # round enough that a change of summation order shows
+    poly = normalize(parse_ode(text), env)
+    fams = [f for f in find_balances(poly) if f.consistent]
+    assert fams
+    for fam in fams:
+        for a in fam.leading_coeffs:
+            series = solve_local_series(poly, fam, a, K=16).series
+            assert series.is_exact == exact
+            assert series == reference_solve(poly, fam, a, 16)
 
 
 def test_synthetic_laurent_solution_requires_nonzero(ep_poly):
