@@ -7,6 +7,25 @@ state along piecewise-straight paths, with the local error per unit step
 held below the requested tolerance.  Near the singular manifold of the width
 equation (a zero of the solution) the integrator halts with a diagnostic
 instead of stepping into the blow-up.
+
+Both equations are autonomous and second order, u'' = accel(u), so the state
+is the pair (value, slope) and an ODE class supplies only ``accel``.  Along a
+segment with unit direction d, the derivative of the state with respect to
+arc length is (d * slope, d * accel(value)); no stage depends on t, so the
+tableau's nodes c_i are not needed.
+
+The step is unrolled into straight-line code that keeps the floating-point
+evaluation order of the generic tableau loop, so trajectories are
+bit-identical to it (``test_unrolled_step_matches_generic_reference`` pins
+this with ``==``):
+
+- a stage sum starts from the state and adds ``(h * a_ij) * k_j`` in
+  ascending j, skipping only the zero entry a_61;
+- the fifth-order update and the error estimate add ``b_i * k_i`` for all
+  seven i, zero weights included, onto the int 0 that ``sum()`` starts
+  from, and only then multiply by h;
+- the error is ``max`` over the two components of
+  ``|e| / max(1.0, |y|, |y5|)``, starting from 0.0.
 """
 
 from __future__ import annotations
@@ -33,7 +52,6 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (
     5179 / 57600,
@@ -44,32 +62,43 @@ _DP_B4 = (
     187 / 2100,
     1 / 40,
 )
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
-class EpWidthOde:
-    """State (alpha, alpha') of ``alpha'' = -omega**2 alpha + alpha**-3``."""
+def _omega_squared_overflows(u):
+    raise OverflowError("omega**2 overflows")
+
+
+class _OscillatorOde:
+    """u'' = accel(u) with a restoring term -omega**2 u."""
+
+    def __init__(self, omega):
+        self.omega = complex(omega)
+        try:
+            self._neg_w2 = -self.omega ** 2
+        except OverflowError:
+            # every step fails and the integrator halts on step underflow
+            self.accel = _omega_squared_overflows
+
+
+class EpWidthOde(_OscillatorOde):
+    """``alpha'' = accel(alpha) = -omega**2 alpha + alpha**-3``."""
 
     name = "ermakov-pinney"
     singular_near_zero = True
 
-    def __init__(self, omega):
-        self.omega = complex(omega)
-
-    def rhs(self, t, y):
-        return (y[1], -self.omega ** 2 * y[0] + y[0] ** -3)
+    def accel(self, u):
+        return self._neg_w2 * u + u ** -3
 
 
-class LinearOscillatorOde:
-    """State (eta, eta') of ``eta'' = -omega**2 eta``."""
+class LinearOscillatorOde(_OscillatorOde):
+    """``eta'' = accel(eta) = -omega**2 eta``."""
 
     name = "linear-oscillator"
     singular_near_zero = False
 
-    def __init__(self, omega):
-        self.omega = complex(omega)
-
-    def rhs(self, t, y):
-        return (y[1], -self.omega ** 2 * y[0])
+    def accel(self, u):
+        return self._neg_w2 * u
 
 
 class ComplexPath:
@@ -149,11 +178,6 @@ class ComplexTrajectory:
         ]
 
 
-def _rhs_along(ode, base_t, direction, s_local, y):
-    f = ode.rhs(base_t + direction * s_local, y)
-    return tuple(direction * fi for fi in f)
-
-
 def integrate(
     ode,
     ic,
@@ -164,20 +188,21 @@ def integrate(
 ) -> ComplexTrajectory:
     """Adaptive Dormand-Prince 5(4) integration along a complex path.
 
-    ``ic`` is (value, slope) at the path start.  Extra arc positions in
+    ``ode`` supplies ``accel`` (see the module docstring) and ``ic`` is
+    (value, slope) at the path start.  Extra arc positions in
     ``sample_points`` become exact step boundaries so several trajectories
     can share a grid; with ``record_samples_only`` the output contains just
     those shared points (plus start and waypoints), which makes grids from
     different equations comparable.  The local error per unit step is kept
     at or below ``tol``; integration halts with a recorded reason near the
-    singular manifold or on step underflow.
+    singular manifold, on step underflow or after ``MAX_STEPS`` steps.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     if not isinstance(path, ComplexPath):
         path = ComplexPath(path)
-    y = (complex(ic[0]), complex(ic[1]))
-    if ode.singular_near_zero and y[0] == 0:
+    y0, y1 = complex(ic[0]), complex(ic[1])
+    if ode.singular_near_zero and y0 == 0:
         raise ValueError("initial value must be nonzero for the width equation")
 
     halt_radius = 10.0 * math.sqrt(tol) if ode.singular_near_zero else 0.0
@@ -189,113 +214,134 @@ def integrate(
                 events.add(s)
     events = sorted(events)
 
-    points = [TrajectoryPoint(path.waypoints[0], y[0], y[1])]
-    traj = ComplexTrajectory(
-        points=points,
-        ode_name=ode.name,
-        omega=ode.omega,
-        tol=tol,
-        singular_near_zero=ode.singular_near_zero,
-    )
-    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0, "min_step": math.inf,
-             "max_step": 0.0}
-    traj.stats = stats
+    points = [TrajectoryPoint(path.waypoints[0], y0, y1)]
+    halt_reason = None
+    if halt_radius and abs(y0) < halt_radius:
+        halt_reason = "initial value already inside the singular-manifold guard"
 
-    if halt_radius and abs(y[0]) < halt_radius:
-        traj.halted = True
-        traj.halt_reason = "initial value already inside the singular-manifold guard"
-        return traj
+    accel = ode.accel
+    max_steps = MAX_STEPS
+    (
+        _,
+        (a10,),
+        (a20, a21),
+        (a30, a31, a32),
+        (a40, a41, a42, a43),
+        (a50, a51, a52, a53, a54),
+        (a60, _, a62, a63, a64, a65),
+    ) = _DP_A
+    b0, b1, b2, b3, b4, b5, b6 = _DP_B5
+    e0, e1, e2, e3, e4, e5, e6 = _DP_E
+    accepted = rejected = rhs_evals = 0
+    min_step, max_step = math.inf, 0.0
 
     h = min(path.length / 100.0, 0.05)
     h_min = 1e-14 * max(1.0, path.length)
+    end_slack = 1e-13 * max(1.0, path.length)
+    snap = 1e-12 * max(1.0, path.length)
     s_cur = 0.0
-    halted = False
 
     for target in events:
-        if halted:
+        if halt_reason:
             break
         seg = path.segment_of((s_cur + target) / 2.0)
         base_t = path.waypoints[seg]
         base_s = path.cums[seg]
-        direction = path.direction(seg)
-        while s_cur < target - 1e-13 * max(1.0, path.length):
-            if stats["accepted"] + stats["rejected"] >= MAX_STEPS:
-                traj.halted = True
-                traj.halt_reason = "step budget exhausted"
-                halted = True
+        d = path.direction(seg)
+        while s_cur < target - end_slack:
+            if accepted + rejected >= max_steps:
+                halt_reason = "step budget exhausted"
                 break
             h_try = min(h, target - s_cur)
             try:
-                k = [None] * 7
-                k[0] = _rhs_along(ode, base_t, direction, s_cur - base_s, y)
-                for i in range(1, 7):
-                    acc = list(y)
-                    for j, a in enumerate(_DP_A[i]):
-                        if a:
-                            for m in range(len(acc)):
-                                acc[m] += h_try * a * k[j][m]
-                    k[i] = _rhs_along(
-                        ode,
-                        base_t,
-                        direction,
-                        s_cur - base_s + _DP_C[i] * h_try,
-                        tuple(acc),
-                    )
-                stats["rhs_evals"] += 7
-                y5 = tuple(
-                    y[m] + h_try * sum(_DP_B5[i] * k[i][m] for i in range(7))
-                    for m in range(len(y))
+                # stage j: p_j = d * slope_j, q_j = d * accel(value_j)
+                p0 = d * y1
+                q0 = d * accel(y0)
+                c0 = h_try * a10
+                p1 = d * (y1 + c0 * q0)
+                q1 = d * accel(y0 + c0 * p0)
+                c0, c1 = h_try * a20, h_try * a21
+                p2 = d * (y1 + c0 * q0 + c1 * q1)
+                q2 = d * accel(y0 + c0 * p0 + c1 * p1)
+                c0, c1, c2 = h_try * a30, h_try * a31, h_try * a32
+                p3 = d * (y1 + c0 * q0 + c1 * q1 + c2 * q2)
+                q3 = d * accel(y0 + c0 * p0 + c1 * p1 + c2 * p2)
+                c0, c1, c2, c3 = (h_try * a40, h_try * a41, h_try * a42,
+                                  h_try * a43)
+                p4 = d * (y1 + c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3)
+                q4 = d * accel(y0 + c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3)
+                c0, c1, c2, c3, c4 = (h_try * a50, h_try * a51, h_try * a52,
+                                      h_try * a53, h_try * a54)
+                p5 = d * (y1 + c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3 + c4 * q4)
+                q5 = d * accel(
+                    y0 + c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
                 )
-                err = 0.0
-                for m in range(len(y)):
-                    e = h_try * sum(
-                        (_DP_B5[i] - _DP_B4[i]) * k[i][m] for i in range(7)
-                    )
-                    scale = max(1.0, abs(y[m]), abs(y5[m]))
-                    err = max(err, abs(e) / scale)
+                c0, c2, c3, c4, c5 = (h_try * a60, h_try * a62, h_try * a63,
+                                      h_try * a64, h_try * a65)
+                p6 = d * (y1 + c0 * q0 + c2 * q2 + c3 * q3 + c4 * q4 + c5 * q5)
+                q6 = d * accel(
+                    y0 + c0 * p0 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5
+                )
+                rhs_evals += 7
+                z0 = y0 + h_try * (0 + b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3
+                                   + b4 * p4 + b5 * p5 + b6 * p6)
+                z1 = y1 + h_try * (0 + b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3
+                                   + b4 * q4 + b5 * q5 + b6 * q6)
+                err = max(0.0, abs(h_try * (
+                    0 + e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4
+                    + e5 * p5 + e6 * p6
+                )) / max(1.0, abs(y0), abs(z0)))
+                err = max(err, abs(h_try * (
+                    0 + e0 * q0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4
+                    + e5 * q5 + e6 * q6
+                )) / max(1.0, abs(y1), abs(z1)))
             except (ZeroDivisionError, OverflowError):
                 err = math.inf
-                y5 = None
 
             if err <= tol * h_try:
                 s_cur += h_try
-                if abs(s_cur - target) <= 1e-12 * max(1.0, path.length):
+                if abs(s_cur - target) <= snap:
                     s_cur = target
-                y = y5
-                stats["accepted"] += 1
-                stats["min_step"] = min(stats["min_step"], h_try)
-                stats["max_step"] = max(stats["max_step"], h_try)
+                y0, y1 = z0, z1
+                accepted += 1
+                min_step = min(min_step, h_try)
+                max_step = max(max_step, h_try)
                 if not record_samples_only or s_cur == target:
                     points.append(
-                        TrajectoryPoint(
-                            base_t + direction * (s_cur - base_s), y[0], y[1]
-                        )
+                        TrajectoryPoint(base_t + d * (s_cur - base_s), y0, y1)
                     )
                 if err == 0.0:
                     factor = 5.0
                 else:
                     factor = min(5.0, max(0.2, 0.9 * (tol * h_try / err) ** 0.2))
                 h = h_try * factor
-                if halt_radius and abs(y[0]) < halt_radius:
-                    traj.halted = True
-                    traj.halt_reason = (
+                if halt_radius and abs(y0) < halt_radius:
+                    halt_reason = (
                         "approaching the singular manifold: |value| < "
                         f"{halt_radius:.3e}"
                     )
-                    halted = True
                     break
             else:
-                stats["rejected"] += 1
+                rejected += 1
                 if err == math.inf:
                     h = h_try / 2.0
                 else:
                     h = h_try * min(1.0, max(0.1, 0.9 * (tol * h_try / err) ** 0.2))
                 if h < h_min:
-                    traj.halted = True
-                    traj.halt_reason = "step size underflow near a singular point"
-                    halted = True
+                    halt_reason = "step size underflow near a singular point"
                     break
-    return traj
+    return ComplexTrajectory(
+        points=points,
+        ode_name=ode.name,
+        omega=ode.omega,
+        tol=tol,
+        singular_near_zero=ode.singular_near_zero,
+        halted=halt_reason is not None,
+        halt_reason=halt_reason,
+        stats={"accepted": accepted, "rejected": rejected,
+               "rhs_evals": rhs_evals, "min_step": min_step,
+               "max_step": max_step},
+    )
 
 
 @dataclass(frozen=True)
@@ -388,19 +434,19 @@ def fit_local_exponent(
     """
     t_star = complex(t_star)
     pairs = [
-        (abs(p.t - t_star), abs(p.value))
+        (abs(p.t - t_star), m)
         for p in traj.points
-        if p.t != t_star and abs(p.value) > 0
+        if p.t != t_star and (m := abs(p.value)) > 0
     ]
     if not pairs:
         raise ValueError("trajectory has no usable samples")
-    rs = sorted(r for r, _ in pairs)
     if window is None:
-        r_lo = rs[0]
-        r_hi = min(rs[-1], 10.0 * r_lo)
+        rs = [r for r, _ in pairs]
+        r_lo, r_max = min(rs), max(rs)
+        r_hi = min(r_max, 10.0 * r_lo)
         selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
-        while len(selected) < 8 and r_hi < rs[-1]:
-            r_hi = min(rs[-1], r_hi * 2.0)
+        while len(selected) < 8 and r_hi < r_max:
+            r_hi = min(r_max, r_hi * 2.0)
             selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
         window = (r_lo, r_hi)
     else:

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from merosolve import numeric
 from merosolve.balance import find_balances
 from merosolve.errors import ExponentUnresolvedError
 from merosolve.exactlab import QuadFormParams, oscillator_basis, pinney_solution
 from merosolve.numeric import (
+    TOL_MAX,
+    TOL_MIN,
     ComplexPath,
     ComplexTrajectory,
     EpWidthOde,
@@ -128,6 +131,239 @@ def test_path_independence_in_regular_region():
     direct = integrate(EpWidthOde(0.0), (1.0, 0.0), [0, 0.5 + 0.5j], tol=tol)
     bent = integrate(EpWidthOde(0.0), (1.0, 0.0), [0, 0.5, 0.5 + 0.5j], tol=tol)
     assert abs(direct.end.value - bent.end.value) <= 10 * tol
+
+
+def test_integrate_exhausts_step_budget(monkeypatch):
+    # the budget is read from the module at call time
+    monkeypatch.setattr(numeric, "MAX_STEPS", 2000)
+    traj = integrate(EpWidthOde(1.0), (2.0, 0.0), [0, 1000], tol=1e-10)
+    assert traj.halted
+    assert traj.halt_reason == "step budget exhausted"
+    assert traj.stats["accepted"] + traj.stats["rejected"] == 2000
+    assert traj.stats["rhs_evals"] == 7 * 2000
+
+
+def test_integrate_halts_on_step_underflow():
+    # straight into the branch point t = i of sqrt(1 + t^2): the step falls
+    # below h_min while |value| is still above the manifold guard (1e-4)
+    traj = integrate(EpWidthOde(0.0), (1.0, 0.0), [0, 1.0000001j], tol=1e-10)
+    assert traj.halted
+    assert traj.halt_reason == "step size underflow near a singular point"
+    assert abs(traj.end.t - 1j) < 1e-6
+    assert abs(traj.end.value) > 1e-4
+
+
+def test_integrate_halts_on_singular_manifold_guard():
+    traj = integrate(EpWidthOde(0.0), (1.0, 0.0), [0, 2j], tol=1e-6)
+    assert traj.halted
+    assert traj.halt_reason == (
+        "approaching the singular manifold: |value| < 1.000e-02"
+    )
+    assert abs(traj.end.value) < 1e-2
+
+
+def test_integrate_initial_value_inside_guard():
+    traj = integrate(EpWidthOde(1.0), (1e-7, 0.0), [0, 1], tol=1e-10)
+    assert traj.halted
+    assert traj.halt_reason == (
+        "initial value already inside the singular-manifold guard"
+    )
+    assert len(traj.points) == 1
+    assert traj.stats == {"accepted": 0, "rejected": 0, "rhs_evals": 0,
+                          "min_step": math.inf, "max_step": 0.0}
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the unrolled step against the generic tableau loop
+# ---------------------------------------------------------------------------
+
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+           187 / 2100, 1 / 40)
+
+
+def _reference_rhs(ode, t, y):
+    if isinstance(ode, EpWidthOde):
+        return (y[1], -ode.omega ** 2 * y[0] + y[0] ** -3)
+    return (y[1], -ode.omega ** 2 * y[0])
+
+
+def _reference_rhs_along(ode, base_t, direction, s_local, y):
+    f = _reference_rhs(ode, base_t + direction * s_local, y)
+    return tuple(direction * fi for fi in f)
+
+
+def _reference_integrate(ode, ic, path, tol, sample_points=None,
+                         record_samples_only=False):
+    """Generic DP5 tableau loop over a tuple state: the reference for the
+    unrolled step in ``integrate``."""
+    path = ComplexPath(path)
+    y = (complex(ic[0]), complex(ic[1]))
+    halt_radius = 10.0 * math.sqrt(tol) if ode.singular_near_zero else 0.0
+    events = set(path.cums[1:])
+    if sample_points:
+        for s in sample_points:
+            s = float(s)
+            if 0.0 < s < path.length:
+                events.add(s)
+    events = sorted(events)
+    points = [TrajectoryPoint(path.waypoints[0], y[0], y[1])]
+    traj = ComplexTrajectory(points=points, ode_name=ode.name,
+                             omega=ode.omega, tol=tol,
+                             singular_near_zero=ode.singular_near_zero)
+    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
+             "min_step": math.inf, "max_step": 0.0}
+    traj.stats = stats
+    if halt_radius and abs(y[0]) < halt_radius:
+        traj.halted = True
+        traj.halt_reason = "initial value already inside the singular-manifold guard"
+        return traj
+    h = min(path.length / 100.0, 0.05)
+    h_min = 1e-14 * max(1.0, path.length)
+    s_cur = 0.0
+    halted = False
+    for target in events:
+        if halted:
+            break
+        seg = path.segment_of((s_cur + target) / 2.0)
+        base_t = path.waypoints[seg]
+        base_s = path.cums[seg]
+        direction = path.direction(seg)
+        while s_cur < target - 1e-13 * max(1.0, path.length):
+            if stats["accepted"] + stats["rejected"] >= numeric.MAX_STEPS:
+                traj.halted = True
+                traj.halt_reason = "step budget exhausted"
+                halted = True
+                break
+            h_try = min(h, target - s_cur)
+            try:
+                k = [None] * 7
+                k[0] = _reference_rhs_along(ode, base_t, direction,
+                                            s_cur - base_s, y)
+                for i in range(1, 7):
+                    acc = list(y)
+                    for j, a in enumerate(_REF_A[i]):
+                        if a:
+                            for m in range(len(acc)):
+                                acc[m] += h_try * a * k[j][m]
+                    k[i] = _reference_rhs_along(
+                        ode, base_t, direction,
+                        s_cur - base_s + _REF_C[i] * h_try, tuple(acc),
+                    )
+                stats["rhs_evals"] += 7
+                y5 = tuple(
+                    y[m] + h_try * sum(_REF_B5[i] * k[i][m] for i in range(7))
+                    for m in range(len(y))
+                )
+                err = 0.0
+                for m in range(len(y)):
+                    e = h_try * sum(
+                        (_REF_B5[i] - _REF_B4[i]) * k[i][m] for i in range(7)
+                    )
+                    scale = max(1.0, abs(y[m]), abs(y5[m]))
+                    err = max(err, abs(e) / scale)
+            except (ZeroDivisionError, OverflowError):
+                err = math.inf
+                y5 = None
+            if err <= tol * h_try:
+                s_cur += h_try
+                if abs(s_cur - target) <= 1e-12 * max(1.0, path.length):
+                    s_cur = target
+                y = y5
+                stats["accepted"] += 1
+                stats["min_step"] = min(stats["min_step"], h_try)
+                stats["max_step"] = max(stats["max_step"], h_try)
+                if not record_samples_only or s_cur == target:
+                    points.append(TrajectoryPoint(
+                        base_t + direction * (s_cur - base_s), y[0], y[1]))
+                if err == 0.0:
+                    factor = 5.0
+                else:
+                    factor = min(5.0, max(0.2, 0.9 * (tol * h_try / err) ** 0.2))
+                h = h_try * factor
+                if halt_radius and abs(y[0]) < halt_radius:
+                    traj.halted = True
+                    traj.halt_reason = (
+                        "approaching the singular manifold: |value| < "
+                        f"{halt_radius:.3e}"
+                    )
+                    halted = True
+                    break
+            else:
+                stats["rejected"] += 1
+                if err == math.inf:
+                    h = h_try / 2.0
+                else:
+                    h = h_try * min(1.0, max(0.1, 0.9 * (tol * h_try / err) ** 0.2))
+                if h < h_min:
+                    traj.halted = True
+                    traj.halt_reason = "step size underflow near a singular point"
+                    halted = True
+                    break
+    return traj
+
+
+def _analytic_zero(omega, alpha0):
+    # with ic (alpha0, 0) the Pinney form alpha0^2 cos^2(wt) +
+    # sin^2(wt) / (w alpha0)^2 vanishes at t* = (pi/2 + i atanh(r)) / w,
+    # r = 1 / (w alpha0^2)
+    return (math.pi / 2 + 1j * math.atanh(1.0 / (omega * alpha0 ** 2))) / omega
+
+
+_REFERENCE_CASES = {
+    "straight-to-pinney-zero": (
+        EpWidthOde(1.0), (2.0, 0.0), [0, _analytic_zero(1.0, 2.0)], 1e-10,
+        None, False,
+    ),
+    "complex-waypoints-with-samples": (
+        EpWidthOde(1.0 + 0.2j), (1.5, 0.3), [0, 1 + 0.5j, 2 - 0.3j, 3 + 0.1j],
+        1e-9, [0.3, 0.9, 1.7, 2.6, 3.2], False,
+    ),
+    "record-samples-only": (
+        EpWidthOde(0.8), (1.2, -0.4), [0, 2 + 1j, 4], 1e-10,
+        [0.25 * k for k in range(1, 20)], True,
+    ),
+    "linear-oscillator": (
+        LinearOscillatorOde(1.0), (0.0, 1.0), [0, 5 + 1j], 1e-10, None, False,
+    ),
+    "tol-min": (
+        EpWidthOde(1.0), (2.0, 0.0), [0, 1.2 + 0.2j], TOL_MIN, None, False,
+    ),
+    "tol-max": (
+        EpWidthOde(0.0), (1.0, 0.0), [0, 2j], TOL_MAX, None, False,
+    ),
+    # omega**2 overflows, so every stage raises and every step is rejected
+    "overflowing-omega": (
+        EpWidthOde(1e200), (1.0, 0.0), [0, 1], 1e-10, None, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_unrolled_step_matches_generic_reference(case):
+    ode, ic, path, tol, samples, samples_only = _REFERENCE_CASES[case]
+    got = integrate(ode, ic, path, tol=tol, sample_points=samples,
+                    record_samples_only=samples_only)
+    want = _reference_integrate(ode, ic, path, tol, sample_points=samples,
+                                record_samples_only=samples_only)
+    assert len(got.points) == len(want.points)
+    for g, w in zip(got.points, want.points):
+        assert g.t == w.t and g.value == w.value and g.slope == w.slope
+        # repr also tells the signed zeros apart, which JSON output shows
+        assert repr(g) == repr(w)
+    assert got.stats == want.stats
+    assert got.halted == want.halted
+    assert got.halt_reason == want.halt_reason
 
 
 # ---------------------------------------------------------------------------
