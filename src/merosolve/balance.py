@@ -19,16 +19,24 @@ Leading coefficients that fail it stay numeric (irrational roots);
 resonances that fail it, or are not real, are left out.  For float
 coefficients the leading roots stay numeric and resonances snap to
 denominators dividing 360.
+
+The numeric roots z of exact coefficients come without numpy: Yun's
+square-free decomposition over Q(i) splits the polynomial into simple
+factors f_k of multiplicity k, an Aberth-Ehrlich iteration finds the roots
+of each f_k, a Newton step on f_k polishes them, and each is listed k times.
+So multiplicities are exact and a repeated root is as accurate as a simple
+one; for real input, conjugate roots share their real part to the bit.  An
+iteration that does not converge raises instead of dropping a root.  Float
+coefficients keep ``numpy.roots``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
-
-import numpy as np
 
 from .errors import DegenerateFamilyError, InternalInconsistencyError
 from .odemodel import DiffMonomial, DifferentialPolynomial
@@ -48,9 +56,14 @@ DEFAULT_WINDOW = 6
 
 # A root candidate is evaluated only within this of the numeric root z,
 # relative to max(1, |z|).  It spares the exact evaluation of most candidates
-# for irrational roots, yet admits a double root, which numpy returns spread
-# by about 1e-8.
+# for irrational roots.  Exact input gives roots polished on simple factors,
+# near machine precision; float input may have a double root, which numpy
+# returns spread by about 1e-8, and the bound admits it.
 _ROOT_PREFILTER = 1e-7
+# Aberth sweeps stop once every correction is below this relative to its
+# root; a polynomial that has not converged within the cap raises
+_ABERTH_TOL = 1e-12
+_ABERTH_MAX_SWEEPS = 500
 # float resonance polynomials snap to denominators dividing this and must
 # leave a residual <= 1e-8 relative
 _FLOAT_RESONANCE_DENOM = 360
@@ -194,7 +207,151 @@ def _is_exact_poly(coeffs) -> bool:
 
 
 def _numpy_roots(coeffs):
+    import numpy as np
+
     return [complex(z) for z in np.roots([to_complex(c) for c in reversed(coeffs)])]
+
+
+# Polynomials over Q(i) for the square-free decomposition: ascending lists
+# of QComplex without trailing zeros, so the zero polynomial is [].
+
+def _pderiv(f):
+    return _trim([c * k for k, c in enumerate(f)][1:])
+
+
+def _psub(f, g):
+    return _trim([x - y for x, y in zip_longest(f, g, fillvalue=0)])
+
+
+def _pdivmod(f, g):
+    """Quotient and remainder of f by a nonzero g."""
+    rem = list(f)
+    n = len(g) - 1
+    inv = 1 / g[n]
+    quo = [0] * max(0, len(f) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + n] * inv
+        quo[k] = c
+        if c:
+            for j in range(n):
+                if g[j]:
+                    rem[k + j] -= c * g[j]
+    return quo, _trim(rem[:n])
+
+
+def _pgcd(f, g):
+    """Monic gcd of f and g, not both zero."""
+    while g:
+        f, g = g, _pdivmod(f, g)[1]
+    inv = 1 / f[-1]
+    return [c * inv for c in f]
+
+
+def _squarefree(f):
+    """Yun's square-free decomposition: pairs (f_k, k) of monic square-free
+    factors of positive degree with f = lead * prod f_k**k."""
+    df = _pderiv(f)
+    g = _pgcd(f, df)
+    b = _pdivmod(f, g)[0]
+    c = _pdivmod(df, g)[0]
+    out = []
+    k = 1
+    while len(b) > 1:
+        d = _psub(c, _pderiv(b))
+        g = _pgcd(b, d)
+        if len(g) > 1:
+            out.append((g, k))
+        b = _pdivmod(b, g)[0]
+        c = _pdivmod(d, g)[0]
+        k += 1
+    return out
+
+
+def _horner2(coeffs, z):
+    """Value and derivative at z of ascending complex coefficients."""
+    p = dp = 0j
+    for c in reversed(coeffs):
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
+def _aberth(f):
+    """Roots of a monic square-free f with nonzero constant term:
+    Aberth-Ehrlich sweeps, then a Newton step.  The sweeps start on a circle
+    of radius max |f_k|**(1/(n-k)), which is within a factor n of the
+    largest root."""
+    coeffs = [complex(c) for c in f]
+    n = len(coeffs) - 1
+    radius = max(abs(c) ** (1.0 / (n - k)) for k, c in enumerate(coeffs[:-1]))
+    zs = [radius * cmath.exp(1j * (2 * math.pi * j / n + 0.5)) for j in range(n)]
+    pending = range(n)
+    for _ in range(_ABERTH_MAX_SWEEPS):
+        moving = []
+        for i in pending:
+            z = zs[i]
+            p, dp = _horner2(coeffs, z)
+            if not p:
+                continue
+            try:
+                s = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+                step = p / (dp - p * s)
+            except ZeroDivisionError:
+                moving.append(i)
+                continue
+            zs[i] = z - step
+            if not abs(step) <= _ABERTH_TOL * abs(zs[i]):  # NaN keeps moving
+                moving.append(i)
+        if not moving:
+            break
+        pending = moving
+    else:
+        raise InternalInconsistencyError(
+            f"Aberth iteration did not converge on a degree-{n} factor"
+        )
+    for i, z in enumerate(zs):
+        # a Newton step on f alone: the root no longer depends on where the
+        # other approximations stood when it stopped moving
+        p, dp = _horner2(coeffs, z)
+        if dp:
+            zs[i] = z - p / dp
+    if all(c.imag == 0 for c in coeffs):
+        zs = _conjugate_closed(zs)
+    return zs
+
+
+def _conjugate_closed(zs):
+    """Roots of a real polynomial, closed under conjugation: a root nearest
+    to its own conjugate is real, any other one with negative imaginary part
+    becomes the conjugate of the root nearest to its conjugate.  Conjugate
+    pairs then share their real part to the bit, so sorting by (re, im)
+    orders them by the sign of im and not by rounding noise."""
+    out = []
+    for i, z in enumerate(zs):
+        j = min(range(len(zs)), key=lambda k: abs(zs[k] - z.conjugate()))
+        if j == i:
+            z = complex(z.real, 0.0)
+        elif z.imag < 0:
+            z = zs[j].conjugate()
+        out.append(z)
+    return out
+
+
+def _exact_numeric_roots(coeffs):
+    """Numeric roots of exact coefficients, each listed by its multiplicity.
+    A float zero counts as an exact zero, as in ``_is_exact_poly``."""
+    f = [QComplex(c) if is_exact(c) else QComplex() for c in coeffs]
+    low = 0
+    while not f[low]:
+        low += 1
+    roots = [0j] * low
+    for g, k in _squarefree(f[low:]):
+        roots.extend(z for z in _aberth(g) for _ in range(k))
+    return roots
+
+
+def _numeric_roots(coeffs, exact: bool):
+    return _exact_numeric_roots(coeffs) if exact else _numpy_roots(coeffs)
 
 
 def _cleared_lead(coeffs):
@@ -232,8 +389,9 @@ def _nonzero_roots(lead_coeffs):
     core = trimmed[low:]
     if len(core) <= 1:
         return ()
-    roots = _numpy_roots(core)
-    if _is_exact_poly(core):
+    exact = _is_exact_poly(core)
+    roots = _numeric_roots(core, exact)
+    if exact:
         d = _cleared_lead(core)
         snapped = (_snap(core, z, d, True) for z in roots)
         roots = [z if c is None else c for z, c in zip(roots, snapped)]
@@ -255,7 +413,7 @@ def rational_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
     exact = _is_exact_poly(coeffs)
     d = _cleared_lead(coeffs) if exact else _FLOAT_RESONANCE_DENOM
     found = set()
-    for z in _numpy_roots(coeffs):
+    for z in _numeric_roots(coeffs, exact):
         cand = _snap(coeffs, z, d, exact)
         if cand is not None and cand.im == 0:
             found.add(cand.re)

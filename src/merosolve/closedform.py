@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import NoPeriodicCandidateError, NotLaurentError
 from .odemodel import DifferentialPolynomial
 from .scalars import (
@@ -166,6 +164,8 @@ def build_periodic(
         coeffs = [to_complex(-c1)] + [
             to_complex(lpoly.get(m, 0)) for m in range(1, degree + 1)
         ]
+        import numpy as np
+
         roots = [complex(r) for r in np.roots(list(reversed(coeffs)))]
         candidates_L = sorted(
             (r for r in roots if abs(r) > 1e-14), key=lambda z: (z.real, z.imag)

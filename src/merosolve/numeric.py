@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ExponentUnresolvedError
 from .exactlab import ermakov_invariant
 from .series import LocalSolution
@@ -400,6 +398,8 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
     s_vals = [0.0]
     for a, b in zip(w, w[1:]):
         s_vals.append(s_vals[-1] + abs(b.t - a.t))
+    import numpy as np
+
     s = np.array(s_vals)
     values = np.array([p.value ** 2 for p in w], dtype=complex)
     coeffs = np.polyfit(s, values, 2)
@@ -456,6 +456,8 @@ def fit_local_exponent(
         raise ValueError(
             f"need at least 8 samples inside the fit annulus, got {len(selected)}"
         )
+    import numpy as np
+
     x = np.log([r for r, _ in selected])
     yv = np.log([m for _, m in selected])
     n = len(x)

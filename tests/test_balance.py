@@ -1,10 +1,12 @@
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from merosolve import balance
 from merosolve.balance import (
     BalanceFamily,
     compute_resonances,
@@ -13,7 +15,7 @@ from merosolve.balance import (
     monomial_exponent,
 )
 from merosolve.cli import main
-from merosolve.errors import DegenerateFamilyError
+from merosolve.errors import DegenerateFamilyError, InternalInconsistencyError
 from merosolve.odemodel import DiffMonomial, normalize, parse_ode
 from merosolve.scalars import QComplex, is_exact, to_complex
 from merosolve.series import solve_local_series
@@ -232,3 +234,76 @@ def test_float_coefficients_keep_float_roots():
     for a in fam.leading_coeffs:
         assert not is_exact(a)
         assert abs(to_complex(a) ** 2 - 4 / 3) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact roots: square-free decomposition over Q(i), Aberth, the root rule
+# ---------------------------------------------------------------------------
+
+def poly_from_roots(roots, lead=QComplex(1)):
+    """Ascending coefficients of lead * prod (x - r) over the listed roots."""
+    coeffs = [lead]
+    for r in roots:
+        shifted = [0] + coeffs
+        coeffs = [hi - r * lo for hi, lo in zip(shifted, coeffs + [0])]
+    return coeffs
+
+
+gaussian_rationals = st.builds(
+    lambda re, im, d: QComplex(Fraction(re, d), Fraction(im, d)),
+    st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 12),
+).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    factors=st.lists(st.tuples(gaussian_rationals, st.integers(1, 3)),
+                     min_size=1, max_size=8, unique_by=lambda f: f[0])
+    .filter(lambda fs: sum(m for _, m in fs) <= 8),
+    lead=gaussian_rationals,
+)
+def test_exact_roots_keep_their_multiplicities(factors, lead):
+    roots = [r for r, m in factors for _ in range(m)]
+    found = balance._nonzero_roots(poly_from_roots(roots, lead))
+    assert all(isinstance(z, QComplex) for z in found)
+    assert Counter(found) == Counter(roots)
+
+
+def test_double_root_with_large_denominator_is_exact():
+    # (4001*x - 8003)^2 clears to leading coefficient d = 4001^2 > 1e7; a
+    # double root found as two spread numeric roots misses round(z*d)/d
+    r = QComplex(Fraction(8003, 4001))
+    assert balance._nonzero_roots(poly_from_roots([r, r], QComplex(4001**2))) == (r, r)
+
+
+def test_irrational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expr = (x**2 - 2) ** 2 * (x**3 - 3 * x + 1) * (2 * x**2 + x + 5) * (3 * x - 1)
+    coeffs = [QComplex(Fraction(int(c.p), int(c.q)))
+              for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+    found = balance._nonzero_roots(coeffs)
+    assert [z for z in found if is_exact(z)] == [QComplex(Fraction(1, 3))]
+    expected = [complex(sympy.N(r, 30)) for r in sympy.Poly(expr, x).all_roots()]
+    assert len(found) == len(expected)
+    for z in found:
+        match = min(expected, key=lambda w: abs(w - to_complex(z)))
+        assert abs(match - to_complex(z)) <= 2e-15 * abs(match)
+        expected.remove(match)
+
+
+def test_real_input_gives_conjugate_closed_roots():
+    # a^2 + 2 = 0: -i*sqrt(2) sorts first whatever the rounding noise
+    low, high = balance._nonzero_roots([QComplex(2), 0, QComplex(1)])
+    assert high == low.conjugate()
+    assert low.imag < 0
+    # a^3 = 3: the irrational real root is exactly real
+    (real,) = [z for z in balance._nonzero_roots([QComplex(-3), 0, 0, QComplex(1)])
+               if z.imag == 0]
+    assert abs(real - 3 ** (1 / 3)) < 1e-15
+
+
+def test_unconverged_root_iteration_raises(monkeypatch):
+    monkeypatch.setattr(balance, "_ABERTH_MAX_SWEEPS", 1)
+    with pytest.raises(InternalInconsistencyError):
+        balance._nonzero_roots([QComplex(-2), 0, 0, QComplex(1)])

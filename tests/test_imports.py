@@ -1,0 +1,55 @@
+"""numpy is loaded only where float arithmetic needs it: importing the
+package and exact analyses leave it out, float coefficients bring it in."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHILD = r"""
+import json, sys
+import merosolve, merosolve.cli, merosolve.report
+seen = {"import": "numpy" in sys.modules}
+
+from merosolve.report import analyze_payload, to_json
+from merosolve.scalars import QComplex
+to_json(analyze_payload("y'' + omega^2*y - y^-3", {"omega": QComplex(3, 2)}, K=12))
+to_json(analyze_payload("y'' - 2*y^3", {}, K=12))
+seen["exact"] = "numpy" in sys.modules
+
+from merosolve.balance import find_balances
+from merosolve.odemodel import normalize, parse_ode
+fam = next(f for f in find_balances(normalize(parse_ode("y'' - 1.5*y^3"), {}))
+           if f.consistent)
+seen["float"] = "numpy" in sys.modules
+
+import numpy as np
+core = list(fam.leading_poly)
+while core[-1] == 0:
+    core.pop()
+while core[0] == 0:
+    core.pop(0)
+expected = sorted((complex(z) for z in np.roots([complex(c) for c in reversed(core)])),
+                  key=lambda z: (z.real, z.imag))
+seen["float_roots"] = [repr(z) for z in fam.leading_coeffs]
+seen["numpy_roots"] = [repr(z) for z in expected]
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_is_loaded_only_for_float_coefficients():
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", CHILD], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(done.stdout)
+    assert seen["import"] is False
+    assert seen["exact"] is False
+    assert seen["float"] is True
+    # float roots still come from numpy.roots, bit for bit
+    assert seen["float_roots"] == seen["numpy_roots"]
+    assert len(seen["float_roots"]) == 2
