@@ -18,7 +18,8 @@ is the only candidate near a numeric root z, and exact evaluation decides.
 Leading coefficients that fail it stay numeric (irrational roots);
 resonances that fail it, or are not real, are left out.  For float
 coefficients the leading roots stay numeric and resonances snap to
-denominators dividing 360.
+denominators dividing lcm(360, n), n the family's branch order, so every
+resonance on the family's lattice is found.
 
 The numeric roots z of exact coefficients come without numpy: Yun's
 square-free decomposition over Q(i) splits the polynomial into simple
@@ -64,8 +65,8 @@ _ROOT_PREFILTER = 1e-7
 # root; a polynomial that has not converged within the cap raises
 _ABERTH_TOL = 1e-12
 _ABERTH_MAX_SWEEPS = 500
-# float resonance polynomials snap to denominators dividing this and must
-# leave a residual <= 1e-8 relative
+# float resonance polynomials snap to denominators dividing the lcm of this
+# and the branch order, and must leave a residual <= 1e-8 relative
 _FLOAT_RESONANCE_DENOM = 360
 
 
@@ -411,7 +412,10 @@ def rational_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
             f"degenerate family at p = {fam.p}: resonance polynomial vanishes"
         )
     exact = _is_exact_poly(coeffs)
-    d = _cleared_lead(coeffs) if exact else _FLOAT_RESONANCE_DENOM
+    if exact:
+        d = _cleared_lead(coeffs)
+    else:
+        d = math.lcm(_FLOAT_RESONANCE_DENOM, fam.branch_order)
     found = set()
     for z in _numeric_roots(coeffs, exact):
         cand = _snap(coeffs, z, d, exact)

@@ -25,10 +25,6 @@ class UnboundParameterError(NormalizationError):
 class TruncationError(MerosolveError):
     """A series is not known to high enough order for the request."""
 
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
-
 
 class DegenerateFamilyError(MerosolveError):
     """The perturbation polynomial of a balance family vanished identically."""

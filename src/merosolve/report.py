@@ -188,6 +188,24 @@ class ClaimedPole:
 # the analysis record
 # ---------------------------------------------------------------------------
 
+def _check_free(free, families):
+    """Reject free values at orders where no consistent family has a
+    positive resonance on its branch lattice: the solver would never use
+    them."""
+    available = sorted({
+        r for f in families if f.consistent for r in f.resonances
+        if r > 0 and (r * f.branch_order).denominator == 1
+    })
+    unused = sorted(Fraction(r) for r in free if Fraction(r) not in available)
+    if unused:
+        listed = ", ".join(frac_str(r) for r in available) or "none"
+        raise ValueError(
+            "free value at a non-resonant order "
+            f"{', '.join(frac_str(r) for r in unused)}; "
+            f"available resonances: {listed}"
+        )
+
+
 class Analysis:
     """One ODE analysed once, for one call.
 
@@ -209,6 +227,8 @@ class Analysis:
         self.ast = parse_ode(ode_text)
         self.poly = normalize(self.ast, env)
         self.families = find_balances(self.poly, n_max=n_max, window=window)
+        if free:
+            _check_free(free, self.families)
         self.pole_family = next((f for f in self.families if f.p == -1), None)
         self.residue = QComplex(0, 1) if is_exact(self.omega) else 1j
         # None without a frequency or when a recursion denominator vanishes

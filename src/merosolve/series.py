@@ -108,8 +108,7 @@ class PuiseuxSeries:
         """Coefficient of tau**(j/n); raises if j is beyond the guarantee."""
         if j > self.trunc:
             raise TruncationError(
-                f"coefficient {j} requested beyond truncation {self.trunc}",
-                required=j,
+                f"coefficient {j} requested beyond truncation {self.trunc}"
             )
         return self.coeffs.get(j, 0)
 
@@ -305,14 +304,10 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({body or '0'}; trunc={self.trunc})"
 
 
-def substitute(
-    poly: DifferentialPolynomial, s: PuiseuxSeries, through=None
-) -> PuiseuxSeries:
+def substitute(poly: DifferentialPolynomial, s: PuiseuxSeries) -> PuiseuxSeries:
     """Residual series of the differential polynomial applied to s.
 
-    The result's truncation reflects how far the residual is guaranteed;
-    passing ``through`` raises :class:`TruncationError` when the input is
-    not known deeply enough to certify that order.
+    The result's truncation reflects how far the residual is guaranteed.
     """
     max_order = poly.max_order
     derivs = [s]
@@ -324,14 +319,6 @@ def substitute(
         for k, d in mono.degrees:
             term = term * derivs[k].pow(d)
         total = total + term
-    if through is not None and total.trunc < through:
-        deficit = through - total.trunc
-        required = s.trunc + deficit if s.trunc is not math.inf else None
-        raise TruncationError(
-            f"residual certified only through index {total.trunc}, "
-            f"need {through}",
-            required=required,
-        )
     return total
 
 
@@ -394,6 +381,194 @@ def _compat_tolerance(poly: DifferentialPolynomial, a) -> float:
     return 1e-9 * max(1.0, scale) * amp ** top
 
 
+class _PlanNode:
+    """One series of the online plan, kept by relative order: ``coef[r]``
+    is the coefficient at index ``base + r``, or None where a
+    :class:`PuiseuxSeries` would store nothing (an exact zero).  ``order``
+    lists ``(key, r)`` for the stored entries, sorted by key, which is the
+    order the same entries take in the dict of the series ``substitute``
+    builds.  ``keys[r]`` is the key of entry r."""
+
+    __slots__ = ("base", "coef", "keys", "order", "_at")
+
+    def __init__(self, base):
+        self.base = base
+        self.coef = []
+        self.keys = []
+        self.order = []
+        self._at = None  # position of the top entry in ``order``
+
+    def _entry(self, r):
+        """``(value, key)`` of entry r from the factors, key None when no
+        pair contributes."""
+        raise NotImplementedError
+
+    def extend(self):
+        """Append the coefficient at the next relative order."""
+        self.coef.append(None)
+        self.keys.append(None)
+        self._at = None
+        self.refresh()
+
+    def refresh(self):
+        """Recompute the top coefficient from the factors' current tops."""
+        r = len(self.coef) - 1
+        if self._at is not None:
+            del self.order[self._at]
+            self._at = None
+        value, key = self._entry(r)
+        if key is None or is_zero(value, 0.0):
+            self.coef[r] = None
+            return
+        self.coef[r] = value
+        self.keys[r] = key
+        order = self.order
+        at = len(order)
+        while at and order[at - 1][0] > key:  # most entries go last
+            at -= 1
+        order.insert(at, (key, r))
+        self._at = at
+
+
+class _Solution(_PlanNode):
+    """The series y itself; ``top`` is its coefficient at the order being
+    solved, taken as 0 until it is known."""
+
+    __slots__ = ("top",)
+
+    def _entry(self, r):
+        return self.top, r
+
+
+class _Deriv(_PlanNode):
+    """The next derivative of ``left``, termwise as ``differentiate``."""
+
+    __slots__ = ("left", "n")
+
+    def __init__(self, left, n):
+        super().__init__(left.base - n)
+        self.left = left
+        self.n = n
+
+    def _entry(self, r):
+        c = self.left.coef[r]
+        j = self.left.base + r
+        if c is None or j == 0:
+            return None, None
+        return mul_frac(c, Fraction(j, self.n)), self.left.keys[r]
+
+
+class _Scale(_PlanNode):
+    """``monomial(coeff) * right``, the head of a term's left fold: each
+    entry is ``0 + coeff * c``, since ``PuiseuxSeries.__mul__`` starts every
+    sum at 0."""
+
+    __slots__ = ("coeff", "right")
+
+    def __init__(self, coeff, right):
+        super().__init__(right.base)
+        self.coeff = coeff
+        self.right = right
+
+    def _entry(self, r):
+        c = self.right.coef[r]
+        if c is None:
+            return None, None
+        return 0 + self.coeff * c, self.right.keys[r]
+
+
+class _Mul(_PlanNode):
+    """``left * right`` as ``PuiseuxSeries.__mul__``: the Cauchy sum runs
+    over ``left`` in its dict order.  That product inserts an index at its
+    first contributing pair in the nested loop over both factors' dicts, so
+    an entry's key is the pair of factor keys there; keys order the entries
+    as the dict would, also where gaps in the support make that order
+    differ from ascending index."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        super().__init__(left.base + right.base)
+        self.left = left
+        self.right = right
+
+    def _entry(self, r):
+        acoef = self.left.coef
+        bcoef, bkeys = self.right.coef, self.right.keys
+        acc = 0
+        key = None
+        for ka, i in self.left.order:
+            c2 = bcoef[r - i]
+            if c2 is not None:
+                if key is None:
+                    key = (ka, bkeys[r - i])
+                acc = acc + acoef[i] * c2
+        return acc, key
+
+
+class _Const:
+    """A monomial without y: its coefficient at index 0, exact zero
+    elsewhere."""
+
+    base = 0
+
+    def __init__(self, coeff):
+        self.coef = [coeff]
+
+
+def _online_plan(poly: DifferentialPolynomial, y: _Solution, n: int):
+    """Product plan of ``substitute`` over the series y: every node, y
+    first, in dependency order, and one node per monomial.  Powers follow the
+    binary exponentiation of ``PuiseuxSeries.pow``, equal products are
+    built once, and a term is the left fold ``monomial(coeff) * f1 * f2``."""
+    derivs = [y]
+    for _ in range(poly.max_order):
+        derivs.append(_Deriv(derivs[-1], n))
+    nodes = list(derivs)
+    products = {}
+
+    def mul(left, right):
+        node = products.get((left, right))
+        if node is None:
+            node = products[left, right] = _Mul(left, right)
+            nodes.append(node)
+        return node
+
+    terms = []
+    for mono in poly.monomials:
+        term = None
+        for k, d in mono.degrees:
+            base, power = derivs[k], None
+            while d:
+                if d & 1:
+                    power = base if power is None else mul(power, base)
+                d >>= 1
+                if d:
+                    base = mul(base, base)
+            if term is None:
+                term = _Scale(mono.coeff, power)
+                nodes.append(term)
+            else:
+                term = mul(term, power)
+        terms.append(term or _Const(mono.coeff))
+    return nodes, terms
+
+
+def _residual_at(terms, index):
+    """Residual coefficient at ``index``, summed over the terms in monomial
+    order as ``PuiseuxSeries.__add__`` does (an exact zero restarts at 0)."""
+    e = 0
+    for term in terms:
+        r = index - term.base
+        if 0 <= r < len(term.coef):
+            c = term.coef[r]
+            if c is not None:
+                e = e + c
+                if is_zero(e, 0.0):
+                    e = 0
+    return e
+
+
 def solve_local_series(
     poly: DifferentialPolynomial,
     fam: BalanceFamily,
@@ -410,7 +585,22 @@ def solve_local_series(
     coefficient is accepted even though it violates the leading equation
     (used to realize claimed pole expansions on families that have none);
     the violated orders appear as unsatisfied compatibility entries.
+
+    The solve is online (relaxed), O(K**2) per family.  Every series that
+    ``substitute`` would build from y -- its derivatives, the powers of
+    those and the monomial terms -- is a plan node that keeps its
+    coefficients by relative order.  At order rho each node gains one
+    coefficient, a Cauchy sum over the new pairs, with the unknown
+    coefficient of y taken as 0; the residual is read off the terms, and
+    once the coefficient is known the top of every node is recomputed with
+    it.  A node sums over its left factor in the order that factor's dict
+    would have in ``substitute`` (insertion order, tracked by each entry's
+    key), multiplies the monomial coefficient in first and skips exact
+    zeros, so float coefficients are bit-identical to solving with
+    ``substitute``.  ``substitute`` itself stays the independent check.
     """
+    if K < 0:
+        raise ValueError("K must be nonnegative")
     a = canonical_scalar(a)
     if is_zero(a, 0.0):
         raise ValueError("leading coefficient must be nonzero")
@@ -438,7 +628,6 @@ def solve_local_series(
     response = linear_response(poly, fam, a)
 
     tol = _compat_tolerance(poly, a)
-    coeffs = {j0: a}
     compatibility = []
     free_used = {r: free.get(r, canonical_scalar(0)) for r in resonance_orders.values()}
     if force:
@@ -446,29 +635,40 @@ def solve_local_series(
             CompatibilityCheck(Fraction(0), is_zero(lead_val, tol), lead_val)
         )
 
+    y = _Solution(j0)
+    nodes, terms = _online_plan(poly, y, n)
+    if K and any(t.base < q_idx for t in terms if not isinstance(t, _Const)):
+        # the residual at q_idx + rho would need coefficients of y beyond
+        # j0 + rho, which are not solved yet
+        raise TruncationError(
+            f"a term of the equation sits below the balance index {q_idx}"
+        )
+    y.top = a
+    for node in nodes:
+        node.extend()
+
     for rho in range(1, K + 1):
-        # the residual at q_idx + rho needs coefficients through j0 + rho
-        # only, the unknown one taken as 0; truncating there keeps the
-        # products short, and `through` raises if that index is uncertified
-        partial = PuiseuxSeries(n, coeffs, j0 + rho)
-        residual = substitute(poly, partial, through=q_idx + rho)
-        e = residual.coeffs.get(q_idx + rho, 0)
+        y.top = 0
+        for node in nodes:
+            node.extend()
+        e = _residual_at(terms, q_idx + rho)
         if rho in resonance_orders:
             r = resonance_orders[rho]
             compatibility.append(CompatibilityCheck(r, is_zero(e, tol), e))
             value = free_used[r]
-            if not is_zero(value, 0.0):
-                coeffs[j0 + rho] = value
-            continue
-        lam = poly_eval(response, Fraction(rho, n))
-        if is_zero(lam, 1e-13):
-            raise InternalInconsistencyError(
-                f"singular linear step at non-resonant order {Fraction(rho, n)}"
-            )
-        c = -(e / lam) if not is_zero(e, 0.0) else 0
-        if not is_zero(c, 0.0):
-            coeffs[j0 + rho] = c
+        else:
+            lam = poly_eval(response, Fraction(rho, n))
+            if is_zero(lam, 1e-13):
+                raise InternalInconsistencyError(
+                    f"singular linear step at non-resonant order {Fraction(rho, n)}"
+                )
+            value = -(e / lam) if not is_zero(e, 0.0) else 0
+        if not is_zero(value, 0.0):
+            y.top = value
+            for node in nodes:
+                node.refresh()
 
+    coeffs = {j0 + r: c for r, c in enumerate(y.coef) if c is not None}
     series = PuiseuxSeries(n, coeffs, j0 + K)
     return LocalSolution(
         family=fam,

@@ -84,6 +84,24 @@ def test_series_free_parameter_flag(tmp_path):
     assert terms_bump[3] == (1.0, 0.0)
 
 
+def test_free_value_at_non_resonant_order_exits_2(capsys):
+    # the default width equation has the positive resonance 1 only
+    assert main(["series", "--free", "7=1"]) == 2
+    err = capsys.readouterr().err
+    assert "non-resonant order 7" in err
+    assert "available resonances: 1" in err
+
+
+def test_float_resonance_off_the_360_lattice_is_kept(tmp_path):
+    # p = -2/7 has the resonance 18/7, and 7 does not divide 360
+    payload = run_json(tmp_path, [
+        "analyze", "--ode", "y'' - c*y^8", "--param", "c=2.5",
+        "--branch-max", "7", "--order", "18",
+    ])
+    families = {f["p"]: f for f in payload["balance"]["families"]}
+    assert families["-2/7"]["resonances"] == ["-1", "18/7"]
+
+
 def test_free_parameter_reaches_closed_form_candidates(tmp_path):
     # the candidates are built from the printed series, free value included
     payload = run_json(
@@ -231,6 +249,17 @@ def test_unreadable_ode_file_exits_2(tmp_path, capsys):
 
 def test_bad_param_syntax_exits_2(capsys):
     assert main(["analyze", "--param", "omega"]) == 2
+
+
+def test_negative_order_exits_2(capsys):
+    assert main(["series", "--order", "-3"]) == 2
+    assert "error: K must be nonnegative" in capsys.readouterr().err
+
+
+def test_order_zero_keeps_the_leading_term(tmp_path):
+    payload = run_json(tmp_path, ["series", "--order", "0"])
+    (solution,) = payload["series"]["solutions"]
+    assert [j for j, _, _ in solution["series"]["terms"]] == [1]
 
 
 def test_bad_path_exits_2(capsys):

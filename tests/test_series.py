@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -161,13 +162,6 @@ def test_substitute_branch_monomial_is_exact(ep_poly_w0):
     assert residual.is_zero_series
 
 
-def test_substitute_truncation_error(ep_poly):
-    s = PuiseuxSeries.monomial(QComplex(1, 1), 1, n=2, trunc=4)
-    with pytest.raises(TruncationError) as err:
-        substitute(ep_poly, s, through=40)
-    assert err.value.required is not None and err.value.required > 4
-
-
 # ---------------------------------------------------------------------------
 # cot expansion
 # ---------------------------------------------------------------------------
@@ -250,6 +244,15 @@ def test_solve_rejects_wrong_leading_coefficient(ep_poly, ep_branch_family):
         solve_local_series(ep_poly, ep_branch_family, QComplex(2))
 
 
+def test_solve_raises_when_a_term_needs_unsolved_coefficients(w3_poly, w3_family):
+    # with q one step too high, the residual at q + rho would need the
+    # coefficient of y at j0 + rho + 1, which is not solved yet
+    fam = replace(w3_family, q=w3_family.q + 1)
+    with pytest.raises(TruncationError):
+        solve_local_series(w3_poly, fam, 1, K=4)
+    assert solve_local_series(w3_poly, fam, 1, K=0).series.coeffs == {-1: QComplex(1)}
+
+
 def test_forced_solve_records_leading_violation(ep_poly):
     from merosolve.balance import find_balances
 
@@ -281,7 +284,7 @@ def test_free_parameter_count_matches_positive_resonances(
 def test_deep_exact_solve_leaves_no_residual():
     poly = normalize(parse_ode("y'' + omega^2*y - y^-3"), {"omega": Fraction(3, 2)})
     fam = next(f for f in find_balances(poly) if f.consistent)
-    K = 64
+    K = 192
     q_idx = int(fam.q * fam.branch_order)
     for a in fam.leading_coeffs:
         local = solve_local_series(poly, fam, a, K=K)
@@ -291,42 +294,63 @@ def test_deep_exact_solve_leaves_no_residual():
         assert all(j > q_idx + K for j in residual.coeffs)
 
 
-def reference_solve(poly, fam, a, K):
+def reference_solve(poly, fam, a, K, free=None):
     """The solver's loop without truncation: substitute the whole partial
-    series at every order, free values 0."""
+    series at every order, ``free`` values (default 0) at the resonances."""
     n = fam.branch_order
     j0, q_idx = int(fam.p * n), int(fam.q * n)
-    resonant = {r * n for r in rational_resonances(poly, fam, a) if r > 0}
+    resonant = {r * n: r for r in rational_resonances(poly, fam, a) if r > 0}
     response = linear_response(poly, fam, a)
     coeffs = {j0: a}
     for rho in range(1, K + 1):
+        if rho in resonant:
+            value = (free or {}).get(resonant[rho], 0)
+            if not is_zero(value, 0.0):
+                coeffs[j0 + rho] = value
+            continue
         e = substitute(poly, PuiseuxSeries(n, coeffs, math.inf)).coeffs.get(q_idx + rho, 0)
-        if rho not in resonant and not is_zero(e, 0.0):
+        if not is_zero(e, 0.0):
             coeffs[j0 + rho] = -(e / poly_eval(response, Fraction(rho, n)))
     return PuiseuxSeries(n, coeffs, j0 + K)
 
 
-@pytest.mark.parametrize("text,env,exact", [
-    ("y'' - c*y^3", {"c": 2}, True),
-    ("y'' - c*y^3", {"c": 2.0}, False),
-    ("y''' - c*y*y'", {"c": 12}, True),
-    ("y''' - c*y*y'", {"c": 12.0}, False),
-    ("y'' + omega^2*y - y^-3", {"omega": Fraction(3, 2)}, True),
-    ("y'' + omega^2*y - y^-3", {"omega": 1.5}, False),
-    ("y'' + omega^2*y - y^-3", {"omega": 0.7}, False),
-    ("y'' + y - y^3", {}, False),  # exact input, irrational a = +-sqrt(2)
+SOLVE_CASES = [
+    ("y'' - c*y^3", {"c": 2}, True, None),
+    ("y'' - c*y^3", {"c": 2.0}, False, None),
+    ("y''' - c*y*y'", {"c": 12}, True, None),
+    ("y''' - c*y*y'", {"c": 12.0}, False, None),
+    ("y'' + omega^2*y - y^-3", {"omega": Fraction(3, 2)}, True, None),
+    ("y'' + omega^2*y - y^-3", {"omega": 1.5}, False, None),
+    ("y'' + omega^2*y - y^-3", {"omega": 0.7}, False, None),
+    ("y'' + y - y^3", {}, False, None),  # exact input, irrational a = +-sqrt(2)
+    # free values at resonances change which coefficients vanish; with gaps
+    # in the support a product's dict order is not ascending in the index
+    ("y''' - c*y*y'", {"c": 12.0}, False, {Fraction(4): 0.37 - 1.1j, Fraction(6): 1.5 + 0j}),
+    ("y''' - c*y*y'", {"c": 12.0}, False, {Fraction(6): -0.8 + 0.3j}),
+    ("y'' - c*y^4", {"c": 0.3}, False, {Fraction(10, 3): 0.25 + 0.5j}),  # branch order 3
+    ("y'' - c*y^3", {"c": 2}, True, {Fraction(4): QComplex(1)}),
+    ("y'' + omega^2*y - y^-3", {"omega": 0}, False, {Fraction(1): 0.37 - 1.1j}),
+]
+
+
+@pytest.mark.parametrize("text,env,exact,free", [
+    # ids in pytest's default form for (text, env, exact)
+    pytest.param(*case, id=f"{case[0]}-env{i}-{case[2]}")
+    for i, case in enumerate(SOLVE_CASES)
 ])
-def test_truncated_solve_matches_untruncated_reference(text, env, exact):
-    # `==` on float coefficients pins them bit for bit; the last two cases
-    # round enough that a change of summation order shows
+def test_truncated_solve_matches_untruncated_reference(text, env, exact, free):
+    # `==` on float coefficients pins them bit for bit; the rounding cases
+    # and the gapped series show any change of summation order or
+    # association
     poly = normalize(parse_ode(text), env)
     fams = [f for f in find_balances(poly) if f.consistent]
     assert fams
     for fam in fams:
         for a in fam.leading_coeffs:
-            series = solve_local_series(poly, fam, a, K=16).series
-            assert series.is_exact == exact
-            assert series == reference_solve(poly, fam, a, 16)
+            for K in (16, 48):
+                series = solve_local_series(poly, fam, a, K=K, free=free).series
+                assert series.is_exact == exact
+                assert series == reference_solve(poly, fam, a, K, free)
 
 
 def test_synthetic_laurent_solution_requires_nonzero(ep_poly):
