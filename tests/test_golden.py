@@ -24,7 +24,21 @@ CASES = {
     "analyze-cubic": ["analyze", "--ode", "y'' - 2*y^3"],
     "analyze-quadratic": ["analyze", "--ode", "y'' - 6*y^2"],
     "analyze-kdv": ["analyze", "--ode", "y''' - 12*y*y'"],
+    "integrate-width": ["integrate", "--ic", "2,0", "--path", "0:3",
+                        "--tol", "1e-8"],
+    "integrate-complex": ["integrate", "--omega", "0.8", "--ic", "1.2,-0.4",
+                          "--path", "0:2+1i:4", "--tol", "1e-8",
+                          "--format", "csv"],
+    "probe-branch": ["probe", "--omega", "0", "--ic", "1,0",
+                     "--path", "0:0.999i"],
 }
+
+
+def golden_path(name) -> Path:
+    """The golden file of a case; its extension is the case's --format."""
+    argv = CASES[name]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    return GOLDEN_DIR / f"{name}.{fmt}"
 
 
 def cli_stdout(argv) -> str:
@@ -36,5 +50,5 @@ def cli_stdout(argv) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes(name):
-    expected = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    expected = golden_path(name).read_text(encoding="utf-8")
     assert cli_stdout(CASES[name]) == expected
