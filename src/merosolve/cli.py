@@ -209,11 +209,11 @@ def _cmd_integrate(args):
     ode = EpWidthOde(omega) if args.system == "ep" else LinearOscillatorOde(omega)
     traj = integrate(ode, _parse_ic(args.ic), _parse_path(args.path),
                      tol=args.tol)
+    rows = traj.to_rows()
     if args.format == "csv":
-        rows = ["re_t,im_t,re_value,im_value,re_slope,im_slope"]
-        rows += [",".join(format(v, ".17g") for v in row)
-                 for row in traj.to_rows()]
-        return "\n".join(rows) + "\n"
+        lines = ["re_t,im_t,re_value,im_value,re_slope,im_slope"]
+        lines += [",".join([format(v, ".17g") for v in row]) for row in rows]
+        return "\n".join(lines) + "\n"
     payload = {
         "schema_version": rpt.SCHEMA_VERSION,
         "command": "integrate",
@@ -227,7 +227,7 @@ def _cmd_integrate(args):
             "rejected": traj.stats["rejected"],
             "rhs_evals": traj.stats["rhs_evals"],
         },
-        "samples": traj.to_rows(),
+        "samples": rows,
     }
     return payload
 

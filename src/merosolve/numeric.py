@@ -24,14 +24,23 @@ this with ``==``):
 - the fifth-order update and the error estimate add ``b_i * k_i`` for all
   seven i, zero weights included, onto the int 0 that ``sum()`` starts
   from, and only then multiply by h;
-- the error is ``max`` over the two components of
-  ``|e| / max(1.0, |y|, |y5|)``, starting from 0.0.
+- the error is the larger of ``|e| / max(1.0, |y|, |y5|)`` over the two
+  components, starting from 0.0.  This ``max``, and every other ``min`` or
+  ``max`` of the generic loop, is written as comparisons (``m = a`` then
+  ``if b > m: m = b``) that select the same operand: the builtins keep
+  their first argument and replace the running value only when a later
+  one compares strictly greater (``max``) or strictly less (``min``), so
+  ties and NaN resolve to the same float.
+
+Accepted points are built with ``tuple.__new__``, which skips the
+Python-level ``__new__`` of the ``TrajectoryPoint`` named tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ExponentUnresolvedError
 from .exactlab import ermakov_invariant
@@ -134,8 +143,7 @@ class ComplexPath:
         return self.waypoints[seg] + self.direction(seg) * (s - self.cums[seg])
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     t: complex
     value: complex
     slope: complex
@@ -152,27 +160,14 @@ class ComplexTrajectory:
     halt_reason: str = None
     stats: dict = field(default_factory=dict)
 
-    def values(self):
-        return [p.value for p in self.points]
-
-    def times(self):
-        return [p.t for p in self.points]
-
     @property
     def end(self) -> TrajectoryPoint:
         return self.points[-1]
 
     def to_rows(self):
         return [
-            [
-                p.t.real,
-                p.t.imag,
-                p.value.real,
-                p.value.imag,
-                p.slope.real,
-                p.slope.imag,
-            ]
-            for p in self.points
+            [t.real, t.imag, value.real, value.imag, slope.real, slope.imag]
+            for t, value, slope in self.points
         ]
 
 
@@ -218,6 +213,8 @@ def integrate(
         halt_reason = "initial value already inside the singular-manifold guard"
 
     accel = ode.accel
+    append = points.append
+    new_point = tuple.__new__
     max_steps = MAX_STEPS
     (
         _,
@@ -250,7 +247,9 @@ def integrate(
             if accepted + rejected >= max_steps:
                 halt_reason = "step budget exhausted"
                 break
-            h_try = min(h, target - s_cur)
+            h_try = target - s_cur
+            if not h_try < h:
+                h_try = h
             try:
                 # stage j: p_j = d * slope_j, q_j = d * accel(value_j)
                 p0 = d * y1
@@ -285,14 +284,33 @@ def integrate(
                                    + b4 * p4 + b5 * p5 + b6 * p6)
                 z1 = y1 + h_try * (0 + b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3
                                    + b4 * q4 + b5 * q5 + b6 * q6)
-                err = max(0.0, abs(h_try * (
+                scale = 1.0
+                m = abs(y0)
+                if m > scale:
+                    scale = m
+                m = abs(z0)
+                if m > scale:
+                    scale = m
+                err = 0.0
+                m = abs(h_try * (
                     0 + e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4
                     + e5 * p5 + e6 * p6
-                )) / max(1.0, abs(y0), abs(z0)))
-                err = max(err, abs(h_try * (
+                )) / scale
+                if m > err:
+                    err = m
+                scale = 1.0
+                m = abs(y1)
+                if m > scale:
+                    scale = m
+                m = abs(z1)
+                if m > scale:
+                    scale = m
+                m = abs(h_try * (
                     0 + e0 * q0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4
                     + e5 * q5 + e6 * q6
-                )) / max(1.0, abs(y1), abs(z1)))
+                )) / scale
+                if m > err:
+                    err = m
             except (ZeroDivisionError, OverflowError):
                 err = math.inf
 
@@ -302,16 +320,24 @@ def integrate(
                     s_cur = target
                 y0, y1 = z0, z1
                 accepted += 1
-                min_step = min(min_step, h_try)
-                max_step = max(max_step, h_try)
+                if h_try < min_step:
+                    min_step = h_try
+                if h_try > max_step:
+                    max_step = h_try
                 if not record_samples_only or s_cur == target:
-                    points.append(
-                        TrajectoryPoint(base_t + d * (s_cur - base_s), y0, y1)
-                    )
+                    append(new_point(
+                        TrajectoryPoint,
+                        (base_t + d * (s_cur - base_s), y0, y1),
+                    ))
                 if err == 0.0:
                     factor = 5.0
                 else:
-                    factor = min(5.0, max(0.2, 0.9 * (tol * h_try / err) ** 0.2))
+                    # min(5.0, max(0.2, f))
+                    factor = 0.9 * (tol * h_try / err) ** 0.2
+                    if not factor > 0.2:
+                        factor = 0.2
+                    if not factor < 5.0:
+                        factor = 5.0
                 h = h_try * factor
                 if halt_radius and abs(y0) < halt_radius:
                     halt_reason = (
@@ -324,7 +350,13 @@ def integrate(
                 if err == math.inf:
                     h = h_try / 2.0
                 else:
-                    h = h_try * min(1.0, max(0.1, 0.9 * (tol * h_try / err) ** 0.2))
+                    # min(1.0, max(0.1, f))
+                    factor = 0.9 * (tol * h_try / err) ** 0.2
+                    if not factor > 0.1:
+                        factor = 0.1
+                    if not factor < 1.0:
+                        factor = 1.0
+                    h = h_try * factor
                 if h < h_min:
                     halt_reason = "step size underflow near a singular point"
                     break
@@ -374,10 +406,12 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
     pts = traj.points
     if len(pts) < 6:
         return SingularityProbe(t_star=None, kind="none")
-    end_mag = abs(pts[-1].value)
+    _, end_value, _ = pts[-1]
+    end_mag = abs(end_value)
     start = len(pts) - 1
     while start > 0:
-        if abs(pts[start - 1].value) >= 2.0 * end_mag and len(pts) - start >= 5:
+        _, value, _ = pts[start - 1]
+        if abs(value) >= 2.0 * end_mag and len(pts) - start >= 5:
             start -= 1
             break
         start -= 1
@@ -387,7 +421,9 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
     if len(w) > max_window:
         stride = (len(w) - 1) / (max_window - 1)
         w = [w[round(i * stride)] for i in range(max_window - 1)] + [w[-1]]
-    mags = [abs(p.value) for p in w]
+    ts = [t for t, _, _ in w]
+    ys = [value for _, value, _ in w]
+    mags = [abs(y) for y in ys]
     halted_singular = traj.halted and traj.halt_reason and "singular" in traj.halt_reason
     decreasing = all(
         mags[i + 1] <= mags[i] * (1 + 1e-9) for i in range(len(mags) - 1)
@@ -396,12 +432,12 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
         return SingularityProbe(t_star=None, kind="none")
 
     s_vals = [0.0]
-    for a, b in zip(w, w[1:]):
-        s_vals.append(s_vals[-1] + abs(b.t - a.t))
+    for a, b in zip(ts, ts[1:]):
+        s_vals.append(s_vals[-1] + abs(b - a))
     import numpy as np
 
     s = np.array(s_vals)
-    values = np.array([p.value ** 2 for p in w], dtype=complex)
+    values = np.array([y ** 2 for y in ys], dtype=complex)
     coeffs = np.polyfit(s, values, 2)
     fitted = np.polyval(coeffs, s)
     scale = max(1e-300, float(np.max(np.abs(values))))
@@ -413,8 +449,8 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
         return SingularityProbe(t_star=None, kind="none", fit_residual=fit_residual)
     s_end = s_vals[-1]
     root = min((complex(r) for r in roots), key=lambda z: abs(z - s_end))
-    direction = (w[-1].t - w[-2].t) / abs(w[-1].t - w[-2].t)
-    t_star = w[-1].t + direction * (root - s_end)
+    direction = (ts[-1] - ts[-2]) / abs(ts[-1] - ts[-2])
+    t_star = ts[-1] + direction * (root - s_end)
     return SingularityProbe(
         t_star=complex(t_star),
         kind="zero-of-alpha",
@@ -434,9 +470,9 @@ def fit_local_exponent(
     """
     t_star = complex(t_star)
     pairs = [
-        (abs(p.t - t_star), m)
-        for p in traj.points
-        if p.t != t_star and (m := abs(p.value)) > 0
+        (abs(t - t_star), m)
+        for t, value, _ in traj.points
+        if t != t_star and (m := abs(value)) > 0
     ]
     if not pairs:
         raise ValueError("trajectory has no usable samples")

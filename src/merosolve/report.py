@@ -108,6 +108,17 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        for v in obj:
+            if type(v) is not float:
+                break
+        else:
+            # A row of plain floats in one pass.  For a finite float
+            # format(v, ".17g") is _fmt_float(v), signed zeros included, and
+            # only inf and nan put an "n" into the line.
+            line = "[" + ", ".join([format(v, ".17g") for v in obj]) + "]"
+            if "n" in line:
+                raise ValueError("non-finite float in report payload")
+            return line
         items = [to_json(v, indent + 1) for v in obj]
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
             return "[" + ", ".join(items) + "]"
@@ -188,21 +199,34 @@ class ClaimedPole:
 # the analysis record
 # ---------------------------------------------------------------------------
 
-def _check_free(free, families):
-    """Reject free values at orders where no consistent family has a
-    positive resonance on its branch lattice: the solver would never use
-    them."""
-    available = sorted({
-        r for f in families if f.consistent for r in f.resonances
-        if r > 0 and (r * f.branch_order).denominator == 1
-    })
-    unused = sorted(Fraction(r) for r in free if Fraction(r) not in available)
+def _check_free(free, families, K):
+    """Reject free values the solver would never use: at orders where no
+    consistent family has a positive resonance on its branch lattice, or at
+    a resonance that no family's series reaches by the truncation order K."""
+    reached_at = {}  # resonance -> lowest series order that reaches it
+    for f in families:
+        if not f.consistent:
+            continue
+        for r in f.resonances:
+            rho = r * f.branch_order
+            if r > 0 and rho.denominator == 1:
+                reached_at[r] = min(reached_at.get(r, rho), rho)
+    requested = sorted(Fraction(r) for r in free)
+    unused = [r for r in requested if r not in reached_at]
     if unused:
-        listed = ", ".join(frac_str(r) for r in available) or "none"
+        listed = ", ".join(frac_str(r) for r in sorted(reached_at)) or "none"
         raise ValueError(
             "free value at a non-resonant order "
             f"{', '.join(frac_str(r) for r in unused)}; "
             f"available resonances: {listed}"
+        )
+    beyond = [r for r in requested if reached_at[r] > K]
+    if beyond:
+        needed = max(reached_at[r] for r in beyond)
+        raise ValueError(
+            "free value at resonance "
+            f"{', '.join(frac_str(r) for r in beyond)} lies beyond the "
+            f"truncation order {K}; it needs --order {needed} or higher"
         )
 
 
@@ -228,7 +252,7 @@ class Analysis:
         self.poly = normalize(self.ast, env)
         self.families = find_balances(self.poly, n_max=n_max, window=window)
         if free:
-            _check_free(free, self.families)
+            _check_free(free, self.families, K)
         self.pole_family = next((f for f in self.families if f.p == -1), None)
         self.residue = QComplex(0, 1) if is_exact(self.omega) else 1j
         # None without a frequency or when a recursion denominator vanishes

@@ -629,7 +629,12 @@ def solve_local_series(
 
     tol = _compat_tolerance(poly, a)
     compatibility = []
-    free_used = {r: free.get(r, canonical_scalar(0)) for r in resonance_orders.values()}
+    # only the resonances the truncated series reaches take a free value
+    free_used = {
+        r: free.get(r, canonical_scalar(0))
+        for rho, r in resonance_orders.items()
+        if rho <= K
+    }
     if force:
         compatibility.append(
             CompatibilityCheck(Fraction(0), is_zero(lead_val, tol), lead_val)

@@ -92,6 +92,36 @@ def test_free_value_at_non_resonant_order_exits_2(capsys):
     assert "available resonances: 1" in err
 
 
+def test_free_value_beyond_truncation_order_exits_2(capsys):
+    # the pole family of y'' = 2 y^3 reaches its resonance 4 at order 4
+    argv = ["series", "--ode", "y'' - 2*y^3", "--free", "4=1", "--order", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "resonance 4 lies beyond the truncation order 2" in err
+    assert "--order 4" in err
+
+
+def test_free_value_at_the_truncation_order_is_used(tmp_path):
+    payload = run_json(tmp_path, [
+        "series", "--ode", "y'' - 2*y^3", "--free", "4=1", "--order", "4",
+    ])
+    (solution,) = payload["series"]["solutions"]
+    assert solution["free_parameters"] == {"4": [1, 0]}
+    assert [c["resonance"] for c in solution["compatibility"]] == ["4"]
+
+
+def test_free_parameters_list_only_resonances_the_series_reaches(tmp_path):
+    # p = -2/7 has the resonance 18/7, reached at series order 18
+    argv = ["analyze", "--ode", "y'' - c*y^8", "--param", "c=6",
+            "--branch-max", "7"]
+    for order, listed in (("12", {}), ("18", {"18/7": [0, 0]})):
+        payload = run_json(tmp_path, argv + ["--order", order])
+        for solution in payload["series"]["solutions"]:
+            assert solution["p"] == "-2/7"
+            assert solution["free_parameters"] == listed
+            assert len(solution["compatibility"]) == len(listed)
+
+
 def test_float_resonance_off_the_360_lattice_is_kept(tmp_path):
     # p = -2/7 has the resonance 18/7, and 7 does not divide 360
     payload = run_json(tmp_path, [

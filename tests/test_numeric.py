@@ -344,6 +344,17 @@ _REFERENCE_CASES = {
     "tol-max": (
         EpWidthOde(0.0), (1.0, 0.0), [0, 2j], TOL_MAX, None, False,
     ),
+    # alpha = 1 is the equilibrium at omega = 1: every stage is exactly 0,
+    # so each step has err == 0.0 and grows fivefold
+    "zero-error-equilibrium": (
+        EpWidthOde(1.0), (1.0, 0.0), [0, 2], 1e-10, None, False,
+    ),
+    # the sample point lies exactly one proposed step past the second
+    # accepted point, so the remainder to it equals the proposed step
+    "remainder-equals-step": (
+        EpWidthOde(1.0), (2.0, 0.0), [0, 3], 1e-8, [0.10825316095467102],
+        False,
+    ),
     # omega**2 overflows, so every stage raises and every step is rejected
     "overflowing-omega": (
         EpWidthOde(1e200), (1.0, 0.0), [0, 1], 1e-10, None, False,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from merosolve import report
 from merosolve.report import (
@@ -164,6 +165,44 @@ def test_to_json_rejects_unknown_types():
         to_json({"x": object()})
     with pytest.raises(TypeError):
         to_json({1: "non-string key"})
+
+
+_FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE_FLOATS, min_size=1, max_size=8))
+def test_to_json_float_row_matches_per_item_formatting(row):
+    # a row of plain floats takes the one-pass path; it must print what
+    # _fmt_float prints for each item
+    want = "[" + ", ".join(report._fmt_float(v) for v in row) + "]"
+    assert to_json(row) == want
+    assert to_json(tuple(row)) == want
+    assert to_json({"rows": [row]}) == '{\n  "rows": [\n    ' + want + "\n  ]\n}"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_to_json_rejects_non_finite_in_float_rows(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        to_json([1.0, bad, -0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        to_json({"samples": [[0.0, 1.0], [bad, 0.5]]})
+
+
+class _Float(float):
+    pass
+
+
+def test_to_json_float_subclass_row_renders_the_same_bytes():
+    row = [0.0, -0.0, 1.5, 5e-324, -2.5e300, math.pi]
+    assert to_json([_Float(v) for v in row]) == to_json(row)
+    assert to_json([1.0, _Float(-0.0)]) == "[1, -0]"
+    with pytest.raises(ValueError, match="non-finite"):
+        to_json([_Float(math.inf)])
 
 
 def test_frac_str():

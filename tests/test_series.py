@@ -229,6 +229,15 @@ def test_solve_cubic_exact_pole(w3_poly, w3_family):
     assert local.free_parameters == {Fraction(4): QComplex(0)}
 
 
+def test_free_parameters_stop_at_the_truncation_order(w3_poly, w3_family):
+    # the resonance 4 sits at series order 4, beyond K = 3
+    local = solve_local_series(
+        w3_poly, w3_family, 1, K=3, free={Fraction(4): QComplex(1, 0)}
+    )
+    assert local.free_parameters == {}
+    assert local.compatibility == ()
+
+
 def test_solve_free_parameter_injection(w3_poly, w3_family):
     local = solve_local_series(
         w3_poly, w3_family, 1, K=10, free={Fraction(4): QComplex(1, 0)}
