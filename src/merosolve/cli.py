@@ -222,11 +222,7 @@ def _cmd_integrate(args):
         "tol": args.tol,
         "halted": traj.halted,
         "halt_reason": traj.halt_reason,
-        "stats": {
-            "accepted": traj.stats["accepted"],
-            "rejected": traj.stats["rejected"],
-            "rhs_evals": traj.stats["rhs_evals"],
-        },
+        "stats": rpt.trajectory_stats(traj),
         "samples": rows,
     }
     return payload

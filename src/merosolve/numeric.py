@@ -3,10 +3,13 @@ singularity probing, invariant drift monitoring and series-vs-numeric
 comparison.
 
 Integration runs an embedded Dormand-Prince 5(4) pair directly on complex
-state along piecewise-straight paths, with the local error per unit step
-held below the requested tolerance.  Near the singular manifold of the width
+state along piecewise-straight paths, with the local error of each step held
+at or below the requested tolerance (standard per-step control, Hairer,
+Norsett & Wanner I, section II.4).  Near the singular manifold of the width
 equation (a zero of the solution) the integrator halts with a diagnostic
-instead of stepping into the blow-up.
+instead of stepping into the blow-up: at a square-root branch point the
+steps shrink in proportion to the distance left, so the approach reaches the
+10*sqrt(tol) guard in a few hundred steps.
 
 Both equations are autonomous and second order, u'' = accel(u), so the state
 is the pair (value, slope) and an ODE class supplies only ``accel``.  Along a
@@ -186,7 +189,7 @@ def integrate(
     ``sample_points`` become exact step boundaries so several trajectories
     can share a grid; with ``record_samples_only`` the output contains just
     those shared points (plus start and waypoints), which makes grids from
-    different equations comparable.  The local error per unit step is kept
+    different equations comparable.  The local error of each step is kept
     at or below ``tol``; integration halts with a recorded reason near the
     singular manifold, on step underflow or after ``MAX_STEPS`` steps.
     """
@@ -314,7 +317,7 @@ def integrate(
             except (ZeroDivisionError, OverflowError):
                 err = math.inf
 
-            if err <= tol * h_try:
+            if err <= tol:
                 s_cur += h_try
                 if abs(s_cur - target) <= snap:
                     s_cur = target
@@ -333,7 +336,7 @@ def integrate(
                     factor = 5.0
                 else:
                     # min(5.0, max(0.2, f))
-                    factor = 0.9 * (tol * h_try / err) ** 0.2
+                    factor = 0.9 * (tol / err) ** 0.2
                     if not factor > 0.2:
                         factor = 0.2
                     if not factor < 5.0:
@@ -351,7 +354,7 @@ def integrate(
                     h = h_try / 2.0
                 else:
                     # min(1.0, max(0.1, f))
-                    factor = 0.9 * (tol * h_try / err) ** 0.2
+                    factor = 0.9 * (tol / err) ** 0.2
                     if not factor > 0.1:
                         factor = 0.1
                     if not factor < 1.0:

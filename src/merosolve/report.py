@@ -859,6 +859,17 @@ def _constraint_json(report: dict) -> dict:
     }
 
 
+def trajectory_stats(traj) -> dict:
+    """The integrator counters printed with a trajectory; step extremes stay
+    out because they are infinite on a trajectory without accepted steps."""
+    stats = traj.stats
+    return {
+        "accepted": stats["accepted"],
+        "rejected": stats["rejected"],
+        "rhs_evals": stats["rhs_evals"],
+    }
+
+
 def probe_payload(omega, ic, path_points, tol: float = 1e-10) -> dict:
     """Integrate one path, locate the singular approach and fit the local
     exponent; failures to resolve are embedded, not raised."""
@@ -874,6 +885,7 @@ def probe_payload(omega, ic, path_points, tol: float = 1e-10) -> dict:
         "path": [complex_json(w) for w in path.waypoints],
         "halted": traj.halted,
         "halt_reason": traj.halt_reason,
+        "stats": trajectory_stats(traj),
         "samples": len(traj.points),
         "kind": probe.kind,
         "t_star": complex_json(probe.t_star) if probe.t_star is not None else None,

@@ -210,6 +210,11 @@ def test_probe_command(tmp_path):
     t_star = complex(payload["t_star"][0], payload["t_star"][1])
     assert abs(t_star - 1j) < 1e-3
     assert abs(payload["exponent"]["value"] - 0.5) < 0.02
+    stats = payload["stats"]
+    assert set(stats) == {"accepted", "rejected", "rhs_evals"}
+    assert stats["rhs_evals"] == 7 * (stats["accepted"] + stats["rejected"])
+    # one recorded sample per accepted step, plus the start point
+    assert payload["samples"] == stats["accepted"] + 1
 
 
 def test_verify_exact_pinney(tmp_path):

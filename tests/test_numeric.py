@@ -89,12 +89,16 @@ def test_integrate_rejects_zero_initial_width():
 
 
 def test_integrate_halts_near_singular_manifold():
-    # path driving straight at the zero of 1 + t^2: every step near it fails
-    # while |value| is still above the 10*sqrt(tol) manifold guard, so the
-    # integrator halts on step underflow, not on the guard
+    # path driving straight at the zero of 1 + t^2: with the local error of
+    # each step held at tol the steps shrink in proportion to the distance
+    # to the branch point, so a few hundred steps reach the 10*sqrt(tol)
+    # manifold guard
     traj = integrate(EpWidthOde(0.0), (1.0, 0.0), [0, 1.0000001j], tol=1e-10)
     assert traj.halted
-    assert traj.halt_reason == "step size underflow near a singular point"
+    assert traj.halt_reason == (
+        "approaching the singular manifold: |value| < 1.000e-04"
+    )
+    assert traj.stats["accepted"] + traj.stats["rejected"] <= 1000
 
 
 def test_integrate_shared_sample_grid():
@@ -146,13 +150,24 @@ def test_integrate_exhausts_step_budget(monkeypatch):
 
 
 def test_integrate_halts_on_step_underflow():
-    # straight into the branch point t = i of sqrt(1 + t^2): the step falls
-    # below h_min while |value| is still above the manifold guard (1e-4)
-    traj = integrate(EpWidthOde(0.0), (1.0, 0.0), [0, 1.0000001j], tol=1e-10)
+    # omega**2 overflows, so every step fails and is halved until it falls
+    # below h_min without a single accepted step
+    traj = integrate(EpWidthOde(1e200), (1.0, 0.0), [0, 1], tol=1e-10)
     assert traj.halted
     assert traj.halt_reason == "step size underflow near a singular point"
-    assert abs(traj.end.t - 1j) < 1e-6
-    assert abs(traj.end.value) > 1e-4
+    assert traj.stats["accepted"] == 0
+    assert traj.stats["rejected"] == 40
+    assert len(traj.points) == 1
+
+
+def test_integrate_long_path_within_step_budget():
+    # about 160 periods at the smallest tolerance stay inside MAX_STEPS
+    # (about 151k steps) and keep the global error within 1e-8
+    basis = oscillator_basis(1.0)
+    width = pinney_solution(QuadFormParams(4, 0, 0.25), basis)
+    traj = integrate(EpWidthOde(1.0), (2.0, 0.0), [0, 1000], tol=1e-12)
+    assert not traj.halted
+    assert abs(traj.end.value - width(1000.0)) <= 1e-8
 
 
 def test_integrate_halts_on_singular_manifold_guard():
@@ -277,7 +292,7 @@ def _reference_integrate(ode, ic, path, tol, sample_points=None,
             except (ZeroDivisionError, OverflowError):
                 err = math.inf
                 y5 = None
-            if err <= tol * h_try:
+            if err <= tol:
                 s_cur += h_try
                 if abs(s_cur - target) <= 1e-12 * max(1.0, path.length):
                     s_cur = target
@@ -291,7 +306,7 @@ def _reference_integrate(ode, ic, path, tol, sample_points=None,
                 if err == 0.0:
                     factor = 5.0
                 else:
-                    factor = min(5.0, max(0.2, 0.9 * (tol * h_try / err) ** 0.2))
+                    factor = min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
                 h = h_try * factor
                 if halt_radius and abs(y[0]) < halt_radius:
                     traj.halted = True
@@ -306,7 +321,7 @@ def _reference_integrate(ode, ic, path, tol, sample_points=None,
                 if err == math.inf:
                     h = h_try / 2.0
                 else:
-                    h = h_try * min(1.0, max(0.1, 0.9 * (tol * h_try / err) ** 0.2))
+                    h = h_try * min(1.0, max(0.1, 0.9 * (tol / err) ** 0.2))
                 if h < h_min:
                     traj.halted = True
                     traj.halt_reason = "step size underflow near a singular point"
@@ -388,6 +403,20 @@ def test_detect_zero_of_width_near_i():
     probe = detect_singularity(traj)
     assert probe.kind == "zero-of-alpha"
     assert abs(probe.t_star - 1j) < 1e-3
+
+
+def test_probe_to_pinney_zero_stops_on_manifold_guard():
+    # straight at the analytic zero: the probe halts on the guard after a
+    # short approach that still resolves t* and the exponent 1/2
+    t_star = _analytic_zero(1.0, 2.0)
+    traj = integrate(EpWidthOde(1.0), (2.0, 0.0), [0, t_star], tol=1e-10)
+    assert traj.halt_reason.startswith("approaching the singular manifold")
+    assert traj.stats["accepted"] + traj.stats["rejected"] <= 1000
+    probe = detect_singularity(traj)
+    assert probe.kind == "zero-of-alpha"
+    assert abs(probe.t_star - t_star) <= 1e-9
+    fit = fit_local_exponent(traj, probe.t_star)
+    assert abs(fit.value - 0.5) <= 1e-6
 
 
 def test_detect_nothing_on_constant_solution():

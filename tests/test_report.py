@@ -13,6 +13,8 @@ from merosolve.report import (
     claimed_pole_coefficients,
     coefficient_comparison_section,
     complex_json,
+    exactlab_claims,
+    exactlab_results,
     frac_str,
     numeric_claims,
     to_json,
@@ -111,6 +113,15 @@ def test_numeric_claims_refuted_off_axis():
 def test_numeric_claims_not_applicable_without_detection():
     claims = numeric_claims([probe(None, kind="none")])
     assert claims[0]["status"] == "not-applicable"
+
+
+@pytest.mark.parametrize("omega", [0.1, 0.5, 1, 2, 3, 5, 10])
+def test_invariant_conservation_holds_at_default_tolerance(omega):
+    # the drift threshold is 1e-8; at the default tol 1e-10 the largest
+    # drift over these frequencies is about 1.7e-9 (omega = 5)
+    results = exactlab_results(omega=omega, tol=1e-10)
+    statuses = {c["id"]: c["status"] for c in exactlab_claims(results)}
+    assert statuses["invariant-conservation"] == "confirmed"
 
 
 def test_analysis_claim_statuses_default(ep_poly):
