@@ -1,15 +1,25 @@
 """Dominant-balance search for movable-singularity families.
 
 Substituting ``y ~ a * tau**p`` into a cleared differential polynomial sends
-each monomial to a single power of tau; a candidate exponent p is kept when
-at least two monomials share the minimal exponent q and every other monomial
-sits at or above it.  Negative integer p are additionally reported even when
-a single monomial dominates, so claimed pole families always receive an
-explicit verdict instead of silently disappearing.
+each monomial to a single power of tau, ``D*p - W``: D is its total degree
+and W = sum k*d_k its total derivative order.  A candidate exponent p is
+kept when at least two monomials share the minimal exponent q and every
+other monomial sits at or above it.  Negative integer p are additionally
+reported even when a single monomial dominates, so claimed pole families
+always receive an explicit verdict instead of silently disappearing.
 
-The leading equation, the resonance polynomial and the solver's linear
-response all read one linearization of the dominant monomials
-(``_dominant_terms``).
+The search runs on integers.  Candidates are reduced pairs (m, n) ordered
+by m/n, and at p = m/n the monomials are compared by ``D*m - n*W``, n times
+their exponent; ``Fraction`` values of p and q are built only for the
+families kept.  A family's leading equation needs only the weight
+``coeff * prod falling(p, k)**d_k`` of each dominant monomial.
+
+Only a family with a nonzero leading root is linearized: ``linearize``
+builds the perturbation polynomial of each dominant monomial once, and the
+resonances (``rational_resonances``, via ``compute_resonances`` during the
+search) and the solver's linear response (``linear_response``) both read
+that one linearization.  ``series.solve_local_series`` builds it once per
+solve and passes it to both.
 
 Roots follow one rule.  Exact coefficients are cleared to primitive
 Gaussian integers with leading coefficient d.  By the rational-root theorem
@@ -79,9 +89,25 @@ def falling(x: Fraction, k: int) -> Fraction:
 
 
 def monomial_exponent(mono: DiffMonomial, p: Fraction) -> Fraction:
-    """Leading tau-exponent of a monomial under y ~ a * tau**p."""
+    """Leading tau-exponent ``D*p - W`` of a monomial under y ~ a * tau**p."""
+    return mono.total_degree * Fraction(p) - mono.derivative_weight
+
+
+def _scaled_exponents(weights, m: int, n: int) -> list:
+    """``D*m - n*W`` for each pair (D, W) of ``weights``: n times the
+    monomial exponents at p = m/n, as integers."""
+    return [deg * m - n * w for deg, w in weights]
+
+
+def _degree_weights(poly: DifferentialPolynomial) -> list:
+    return [(mono.total_degree, mono.derivative_weight) for mono in poly.monomials]
+
+
+def scaled_exponents(poly: DifferentialPolynomial, p: Fraction) -> list:
+    """The integers ``D*m - n*W`` of every monomial at p = m/n in lowest
+    terms: n times each monomial's leading tau-exponent."""
     p = Fraction(p)
-    return sum((Fraction(d) * (p - k) for k, d in mono.degrees), Fraction(0))
+    return _scaled_exponents(_degree_weights(poly), p.numerator, p.denominator)
 
 
 @dataclass(frozen=True)
@@ -138,69 +164,82 @@ def _trim(coeffs):
     return out
 
 
-def _dominant_terms(poly: DifferentialPolynomial, p: Fraction, dominant):
-    """One linearization of the dominant monomials: a triple ``(s, phi,
-    gamma)`` per monomial, scaled by its coefficient.  Under y = a*tau**p
-    the monomial contributes ``phi * a**s`` to the leading equation; under
-    y = a*tau**p*(1 + eps*tau**r) it gains ``eps * gamma(r) * a**s`` at
-    relative order r, with gamma ascending in r."""
-    terms = []
+def _leading_polynomial(poly: DifferentialPolynomial, p: Fraction, dominant):
+    """Leading equation in the coefficient a, ascending powers: under
+    y = a*tau**p each dominant monomial contributes ``phi * a**s``, s its
+    total degree and phi = coeff * prod falling(p, k)**d_k."""
+    coeffs = [0]
     for idx in dominant:
         mono = poly.monomials[idx]
         weight = Fraction(1)
         for k, d in mono.degrees:
             weight *= falling(p, k) ** d
-        gamma = [mul_frac(mono.coeff, c) for c in _perturbation_poly(mono, p)]
-        terms.append((mono.total_degree, mul_frac(mono.coeff, weight), gamma))
-    return terms
-
-
-def _leading_polynomial(terms):
-    """Leading equation in the coefficient a, ascending powers."""
-    coeffs = [0]
-    for s, phi, _ in terms:
+        s = mono.total_degree
         if len(coeffs) <= s:
             coeffs.extend([0] * (s + 1 - len(coeffs)))
-        coeffs[s] = coeffs[s] + phi
+        coeffs[s] = coeffs[s] + mul_frac(mono.coeff, weight)
     return coeffs
+
+
+@dataclass(frozen=True)
+class Linearization:
+    """The dominant monomials of one family linearized about y = a*tau**p.
+    Under y = a*tau**p*(1 + eps*tau**r) the monomial of total degree s gains
+    ``eps * gamma(r) * a**s`` at relative order r; ``terms`` holds one pair
+    (s, gamma) per dominant monomial, gamma scaled by its coefficient and
+    ascending in r.  The family's leading polynomial holds, at a**s, the
+    sum phi of the same monomials' leading weights."""
+
+    family: BalanceFamily
+    terms: tuple
+
+
+def linearize(poly: DifferentialPolynomial, fam: BalanceFamily) -> Linearization:
+    """The linearization that the resonances and the linear response of
+    ``fam`` read."""
+    terms = []
+    for idx in fam.dominant:
+        mono = poly.monomials[idx]
+        gamma = [mul_frac(mono.coeff, c) for c in _perturbation_poly(mono, fam.p)]
+        terms.append((mono.total_degree, gamma))
+    return Linearization(fam, tuple(terms))
 
 
 def _response(terms, a):
     """R(r) = sum of a**s * gamma(r): the response of the leading order to
     the scaled perturbation, ascending in r."""
     out = []
-    for s, _, gamma in terms:
+    for s, gamma in terms:
         out = _poly_add(out, [scalar_pow(a, s) * c for c in gamma])
     return out
 
 
-def _resonance_poly(poly: DifferentialPolynomial, fam: BalanceFamily, a):
+def _resonance_poly(lin: Linearization, a):
     """Polynomial whose roots are the resonances.  With at most two
     total-degree groups the leading equation eliminates a, so the result is
     exact for exact input; otherwise it is R(r) at the given a."""
-    terms = _dominant_terms(poly, fam.p, fam.dominant)
     groups = {}
-    for s, phi, gamma in terms:
-        old_phi, old_gamma = groups.get(s, (0, []))
-        groups[s] = (old_phi + phi, _poly_add(old_gamma, gamma))
+    for s, gamma in lin.terms:
+        groups[s] = _poly_add(groups.get(s, []), gamma)
     if len(groups) == 1:
-        ((_, gamma),) = groups.values()
+        (gamma,) = groups.values()
         return gamma
     if len(groups) == 2:
-        (phi1, gamma1), (phi2, gamma2) = (groups[s] for s in sorted(groups))
-        return _poly_add([phi2 * c for c in gamma1], [-(phi1 * c) for c in gamma2])
-    return _response(terms, a)
+        s1, s2 = sorted(groups)
+        phi1, phi2 = lin.family.leading_poly[s1], lin.family.leading_poly[s2]
+        return _poly_add([phi2 * c for c in groups[s1]],
+                         [-(phi1 * c) for c in groups[s2]])
+    return _response(lin.terms, a)
 
 
-def linear_response(poly: DifferentialPolynomial, fam: BalanceFamily, a):
+def linear_response(lin: Linearization, a):
     """Response polynomial R(r)/a, ascending in r.  Its value at r is the
     coefficient multiplying a raw series coefficient injected at relative
     order r: the scaled perturbation y = a*tau**p*(1 + eps*tau**r) responds
     with eps * R(r), and a raw coefficient delta at the same order
     corresponds to eps = delta/a."""
     a = canonical_scalar(a)
-    terms = _dominant_terms(poly, fam.p, fam.dominant)
-    return [c / a for c in _response(terms, a)]
+    return [c / a for c in _response(lin.terms, a)]
 
 
 def _is_exact_poly(coeffs) -> bool:
@@ -400,13 +439,15 @@ def _nonzero_roots(lead_coeffs):
     return tuple(roots)
 
 
-def rational_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
+def rational_resonances(lin: Linearization, a):
     """Rational resonances (orders at which free coefficients enter) of one
-    family at leading coefficient a, sorted.  Roots that are not real and
-    rational are left out; callers decide whether that is an error.  There
-    is no -1 membership requirement, so force-solved families, whose
-    leading equation is knowingly violated, use this directly."""
-    coeffs = _trim(_resonance_poly(poly, fam, canonical_scalar(a)))
+    linearized family at leading coefficient a, sorted.  Roots that are not
+    real and rational are left out; callers decide whether that is an
+    error.  There is no -1 membership requirement, so force-solved
+    families, whose leading equation is knowingly violated, use this
+    directly."""
+    fam = lin.family
+    coeffs = _trim(_resonance_poly(lin, canonical_scalar(a)))
     if not coeffs:
         raise DegenerateFamilyError(
             f"degenerate family at p = {fam.p}: resonance polynomial vanishes"
@@ -433,7 +474,7 @@ def compute_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
     a = canonical_scalar(a)
     if is_zero(a, 0.0):
         raise ValueError("leading coefficient must be nonzero")
-    roots = rational_resonances(poly, fam, a)
+    roots = rational_resonances(linearize(poly, fam), a)
     if Fraction(-1) not in roots:
         raise InternalInconsistencyError(
             f"resonance -1 missing for family p = {fam.p}; balance inconsistent"
@@ -442,18 +483,20 @@ def compute_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
 
 
 def candidate_exponents(n_max: int = DEFAULT_BRANCH_MAX, window: int = DEFAULT_WINDOW):
-    """Reduced candidate exponents m/n; zero and the nonnegative integers are
-    excluded (those are regular-point behaviors, not singularities)."""
-    seen = set()
-    for n in range(1, n_max + 1):
-        for m in range(-window, window + 1):
-            if m == 0:
-                continue
-            p = Fraction(m, n)
-            if p.denominator == 1 and p > 0:
-                continue
-            seen.add(p)
-    return sorted(seen)
+    """Candidate exponents m/n as reduced integer pairs (m, n), ascending in
+    m/n, with 1 <= n <= n_max and 1 <= |m| <= window; the nonnegative
+    integers are excluded (those are regular-point behaviors, not
+    singularities)."""
+    pairs = [
+        (m, n)
+        for n in range(1, n_max + 1)
+        for m in range(-window, window + 1)
+        if m and math.gcd(m, n) == 1 and (n > 1 or m < 0)
+    ]
+    # m/n < m'/n' exactly when m*(L/n) < m'*(L/n'), L a common multiple
+    scale = math.lcm(*range(1, n_max + 1))
+    pairs.sort(key=lambda mn: mn[0] * (scale // mn[1]))
+    return pairs
 
 
 def find_balances(
@@ -468,20 +511,25 @@ def find_balances(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    weights = _degree_weights(poly)
     families = []
-    for p in candidate_exponents(n_max, window):
-        exps = [monomial_exponent(m, p) for m in poly.monomials]
-        q = min(exps)
-        dominant = tuple(i for i, e in enumerate(exps) if e == q)
+    for m, n in candidate_exponents(n_max, window):
+        exps = _scaled_exponents(weights, m, n)
+        low = min(exps)
+        dominant = tuple(i for i, e in enumerate(exps) if e == low)
         two_term = len(dominant) >= 2
-        if not two_term and not (p.denominator == 1 and p < 0):
+        if not two_term and not (n == 1 and m < 0):
             continue
-        lead = _leading_polynomial(_dominant_terms(poly, p, dominant))
-        roots = _nonzero_roots(lead)
+        p = Fraction(m, n)
+        lead = _leading_polynomial(poly, p, dominant)
+        # a single dominant monomial leaves one term: no nonzero root
+        roots = _nonzero_roots(lead) if two_term else ()
         fam = BalanceFamily(
             p=p,
-            branch_order=p.denominator,
-            q=q,
+            branch_order=n,
+            q=Fraction(low, n),
             dominant=dominant,
             leading_poly=tuple(lead),
             leading_coeffs=roots,

@@ -36,9 +36,10 @@ def _add_ode_options(p):
     p.add_argument("--order", type=int, default=12, metavar="K",
                    help="series truncation order (default 12)")
     p.add_argument("--branch-max", type=int, default=4, metavar="N",
-                   help="largest branch order searched (default 4)")
+                   help="largest branch order searched, at least 1 (default 4)")
     p.add_argument("--window", type=int, default=6, metavar="M",
-                   help="numerator window for candidate exponents (default 6)")
+                   help="numerator window for candidate exponents, at least 1 "
+                        "(default 6)")
     p.add_argument("--free", action="append", default=[], metavar="R=VALUE",
                    help="free-parameter value injected at resonance R "
                         "(repeatable)")

@@ -432,6 +432,11 @@ class DiffMonomial:
         return sum(d for _, d in self.degrees)
 
     @property
+    def derivative_weight(self) -> int:
+        """Total derivative order W = sum k*d_k."""
+        return sum(k * d for k, d in self.degrees)
+
+    @property
     def max_order(self) -> int:
         return max((k for k, _ in self.degrees), default=0)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .balance import find_balances, monomial_exponent
+from .balance import find_balances, scaled_exponents
 from .closedform import (
     DEFAULT_VERIFY_ORDER,
     ClosedFormCandidate,
@@ -334,20 +334,22 @@ def ode_section(a: Analysis) -> dict:
     }
 
 
+def _uncleared_exponents(fam, poly) -> list:
+    """The monomial exponents at the family's p in the original, uncleared
+    equation: clearing multiplied it by y**C, C the ``clearing_multiplier``,
+    which raised every exponent by C*p."""
+    shift = poly.clearing_multiplier * fam.p.numerator
+    return [Fraction(e - shift, fam.p.denominator)
+            for e in scaled_exponents(poly, fam.p)]
+
+
 def _uncleared_q(fam, poly) -> str:
     """The family's q in the original, uncleared equation."""
-    return frac_str(
-        min(monomial_exponent(mono, fam.p) for mono in poly.monomials)
-        - poly.clearing_multiplier * fam.p
-    )
+    return frac_str(min(_uncleared_exponents(fam, poly)))
 
 
 def family_json(fam, poly) -> dict:
-    m = poly.clearing_multiplier
-    uncleared = [
-        frac_str(monomial_exponent(mono, fam.p) - m * fam.p)
-        for mono in poly.monomials
-    ]
+    uncleared = _uncleared_exponents(fam, poly)
     return {
         "p": frac_str(fam.p),
         "branch_order": fam.branch_order,
@@ -359,8 +361,8 @@ def family_json(fam, poly) -> dict:
         "leading_coefficients": [complex_json(a) for a in fam.leading_coeffs],
         "consistent": fam.consistent,
         "resonances": [frac_str(r) for r in fam.resonances],
-        "uncleared_exponents": uncleared,
-        "uncleared_q": _uncleared_q(fam, poly),
+        "uncleared_exponents": [frac_str(e) for e in uncleared],
+        "uncleared_q": frac_str(min(uncleared)),
     }
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balance import BalanceFamily, linear_response, rational_resonances
+from .balance import BalanceFamily, linear_response, linearize, rational_resonances
 from .errors import InternalInconsistencyError, TruncationError
 from .odemodel import DifferentialPolynomial
 from .scalars import (
@@ -619,13 +619,14 @@ def solve_local_series(
             "a does not satisfy the leading equation; pass force=True "
             "to inject it anyway"
         )
+    lin = linearize(poly, fam)
     resonance_orders = {}
-    for r in rational_resonances(poly, fam, a):
+    for r in rational_resonances(lin, a):
         if r > 0:
             scaled = Fraction(r) * n
             if scaled.denominator == 1:
                 resonance_orders[int(scaled)] = Fraction(r)
-    response = linear_response(poly, fam, a)
+    response = linear_response(lin, a)
 
     tol = _compat_tolerance(poly, a)
     compatibility = []

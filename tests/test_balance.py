@@ -1,6 +1,7 @@
 import json
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,18 @@ from merosolve.balance import (
     compute_resonances,
     find_balances,
     linear_response,
+    linearize,
     monomial_exponent,
 )
 from merosolve.cli import main
 from merosolve.errors import DegenerateFamilyError, InternalInconsistencyError
-from merosolve.odemodel import DiffMonomial, normalize, parse_ode
-from merosolve.scalars import QComplex, is_exact, to_complex
+from merosolve.odemodel import (
+    DifferentialPolynomial,
+    DiffMonomial,
+    normalize,
+    parse_ode,
+)
+from merosolve.scalars import QComplex, is_exact, mul_frac, to_complex
 from merosolve.series import solve_local_series
 
 
@@ -42,6 +49,11 @@ def test_monomial_exponent_hand_values():
     assert monomial_exponent(y3y2, p) == 0  # 3*(1/2) + (1/2 - 2)
     assert monomial_exponent(y4, p) == 2
     assert monomial_exponent(const, Fraction(-7, 3)) == 0
+    # y'^2 * y''': D = 3, W = 2*1 + 1*3 = 5
+    y1y3 = DiffMonomial.from_map(QComplex(1), {1: 2, 3: 1})
+    q = Fraction(-2, 3)
+    assert monomial_exponent(y1y3, q) == y1y3.total_degree * q - 5 == -7
+    assert monomial_exponent(y1y3, q) == 2 * (q - 1) + (q - 3)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +130,101 @@ def test_find_balances_rejects_bad_n_max(ep_poly):
         find_balances(ep_poly, n_max=0)
 
 
+@pytest.mark.parametrize("window", [0, -2])
+def test_find_balances_rejects_bad_window(ep_poly, window):
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        find_balances(ep_poly, window=window)
+
+
+# The Fraction scan that the integer search replaced, kept as a reference:
+# every candidate's exponents as Fractions, the leading polynomial of its
+# dominant monomials, the roots and resonances of the families kept.
+
+def reference_exponent(mono, p):
+    return sum((Fraction(d) * (p - k) for k, d in mono.degrees), Fraction(0))
+
+
+def reference_candidates(n_max, window):
+    seen = set()
+    for n in range(1, n_max + 1):
+        for m in range(-window, window + 1):
+            if m == 0:
+                continue
+            p = Fraction(m, n)
+            if p.denominator == 1 and p > 0:
+                continue
+            seen.add(p)
+    return sorted(seen)
+
+
+def reference_leading_polynomial(poly, p, dominant):
+    coeffs = [0]
+    for idx in dominant:
+        mono = poly.monomials[idx]
+        weight = Fraction(1)
+        for k, d in mono.degrees:
+            weight *= balance.falling(p, k) ** d
+        s = mono.total_degree
+        if len(coeffs) <= s:
+            coeffs.extend([0] * (s + 1 - len(coeffs)))
+        coeffs[s] = coeffs[s] + mul_frac(mono.coeff, weight)
+    return coeffs
+
+
+def reference_find_balances(poly, n_max, window):
+    families = []
+    for p in reference_candidates(n_max, window):
+        exps = [reference_exponent(m, p) for m in poly.monomials]
+        q = min(exps)
+        dominant = tuple(i for i, e in enumerate(exps) if e == q)
+        two_term = len(dominant) >= 2
+        if not two_term and not (p.denominator == 1 and p < 0):
+            continue
+        lead = reference_leading_polynomial(poly, p, dominant)
+        roots = balance._nonzero_roots(lead)
+        fam = BalanceFamily(
+            p=p, branch_order=p.denominator, q=q, dominant=dominant,
+            leading_poly=tuple(lead), leading_coeffs=roots,
+            consistent=bool(roots), resonances=(), two_term=two_term,
+        )
+        if fam.consistent:
+            resonances = compute_resonances(poly, fam, roots[0])
+            fam = replace(fam, resonances=tuple(resonances))
+        families.append(fam)
+    return families
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc), str(exc)
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+    st.builds(QComplex, st.integers(-3, 3), st.integers(-3, 3)).filter(bool),
+)
+monomial_degrees = st.dictionaries(st.integers(0, 3), st.integers(1, 3), max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(st.tuples(coefficients, monomial_degrees), min_size=1,
+                   max_size=4, unique_by=lambda t: tuple(sorted(t[1].items()))),
+    n_max=st.integers(1, 6),
+    window=st.integers(1, 8),
+)
+def test_find_balances_matches_fraction_reference(terms, n_max, window):
+    poly = DifferentialPolynomial(
+        tuple(DiffMonomial.from_map(c, degrees) for c, degrees in terms))
+    got = outcome(find_balances, poly, n_max, window)
+    want = outcome(reference_find_balances, poly, n_max, window)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
 # ---------------------------------------------------------------------------
 # resonances
 # ---------------------------------------------------------------------------
@@ -168,7 +275,7 @@ def test_degenerate_family_raises(ep_poly):
 
 def test_linear_response_matches_resonance_roots(w3_poly, w3_family):
     # the response polynomial vanishes exactly at resonances and nowhere else
-    response = linear_response(w3_poly, w3_family, 1)
+    response = linear_response(linearize(w3_poly, w3_family), 1)
     assert poly_eval(response, Fraction(4)) == 0
     assert poly_eval(response, Fraction(2)) != 0
 

@@ -2,6 +2,7 @@ import json
 import math
 
 import jsonschema
+import pytest
 
 from merosolve.cli import main
 from merosolve.report import REPORT_SCHEMA, SCHEMA_VERSION
@@ -295,6 +296,26 @@ def test_order_zero_keeps_the_leading_term(tmp_path):
     payload = run_json(tmp_path, ["series", "--order", "0"])
     (solution,) = payload["series"]["solutions"]
     assert [j for j, _, _ in solution["series"]["terms"]] == [1]
+
+
+@pytest.mark.parametrize("window", ["0", "-2"])
+def test_window_below_one_exits_2(window, capsys):
+    # a window below 1 searches no exponent; it must not yield a verdict
+    assert main(["analyze", "--window", window]) == 2
+    assert "error: window must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, terms", [
+    # wp(tau; g2 = 0, g3 = 28) = tau^-2 + tau^4 + tau^10/13 + ...
+    (["--ode", "y'' - 6*y^2", "--free", "6=1"],
+     [[-2, 1, 0], [4, 1, 0], [10, 1 / 13, 0]]),
+    (["--ode", "y'' - 6*y^2"], [[-2, 1, 0]]),
+    (["--ode", "y'' - 2*y^3"], [[-1, -1, 0]]),
+])
+def test_series_hand_values(tmp_path, argv, terms):
+    payload = run_json(tmp_path, ["series"] + argv)
+    (solution,) = payload["series"]["solutions"]
+    assert solution["series"]["terms"] == terms
 
 
 def test_bad_path_exits_2(capsys):

@@ -63,10 +63,10 @@ def test_comparison_table_flags():
 
 
 def test_comparison_table_none_without_pole_family():
-    # a numerator window of 0 admits no exponent, so there is no p = -1
-    # family, no forced solve and no table
-    analysis = Analysis(EP_TEXT, {"omega": 1}, window=0)
-    assert analysis.pole_family is None
+    # every window of at least 1 reports the p = -1 family, so it is taken
+    # away by hand: no forced solve and no table
+    analysis = Analysis(EP_TEXT, {"omega": 1})
+    analysis.pole_family = None
     assert analysis.forced is None
     assert coefficient_comparison_section(analysis) is None
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from merosolve.balance import find_balances, linear_response, rational_resonances
+from merosolve.balance import find_balances, linear_response, linearize, rational_resonances
 from merosolve.errors import TruncationError
 from merosolve.odemodel import normalize, parse_ode
 from merosolve.scalars import QComplex, is_zero, poly_eval
@@ -229,6 +229,46 @@ def test_solve_cubic_exact_pole(w3_poly, w3_family):
     assert local.free_parameters == {Fraction(4): QComplex(0)}
 
 
+def _weierstrass_p_g2_zero(g3, K):
+    """Laurent coefficients of wp(tau; 0, g3) through relative order K, by
+    the classical recursion: wp = tau^-2 + sum c_k tau^(2k-2), c_2 = g2/20,
+    c_3 = g3/28, c_k = 3/((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_{k-m}."""
+    c = {2: Fraction(0), 3: Fraction(g3, 28)}
+    for k in range(4, K // 2 + 1):
+        c[k] = Fraction(3, (2 * k + 1) * (k - 3)) * sum(
+            c[m] * c[k - m] for m in range(2, k - 1))
+    coeffs = {-2: QComplex(1)}
+    coeffs.update({2 * k - 2: QComplex(v) for k, v in c.items() if v and 2 * k <= K})
+    return coeffs
+
+
+def test_weierstrass_p_hand_values():
+    # y'' = 6 y^2 is solved by wp with g2 = 0; the free value at the
+    # resonance 6 is g3/28, so 1 gives g3 = 28: tau^-2 + tau^4 + tau^10/13
+    poly = normalize(parse_ode("y'' - 6*y^2"), {})
+    fam = next(f for f in find_balances(poly) if f.consistent)
+    assert fam.leading_coeffs == (QComplex(1),)
+    free = {Fraction(6): QComplex(1)}
+    local = solve_local_series(poly, fam, QComplex(1), K=12, free=free)
+    assert local.series.coeffs == {
+        -2: QComplex(1), 4: QComplex(1), 10: QComplex(Fraction(1, 13))}
+    assert local.series.coeffs == _weierstrass_p_g2_zero(28, 12)
+    deep = solve_local_series(poly, fam, QComplex(1), K=48, free=free)
+    assert deep.series.coeffs == _weierstrass_p_g2_zero(28, 48)
+    # no free value: g3 = 0 and wp is tau^-2 exactly
+    bare = solve_local_series(poly, fam, QComplex(1), K=12)
+    assert bare.series.coeffs == {-2: QComplex(1)}
+
+
+def test_cubic_pole_hand_value(w3_poly):
+    # y'' = 2 y^3 is solved by -1/tau; the CLI takes the first leading
+    # coefficient, -1
+    fam = next(f for f in find_balances(w3_poly) if f.consistent)
+    assert fam.leading_coeffs == (QComplex(-1), QComplex(1))
+    local = solve_local_series(w3_poly, fam, fam.leading_coeffs[0], K=12)
+    assert local.series.coeffs == {-1: QComplex(-1)}
+
+
 def test_free_parameters_stop_at_the_truncation_order(w3_poly, w3_family):
     # the resonance 4 sits at series order 4, beyond K = 3
     local = solve_local_series(
@@ -308,8 +348,9 @@ def reference_solve(poly, fam, a, K, free=None):
     series at every order, ``free`` values (default 0) at the resonances."""
     n = fam.branch_order
     j0, q_idx = int(fam.p * n), int(fam.q * n)
-    resonant = {r * n: r for r in rational_resonances(poly, fam, a) if r > 0}
-    response = linear_response(poly, fam, a)
+    lin = linearize(poly, fam)
+    resonant = {r * n: r for r in rational_resonances(lin, a) if r > 0}
+    response = linear_response(lin, a)
     coeffs = {j0: a}
     for rho in range(1, K + 1):
         if rho in resonant:
