@@ -40,7 +40,6 @@ from .numeric import (
     fit_local_exponent,
     integrate,
     invariant_drift,
-    series_vs_numeric,
 )
 from .odemodel import (
     DifferentialPolynomial,
@@ -94,7 +93,6 @@ __all__ = [
     "period_from_pole_data",
     "pinney_solution",
     "riccati_residual",
-    "series_vs_numeric",
     "solve_local_series",
     "substitute",
     "third_order_residual",

@@ -49,7 +49,6 @@ class ClosedFormCandidate:
     L: object = None  # (pi/T)**2; simply periodic only
     period: complex = None  # pi / sqrt(L), principal branch
     tail: dict = field(default_factory=dict)  # rational tail k -> c_k
-    center: complex = 0j
     verified: bool = None
     residual_norm: float = None
     first_failing_order: Fraction = None
@@ -252,7 +251,7 @@ def verify_candidate(
     residual = substitute(poly, expansion)
     norm = 0.0
     first_failing = None
-    for j, c in sorted(residual.coeffs.items()):
+    for j, c in residual.coeffs.items():
         mag = abs(to_complex(c))
         norm = max(norm, mag)
         if first_failing is None and mag > VERIFY_TOLERANCE:

@@ -1,6 +1,5 @@
 """Complex-time integration of the width equation and the linear oscillator,
-singularity probing, invariant drift monitoring and series-vs-numeric
-comparison.
+singularity probing and invariant drift monitoring.
 
 Integration runs an embedded Dormand-Prince 5(4) pair directly on complex
 state along piecewise-straight paths, with the local error of each step held
@@ -47,7 +46,6 @@ from typing import NamedTuple
 
 from .errors import ExponentUnresolvedError
 from .exactlab import ermakov_invariant
-from .series import LocalSolution
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 MAX_STEPS = 500_000  # accepted plus rejected steps per integration
@@ -539,40 +537,3 @@ def invariant_drift(eta_traj: ComplexTrajectory, alpha_traj: ComplexTrajectory):
         )
     base = values[0]
     return max(abs(v - base) for v in values)
-
-
-def series_vs_numeric(
-    local: LocalSolution, t0: complex, annulus, trajectories
-) -> float:
-    """Maximal relative deviation between the truncated local series and
-    integrated values inside an annulus around t0.
-
-    The root branch is fixed per trajectory at its first in-annulus sample
-    and kept along the ray, matching ray-local continuation.
-    """
-    r_in, r_out = float(annulus[0]), float(annulus[1])
-    if r_in <= 0:
-        raise ValueError("inner radius must be positive")
-    if r_out <= r_in:
-        raise ValueError("annulus must have r_out > r_in")
-    t0 = complex(t0)
-    worst = None
-    for traj in trajectories:
-        eligible = [
-            p for p in traj.points if r_in <= abs(p.t - t0) <= r_out
-        ]
-        if not eligible:
-            continue
-        first = eligible[0]
-        tau0 = first.t - t0
-        branch = min(
-            range(local.series.n),
-            key=lambda k: abs(local.series.evaluate(tau0, branch=k) - first.value),
-        )
-        for p in eligible:
-            predicted = local.series.evaluate(p.t - t0, branch=branch)
-            rel = abs(predicted - p.value) / max(abs(p.value), 1e-30)
-            worst = rel if worst is None else max(worst, rel)
-    if worst is None:
-        raise ValueError("no trajectory samples inside the annulus")
-    return worst

@@ -253,7 +253,8 @@ class Analysis:
         self.families = find_balances(self.poly, n_max=n_max, window=window)
         if free:
             _check_free(free, self.families, K)
-        self.pole_family = next((f for f in self.families if f.p == -1), None)
+        # every window >= 1 holds the candidate p = -1
+        self.pole_family = next(f for f in self.families if f.p == -1)
         self.residue = QComplex(0, 1) if is_exact(self.omega) else 1j
         # None without a frequency or when a recursion denominator vanishes
         self.claimed_coefficients = (
@@ -276,9 +277,7 @@ class Analysis:
     def forced(self):
         """Independent recomputation of the pole coefficients: the simple-pole
         ansatz with ``residue`` forced into the cleared equation and solved
-        order by order.  None without a p = -1 family."""
-        if self.pole_family is None:
-            return None
+        order by order."""
         return solve_local_series(self.poly, self.pole_family, self.residue, K=6,
                                   force=True)
 
@@ -426,9 +425,9 @@ def series_section(a: Analysis) -> dict:
 
 def coefficient_comparison_section(a: Analysis):
     """Side-by-side table of the published pole-coefficient recursion versus
-    the forced recomputation, with per-coefficient match flags; None when
-    either side is unavailable."""
-    if a.claimed_coefficients is None or a.forced is None:
+    the forced recomputation, with per-coefficient match flags; None
+    without claimed coefficients."""
+    if a.claimed_coefficients is None:
         return None
     rows = []
     for k in range(0, 4):
@@ -580,8 +579,6 @@ def _verdict(holds: bool) -> str:
 
 def _simple_pole_family(a: Analysis):
     fam = a.pole_family
-    if fam is None:
-        return "not-applicable", {"note": "no p = -1 exponent inside the search window"}
     return _verdict(fam.consistent), {
         "consistent": fam.consistent,
         "leading_polynomial": [complex_json(c) for c in fam.leading_poly],
@@ -602,8 +599,6 @@ def _branch_point_order_two(a: Analysis):
 
 def _imaginary_free_residue(a: Analysis):
     fam = a.pole_family
-    if fam is None:
-        return "not-applicable", {"note": "no p = -1 family reported"}
     leading_polynomial = [complex_json(c) for c in fam.leading_poly]
     if all(is_zero(c, 1e-14) for c in fam.leading_poly):
         return "confirmed", {

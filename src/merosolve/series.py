@@ -6,6 +6,11 @@ together with a truncation index: coefficients are guaranteed correct for
 exact finite expressions (monomials, polynomials), in which case arithmetic
 never loses precision.
 
+``coeffs`` is stored in ascending index: the constructor sorts it, and every
+ring operation builds its result through the constructor.  A product's Cauchy
+sum therefore runs over the left factor in ascending index, and the online
+solver below reproduces it term for term.
+
 Coefficients follow the scalar modes of :mod:`merosolve.scalars`: exact
 Gaussian rationals or plain complex.
 """
@@ -46,8 +51,8 @@ class PuiseuxSeries:
         if n < 1:
             raise ValueError("branch order must be positive")
         clean = {}
-        for j, c in coeffs.items():
-            c = canonical_scalar(c)
+        for j in sorted(coeffs):
+            c = canonical_scalar(coeffs[j])
             if is_zero(c, 0.0):
                 continue
             if j > trunc:
@@ -91,7 +96,7 @@ class PuiseuxSeries:
     @property
     def min_index(self):
         """Lowest stored index, or None for a (truncated) zero series."""
-        return min(self.coeffs) if self.coeffs else None
+        return next(iter(self.coeffs)) if self.coeffs else None
 
     @property
     def is_exact(self) -> bool:
@@ -101,22 +106,14 @@ class PuiseuxSeries:
         # effective valuation used in precision bookkeeping; a zero series
         # may hide terms just beyond its truncation
         if self.coeffs:
-            return min(self.coeffs)
+            return next(iter(self.coeffs))
         return self.trunc + 1 if self.trunc is not math.inf else math.inf
-
-    def coeff(self, j: int):
-        """Coefficient of tau**(j/n); raises if j is beyond the guarantee."""
-        if j > self.trunc:
-            raise TruncationError(
-                f"coefficient {j} requested beyond truncation {self.trunc}"
-            )
-        return self.coeffs.get(j, 0)
 
     def exponent(self, j: int) -> Fraction:
         return Fraction(j, self.n)
 
     def terms(self):
-        return sorted(self.coeffs.items())
+        return list(self.coeffs.items())
 
     # -- ring operations ----------------------------------------------------
 
@@ -187,12 +184,6 @@ class PuiseuxSeries:
     def scale_frac(self, f: Fraction) -> "PuiseuxSeries":
         return PuiseuxSeries(
             self.n, {j: mul_frac(c, f) for j, c in self.coeffs.items()}, self.trunc
-        )
-
-    def shift(self, offset: int) -> "PuiseuxSeries":
-        trunc = self.trunc + offset if self.trunc is not math.inf else math.inf
-        return PuiseuxSeries(
-            self.n, {j + offset: c for j, c in self.coeffs.items()}, trunc
         )
 
     def inverse(self) -> "PuiseuxSeries":
@@ -281,7 +272,7 @@ class PuiseuxSeries:
         if branch % self.n:
             zeta *= cmath.exp(2j * cmath.pi * (branch % self.n) / self.n)
         total = 0j
-        for j, c in sorted(self.coeffs.items()):
+        for j, c in self.coeffs.items():
             total += to_complex(c) * zeta ** j
         return total
 
@@ -384,50 +375,37 @@ def _compat_tolerance(poly: DifferentialPolynomial, a) -> float:
 class _PlanNode:
     """One series of the online plan, kept by relative order: ``coef[r]``
     is the coefficient at index ``base + r``, or None where a
-    :class:`PuiseuxSeries` would store nothing (an exact zero).  ``order``
-    lists ``(key, r)`` for the stored entries, sorted by key, which is the
-    order the same entries take in the dict of the series ``substitute``
-    builds.  ``keys[r]`` is the key of entry r."""
+    :class:`PuiseuxSeries` would store nothing (an exact zero).  ``stored``
+    lists the relative orders of the other entries, ascending."""
 
-    __slots__ = ("base", "coef", "keys", "order", "_at")
+    __slots__ = ("base", "coef", "stored")
 
     def __init__(self, base):
         self.base = base
         self.coef = []
-        self.keys = []
-        self.order = []
-        self._at = None  # position of the top entry in ``order``
+        self.stored = []
 
     def _entry(self, r):
-        """``(value, key)`` of entry r from the factors, key None when no
-        pair contributes."""
+        """Value of entry r from the factors, 0 when no pair contributes."""
         raise NotImplementedError
 
     def extend(self):
         """Append the coefficient at the next relative order."""
         self.coef.append(None)
-        self.keys.append(None)
-        self._at = None
         self.refresh()
 
     def refresh(self):
         """Recompute the top coefficient from the factors' current tops."""
         r = len(self.coef) - 1
-        if self._at is not None:
-            del self.order[self._at]
-            self._at = None
-        value, key = self._entry(r)
-        if key is None or is_zero(value, 0.0):
+        stored = self.stored
+        if stored and stored[-1] == r:
+            stored.pop()
+        value = self._entry(r)
+        if is_zero(value, 0.0):
             self.coef[r] = None
-            return
-        self.coef[r] = value
-        self.keys[r] = key
-        order = self.order
-        at = len(order)
-        while at and order[at - 1][0] > key:  # most entries go last
-            at -= 1
-        order.insert(at, (key, r))
-        self._at = at
+        else:
+            self.coef[r] = value
+            stored.append(r)
 
 
 class _Solution(_PlanNode):
@@ -437,7 +415,7 @@ class _Solution(_PlanNode):
     __slots__ = ("top",)
 
     def _entry(self, r):
-        return self.top, r
+        return self.top
 
 
 class _Deriv(_PlanNode):
@@ -454,8 +432,8 @@ class _Deriv(_PlanNode):
         c = self.left.coef[r]
         j = self.left.base + r
         if c is None or j == 0:
-            return None, None
-        return mul_frac(c, Fraction(j, self.n)), self.left.keys[r]
+            return 0
+        return mul_frac(c, Fraction(j, self.n))
 
 
 class _Scale(_PlanNode):
@@ -472,18 +450,12 @@ class _Scale(_PlanNode):
 
     def _entry(self, r):
         c = self.right.coef[r]
-        if c is None:
-            return None, None
-        return 0 + self.coeff * c, self.right.keys[r]
+        return 0 if c is None else 0 + self.coeff * c
 
 
 class _Mul(_PlanNode):
-    """``left * right`` as ``PuiseuxSeries.__mul__``: the Cauchy sum runs
-    over ``left`` in its dict order.  That product inserts an index at its
-    first contributing pair in the nested loop over both factors' dicts, so
-    an entry's key is the pair of factor keys there; keys order the entries
-    as the dict would, also where gaps in the support make that order
-    differ from ascending index."""
+    """``left * right`` as ``PuiseuxSeries.__mul__``: the Cauchy sum starts
+    at 0 and runs over ``left`` in ascending index."""
 
     __slots__ = ("left", "right")
 
@@ -493,17 +465,13 @@ class _Mul(_PlanNode):
         self.right = right
 
     def _entry(self, r):
-        acoef = self.left.coef
-        bcoef, bkeys = self.right.coef, self.right.keys
+        acoef, bcoef = self.left.coef, self.right.coef
         acc = 0
-        key = None
-        for ka, i in self.left.order:
+        for i in self.left.stored:
             c2 = bcoef[r - i]
             if c2 is not None:
-                if key is None:
-                    key = (ka, bkeys[r - i])
                 acc = acc + acoef[i] * c2
-        return acc, key
+        return acc
 
 
 class _Const:
@@ -593,11 +561,11 @@ def solve_local_series(
     coefficient, a Cauchy sum over the new pairs, with the unknown
     coefficient of y taken as 0; the residual is read off the terms, and
     once the coefficient is known the top of every node is recomputed with
-    it.  A node sums over its left factor in the order that factor's dict
-    would have in ``substitute`` (insertion order, tracked by each entry's
-    key), multiplies the monomial coefficient in first and skips exact
-    zeros, so float coefficients are bit-identical to solving with
-    ``substitute``.  ``substitute`` itself stays the independent check.
+    it.  A node sums over its left factor in ascending index, as
+    ``PuiseuxSeries.__mul__`` does, multiplies the monomial coefficient in
+    first and skips exact zeros, so float coefficients are bit-identical to
+    solving with ``substitute``.  ``substitute`` itself stays the
+    independent check.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -687,7 +655,7 @@ def solve_local_series(
 
 
 def synthetic_laurent_solution(
-    poly: DifferentialPolynomial, coeffs: dict, trunc: int, fam=None
+    poly: DifferentialPolynomial, coeffs: dict, trunc: int
 ) -> LocalSolution:
     """Wrap externally supplied Laurent coefficients as a LocalSolution so
     the closed-form builders can consume claimed or sampled data."""
@@ -695,18 +663,17 @@ def synthetic_laurent_solution(
     if series.is_zero_series:
         raise ValueError("synthetic data must be nonzero")
     v = series.min_index
-    if fam is None:
-        fam = BalanceFamily(
-            p=Fraction(v),
-            branch_order=1,
-            q=Fraction(0),
-            dominant=(),
-            leading_poly=(),
-            leading_coeffs=(),
-            consistent=False,
-            resonances=(),
-            two_term=False,
-        )
+    fam = BalanceFamily(
+        p=Fraction(v),
+        branch_order=1,
+        q=Fraction(0),
+        dominant=(),
+        leading_poly=(),
+        leading_coeffs=(),
+        consistent=False,
+        resonances=(),
+        two_term=False,
+    )
     return LocalSolution(
         family=fam,
         a=series.coeffs[v],

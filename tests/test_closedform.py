@@ -123,18 +123,6 @@ def test_verified_candidate_reproduces_local_series(cot_poly, cot_family):
         assert expansion.coeffs.get(j, 0) == c
 
 
-def test_candidate_residual_independent_of_center(cot_poly, cot_family):
-    # candidates live in the translated variable, so the recorded center is
-    # metadata only: it must not change the verification outcome
-    local = cot_local(cot_poly, cot_family)
-    one = build_periodic(local)
-    two = build_periodic(local)
-    two.center = 3.25 + 0.5j
-    assert verify_candidate(two, cot_poly, 10) == verify_candidate(
-        one, cot_poly, 10
-    )
-
-
 # ---------------------------------------------------------------------------
 # rational candidates
 # ---------------------------------------------------------------------------

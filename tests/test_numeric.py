@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from merosolve import numeric
-from merosolve.balance import find_balances
 from merosolve.errors import ExponentUnresolvedError
 from merosolve.exactlab import QuadFormParams, oscillator_basis, pinney_solution
 from merosolve.numeric import (
@@ -21,7 +20,6 @@ from merosolve.numeric import (
     fit_local_exponent,
     integrate,
     invariant_drift,
-    series_vs_numeric,
 )
 from merosolve.scalars import QComplex
 from merosolve.series import solve_local_series
@@ -540,49 +538,17 @@ def test_invariant_drift_rejects_mismatched_grids():
 
 
 # ---------------------------------------------------------------------------
-# series vs numeric
+# local series seeds a probe
 # ---------------------------------------------------------------------------
 
-def test_series_vs_numeric_exact_branch_monomial(ep_poly_w0):
-    fam = next(f for f in find_balances(ep_poly_w0) if f.consistent)
-    local = solve_local_series(ep_poly_w0, fam, QComplex(1, 1), K=12)
-    t0 = 1j
-    a = 1 + 1j
-    start = t0 + 0.5
-    ic = (a * cmath.sqrt(0.5), a * 0.5 / cmath.sqrt(0.5))
-    traj = integrate(EpWidthOde(0.0), ic, [start, t0 + 0.05], tol=1e-12)
-    err = series_vs_numeric(local, t0, (0.05, 0.5), [traj])
-    assert err < 1e-9
-
-
-def test_series_vs_numeric_truncation_convergence(ep_poly, ep_branch_family):
+def test_detect_singularity_finds_series_expansion_point(ep_poly, ep_branch_family):
+    # start on the local series of a branch point and integrate toward it:
+    # the probe recovers the expansion point as the singular time
     t0 = 0.4j
     seed = solve_local_series(ep_poly, ep_branch_family, QComplex(1, 1), K=16)
     tau0 = 0.2
     ic = (seed.series.evaluate(tau0), seed.series.differentiate().evaluate(tau0))
-    traj = integrate(EpWidthOde(1.0), ic, [t0 + tau0, t0 + 0.05], tol=1e-12)
-
-    err8 = series_vs_numeric(
-        solve_local_series(ep_poly, ep_branch_family, QComplex(1, 1), K=8),
-        t0, (0.05, 0.2), [traj],
-    )
-    err12 = series_vs_numeric(
-        solve_local_series(ep_poly, ep_branch_family, QComplex(1, 1), K=12),
-        t0, (0.05, 0.2), [traj],
-    )
-    assert err12 < 1e-4
-    assert err12 < err8
-
-    # pushing the same trajectory toward the center recovers the expansion
-    # point as a detected singular time
     inward = integrate(EpWidthOde(1.0), ic, [t0 + tau0, t0 + 1e-4], tol=1e-10)
     probe = detect_singularity(inward)
     assert probe.kind == "zero-of-alpha"
     assert abs(probe.t_star - t0) < 1e-6
-
-
-def test_series_vs_numeric_rejects_zero_inner_radius(ep_poly_w0):
-    fam = next(f for f in find_balances(ep_poly_w0) if f.consistent)
-    local = solve_local_series(ep_poly_w0, fam, QComplex(1, 1), K=8)
-    with pytest.raises(ValueError):
-        series_vs_numeric(local, 1j, (0.0, 0.2), [])

@@ -62,15 +62,6 @@ def test_comparison_table_flags():
     assert table["leading_equation_violated"] is True
 
 
-def test_comparison_table_none_without_pole_family():
-    # every window of at least 1 reports the p = -1 family, so it is taken
-    # away by hand: no forced solve and no table
-    analysis = Analysis(EP_TEXT, {"omega": 1})
-    analysis.pole_family = None
-    assert analysis.forced is None
-    assert coefficient_comparison_section(analysis) is None
-
-
 def test_analyze_solves_each_series_once(monkeypatch):
     # one solve for the single consistent family (p = 1/2) plus the forced
     # p = -1 solve; the claimed-pole block is built once for the closed-form

@@ -20,6 +20,8 @@ from merosolve.series import (
 
 def assert_same_through_common_order(a, b):
     """Exact coefficient equality through the common guaranteed order."""
+    for s in (a, b):
+        assert list(s.coeffs) == sorted(s.coeffs)
     n = a.n * b.n // math.gcd(a.n, b.n)
     a = a._with_branch(n)
     b = b._with_branch(n)
@@ -27,6 +29,17 @@ def assert_same_through_common_order(a, b):
     for j in set(a.coeffs) | set(b.coeffs):
         if j <= through:
             assert a.coeffs.get(j, 0) == b.coeffs.get(j, 0), f"index {j}"
+
+
+# ---------------------------------------------------------------------------
+# stored order
+# ---------------------------------------------------------------------------
+
+def test_product_stores_coefficients_in_ascending_index():
+    # the nested Cauchy loop first meets the indices 0, 2, 4, then 1, 3, 5
+    a = PuiseuxSeries.from_terms([(0, 1), (1, 1)])
+    b = PuiseuxSeries.from_terms([(0, 1), (2, 1), (4, 1)])
+    assert list((a * b).coeffs) == [0, 1, 2, 3, 4, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +386,8 @@ SOLVE_CASES = [
     ("y'' + omega^2*y - y^-3", {"omega": 1.5}, False, None),
     ("y'' + omega^2*y - y^-3", {"omega": 0.7}, False, None),
     ("y'' + y - y^3", {}, False, None),  # exact input, irrational a = +-sqrt(2)
-    # free values at resonances change which coefficients vanish; with gaps
-    # in the support a product's dict order is not ascending in the index
+    # free values at resonances change which coefficients vanish, so the
+    # Cauchy sums run over factors with gaps in their support
     ("y''' - c*y*y'", {"c": 12.0}, False, {Fraction(4): 0.37 - 1.1j, Fraction(6): 1.5 + 0j}),
     ("y''' - c*y*y'", {"c": 12.0}, False, {Fraction(6): -0.8 + 0.3j}),
     ("y'' - c*y^4", {"c": 0.3}, False, {Fraction(10, 3): 0.25 + 0.5j}),  # branch order 3
