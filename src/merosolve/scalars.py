@@ -244,6 +244,60 @@ _ONE = QComplex(1)
 _EXACT_SCALARS = (QComplex,) + _EXACT_INPUTS
 
 
+def sum_of_products(pairs):
+    """The left fold ``0 + x1*y1 + x2*y2 + ...`` over ``(x, y)`` pairs,
+    normalised once.
+
+    While both factors of every pair are :class:`QComplex`, the sum is kept
+    as an unnormalised Gaussian-integer numerator ``A + B*i`` over the least
+    common denominator ``D`` of the products, and one ``_norm`` reduces it at
+    the end: the canonical value the fold would reach.  At the first other
+    factor the fold takes over: it starts from the exact partial sum (0 when
+    no pair came before) and adds the remaining products in order, so float
+    sums keep every bit, signed zeros included.
+    """
+    A = B = D = 0
+    it = iter(pairs)
+    for x, y in it:
+        if x.__class__ is not QComplex or y.__class__ is not QComplex:
+            acc = _norm(A, B, D) if D else 0
+            acc = acc + x * y
+            for x, y in it:
+                acc = acc + x * y
+            return acc
+        a1, b1 = x._a, x._b
+        a2, b2 = y._a, y._b
+        if b2:
+            pa = a1 * a2 - b1 * b2
+            pb = a1 * b2 + b1 * a2
+        else:
+            pa = a1 * a2
+            pb = b1 * a2
+        d = x._d * y._d
+        if d == D:
+            A += pa
+            B += pb
+        elif not D:
+            A, B, D = pa, pb, d
+        else:
+            g = _gcd(D, d)
+            if g == d:
+                f = D // d
+                A += pa * f
+                B += pb * f
+            else:
+                f = d // g
+                if g == D:
+                    A = A * f + pa
+                    B = B * f + pb
+                else:
+                    e = D // g
+                    A = A * f + pa * e
+                    B = B * f + pb * e
+                D *= f
+    return _norm(A, B, D) if D else 0
+
+
 def canonical_scalar(x):
     """Normalize a coefficient: int/Fraction become QComplex, rest complex."""
     if isinstance(x, QComplex):
@@ -270,11 +324,17 @@ def is_zero(x, tol: float = 0.0) -> bool:
 
 def mul_frac(x, f: Fraction):
     """Multiply a scalar by an exact rational, staying exact when possible."""
-    if isinstance(x, QComplex):
-        return x * f
+    return mul_ratio(x, f.numerator, f.denominator)
+
+
+def mul_ratio(x, num: int, den: int):
+    """Multiply a scalar by ``num/den`` (``den > 0``), on plain integers
+    when the scalar is exact."""
     if isinstance(x, _EXACT_INPUTS):
-        return QComplex(x) * f
-    return complex(x) * float(f)
+        x = QComplex(x)
+    if isinstance(x, QComplex):
+        return _norm(x._a * num, x._b * num, x._d * den)
+    return complex(x) * (num / den)
 
 
 def poly_eval(coeffs, x):

@@ -12,7 +12,12 @@ sum therefore runs over the left factor in ascending index, and the online
 solver below reproduces it term for term.
 
 Coefficients follow the scalar modes of :mod:`merosolve.scalars`: exact
-Gaussian rationals or plain complex.
+Gaussian rationals or plain complex.  Every Cauchy sum -- in products,
+inverses and the online solver -- goes through
+:func:`~merosolve.scalars.sum_of_products`: an exact sum accumulates its
+Gaussian-integer numerators over one denominator and is normalised once per
+coefficient, and a sum with a float factor keeps the ordered left fold, so
+float coefficients do not change by a bit.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from .scalars import (
     canonical_scalar,
     is_exact,
     is_zero,
-    mul_frac,
+    mul_ratio,
     poly_eval,
+    sum_of_products,
     to_complex,
 )
 
@@ -156,6 +162,10 @@ class PuiseuxSeries:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
+        """Scalar or Cauchy product.  Each output coefficient sums its pairs
+        over the left factor in ascending index with ``sum_of_products``:
+        numerators accumulate when the pairs are exact, the left fold from 0
+        runs when one is float."""
         if not isinstance(other, PuiseuxSeries):
             scalar = canonical_scalar(other)
             if is_zero(scalar, 0.0):
@@ -170,21 +180,22 @@ class PuiseuxSeries:
         trunc = min(
             a.trunc + b._valuation_bound(), b.trunc + a._valuation_bound()
         )
-        coeffs = {}
+        pairs = {}
         for j1, c1 in a.coeffs.items():
             for j2, c2 in b.coeffs.items():
                 j = j1 + j2
                 if j > trunc:
-                    continue
-                coeffs[j] = coeffs.get(j, 0) + c1 * c2
-        return PuiseuxSeries(n, coeffs, trunc)
+                    break
+                p = pairs.get(j)
+                if p is None:
+                    pairs[j] = [(c1, c2)]
+                else:
+                    p.append((c1, c2))
+        return PuiseuxSeries(
+            n, {j: sum_of_products(p) for j, p in pairs.items()}, trunc
+        )
 
     __rmul__ = __mul__
-
-    def scale_frac(self, f: Fraction) -> "PuiseuxSeries":
-        return PuiseuxSeries(
-            self.n, {j: mul_frac(c, f) for j, c in self.coeffs.items()}, self.trunc
-        )
 
     def inverse(self) -> "PuiseuxSeries":
         """Multiplicative inverse by leading-term division.
@@ -208,10 +219,9 @@ class PuiseuxSeries:
         u = {j - v: c / lead for j, c in self.coeffs.items() if j != v}
         b = {0: QComplex(1) if is_exact(lead) else complex(1)}
         for m in range(1, rel_known + 1):
-            acc = 0
-            for k, uk in u.items():
-                if 0 < k <= m and (m - k) in b:
-                    acc = acc + uk * b[m - k]
+            acc = sum_of_products(
+                [(uk, b[m - k]) for k, uk in u.items() if k <= m and (m - k) in b]
+            )
             if not is_zero(acc, 0.0):
                 b[m] = -acc
         trunc = self.trunc - 2 * v
@@ -246,7 +256,7 @@ class PuiseuxSeries:
             for j, c in out.coeffs.items():
                 if j == 0:
                     continue
-                coeffs[j - out.n] = mul_frac(c, Fraction(j, out.n))
+                coeffs[j - out.n] = mul_ratio(c, j, out.n)
             trunc = out.trunc - out.n if out.trunc is not math.inf else math.inf
             out = PuiseuxSeries(out.n, coeffs, trunc)
         return out
@@ -433,13 +443,12 @@ class _Deriv(_PlanNode):
         j = self.left.base + r
         if c is None or j == 0:
             return 0
-        return mul_frac(c, Fraction(j, self.n))
+        return mul_ratio(c, j, self.n)
 
 
 class _Scale(_PlanNode):
     """``monomial(coeff) * right``, the head of a term's left fold: each
-    entry is ``0 + coeff * c``, since ``PuiseuxSeries.__mul__`` starts every
-    sum at 0."""
+    entry is the one-pair sum ``0 + coeff * c`` of ``PuiseuxSeries.__mul__``."""
 
     __slots__ = ("coeff", "right")
 
@@ -450,12 +459,14 @@ class _Scale(_PlanNode):
 
     def _entry(self, r):
         c = self.right.coef[r]
-        return 0 if c is None else 0 + self.coeff * c
+        return 0 if c is None else sum_of_products([(self.coeff, c)])
 
 
 class _Mul(_PlanNode):
-    """``left * right`` as ``PuiseuxSeries.__mul__``: the Cauchy sum starts
-    at 0 and runs over ``left`` in ascending index."""
+    """``left * right`` as ``PuiseuxSeries.__mul__``: the Cauchy sum runs
+    over ``left`` in ascending index through ``sum_of_products``, which
+    accumulates exact numerators and keeps the left fold from 0 for float
+    factors."""
 
     __slots__ = ("left", "right")
 
@@ -466,12 +477,10 @@ class _Mul(_PlanNode):
 
     def _entry(self, r):
         acoef, bcoef = self.left.coef, self.right.coef
-        acc = 0
-        for i in self.left.stored:
-            c2 = bcoef[r - i]
-            if c2 is not None:
-                acc = acc + acoef[i] * c2
-        return acc
+        return sum_of_products([
+            (acoef[i], c2) for i in self.left.stored
+            if (c2 := bcoef[r - i]) is not None
+        ])
 
 
 class _Const:

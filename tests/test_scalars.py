@@ -10,8 +10,10 @@ from merosolve.scalars import (
     is_exact,
     is_zero,
     mul_frac,
+    mul_ratio,
     parse_complex_literal,
     principal_root,
+    sum_of_products,
 )
 
 
@@ -71,6 +73,13 @@ def test_is_zero():
 def test_mul_frac_exact_and_float():
     assert mul_frac(QComplex(0, 3), Fraction(1, 3)) == QComplex(0, 1)
     assert abs(mul_frac(3.0 + 0j, Fraction(1, 3)) - 1.0) < 1e-15
+
+
+def test_mul_ratio_matches_mul_frac():
+    for x in (QComplex(Fraction(5, 6), -3), 4, Fraction(-7, 9), -0.0 + 2.5j):
+        for num, den in ((-4, 6), (0, 1), (7, 3), (6, 2)):
+            got, want = mul_ratio(x, num, den), mul_frac(x, Fraction(num, den))
+            assert got == want and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize(
@@ -237,3 +246,54 @@ def test_float_and_complex_contact_degrades(q, f, z):
     # the conversion rounds each part once, exactly as float(Fraction) does
     assert complex(q) == complex(float(q.re), float(q.im))
     assert abs(q) == math.hypot(float(q.re), float(q.im))
+
+
+# ---------------------------------------------------------------------------
+# sum_of_products against the left fold it replaces
+# ---------------------------------------------------------------------------
+
+small_fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40))
+small_qcomplexes = st.builds(QComplex, small_fracs, small_fracs)
+floats_or_signed_zeros = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+complex_factors = st.builds(complex, floats_or_signed_zeros, floats_or_signed_zeros)
+
+
+def left_fold(pairs):
+    acc = 0
+    for x, y in pairs:
+        acc = acc + x * y
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small_qcomplexes, small_qcomplexes), max_size=12))
+def test_sum_of_products_equals_exact_fold(pairs):
+    got = sum_of_products(pairs)
+    assert got == left_fold(pairs)
+    if pairs:
+        assert_canonical(got)
+    else:
+        assert got == 0 and type(got) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(small_qcomplexes | complex_factors | st.integers(-3, 3),
+              small_qcomplexes | complex_factors),
+    max_size=10,
+))
+def test_sum_of_products_keeps_the_fold_bits_on_mixed_factors(pairs):
+    got, want = sum_of_products(pairs), left_fold(pairs)
+    assert type(got) is type(want)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_sum_of_products_signed_zeros_follow_the_fold():
+    # the fold starts at int 0, so a lone -0.0 part becomes +0.0
+    neg_zero = complex(-0.0, -0.0)
+    got = sum_of_products([(neg_zero, QComplex(1))])
+    assert repr(got) == repr(0 + neg_zero * QComplex(1)) == "0j"
+    # after an exact partial sum the fold continues from its float value
+    pairs = [(QComplex(1, 1), QComplex(-1, -1)), (QComplex(Fraction(1, 3)), 2.0 + 0j)]
+    assert repr(sum_of_products(pairs)) == repr(left_fold(pairs))

@@ -133,7 +133,7 @@ def binomial_sqrt_series(trunc):
     power = PuiseuxSeries.one()
     coeff = Fraction(1)
     for k in range(trunc + 1):
-        total = total + power.truncate(trunc).scale_frac(coeff)
+        total = total + power.truncate(trunc) * QComplex(coeff)
         power = (power * g).truncate(trunc)
         coeff *= Fraction(1, 2) - k
         coeff /= k + 1
@@ -393,6 +393,9 @@ SOLVE_CASES = [
     ("y'' - c*y^4", {"c": 0.3}, False, {Fraction(10, 3): 0.25 + 0.5j}),  # branch order 3
     ("y'' - c*y^3", {"c": 2}, True, {Fraction(4): QComplex(1)}),
     ("y'' + omega^2*y - y^-3", {"omega": 0}, False, {Fraction(1): 0.37 - 1.1j}),
+    # exact up to the resonance, complex from there: the Cauchy sums mix
+    # exact and float factors
+    ("y'' - c*y^3", {"c": 2}, False, {Fraction(4): 0.37 - 1.1j}),
 ]
 
 
@@ -450,6 +453,49 @@ def test_ring_laws(a, b, c):
     assert_same_through_common_order(a * b, b * a)
     assert_same_through_common_order(a * (b + c), a * b + a * c)
     assert_same_through_common_order((a * b) * c, a * (b * c))
+
+
+@st.composite
+def dense_exact_series(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    part = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))
+    count = draw(st.integers(0, 10))
+    terms = [
+        (draw(st.integers(-4, 10)), QComplex(draw(part), draw(part)))
+        for _ in range(count)
+    ]
+    top = max((j for j, _ in terms), default=0)
+    trunc = top + draw(st.integers(0, 3))
+    return PuiseuxSeries.from_terms(terms, n=n, trunc=trunc)
+
+
+def schoolbook_product(a, b):
+    """Product of exact series with one QComplex ``+`` and ``*`` per pair
+    of terms, independent of ``PuiseuxSeries.__mul__``."""
+    n = a.n * b.n // math.gcd(a.n, b.n)
+    fa, fb = n // a.n, n // b.n
+
+    def valuation(s, f):
+        return min(s.coeffs) * f if s.coeffs else s.trunc * f + 1
+
+    trunc = min(a.trunc * fa + valuation(b, fb), b.trunc * fb + valuation(a, fa))
+    coeffs = {}
+    for j1, c1 in a.coeffs.items():
+        for j2, c2 in b.coeffs.items():
+            j = j1 * fa + j2 * fb
+            if j <= trunc:
+                coeffs[j] = coeffs.get(j, QComplex(0)) + c1 * c2
+    return n, {j: c for j, c in coeffs.items() if c}, trunc
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_exact_series(), dense_exact_series())
+def test_exact_product_matches_schoolbook(a, b):
+    product = a * b
+    n, coeffs, trunc = schoolbook_product(a, b)
+    # QComplex equality compares canonical fields, so this also pins the
+    # normalisation of every coefficient
+    assert (product.n, product.coeffs, product.trunc) == (n, coeffs, trunc)
 
 
 @settings(max_examples=150, deadline=None)
