@@ -75,19 +75,14 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# '"', backslash and the control characters below 0x20; every other code
+# point passes through unchanged
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\"}
+_ESCAPES.update((c, f"\\u{c:04x}") for c in range(0x20))
+
+
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def to_json(obj, indent: int = 0) -> str:
@@ -624,7 +619,7 @@ def _pole_coefficient_recursion(a: Analysis):
     table = coefficient_comparison_section(a)
     if table is None:
         return "not-applicable", {
-            "note": "recursion denominators vanish or no p = -1 family"}
+            "note": "recursion denominators vanish"}
     return _verdict(all(row["match"] for row in table["rows"])), {
         "rows": table["rows"],
         "leading_equation_violated": table["leading_equation_violated"],

@@ -330,10 +330,10 @@ def mul_frac(x, f: Fraction):
 def mul_ratio(x, num: int, den: int):
     """Multiply a scalar by ``num/den`` (``den > 0``), on plain integers
     when the scalar is exact."""
-    if isinstance(x, _EXACT_INPUTS):
-        x = QComplex(x)
-    if isinstance(x, QComplex):
-        return _norm(x._a * num, x._b * num, x._d * den)
+    p = _parts(x)
+    if p is not None:
+        a, b, d = p
+        return _norm(a * num, b * num, d * den)
     return complex(x) * (num / den)
 
 

@@ -12,8 +12,8 @@ sum therefore runs over the left factor in ascending index, and the online
 solver below reproduces it term for term.
 
 Coefficients follow the scalar modes of :mod:`merosolve.scalars`: exact
-Gaussian rationals or plain complex.  Every Cauchy sum -- in products,
-inverses and the online solver -- goes through
+Gaussian rationals or plain complex.  Every Cauchy sum -- in products, the
+cot recurrence and the online solver -- goes through
 :func:`~merosolve.scalars.sum_of_products`: an exact sum accumulates its
 Gaussian-integer numerators over one denominator and is normalised once per
 coefficient, and a sum with a float factor keeps the ordered left fold, so
@@ -42,6 +42,7 @@ from .scalars import (
 )
 
 DEFAULT_TRUNCATION = 12
+_ONE = QComplex(1)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -83,7 +84,7 @@ class PuiseuxSeries:
 
     @classmethod
     def one(cls, n=1):
-        return cls(n, {0: QComplex(1)}, math.inf)
+        return cls(n, {0: _ONE}, math.inf)
 
     @classmethod
     def from_terms(cls, terms, n=1, trunc=math.inf):
@@ -150,17 +151,6 @@ class PuiseuxSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return PuiseuxSeries(
-            self.n, {j: -c for j, c in self.coeffs.items()}, self.trunc
-        )
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         """Scalar or Cauchy product.  Each output coefficient sums its pairs
         over the left factor in ascending index with ``sum_of_products``:
@@ -197,49 +187,18 @@ class PuiseuxSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "PuiseuxSeries":
-        """Multiplicative inverse by leading-term division.
-
-        A single-term series inverts exactly.  A multi-term series needs a
-        finite truncation, since its inverse has infinitely many terms.
-        """
-        if self.is_zero_series:
-            raise ZeroDivisionError("inversion of zero series")
-        v = self.min_index
-        lead = self.coeffs[v]
-        if len(self.coeffs) == 1:
-            trunc = self.trunc - 2 * v if self.trunc is not math.inf else math.inf
-            return PuiseuxSeries(self.n, {-v: 1 / lead}, trunc)
-        if self.trunc is math.inf:
-            raise TruncationError(
-                "inverse of a multi-term series has infinitely many terms; "
-                "truncate to a finite order first"
-            )
-        rel_known = self.trunc - v
-        u = {j - v: c / lead for j, c in self.coeffs.items() if j != v}
-        b = {0: QComplex(1) if is_exact(lead) else complex(1)}
-        for m in range(1, rel_known + 1):
-            acc = sum_of_products(
-                [(uk, b[m - k]) for k, uk in u.items() if k <= m and (m - k) in b]
-            )
-            if not is_zero(acc, 0.0):
-                b[m] = -acc
-        trunc = self.trunc - 2 * v
-        coeffs = {mm - v: bb / lead for mm, bb in b.items() if mm - v <= trunc}
-        return PuiseuxSeries(self.n, coeffs, trunc)
-
     def pow(self, e: int) -> "PuiseuxSeries":
-        """Integer power; negative exponents invert first."""
+        """Nonnegative integer power by binary exponentiation."""
+        if e < 0:
+            raise ValueError("negative powers are not supported")
         if e == 0:
             return PuiseuxSeries.one(self.n)
-        base = self if e > 0 else self.inverse()
-        k = abs(e)
-        result = None
-        while k:
-            if k & 1:
+        base, result = self, None
+        while e:
+            if e & 1:
                 result = base if result is None else result * base
-            k >>= 1
-            if k:
+            e >>= 1
+            if e:
                 base = base * base
         return result
 
@@ -326,25 +285,21 @@ def substitute(poly: DifferentialPolynomial, s: PuiseuxSeries) -> PuiseuxSeries:
 def cot_laurent(K: int) -> PuiseuxSeries:
     """Laurent expansion of cot about 0 through index K, exact rationals.
 
-    Computed by dividing the cosine series by the sine series; the leading
-    coefficients run 1, -1/3, -1/45, -2/945, -1/4725, ...
+    cot solves the Riccati equation y' = -1 - y**2.  With c_{-1} = 1 and the
+    even coefficients zero, the coefficients of tau**m give
+
+        (m + 3) * c_{m+1} = -(delta_{m,0} + sum_{i=0..m} c_i * c_{m-i})
+
+    for even m < K, so the coefficients run 1, -1/3, -1/45, -2/945,
+    -1/4725, ...
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    m = K + 2
-    fact = [Fraction(1)]
-    for i in range(1, m + 2):
-        fact.append(fact[-1] * i)
-    cos_coeffs = {}
-    sin_coeffs = {}
-    for j in range(0, m + 1):
-        if j % 2 == 0:
-            cos_coeffs[j] = QComplex(Fraction((-1) ** (j // 2), 1) / fact[j])
-        else:
-            sin_coeffs[j] = QComplex(Fraction((-1) ** ((j - 1) // 2), 1) / fact[j])
-    cos_s = PuiseuxSeries(1, cos_coeffs, m)
-    sin_s = PuiseuxSeries(1, sin_coeffs, m)
-    return (cos_s * sin_s.inverse()).truncate(K)
+    c = {-1: _ONE, 1: mul_ratio(_ONE, -1, 3)}
+    for m in range(2, K, 2):
+        total = sum_of_products([(c[i], c[m - i]) for i in range(1, m, 2)])
+        c[m + 1] = mul_ratio(total, -1, m + 3)
+    return PuiseuxSeries(1, c, K)
 
 
 @dataclass(frozen=True)
@@ -366,13 +321,6 @@ class LocalSolution:
     free_parameters: dict
     compatibility: tuple
     poly: DifferentialPolynomial
-
-    @property
-    def residue(self):
-        """Coefficient of 1/tau (Laurent data only)."""
-        if self.series.n != 1:
-            raise ValueError("residue undefined for branched data")
-        return self.series.coeffs.get(-1, 0)
 
 
 def _compat_tolerance(poly: DifferentialPolynomial, a) -> float:
@@ -640,7 +588,9 @@ def solve_local_series(
             compatibility.append(CompatibilityCheck(r, is_zero(e, tol), e))
             value = free_used[r]
         else:
-            lam = poly_eval(response, Fraction(rho, n))
+            lam = 0
+            for c in reversed(response):
+                lam = mul_ratio(lam, rho, n) + c
             if is_zero(lam, 1e-13):
                 raise InternalInconsistencyError(
                     f"singular linear step at non-resonant order {Fraction(rho, n)}"

@@ -20,6 +20,7 @@ CASES = {
     "report-default": ["report"],
     "analyze-width-exact": ["analyze", "--ode", WIDTH, "--param", "omega=3/2"],
     "analyze-width-float": ["analyze", "--ode", WIDTH, "--param", "omega=1.5"],
+    "analyze-width-zero": ["analyze", "--ode", WIDTH, "--param", "omega=0"],
     "analyze-riccati-cot": ["analyze", "--ode", "y' + 1 + y^2"],
     "analyze-cubic": ["analyze", "--ode", "y'' - 2*y^3"],
     "analyze-quadratic": ["analyze", "--ode", "y'' - 6*y^2"],

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -160,6 +161,35 @@ def test_to_json_rejects_non_finite():
 def test_to_json_escapes_strings():
     assert to_json('a"b\\c') == '"a\\"b\\\\c"'
     assert to_json("line\nbreak") == '"line\\u000abreak"'
+
+
+def _escape_by_loop(s):
+    """Reference escape, one character at a time: '"' and backslash get a
+    backslash, code points below 0x20 a \\u escape."""
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=0x7f)),
+    st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028a\u00e9\U0001f600')),
+))
+def test_escape_matches_the_character_loop_and_round_trips(s):
+    escaped = to_json(s)
+    assert escaped == _escape_by_loop(s)
+    assert json.loads(escaped) == s
 
 
 def test_to_json_rejects_unknown_types():
