@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except (InternalInconsistencyError, DegenerateFamilyError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except (MerosolveError, ValueError, OSError, ZeroDivisionError) as exc:
+    except (MerosolveError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

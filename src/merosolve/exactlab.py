@@ -5,8 +5,9 @@ Provides the classical linear-oscillator basis, quadratic-form (Pinney)
 superposition solutions, the superposition built directly from initial
 conditions, the coupled-oscillator invariant, the third-order
 maximal-symmetry check for ``alpha**2``, and the complex Riccati reduction
-residual.  Every construction exposes analytic derivatives so downstream
-checks avoid numeric differentiation where possible.
+residual.  Every derivative is analytic: a time point evaluates each basis
+solution once, as a (value, slope) jet, and the higher derivatives follow
+from ``eta'' = -omega**2 eta``.
 """
 
 from __future__ import annotations
@@ -15,31 +16,6 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import EvaluationDomainError
-
-# central-difference steps balancing truncation against roundoff per order;
-# higher orders need larger steps because roundoff grows like eps/h**order
-_FD_STEPS = {1: 1e-5, 2: 2e-3, 3: 1e-2}
-
-
-def numeric_derivative(f, t, order: int = 1, h: float = None):
-    """Central-difference derivative with one Richardson extrapolation."""
-    if order not in (1, 2, 3):
-        raise ValueError("numeric derivatives supported for orders 1..3")
-    if h is None:
-        h = _FD_STEPS[order]
-
-    def stencil(step):
-        if order == 1:
-            return (f(t + step) - f(t - step)) / (2 * step)
-        if order == 2:
-            return (f(t + step) - 2 * f(t) + f(t - step)) / step ** 2
-        return (
-            f(t + 2 * step) - 2 * f(t + step) + 2 * f(t - step) - f(t - 2 * step)
-        ) / (2 * step ** 3)
-
-    d1 = stencil(h)
-    d2 = stencil(h / 2)
-    return (4 * d2 - d1) / 3
 
 
 class LinearOscillation:
@@ -51,23 +27,20 @@ class LinearOscillation:
         self.value0 = complex(value0)
         self.slope0 = complex(slope0)
 
-    def __call__(self, t):
+    def jet(self, t):
+        """(eta, eta') at t from one cos/sin pair."""
         w = self.omega
         if w == 0:
-            return self.value0 + self.slope0 * t
-        return self.value0 * cmath.cos(w * t) + self.slope0 * cmath.sin(w * t) / w
+            return self.value0 + self.slope0 * t, self.slope0
+        cos, sin = cmath.cos(w * t), cmath.sin(w * t)
+        return (self.value0 * cos + self.slope0 * sin / w,
+                -self.value0 * w * sin + self.slope0 * cos)
+
+    def __call__(self, t):
+        return self.jet(t)[0]
 
     def d1(self, t):
-        w = self.omega
-        if w == 0:
-            return self.slope0
-        return -self.value0 * w * cmath.sin(w * t) + self.slope0 * cmath.cos(w * t)
-
-    def d2(self, t):
-        return -self.omega ** 2 * self(t)
-
-    def d3(self, t):
-        return -self.omega ** 2 * self.d1(t)
+        return self.jet(t)[1]
 
 
 @dataclass(frozen=True)
@@ -80,21 +53,19 @@ class OscillatorBasis:
     wronskian: complex
 
     def wronskian_at(self, t) -> complex:
-        return self.u(t) * self.v.d1(t) - self.u.d1(t) * self.v(t)
+        u, du = self.u.jet(t)
+        v, dv = self.v.jet(t)
+        return u * dv - du * v
 
 
-def oscillator_basis(omega, ics=((1, 0), (0, 1))) -> OscillatorBasis:
-    """Basis (u, v) of the classical oscillator; the default normalization
-    u(0)=1, u'(0)=0, v(0)=0, v'(0)=1 has Wronskian exactly 1."""
-    (u0, du0), (v0, dv0) = ics
-    w = complex(u0) * complex(dv0) - complex(du0) * complex(v0)
-    if w == 0:
-        raise ValueError("initial conditions give dependent solutions (W = 0)")
-    u = LinearOscillation(omega, u0, du0)
-    v = LinearOscillation(omega, v0, dv0)
-    basis = OscillatorBasis(complex(omega), u, v, w)
+def oscillator_basis(omega) -> OscillatorBasis:
+    """Basis (u, v) of the classical oscillator normalized by u(0)=1,
+    u'(0)=0, v(0)=0, v'(0)=1, so its Wronskian is exactly 1."""
+    u = LinearOscillation(omega, 1, 0)
+    v = LinearOscillation(omega, 0, 1)
+    basis = OscillatorBasis(complex(omega), u, v, complex(1))
     for t in (0.0, 0.7, 1.3, 2.9):
-        if abs(basis.wronskian_at(t) - w) > 1e-10 * max(1.0, abs(w)):
+        if abs(basis.wronskian_at(t) - 1) > 1e-10:
             raise ValueError("Wronskian drifts; basis construction is broken")
     return basis
 
@@ -118,70 +89,50 @@ class PinneyWidth:
         self.params = params
         self.basis = basis
 
-    # quadratic form and derivatives -------------------------------------
-
-    def form(self, t) -> complex:
-        u, v = self.basis.u, self.basis.v
+    def form_jet(self, t):
+        """(F, F', F'', F''') of the form F = alpha**2 at t, from one jet
+        of each basis solution."""
         A, B, C = self.params.A, self.params.B, self.params.C
-        return A * u(t) ** 2 + 2 * B * u(t) * v(t) + C * v(t) ** 2
-
-    def form_d1(self, t) -> complex:
-        u, v = self.basis.u, self.basis.v
-        A, B, C = self.params.A, self.params.B, self.params.C
-        return (
-            2 * A * u(t) * u.d1(t)
-            + 2 * B * (u.d1(t) * v(t) + u(t) * v.d1(t))
-            + 2 * C * v(t) * v.d1(t)
+        u, du = self.basis.u.jet(t)
+        v, dv = self.basis.v.jet(t)
+        neg_w2 = -self.basis.omega ** 2
+        ddu, dddu = neg_w2 * u, neg_w2 * du
+        ddv, dddv = neg_w2 * v, neg_w2 * dv
+        F = A * u ** 2 + 2 * B * u * v + C * v ** 2
+        dF = 2 * A * u * du + 2 * B * (du * v + u * dv) + 2 * C * v * dv
+        ddF = (
+            2 * A * (du ** 2 + u * ddu)
+            + 2 * B * (ddu * v + 2 * du * dv + u * ddv)
+            + 2 * C * (dv ** 2 + v * ddv)
         )
-
-    def form_d2(self, t) -> complex:
-        u, v = self.basis.u, self.basis.v
-        A, B, C = self.params.A, self.params.B, self.params.C
-        return (
-            2 * A * (u.d1(t) ** 2 + u(t) * u.d2(t))
-            + 2 * B * (u.d2(t) * v(t) + 2 * u.d1(t) * v.d1(t) + u(t) * v.d2(t))
-            + 2 * C * (v.d1(t) ** 2 + v(t) * v.d2(t))
+        dddF = (
+            2 * A * (3 * du * ddu + u * dddu)
+            + 2 * B * (dddu * v + 3 * ddu * dv + 3 * du * ddv + u * dddv)
+            + 2 * C * (3 * dv * ddv + v * dddv)
         )
+        return F, dF, ddF, dddF
 
-    def form_d3(self, t) -> complex:
-        u, v = self.basis.u, self.basis.v
-        A, B, C = self.params.A, self.params.B, self.params.C
-        return (
-            2 * A * (3 * u.d1(t) * u.d2(t) + u(t) * u.d3(t))
-            + 2
-            * B
-            * (
-                u.d3(t) * v(t)
-                + 3 * u.d2(t) * v.d1(t)
-                + 3 * u.d1(t) * v.d2(t)
-                + u(t) * v.d3(t)
-            )
-            + 2 * C * (3 * v.d1(t) * v.d2(t) + v(t) * v.d3(t))
-        )
-
-    # width and derivatives ------------------------------------------------
-
-    def _sqrt_form(self, t) -> complex:
-        F = self.form(t)
-        if isinstance(t, complex) and t.imag != 0:
-            return cmath.sqrt(F)
-        if F.imag == 0 and F.real <= 0:
+    def derivatives(self, t):
+        """(alpha, alpha', alpha'') at t; at a real t where the form is not
+        positive this raises, naming the point."""
+        t = complex(t)
+        F, dF, ddF, _ = self.form_jet(t)
+        if t.imag == 0 and F.imag == 0 and F.real <= 0:
             raise EvaluationDomainError(
                 f"quadratic form vanishes or turns negative at t = {t}", point=t
             )
-        return cmath.sqrt(F)
+        alpha = cmath.sqrt(F)
+        return (alpha, dF / (2 * alpha),
+                ddF / (2 * alpha) - dF ** 2 / (4 * alpha ** 3))
 
     def __call__(self, t) -> complex:
-        return self._sqrt_form(complex(t))
+        return self.derivatives(t)[0]
 
     def d1(self, t) -> complex:
-        t = complex(t)
-        return self.form_d1(t) / (2 * self._sqrt_form(t))
+        return self.derivatives(t)[1]
 
     def d2(self, t) -> complex:
-        t = complex(t)
-        alpha = self._sqrt_form(t)
-        return self.form_d2(t) / (2 * alpha) - self.form_d1(t) ** 2 / (4 * alpha ** 3)
+        return self.derivatives(t)[2]
 
 
 def pinney_solution(params: QuadFormParams, basis: OscillatorBasis) -> PinneyWidth:
@@ -214,23 +165,22 @@ def constraint_report(params: QuadFormParams, basis: OscillatorBasis) -> dict:
     }
 
 
-def width_from_ics(alpha0, dalpha0, basis: OscillatorBasis, sign: int = +1):
+def width_from_ics(alpha0, dalpha0, basis: OscillatorBasis):
     """Width solution pinned by initial data (alpha0, dalpha0).
 
-    Uses eta1 = v, eta2 = u (so eta1(0)=0, eta1'(0)=1, eta2(0)=1,
-    eta2'(0)=0), under which alpha(0) = alpha0 holds for alpha0 > 0 and the
-    '+' sign reproduces dalpha0.  Returns the width plus a flag recording
-    whether the initial conditions were reproduced numerically.
+    With the basis normalization u(0)=1, u'(0)=0, v(0)=0, v'(0)=1 the
+    constants A = alpha0**2, B = alpha0 dalpha0, C = dalpha0**2 + alpha0**-2
+    give alpha(0) = alpha0 for alpha0 > 0 and alpha'(0) = dalpha0.  Returns
+    the width plus a flag recording whether the initial conditions were
+    reproduced numerically.
     """
     alpha0 = complex(alpha0)
     dalpha0 = complex(dalpha0)
     if alpha0 == 0:
         raise ValueError("alpha0 must be nonzero")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     A = alpha0 ** 2
     C = dalpha0 ** 2 + 1 / alpha0 ** 2
-    B = sign * dalpha0 * alpha0
+    B = dalpha0 * alpha0
     width = PinneyWidth(QuadFormParams(A=A, B=B, C=C), basis)
     mismatch = False
     try:
@@ -252,21 +202,11 @@ def ermakov_invariant(eta, deta, alpha, dalpha):
     return (cross ** 2 + (complex(eta) / alpha) ** 2) / 2
 
 
-def third_order_residual(x, omega):
-    """Residual function of the maximal-symmetry form
-    ``x''' + 4 omega**2 x'`` (constant frequency).
-
-    ``x`` may expose analytic ``.d1``/``.d3``; otherwise step-size-controlled
-    central differences are used.
-    """
-    omega2 = complex(omega) ** 2
-
-    def residual(t):
-        if hasattr(x, "d3") and hasattr(x, "d1"):
-            return x.d3(t) + 4 * omega2 * x.d1(t)
-        return numeric_derivative(x, t, 3) + 4 * omega2 * numeric_derivative(x, t, 1)
-
-    return residual
+def third_order_residual(width: PinneyWidth, omega, t) -> complex:
+    """Residual ``x''' + 4 omega**2 x'`` of the maximal-symmetry form for
+    x = width**2 (constant frequency), at t."""
+    _, dF, _, dddF = width.form_jet(t)
+    return dddF + 4 * complex(omega) ** 2 * dF
 
 
 def riccati_residual(alpha, dalpha, ddalpha, omega) -> complex:
@@ -294,6 +234,7 @@ def ep_residual(alpha, ddalpha, omega) -> complex:
     return complex(ddalpha) + complex(omega) ** 2 * alpha - alpha ** -3
 
 
-def ep_residual_of(width, omega, t) -> complex:
-    """Width-equation residual of a solution object with analytic ``d2``."""
-    return ep_residual(width(t), width.d2(t), omega)
+def ep_residual_of(width: PinneyWidth, omega, t) -> complex:
+    """Width-equation residual of a superposition width at t."""
+    alpha, _, ddalpha = width.derivatives(t)
+    return ep_residual(alpha, ddalpha, omega)

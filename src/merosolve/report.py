@@ -709,7 +709,8 @@ EXACTLAB_CHECKS = {
         r["pinney"]["constraint"],
     ),
     "invariant-conservation": lambda r: (
-        _verdict(r["invariant"]["drift"] < 1e-8), r["invariant"]),
+        _verdict(r["invariant"]["drift"] < r["invariant"]["threshold"]),
+        r["invariant"]),
     "third-order-maximal-symmetry": lambda r: (
         _verdict(r["third_order"]["max_residual"] < 1e-6), r["third_order"]),
     "riccati-reduction": lambda r: (
@@ -751,15 +752,24 @@ def numeric_claims(probe_results: list) -> list:
 # exact-lab and numeric sections
 # ---------------------------------------------------------------------------
 
-def exactlab_results(omega=1.0, params=(2, 1, 1), interval=(0.0, 5.0),
-                     grid: int = 101, tol: float = 1e-10,
-                     drift_interval=(0.0, 10.0)) -> dict:
+# the lab compares each closed form on a uniform grid over LAB_INTERVAL and
+# tracks the invariant over DRIFT_INTERVAL
+LAB_INTERVAL = (0.0, 5.0)
+LAB_GRID = 101
+DRIFT_INTERVAL = (0.0, 10.0)
+# invariant-conservation holds when the drift stays below this multiple of
+# the integrator tolerance; measured drift/tol is at most 19 for omega in
+# [0, 10] (and complex omega near 1) over tol 1e-13 .. 1e-6
+INVARIANT_DRIFT_PER_TOL = 100
+
+
+def exactlab_results(omega=1.0, params=(2, 1, 1), tol: float = 1e-10) -> dict:
     omega_c = complex(omega)
     basis = oscillator_basis(omega_c)
     quad = QuadFormParams(*[complex(x) for x in params])
     width = pinney_solution(quad, basis)
-    t0, t1 = interval
-    ts = [t0 + (t1 - t0) * i / (grid - 1) for i in range(grid)]
+    t0, t1 = LAB_INTERVAL
+    ts = [t0 + (t1 - t0) * i / (LAB_GRID - 1) for i in range(LAB_GRID)]
 
     pinney_residual = max(abs(ep_residual_of(width, omega_c, t)) for t in ts)
 
@@ -770,7 +780,7 @@ def exactlab_results(omega=1.0, params=(2, 1, 1), interval=(0.0, 5.0),
     )
 
     # conservation benchmark: eta = sin, alpha constant 1, I = 1/2
-    d0, d1 = drift_interval
+    d0, d1 = DRIFT_INTERVAL
     osc = LinearOscillatorOde(omega_c)
     shared = [d0 + 0.25 * k for k in range(1, int((d1 - d0) / 0.25))]
     eta_traj = integrate(osc, (0.0, 1.0), [d0, d1], tol=tol,
@@ -779,12 +789,10 @@ def exactlab_results(omega=1.0, params=(2, 1, 1), interval=(0.0, 5.0),
                            sample_points=shared, record_samples_only=True)
     drift = float(invariant_drift(eta_traj, alpha_traj))
 
-    third = third_order_residual(_FormAdapter(width), omega_c)
-    third_max = max(abs(third(t)) for t in ts)
+    third_max = max(abs(third_order_residual(width, omega_c, t)) for t in ts)
 
     riccati_max = max(
-        abs(riccati_residual(width(t), width.d1(t), width.d2(t), omega_c))
-        for t in ts
+        abs(riccati_residual(*width.derivatives(t), omega_c)) for t in ts
     )
 
     ic_width, mismatch = width_from_ics(1.0, 0.0, basis)
@@ -811,6 +819,7 @@ def exactlab_results(omega=1.0, params=(2, 1, 1), interval=(0.0, 5.0),
         },
         "invariant": {
             "drift": float(drift),
+            "threshold": INVARIANT_DRIFT_PER_TOL * tol,
             "initial_value": complex_json(
                 ermakov_invariant(
                     eta_traj.points[0].value,
@@ -823,22 +832,6 @@ def exactlab_results(omega=1.0, params=(2, 1, 1), interval=(0.0, 5.0),
         "third_order": {"max_residual": float(third_max)},
         "riccati": {"max_residual": float(riccati_max)},
     }
-
-
-class _FormAdapter:
-    """Expose the quadratic form alpha**2 with analytic derivatives."""
-
-    def __init__(self, width):
-        self._width = width
-
-    def __call__(self, t):
-        return self._width.form(t)
-
-    def d1(self, t):
-        return self._width.form_d1(t)
-
-    def d3(self, t):
-        return self._width.form_d3(t)
 
 
 def _constraint_json(report: dict) -> dict:

@@ -322,6 +322,18 @@ def test_bad_path_exits_2(capsys):
     assert main(["probe", "--omega", "0", "--path", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-exact", "--omega", "1000i"],
+    ["verify-exact", "--omega", "1e200"],
+    ["verify-exact", "--A", "1e300"],
+    ["report", "--param", "omega=1000i"],
+    ["analyze", "--param", "omega=1e400"],
+])
+def test_float_overflow_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_internal_inconsistency_exits_3(tmp_path, capsys, monkeypatch):
     from merosolve import report as rpt
     from merosolve.errors import InternalInconsistencyError

@@ -1,24 +1,86 @@
 import cmath
 import math
 import random
+import types
 
 import pytest
 
+from merosolve import exactlab
 from merosolve.errors import EvaluationDomainError
 from merosolve.exactlab import (
     QuadFormParams,
     constraint_report,
     ep_residual_of,
     ermakov_invariant,
-    numeric_derivative,
     oscillator_basis,
     pinney_solution,
     riccati_residual,
     third_order_residual,
     width_from_ics,
 )
+from merosolve.report import exactlab_results
 
 GRID = [0.05 * k for k in range(101)]  # [0, 5]
+
+
+def central_difference(f, t, order, h):
+    """Central-difference derivative of order 1..3 with one Richardson
+    extrapolation step."""
+    def stencil(step):
+        if order == 1:
+            return (f(t + step) - f(t - step)) / (2 * step)
+        if order == 2:
+            return (f(t + step) - 2 * f(t) + f(t - step)) / step ** 2
+        return (
+            f(t + 2 * step) - 2 * f(t + step) + 2 * f(t - step) - f(t - 2 * step)
+        ) / (2 * step ** 3)
+
+    return (4 * stencil(h / 2) - stencil(h)) / 3
+
+
+# The formulas below evaluate every derivative on its own, term by term, the
+# way the lab did before it read one oscillator jet per point.  The jet must
+# reproduce them bit for bit.
+
+def reference_oscillation(omega, value0, slope0, t):
+    w, value0, slope0 = complex(omega), complex(value0), complex(slope0)
+    if w == 0:
+        eta, deta = value0 + slope0 * t, slope0
+    else:
+        eta = value0 * cmath.cos(w * t) + slope0 * cmath.sin(w * t) / w
+        deta = -value0 * w * cmath.sin(w * t) + slope0 * cmath.cos(w * t)
+    return eta, deta, -w ** 2 * eta, -w ** 2 * deta
+
+
+def reference_form_jet(params, omega, t):
+    A, B, C = params.A, params.B, params.C
+    u, u1, u2, u3 = reference_oscillation(omega, 1, 0, t)
+    v, v1, v2, v3 = reference_oscillation(omega, 0, 1, t)
+    form = A * u ** 2 + 2 * B * u * v + C * v ** 2
+    d1 = 2 * A * u * u1 + 2 * B * (u1 * v + u * v1) + 2 * C * v * v1
+    d2 = (
+        2 * A * (u1 ** 2 + u * u2)
+        + 2 * B * (u2 * v + 2 * u1 * v1 + u * v2)
+        + 2 * C * (v1 ** 2 + v * v2)
+    )
+    d3 = (
+        2 * A * (3 * u1 * u2 + u * u3)
+        + 2 * B * (u3 * v + 3 * u2 * v1 + 3 * u1 * v2 + u * v3)
+        + 2 * C * (3 * v1 * v2 + v * v3)
+    )
+    return form, d1, d2, d3
+
+
+def reference_derivatives(params, omega, t):
+    t = complex(t)
+    form, d1, d2, _ = reference_form_jet(params, omega, t)
+    alpha = cmath.sqrt(form)
+    return alpha, d1 / (2 * alpha), d2 / (2 * alpha) - d1 ** 2 / (4 * alpha ** 3)
+
+
+JET_OMEGAS = [0.0, 1.0, 0.8 + 0.2j]
+JET_PARAMS = [QuadFormParams(2, 1, 1), QuadFormParams(1.5, 0.5, 1)]
+JET_TIMES = [0.0, 0.35, 1.7, 4.2, 0.3 + 0.4j, 1.7 - 0.2j, 2.5j]
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +110,68 @@ def test_basis_frequency_two_normalization():
     assert abs(basis.wronskian_at(0.9) - 1) < 1e-12
 
 
-def test_basis_rejects_dependent_ics():
-    with pytest.raises(ValueError):
-        oscillator_basis(1.0, ics=((1, 0), (2, 0)))
+def test_jet_is_value_and_slope():
+    for omega in JET_OMEGAS:
+        basis = oscillator_basis(omega)
+        for t in JET_TIMES:
+            u, du = basis.u.jet(t)
+            assert (u, du) == (basis.u(t), basis.u.d1(t))
+            assert (u, du) == reference_oscillation(omega, 1, 0, t)[:2]
+
+
+# ---------------------------------------------------------------------------
+# one jet per point: bit identity and derivative checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("omega", JET_OMEGAS)
+@pytest.mark.parametrize("params", JET_PARAMS, ids=["2,1,1", "1.5,0.5,1"])
+def test_form_jet_and_derivatives_match_reference(omega, params):
+    width = pinney_solution(params, oscillator_basis(omega))
+    for t in JET_TIMES:
+        assert width.form_jet(t) == reference_form_jet(params, omega, t)
+        expected = reference_derivatives(params, omega, t)
+        assert width.derivatives(t) == expected
+        assert (width(t), width.d1(t), width.d2(t)) == expected
+
+
+def test_numeric_derivative_orders():
+    f = lambda t: cmath.exp(0.5 * t)
+    for order, h, tol in ((1, 1e-5, 1e-10), (2, 2e-3, 1e-8), (3, 1e-2, 1e-7)):
+        approx = central_difference(f, 1.0, order, h)
+        exact = 0.5 ** order * cmath.exp(0.5)
+        assert abs(approx - exact) < tol, f"order {order}"
+
+
+def test_form_jet_matches_central_differences():
+    for omega in JET_OMEGAS:
+        for params in JET_PARAMS:
+            width = pinney_solution(params, oscillator_basis(omega))
+            form = lambda t: width.form_jet(t)[0]
+            for t in (0.35, 1.7, 0.3 + 0.4j):
+                _, dF, ddF, dddF = width.form_jet(t)
+                assert abs(central_difference(form, t, 1, 1e-5) - dF) < 1e-9
+                assert abs(central_difference(form, t, 2, 2e-3) - ddF) < 1e-8
+                assert abs(central_difference(form, t, 3, 1e-2) - dddF) < 1e-6
+
+
+def test_exactlab_reads_one_jet_per_point(monkeypatch):
+    calls = {"cos": 0, "sin": 0}
+
+    def counted(name):
+        fn = getattr(cmath, name)
+
+        def wrapper(z):
+            calls[name] += 1
+            return fn(z)
+
+        return wrapper
+
+    monkeypatch.setattr(exactlab, "cmath", types.SimpleNamespace(
+        cos=counted("cos"), sin=counted("sin"), sqrt=cmath.sqrt))
+    exactlab_results(omega=1)
+    # about 13 jets per grid point of 101; the per-derivative evaluation
+    # made 13,148 cos calls
+    assert 0 < calls["cos"] == calls["sin"] <= 1400
 
 
 # ---------------------------------------------------------------------------
@@ -181,43 +302,34 @@ def test_invariant_rejects_zero_width():
 # ---------------------------------------------------------------------------
 
 def test_third_order_free_particle_square():
-    residual = third_order_residual(lambda t: 1 + t * t, 0.0)
+    # A = C = 1, B = 0 with the free basis (1, t) gives width**2 = 1 + t**2.
+    width = pinney_solution(QuadFormParams(1, 0, 1), oscillator_basis(0.0))
     for t in (0.5, 1.5, 3.0):
-        assert abs(residual(t)) < 1e-6  # numeric third derivative of a quadratic
+        assert width.form_jet(t)[0] == 1 + t * t
+        assert abs(third_order_residual(width, 0.0, t)) < 1e-6
+        numeric = central_difference(lambda s: 1 + s * s, t, 3, 1e-2)
+        assert abs(numeric) < 1e-6  # numeric third derivative of a quadratic
 
 
 def test_third_order_constant():
-    residual = third_order_residual(lambda t: 1.0, 1.0)
-    assert abs(residual(1.0)) < 1e-9
+    # A = C = 1, B = 0 with the unit-frequency basis gives width**2 = 1.
+    width = pinney_solution(QuadFormParams(1, 0, 1), oscillator_basis(1.0))
+    assert abs(width.form_jet(1.0)[0] - 1) < 1e-15
+    assert abs(third_order_residual(width, 1.0, 1.0)) < 1e-9
 
 
 def test_third_order_width_square_analytic_and_numeric():
     basis = oscillator_basis(1.0)
     width = pinney_solution(QuadFormParams(2, 1, 1), basis)
+    assert max(abs(third_order_residual(width, 1.0, t)) for t in GRID) < 1e-12
 
-    class Analytic:
-        def __call__(self, t):
-            return width.form(t)
-
-        def d1(self, t):
-            return width.form_d1(t)
-
-        def d3(self, t):
-            return width.form_d3(t)
-
-    exact = third_order_residual(Analytic(), 1.0)
-    assert max(abs(exact(t)) for t in GRID) < 1e-12
-
-    numeric = third_order_residual(lambda t: width.form(t), 1.0)
-    assert max(abs(numeric(t)) for t in GRID[::10]) < 1e-6
-
-
-def test_numeric_derivative_orders():
-    f = lambda t: cmath.exp(0.5 * t)
-    for order, tol in ((1, 1e-10), (2, 1e-8), (3, 1e-7)):
-        approx = numeric_derivative(f, 1.0, order)
-        exact = 0.5 ** order * cmath.exp(0.5)
-        assert abs(approx - exact) < tol, f"order {order}"
+    form = lambda t: width.form_jet(t)[0]
+    numeric = [
+        central_difference(form, t, 3, 1e-2)
+        + 4 * central_difference(form, t, 1, 1e-5)
+        for t in GRID[::10]
+    ]
+    assert max(abs(r) for r in numeric) < 1e-6
 
 
 # ---------------------------------------------------------------------------

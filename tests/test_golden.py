@@ -32,6 +32,9 @@ CASES = {
                           "--format", "csv"],
     "probe-branch": ["probe", "--omega", "0", "--ic", "1,0",
                      "--path", "0:0.999i"],
+    "verify-exact-free": ["verify-exact", "--omega", "0"],
+    "verify-exact-complex": ["verify-exact", "--omega", "0.8+0.2i",
+                             "--A", "1.5", "--B", "0.5", "--C", "1"],
 }
 
 

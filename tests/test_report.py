@@ -107,13 +107,34 @@ def test_numeric_claims_not_applicable_without_detection():
     assert claims[0]["status"] == "not-applicable"
 
 
+def invariant_status(results):
+    statuses = {c["id"]: c["status"] for c in exactlab_claims(results)}
+    return statuses["invariant-conservation"]
+
+
 @pytest.mark.parametrize("omega", [0.1, 0.5, 1, 2, 3, 5, 10])
 def test_invariant_conservation_holds_at_default_tolerance(omega):
-    # the drift threshold is 1e-8; at the default tol 1e-10 the largest
-    # drift over these frequencies is about 1.7e-9 (omega = 5)
+    # the drift threshold is 100 * tol = 1e-8; at the default tol 1e-10 the
+    # largest drift over these frequencies is about 1.7e-9 (omega = 5)
     results = exactlab_results(omega=omega, tol=1e-10)
-    statuses = {c["id"]: c["status"] for c in exactlab_claims(results)}
-    assert statuses["invariant-conservation"] == "confirmed"
+    assert results["invariant"]["threshold"] == 1e-8
+    assert invariant_status(results) == "confirmed"
+
+
+@pytest.mark.parametrize("omega, tol", [(1, 1e-8), (5, 1e-9)])
+def test_invariant_threshold_follows_tolerance(omega, tol):
+    # both drifts are about 1.7e-8, above a fixed 1e-8 but well inside
+    # 100 * tol
+    results = exactlab_results(omega=omega, tol=tol)
+    assert results["invariant"]["drift"] > 1e-8
+    assert results["invariant"]["threshold"] == 100 * tol
+    assert invariant_status(results) == "confirmed"
+
+
+def test_invariant_large_drift_is_refuted():
+    results = exactlab_results(omega=1, tol=1e-10)
+    results["invariant"]["drift"] = 1e-2
+    assert invariant_status(results) == "refuted"
 
 
 def test_analysis_claim_statuses_default(ep_poly):
