@@ -11,6 +11,7 @@ CSV.  Exit codes: 0 success, 2 input error, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -50,7 +51,10 @@ def _add_output_options(p, formats=("json", "text")):
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def _build_parser():
+    """The command table: each subparser carries its handler as ``run``.
+    Built on the first :func:`main` call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="merosolve",
         description="Movable-singularity analysis and exact-solution "
@@ -66,6 +70,7 @@ def _build_parser():
         p = sub.add_parser(name, help=doc)
         _add_ode_options(p)
         _add_output_options(p)
+        p.set_defaults(run=_cmd_analysis)
 
     p = sub.add_parser("integrate", help="integrate along a complex path")
     p.add_argument("--system", choices=("ep", "linear"), default="ep")
@@ -74,6 +79,7 @@ def _build_parser():
     p.add_argument("--path", default="0:10", metavar="A:B[:C...]")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_output_options(p, formats=("json", "csv", "text"))
+    p.set_defaults(run=_cmd_integrate)
 
     p = sub.add_parser("probe", help="locate a singular time and fit the "
                                      "local exponent")
@@ -82,6 +88,7 @@ def _build_parser():
     p.add_argument("--path", default="0:0.999i", metavar="A:B[:C...]")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_output_options(p)
+    p.set_defaults(run=_cmd_probe)
 
     p = sub.add_parser("verify-exact", help="closed-form laboratory checks")
     p.add_argument("--case",
@@ -92,10 +99,9 @@ def _build_parser():
     p.add_argument("--B", default="1")
     p.add_argument("--C", default="1")
     p.add_argument("--omega", default="1")
-    p.add_argument("--alpha0", default="1")
-    p.add_argument("--dalpha0", default="0")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_output_options(p)
+    p.set_defaults(run=_cmd_verify_exact)
 
     p = sub.add_parser("report", help="full pipeline report")
     _add_ode_options(p)
@@ -103,27 +109,20 @@ def _build_parser():
     p.add_argument("--ic", default="1,0", metavar="VALUE,SLOPE",
                    help="initial data for the numeric probes")
     _add_output_options(p)
+    p.set_defaults(run=_cmd_report)
     return parser
 
 
-def _parse_params(pairs):
-    env = {}
+def _parse_pairs(pairs, usage, key):
+    """``{key(NAME): value}`` from repeated NAME=VALUE flags; ``usage`` is
+    the error text for a pair without '='."""
+    out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ValueError(f"--param needs NAME=VALUE, got {pair!r}")
+            raise ValueError(f"{usage}, got {pair!r}")
         name, _, value = pair.partition("=")
-        env[name.strip()] = parse_complex_literal(value)
-    return env
-
-
-def _parse_free(pairs):
-    free = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--free needs R=VALUE, got {pair!r}")
-        key, _, value = pair.partition("=")
-        free[Fraction(key.strip())] = parse_complex_literal(value)
-    return free
+        out[key(name.strip())] = parse_complex_literal(value)
+    return out
 
 
 def _parse_ic(text):
@@ -141,17 +140,6 @@ def _parse_path(text):
     if len(parts) < 2:
         raise ValueError(f"--path needs at least two waypoints, got {text!r}")
     return ComplexPath([complex(parse_complex_literal(p)) for p in parts])
-
-
-def _resolve_ode(args):
-    ode_text = args.ode
-    env = _parse_params(args.param)
-    if ode_text is None:
-        ode_text = rpt.DEFAULT_ODE_TEXT
-        env.setdefault("omega", parse_complex_literal("1"))
-    elif ode_text.startswith("@"):
-        ode_text = Path(ode_text[1:]).read_text(encoding="utf-8").strip()
-    return ode_text, env
 
 
 def _emit(args, text):
@@ -196,13 +184,24 @@ def render_text(payload, indent: int = 0) -> str:
     return pad + ("\n".join(lines) if lines else "")
 
 
-def _cmd_analysis_like(args):
-    ode_text, env = _resolve_ode(args)
-    analysis = rpt.Analysis(
+def _analysis(args):
+    """The :class:`~merosolve.report.Analysis` of the ODE options."""
+    ode_text = args.ode
+    env = _parse_pairs(args.param, "--param needs NAME=VALUE", str)
+    if ode_text is None:
+        ode_text = rpt.DEFAULT_ODE_TEXT
+        env.setdefault("omega", parse_complex_literal("1"))
+    elif ode_text.startswith("@"):
+        ode_text = Path(ode_text[1:]).read_text(encoding="utf-8").strip()
+    return rpt.Analysis(
         ode_text, env, K=args.order, n_max=args.branch_max,
-        window=args.window, free=_parse_free(args.free),
+        window=args.window,
+        free=_parse_pairs(args.free, "--free needs R=VALUE", Fraction),
     )
-    return rpt.analysis_payload(analysis, args.command)
+
+
+def _cmd_analysis(args):
+    return rpt.analysis_payload(_analysis(args), args.command)
 
 
 def _cmd_integrate(args):
@@ -275,41 +274,27 @@ def _cmd_verify_exact(args):
 
 
 def _cmd_report(args):
-    ode_text, env = _resolve_ode(args)
-    free = _parse_free(args.free)
-    return rpt.full_report_payload(
-        ode_text, env, K=args.order, n_max=args.branch_max,
-        window=args.window, free=free, tol=args.tol, ic=_parse_ic(args.ic),
-    )
+    return rpt.report_payload(_analysis(args), tol=args.tol,
+                              ic=_parse_ic(args.ic))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command in ("analyze", "series", "closed-form"):
-            payload = _cmd_analysis_like(args)
-        elif args.command == "integrate":
-            payload = _cmd_integrate(args)
-            if isinstance(payload, str):  # csv already rendered
-                _emit(args, payload)
-                return 0
-        elif args.command == "probe":
-            payload = _cmd_probe(args)
-        elif args.command == "verify-exact":
-            payload = _cmd_verify_exact(args)
-        elif args.command == "report":
-            payload = _cmd_report(args)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown command {args.command!r}")
-        _emit(args, _render(payload, args.format))
+        # a handler returns a payload for --format, or finished text (csv)
+        out = args.run(args)
+        _emit(args, out if isinstance(out, str) else _render(out, args.format))
         return 0
     except (InternalInconsistencyError, DegenerateFamilyError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        print(f"error: {args.command}: input overflows floating point ({exc})",
+              file=sys.stderr)
+        return 2
     except (MerosolveError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

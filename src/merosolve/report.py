@@ -894,11 +894,14 @@ def probe_payload(omega, ic, path_points, tol: float = 1e-10) -> dict:
     return payload
 
 
-def numeric_section(omega, ic=(1.0, 0.0), reach: float = 0.999,
-                    tol: float = 1e-10) -> dict:
+# the report's two numeric probes run from 0 to +-PROBE_REACH * i
+PROBE_REACH = 0.999
+
+
+def numeric_section(omega, ic, tol: float) -> dict:
     probes = [
-        probe_payload(omega, ic, [0, complex(0.0, reach)], tol=tol),
-        probe_payload(omega, ic, [0, complex(0.0, -reach)], tol=tol),
+        probe_payload(omega, ic, [0, complex(0.0, PROBE_REACH)], tol=tol),
+        probe_payload(omega, ic, [0, complex(0.0, -PROBE_REACH)], tol=tol),
     ]
     return {"probes": probes}
 
@@ -938,12 +941,12 @@ def analyze_payload(ode_text: str, env: dict, K: int = 12, n_max: int = 4,
                             "analyze")
 
 
-def full_report_payload(ode_text: str, env: dict, K: int = 12, n_max: int = 4,
-                        window: int = 6, free=None, tol: float = 1e-10,
-                        ic=(1.0, 0.0)) -> dict:
-    payload = analysis_payload(Analysis(ode_text, env, K, n_max, window, free),
-                               "report")
-    omega = to_complex(env.get("omega", 1))
+def report_payload(a: Analysis, tol: float, ic) -> dict:
+    """The ``report`` payload: the analysis sections of ``a``, the exact lab
+    and the numeric probes at ``a``'s omega (1 when it has none), and the
+    claims of all three."""
+    payload = analysis_payload(a, "report")
+    omega = to_complex(a.env.get("omega", 1))
     lab = exactlab_results(omega=omega, tol=tol)
     numeric = numeric_section(omega, ic=ic, tol=tol)
     payload["exact_lab"] = lab

@@ -331,7 +331,44 @@ def test_bad_path_exits_2(capsys):
 ])
 def test_float_overflow_exits_2(argv, capsys):
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(
+        f"error: {argv[0]}: input overflows floating point (")
+
+
+def test_exact_division_by_zero_keeps_its_message(capsys):
+    assert main(["analyze", "--param", "omega=1/0"]) == 2
+    assert capsys.readouterr().err == "error: Fraction(1, 0)\n"
+
+
+def test_verify_exact_has_no_initial_condition_flags(capsys):
+    # the from-ic case always starts the width from (1, 0); no flag sets it
+    for flag in ("--alpha0", "--dalpha0"):
+        assert main(["verify-exact", flag, "2"]) == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_tree(tmp_path, monkeypatch):
+    import argparse
+
+    from merosolve import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    cli._build_parser()
+    one_tree = len(built)
+    cli._build_parser.cache_clear()
+    built.clear()
+    for command in (["series"], ["verify-exact", "--case", "pinney"],
+                    ["analyze"]):
+        assert main(command + ["--out", str(tmp_path / "out.json")]) == 0
+    assert built and len(built) <= one_tree
 
 
 def test_internal_inconsistency_exits_3(tmp_path, capsys, monkeypatch):

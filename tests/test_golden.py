@@ -56,3 +56,28 @@ def cli_stdout(argv) -> str:
 def test_golden_bytes(name):
     expected = golden_path(name).read_text(encoding="utf-8")
     assert cli_stdout(CASES[name]) == expected
+
+
+# `merosolve --help` and each subcommand's --help at 80 columns
+HELP_COMMANDS = ("merosolve", "analyze", "series", "closed-form", "integrate",
+                 "probe", "verify-exact", "report")
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_bytes(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "merosolve" else [command, "--help"]
+    expected = (GOLDEN_DIR / f"help-{command}.txt").read_text(encoding="utf-8")
+    assert cli_stdout(argv) == expected
+
+
+def test_shared_parser_carries_no_state_between_calls():
+    # repeatable flags, formats and defaults set by one call must not leak
+    # into the next call through the parser that main builds once
+    cli_stdout(["series", "--ode", "y'' - 2*y^3", "--free", "4=1",
+                "--param", "c=2"])
+    assert cli_stdout(CASES["analyze-default"]) == \
+        golden_path("analyze-default").read_text(encoding="utf-8")
+    cli_stdout(CASES["integrate-complex"])
+    assert cli_stdout(CASES["integrate-width"]) == \
+        golden_path("integrate-width").read_text(encoding="utf-8")
