@@ -51,6 +51,17 @@ def _add_output_options(p, formats=("json", "text")):
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser reports the arguments it does not know itself,
+    with its own usage line, instead of leaving them to the top level."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def _build_parser():
     """The command table: each subparser carries its handler as ``run``.
@@ -60,7 +71,8 @@ def _build_parser():
         description="Movable-singularity analysis and exact-solution "
                     "verification for autonomous nonlinear ODEs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     for name, doc in (
         ("analyze", "balance families, series, candidates and claims"),
@@ -113,15 +125,27 @@ def _build_parser():
     return parser
 
 
-def _parse_pairs(pairs, usage, key):
-    """``{key(NAME): value}`` from repeated NAME=VALUE flags; ``usage`` is
-    the error text for a pair without '='."""
+def _literal(flag, text):
+    """The complex literal ``text`` given to ``flag``; an exact division by
+    zero names both."""
+    try:
+        return parse_complex_literal(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} {text!r}: division by zero") from None
+
+
+def _parse_pairs(pairs, flag, form, key):
+    """``{key(NAME): value}`` from repeated ``flag NAME=VALUE``; ``form``
+    names that shape in the error text for a pair without '='."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ValueError(f"{usage}, got {pair!r}")
+            raise ValueError(f"{flag} needs {form}, got {pair!r}")
         name, _, value = pair.partition("=")
-        out[key(name.strip())] = parse_complex_literal(value)
+        try:
+            out[key(name.strip())] = parse_complex_literal(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{flag} {pair!r}: division by zero") from None
     return out
 
 
@@ -129,17 +153,14 @@ def _parse_ic(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"--ic needs VALUE,SLOPE, got {text!r}")
-    return (
-        complex(parse_complex_literal(parts[0])),
-        complex(parse_complex_literal(parts[1])),
-    )
+    return tuple(complex(_literal("--ic", part)) for part in parts)
 
 
 def _parse_path(text):
     parts = [p for p in text.split(":") if p.strip()]
     if len(parts) < 2:
         raise ValueError(f"--path needs at least two waypoints, got {text!r}")
-    return ComplexPath([complex(parse_complex_literal(p)) for p in parts])
+    return ComplexPath([complex(_literal("--path", p)) for p in parts])
 
 
 def _emit(args, text):
@@ -187,7 +208,7 @@ def render_text(payload, indent: int = 0) -> str:
 def _analysis(args):
     """The :class:`~merosolve.report.Analysis` of the ODE options."""
     ode_text = args.ode
-    env = _parse_pairs(args.param, "--param needs NAME=VALUE", str)
+    env = _parse_pairs(args.param, "--param", "NAME=VALUE", str)
     if ode_text is None:
         ode_text = rpt.DEFAULT_ODE_TEXT
         env.setdefault("omega", parse_complex_literal("1"))
@@ -196,7 +217,7 @@ def _analysis(args):
     return rpt.Analysis(
         ode_text, env, K=args.order, n_max=args.branch_max,
         window=args.window,
-        free=_parse_pairs(args.free, "--free needs R=VALUE", Fraction),
+        free=_parse_pairs(args.free, "--free", "R=VALUE", Fraction),
     )
 
 
@@ -205,7 +226,7 @@ def _cmd_analysis(args):
 
 
 def _cmd_integrate(args):
-    omega = complex(parse_complex_literal(args.omega))
+    omega = complex(_literal("--omega", args.omega))
     ode = EpWidthOde(omega) if args.system == "ep" else LinearOscillatorOde(omega)
     traj = integrate(ode, _parse_ic(args.ic), _parse_path(args.path),
                      tol=args.tol)
@@ -229,27 +250,25 @@ def _cmd_integrate(args):
 
 
 def _cmd_probe(args):
-    omega = parse_complex_literal(args.omega)
+    omega = complex(_literal("--omega", args.omega))
     payload = rpt.probe_payload(
-        complex(omega), _parse_ic(args.ic), _parse_path(args.path),
-        tol=args.tol,
+        omega, _parse_ic(args.ic), _parse_path(args.path), tol=args.tol,
     )
     return {
         "schema_version": rpt.SCHEMA_VERSION,
         "command": "probe",
-        "omega": rpt.complex_json(complex(omega)),
+        "omega": rpt.complex_json(omega),
         **payload,
     }
 
 
 def _cmd_verify_exact(args):
-    omega = complex(parse_complex_literal(args.omega))
     results = rpt.exactlab_results(
-        omega=omega,
+        omega=complex(_literal("--omega", args.omega)),
         params=(
-            complex(parse_complex_literal(args.A)),
-            complex(parse_complex_literal(args.B)),
-            complex(parse_complex_literal(args.C)),
+            complex(_literal("--A", args.A)),
+            complex(_literal("--B", args.B)),
+            complex(_literal("--C", args.C)),
         ),
         tol=args.tol,
     )

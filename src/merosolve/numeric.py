@@ -16,23 +16,35 @@ segment with unit direction d, the derivative of the state with respect to
 arc length is (d * slope, d * accel(value)); no stage depends on t, so the
 tableau's nodes c_i are not needed.
 
+The pair is used first same as last (Dormand & Prince 1980; Hairer, Norsett
+& Wanner I, section II.5, DOPRI5).  Row 7 of the tableau equals the
+fifth-order weights (a_7j = b_j, with b_2 = b_7 = 0), so the seventh stage is
+the derivative at the new state: a step builds that state from stages 1-6,
+evaluates stage 7 there for the error estimate, and an accepted step hands
+it on as the next step's first stage.  A step costs six ``accel`` calls;
+a rejected step keeps its first stage, and only a change of direction (the
+path start and each corner) evaluates one afresh.
+
 The step is unrolled into straight-line code that keeps the floating-point
 evaluation order of the generic tableau loop, so trajectories are
 bit-identical to it (``test_unrolled_step_matches_generic_reference`` pins
 this with ``==``):
 
-- a stage sum starts from the state and adds ``(h * a_ij) * k_j`` in
-  ascending j, skipping only the zero entry a_61;
-- the fifth-order update and the error estimate add ``b_i * k_i`` for all
-  seven i, zero weights included, onto the int 0 that ``sum()`` starts
-  from, and only then multiply by h;
+- the sum for stage i = 2..6 starts from the state and adds
+  ``(h * a_ij) * k_j`` in ascending j (these rows have no zero entry);
+- the fifth-order update adds ``b_i * k_i`` over stages 1-6 and the error
+  estimate ``e_i * k_i`` over stages 1-7, in ascending i and without the
+  zero weights b_2 and e_2, onto the int 0 that ``sum()`` starts from, and
+  only then multiply by h;
 - the error is the larger of ``|e| / max(1.0, |y|, |y5|)`` over the two
-  components, starting from 0.0.  This ``max``, and every other ``min`` or
-  ``max`` of the generic loop, is written as comparisons (``m = a`` then
-  ``if b > m: m = b``) that select the same operand: the builtins keep
-  their first argument and replace the running value only when a later
-  one compares strictly greater (``max``) or strictly less (``min``), so
-  ties and NaN resolve to the same float.
+  components.  This ``max``, and every other ``min`` or ``max`` of the
+  generic loop, is written as comparisons (``m = a`` then ``if b > m:
+  m = b``) that select the same operand: the builtins keep their first
+  argument and replace the running value only when a later one compares
+  strictly greater (``max``) or strictly less (``min``), so ties resolve to
+  the same float.  A NaN estimate (inf - inf in a stage) counts as an
+  infinite error, like a stage that raises, so the step is rejected and
+  halved.
 
 Accepted points are built with ``tuple.__new__``, which skips the
 Python-level ``__new__`` of the ``TrajectoryPoint`` named tuple.
@@ -50,17 +62,16 @@ from .exactlab import ermakov_invariant
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 MAX_STEPS = 500_000  # accepted plus rejected steps per integration
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau, stages 2 to 6.  Row 7 of A equals the
+# fifth-order weights B5 (first same as last), whose b_7 = 0 is left out.
 _DP_A = (
-    (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (
     5179 / 57600,
     0.0,
@@ -70,7 +81,7 @@ _DP_B4 = (
     187 / 2100,
     1 / 40,
 )
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5 + (0.0,), _DP_B4))
 
 
 def _omega_squared_overflows(u):
@@ -218,16 +229,14 @@ def integrate(
     new_point = tuple.__new__
     max_steps = MAX_STEPS
     (
-        _,
         (a10,),
         (a20, a21),
         (a30, a31, a32),
         (a40, a41, a42, a43),
         (a50, a51, a52, a53, a54),
-        (a60, _, a62, a63, a64, a65),
     ) = _DP_A
-    b0, b1, b2, b3, b4, b5, b6 = _DP_B5
-    e0, e1, e2, e3, e4, e5, e6 = _DP_E
+    b0, _, b2, b3, b4, b5 = _DP_B5
+    e0, _, e2, e3, e4, e5, e6 = _DP_E
     accepted = rejected = rhs_evals = 0
     min_step, max_step = math.inf, 0.0
 
@@ -236,6 +245,7 @@ def integrate(
     end_slack = 1e-13 * max(1.0, path.length)
     snap = 1e-12 * max(1.0, path.length)
     s_cur = 0.0
+    d_cur = q0 = None
 
     for target in events:
         if halt_reason:
@@ -244,6 +254,9 @@ def integrate(
         base_t = path.waypoints[seg]
         base_s = path.cums[seg]
         d = path.direction(seg)
+        if d != d_cur:
+            # a new direction: the first stage is evaluated afresh
+            d_cur, q0 = d, None
         while s_cur < target - end_slack:
             if accepted + rejected >= max_steps:
                 halt_reason = "step budget exhausted"
@@ -253,8 +266,10 @@ def integrate(
                 h_try = h
             try:
                 # stage j: p_j = d * slope_j, q_j = d * accel(value_j)
-                p0 = d * y1
-                q0 = d * accel(y0)
+                if q0 is None:
+                    p0 = d * y1
+                    q0 = d * accel(y0)
+                    rhs_evals += 1
                 c0 = h_try * a10
                 p1 = d * (y1 + c0 * q0)
                 q1 = d * accel(y0 + c0 * p0)
@@ -274,17 +289,14 @@ def integrate(
                 q5 = d * accel(
                     y0 + c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
                 )
-                c0, c2, c3, c4, c5 = (h_try * a60, h_try * a62, h_try * a63,
-                                      h_try * a64, h_try * a65)
-                p6 = d * (y1 + c0 * q0 + c2 * q2 + c3 * q3 + c4 * q4 + c5 * q5)
-                q6 = d * accel(
-                    y0 + c0 * p0 + c2 * p2 + c3 * p3 + c4 * p4 + c5 * p5
-                )
-                rhs_evals += 7
-                z0 = y0 + h_try * (0 + b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3
-                                   + b4 * p4 + b5 * p5 + b6 * p6)
-                z1 = y1 + h_try * (0 + b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3
-                                   + b4 * q4 + b5 * q5 + b6 * q6)
+                z0 = y0 + h_try * (0 + b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4
+                                   + b5 * p5)
+                z1 = y1 + h_try * (0 + b0 * q0 + b2 * q2 + b3 * q3 + b4 * q4
+                                   + b5 * q5)
+                # the last stage sits at the new state: the next first stage
+                p6 = d * z1
+                q6 = d * accel(z0)
+                rhs_evals += 6
                 scale = 1.0
                 m = abs(y0)
                 if m > scale:
@@ -292,13 +304,10 @@ def integrate(
                 m = abs(z0)
                 if m > scale:
                     scale = m
-                err = 0.0
-                m = abs(h_try * (
-                    0 + e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4
-                    + e5 * p5 + e6 * p6
+                err = abs(h_try * (
+                    0 + e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5
+                    + e6 * p6
                 )) / scale
-                if m > err:
-                    err = m
                 scale = 1.0
                 m = abs(y1)
                 if m > scale:
@@ -307,11 +316,15 @@ def integrate(
                 if m > scale:
                     scale = m
                 m = abs(h_try * (
-                    0 + e0 * q0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4
-                    + e5 * q5 + e6 * q6
+                    0 + e0 * q0 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5
+                    + e6 * q6
                 )) / scale
                 if m > err:
                     err = m
+                if err != err or m != m:
+                    # a NaN estimate (inf - inf in a stage) fails like an
+                    # overflow
+                    err = math.inf
             except (ZeroDivisionError, OverflowError):
                 err = math.inf
 
@@ -320,6 +333,7 @@ def integrate(
                 if abs(s_cur - target) <= snap:
                     s_cur = target
                 y0, y1 = z0, z1
+                p0, q0 = p6, q6
                 accepted += 1
                 if h_try < min_step:
                     min_step = h_try
@@ -425,7 +439,12 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
     ts = [t for t, _, _ in w]
     ys = [value for _, value, _ in w]
     mags = [abs(y) for y in ys]
-    halted_singular = traj.halted and traj.halt_reason and "singular" in traj.halt_reason
+    # a halt counts only where the magnitude fell by the window's factor of
+    # two; a step underflow on the way to overflow is no approach to a zero
+    halted_singular = (
+        traj.halted and traj.halt_reason and "singular" in traj.halt_reason
+        and mags[0] >= 2.0 * mags[-1]
+    )
     decreasing = all(
         mags[i + 1] <= mags[i] * (1 + 1e-9) for i in range(len(mags) - 1)
     ) and mags[-1] < 0.7 * mags[0]

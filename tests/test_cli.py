@@ -213,9 +213,31 @@ def test_probe_command(tmp_path):
     assert abs(payload["exponent"]["value"] - 0.5) < 0.02
     stats = payload["stats"]
     assert set(stats) == {"accepted", "rejected", "rhs_evals"}
-    assert stats["rhs_evals"] == 7 * (stats["accepted"] + stats["rejected"])
+    # six evaluations per attempted step, plus the first stage of the path's
+    # one segment
+    assert stats["rhs_evals"] == 6 * (stats["accepted"] + stats["rejected"]) + 1
     # one recorded sample per accepted step, plus the start point
     assert payload["samples"] == stats["accepted"] + 1
+
+
+def test_integrate_overflow_halts_on_finite_points(tmp_path):
+    # |value| grows like exp(1000 t) and overflows near t = 0.355; the NaN
+    # error estimates there are rejected until the step underflows
+    payload = run_json(
+        tmp_path,
+        ["integrate", "--omega", "1000i", "--ic", "2,0", "--path", "0:1"],
+    )
+    assert payload["halted"] is True
+    assert payload["halt_reason"] == "step size underflow near a singular point"
+    assert all(math.isfinite(x) for row in payload["samples"] for x in row)
+    assert payload["samples"][-1][0] < 1.0
+    # the same trajectory is no approach to a zero of the width
+    payload = run_json(
+        tmp_path,
+        ["probe", "--omega", "1000i", "--ic", "2,0", "--path", "0:1"],
+    )
+    assert payload["halted"] is True
+    assert payload["kind"] == "none" and payload["exponent"] is None
 
 
 def test_verify_exact_pinney(tmp_path):
@@ -335,9 +357,35 @@ def test_float_overflow_exits_2(argv, capsys):
         f"error: {argv[0]}: input overflows floating point (")
 
 
-def test_exact_division_by_zero_keeps_its_message(capsys):
-    assert main(["analyze", "--param", "omega=1/0"]) == 2
-    assert capsys.readouterr().err == "error: Fraction(1, 0)\n"
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--param", "omega=1/0"], "--param 'omega=1/0'"),
+    (["series", "--free", "4=1/0"], "--free '4=1/0'"),
+    (["series", "--free", "1/0=1"], "--free '1/0=1'"),
+    (["report", "--param", "omega=1/0"], "--param 'omega=1/0'"),
+    (["integrate", "--omega", "1/0"], "--omega '1/0'"),
+    (["probe", "--ic", "1,1/0"], "--ic '1/0'"),
+    (["probe", "--path", "0:2/0"], "--path '2/0'"),
+    (["verify-exact", "--C", "3/0"], "--C '3/0'"),
+], ids=["analyze-param", "series-free-value", "series-free-resonance",
+        "report-param", "integrate-omega", "probe-ic", "probe-path",
+        "verify-exact-C"])
+def test_exact_division_by_zero_names_the_flag_and_value(argv, message,
+                                                         capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}: division by zero\n"
+
+
+def test_unknown_option_reports_the_subcommand_usage(capsys):
+    assert main(["verify-exact", "--alpha0", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: merosolve verify-exact [-h]")
+    assert err.endswith(
+        "merosolve verify-exact: error: unrecognized arguments: --alpha0 2\n")
+    # an unknown option before the subcommand is still the top level's
+    assert main(["--bogus", "analyze"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: merosolve [-h]")
+    assert err.endswith("merosolve: error: unrecognized arguments: --bogus\n")
 
 
 def test_verify_exact_has_no_initial_condition_flags(capsys):

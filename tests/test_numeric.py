@@ -144,7 +144,9 @@ def test_integrate_exhausts_step_budget(monkeypatch):
     assert traj.halted
     assert traj.halt_reason == "step budget exhausted"
     assert traj.stats["accepted"] + traj.stats["rejected"] == 2000
-    assert traj.stats["rhs_evals"] == 7 * 2000
+    # six evaluations per attempted step, plus the first stage of the path's
+    # one segment
+    assert traj.stats["rhs_evals"] == 6 * 2000 + 1
 
 
 def test_integrate_halts_on_step_underflow():
@@ -205,6 +207,7 @@ _REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
            187 / 2100, 1 / 40)
+_REF_E = tuple(b5 - b4 for b5, b4 in zip(_REF_B5, _REF_B4))
 
 
 def _reference_rhs(ode, t, y):
@@ -220,8 +223,8 @@ def _reference_rhs_along(ode, base_t, direction, s_local, y):
 
 def _reference_integrate(ode, ic, path, tol, sample_points=None,
                          record_samples_only=False):
-    """Generic DP5 tableau loop over a tuple state: the reference for the
-    unrolled step in ``integrate``."""
+    """Generic DP5 tableau loop over a tuple state, first stage same as
+    last: the reference for the unrolled step in ``integrate``."""
     path = ComplexPath(path)
     y = (complex(ic[0]), complex(ic[1]))
     halt_radius = 10.0 * math.sqrt(tol) if ode.singular_near_zero else 0.0
@@ -247,6 +250,7 @@ def _reference_integrate(ode, ic, path, tol, sample_points=None,
     h_min = 1e-14 * max(1.0, path.length)
     s_cur = 0.0
     halted = False
+    k_direction = k_first = None
     for target in events:
         if halted:
             break
@@ -254,6 +258,8 @@ def _reference_integrate(ode, ic, path, tol, sample_points=None,
         base_t = path.waypoints[seg]
         base_s = path.cums[seg]
         direction = path.direction(seg)
+        if direction != k_direction:
+            k_direction, k_first = direction, None
         while s_cur < target - 1e-13 * max(1.0, path.length):
             if stats["accepted"] + stats["rejected"] >= numeric.MAX_STEPS:
                 traj.halted = True
@@ -262,31 +268,41 @@ def _reference_integrate(ode, ic, path, tol, sample_points=None,
                 break
             h_try = min(h, target - s_cur)
             try:
-                k = [None] * 7
-                k[0] = _reference_rhs_along(ode, base_t, direction,
-                                            s_cur - base_s, y)
-                for i in range(1, 7):
+                if k_first is None:
+                    k_first = _reference_rhs_along(ode, base_t, direction,
+                                                   s_cur - base_s, y)
+                    stats["rhs_evals"] += 1
+                k = [k_first]
+                for i in range(1, 6):
                     acc = list(y)
                     for j, a in enumerate(_REF_A[i]):
                         if a:
                             for m in range(len(acc)):
                                 acc[m] += h_try * a * k[j][m]
-                    k[i] = _reference_rhs_along(
+                    k.append(_reference_rhs_along(
                         ode, base_t, direction,
                         s_cur - base_s + _REF_C[i] * h_try, tuple(acc),
-                    )
-                stats["rhs_evals"] += 7
+                    ))
                 y5 = tuple(
-                    y[m] + h_try * sum(_REF_B5[i] * k[i][m] for i in range(7))
+                    y[m] + h_try * sum(_REF_B5[i] * k[i][m]
+                                       for i in range(6) if _REF_B5[i])
                     for m in range(len(y))
                 )
-                err = 0.0
-                for m in range(len(y)):
-                    e = h_try * sum(
-                        (_REF_B5[i] - _REF_B4[i]) * k[i][m] for i in range(7)
-                    )
-                    scale = max(1.0, abs(y[m]), abs(y5[m]))
-                    err = max(err, abs(e) / scale)
+                # row 7 of A is B5, so the last stage sits at y5 and is the
+                # first stage of the next step (first same as last)
+                k.append(_reference_rhs_along(
+                    ode, base_t, direction, s_cur - base_s + h_try, y5))
+                stats["rhs_evals"] += 6
+                errs = [
+                    abs(h_try * sum(_REF_E[i] * k[i][m]
+                                    for i in range(7) if _REF_E[i]))
+                    / max(1.0, abs(y[m]), abs(y5[m]))
+                    for m in range(len(y))
+                ]
+                if any(math.isnan(e) for e in errs):
+                    err = math.inf
+                else:
+                    err = max(0.0, *errs)
             except (ZeroDivisionError, OverflowError):
                 err = math.inf
                 y5 = None
@@ -295,6 +311,7 @@ def _reference_integrate(ode, ic, path, tol, sample_points=None,
                 if abs(s_cur - target) <= 1e-12 * max(1.0, path.length):
                     s_cur = target
                 y = y5
+                k_first = k[6]
                 stats["accepted"] += 1
                 stats["min_step"] = min(stats["min_step"], h_try)
                 stats["max_step"] = max(stats["max_step"], h_try)
@@ -372,6 +389,17 @@ _REFERENCE_CASES = {
     "overflowing-omega": (
         EpWidthOde(1e200), (1.0, 0.0), [0, 1], 1e-10, None, False,
     ),
+    # the first two segments share a direction, so the last stage of the
+    # first carries over and only the turn evaluates a first stage afresh
+    "collinear-waypoints-with-samples": (
+        EpWidthOde(1.0), (1.5, 0.2), [0, 1, 2.5, 2.5 + 1j], 1e-10,
+        [0.4, 1.8, 3.0], False,
+    ),
+    # |value| grows like exp(1000 t) until the stages overflow to inf and
+    # inf - inf makes the error estimate NaN, which must fail the step
+    "nan-error-estimate": (
+        EpWidthOde(1000j), (2.0, 0.0), [0, 1], 1e-8, None, False,
+    ),
 }
 
 
@@ -390,6 +418,49 @@ def test_unrolled_step_matches_generic_reference(case):
     assert got.stats == want.stats
     assert got.halted == want.halted
     assert got.halt_reason == want.halt_reason
+
+
+def test_tableau_is_first_same_as_last():
+    # row 7 of A is the fifth-order weights and c_7 = 1: the last stage is
+    # the derivative at the new state, i.e. the next step's first stage
+    assert _REF_A[6] == _REF_B5[:6] and _REF_B5[6] == 0.0 and _REF_C[6] == 1.0
+    assert numeric._DP_A == _REF_A[1:6]
+    assert numeric._DP_B5 == _REF_B5[:6]
+    assert numeric._DP_E == _REF_E
+
+
+@pytest.mark.parametrize("case, segments", [
+    ("straight-to-pinney-zero", 1),
+    ("complex-waypoints-with-samples", 3),
+    ("collinear-waypoints-with-samples", 2),
+])
+def test_rhs_evals_six_per_step_plus_one_per_direction(case, segments):
+    ode, ic, path, tol, samples, samples_only = _REFERENCE_CASES[case]
+    traj = integrate(ode, ic, path, tol=tol, sample_points=samples,
+                     record_samples_only=samples_only)
+    stats = traj.stats
+    attempted = stats["accepted"] + stats["rejected"]
+    assert stats["rhs_evals"] == 6 * attempted + segments
+
+
+@pytest.mark.parametrize("ode", [EpWidthOde(1000j), LinearOscillatorOde(1000j)],
+                         ids=["width", "linear"])
+def test_nan_error_estimate_halts_with_finite_points(ode):
+    # the solution overflows near t = 0.355 (width) or 0.7 (linear); a NaN
+    # estimate is rejected like an overflow, the step shrinks until it
+    # underflows, and no point past the blow-up is recorded
+    traj = integrate(ode, (2.0, 0.0), [0, 1], tol=1e-8)
+    assert traj.halted
+    assert traj.halt_reason == "step size underflow near a singular point"
+    assert all(
+        math.isfinite(x)
+        for p in traj.points
+        for z in p
+        for x in (z.real, z.imag)
+    )
+    assert traj.end.t.real < 1.0
+    # the magnitude grows toward the halt: no zero of the width is there
+    assert detect_singularity(traj).kind == "none"
 
 
 # ---------------------------------------------------------------------------
