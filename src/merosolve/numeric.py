@@ -11,40 +11,57 @@ steps shrink in proportion to the distance left, so the approach reaches the
 10*sqrt(tol) guard in a few hundred steps.
 
 Both equations are autonomous and second order, u'' = accel(u), so the state
-is the pair (value, slope) and an ODE class supplies only ``accel``.  Along a
-segment with unit direction d, the derivative of the state with respect to
-arc length is (d * slope, d * accel(value)); no stage depends on t, so the
-tableau's nodes c_i are not needed.
+is the pair (value, slope) and an ODE class supplies only ``accel``.  A step
+of arc length h along a segment with unit direction d is a step of the
+complex size H = h * d in t.
+
+The step is the Nystrom form of the Dormand-Prince method for u'' = f(u)
+(Hairer, Norsett & Wanner I, section II.14): the same tableau, with the
+slope stages summed into the value stages in exact arithmetic.  With
+Hv = H * slope, H2 = H * H and F_j = accel(Y_j),
+
+    Y_j = value + c_j Hv + H2 sum_m abar_jm F_m      (j = 1..5, Y_0 = value)
+    value' = value + Hv + H2 sum_m (bA)_m F_m,  slope' = slope + H sum_j b_j F_j
+
+where abar = A*A, bA = b*A and eA = e*A are derived from the exact tableau
+at import (``_times_a``); row j of abar stops at F_{j-2}, so stage j does
+not wait for the acceleration just before it.  The value error is
+|H2 sum_m (eA)_m F_m| and the slope error |H sum_j e_j F_j|, each divided by
+max(1, |old|, |new|) of its component; sum(b) = 1 and sum(e) = 0 exactly,
+so no slope term enters them.  The error of a step is the larger of the two.
 
 The pair is used first same as last (Dormand & Prince 1980; Hairer, Norsett
-& Wanner I, section II.5, DOPRI5).  Row 7 of the tableau equals the
-fifth-order weights (a_7j = b_j, with b_2 = b_7 = 0), so the seventh stage is
-the derivative at the new state: a step builds that state from stages 1-6,
-evaluates stage 7 there for the error estimate, and an accepted step hands
-it on as the next step's first stage.  A step costs six ``accel`` calls;
-a rejected step keeps its first stage, and only a change of direction (the
-path start and each corner) evaluates one afresh.
+& Wanner I, section II.5): row 6 of A equals b, so the last stage
+F_6 = accel(value') is the derivative at the new state.  A step evaluates it
+for the error estimate and an accepted step hands it on as the next step's
+F_0.  F_0 does not depend on d, so it carries across corners too: a step
+costs six ``accel`` calls, a rejected step keeps its F_0, and an
+integration evaluates one first stage in all.
 
-The step is unrolled into straight-line code that keeps the floating-point
-evaluation order of the generic tableau loop, so trajectories are
-bit-identical to it (``test_unrolled_step_matches_generic_reference`` pins
-this with ``==``):
+A step fails, and is halved, when a stage raises ``ZeroDivisionError`` or
+``OverflowError``, or when the error estimate or the new state is not
+finite (inf - inf in a stage gives NaN).  ``ComplexTrajectory.halt_kind``
+names why an integration stopped: ``manifold`` (the guard), ``budget``
+(``MAX_STEPS``), or, once failures shrink the step below its floor,
+``overflow`` if the last failure was a non-finite state or estimate and
+``underflow`` otherwise (a stage raising, as ``u ** -3`` does at a zero of
+the width).
 
-- the sum for stage i = 2..6 starts from the state and adds
-  ``(h * a_ij) * k_j`` in ascending j (these rows have no zero entry);
-- the fifth-order update adds ``b_i * k_i`` over stages 1-6 and the error
-  estimate ``e_i * k_i`` over stages 1-7, in ascending i and without the
-  zero weights b_2 and e_2, onto the int 0 that ``sum()`` starts from, and
-  only then multiply by h;
-- the error is the larger of ``|e| / max(1.0, |y|, |y5|)`` over the two
-  components.  This ``max``, and every other ``min`` or ``max`` of the
-  generic loop, is written as comparisons (``m = a`` then ``if b > m:
-  m = b``) that select the same operand: the builtins keep their first
-  argument and replace the running value only when a later one compares
-  strictly greater (``max``) or strictly less (``min``), so ties resolve to
-  the same float.  A NaN estimate (inf - inf in a stage) counts as an
-  infinite error, like a stage that raises, so the step is rejected and
-  halved.
+The step is unrolled into straight-line code whose floating-point
+evaluation order is that of the generic Nystrom tableau loop, so
+trajectories are bit-identical to it
+(``test_unrolled_step_matches_generic_reference`` pins this with ``==``):
+
+- each sum over accelerations starts from its first nonzero term and adds
+  ``coefficient * F_m`` in ascending m, skipping the zero weights (bA_1,
+  b_1, eA_1, e_1); a stage then adds ``c_j * Hv`` and ``H2 * sum`` onto the
+  value in that order, with no multiplication for c_5 = 1, and the new
+  value adds ``Hv`` and ``H2 * sum`` likewise;
+- every ``min`` or ``max`` of the generic loop is written as comparisons
+  (``m = a`` then ``if b > m: m = b``) that select the same operand: the
+  builtins keep their first argument and replace the running value only
+  when a later one compares strictly greater (``max``) or strictly less
+  (``min``), so ties resolve to the same float.
 
 Accepted points are built with ``tuple.__new__``, which skips the
 Python-level ``__new__`` of the ``TrajectoryPoint`` named tuple.
@@ -54,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ExponentUnresolvedError
@@ -62,26 +80,55 @@ from .exactlab import ermakov_invariant
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 MAX_STEPS = 500_000  # accepted plus rejected steps per integration
 
-# Dormand-Prince 5(4) tableau, stages 2 to 6.  Row 7 of A equals the
-# fifth-order weights B5 (first same as last), whose b_7 = 0 is left out.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5 + (0.0,), _DP_B4))
+# Dormand-Prince 5(4) tableau, exact, stages numbered 0 to 6: rows 1 to 6 of
+# A (stage 0 has none), whose last row is the fifth-order weights b (first
+# same as last; b_6 = 0 is left out), and the fourth-order weights.
+_DP_A = tuple(tuple(map(Fraction, row.split())) for row in (
+    "1/5",
+    "3/40 9/40",
+    "44/45 -56/15 32/9",
+    "19372/6561 -25360/2187 64448/6561 -212/729",
+    "9017/3168 -355/33 46732/5247 49/176 -5103/18656",
+    "35/384 0 500/1113 125/192 -2187/6784 11/84",
+))
+_DP_B = _DP_A[-1]
+_DP_B4 = tuple(map(Fraction, (
+    "5179/57600 0 7571/16695 393/640 -92097/339200 187/2100 1/40".split()
+)))
+_DP_E = tuple(b - b4 for b, b4 in zip(_DP_B + (0,), _DP_B4))
+
+
+def _times_a(w):
+    """The row vector w*A for weights w on stages 0 to n - 1: entry m is
+    the sum of w_l a_lm over l > m.  No stage before n - 1 reads stage
+    n - 1, so the result has n - 1 entries."""
+    return tuple(
+        sum((w[l] * _DP_A[l - 1][m] for l in range(m + 1, len(w))),
+            Fraction(0))
+        for m in range(len(w) - 1)
+    )
+
+
+def _floats(row):
+    return tuple(map(float, row))
+
+
+# the Nystrom coefficients as floats: the nodes c_1..c_5 (row sums of A),
+# the rows of abar = A*A for stages 2 to 5 (stage 1's is empty), bA, b and
+# eA.  e is the difference of the rounded weight rows; each subtraction is
+# exact (Sterbenz: every pair lies within a factor of two)
+_NY_C = _floats(sum(row) for row in _DP_A[:5])
+_NY_ABAR = tuple(_floats(_times_a(row)) for row in _DP_A[1:5])
+_NY_BA = _floats(_times_a(_DP_B))
+_NY_B = _floats(_DP_B)
+_NY_EA = _floats(_times_a(_DP_E))
+_NY_E = tuple(float(b) - float(b4) for b, b4 in zip(_DP_B + (0,), _DP_B4))
+
+_HALT_REASONS = {
+    "budget": "step budget exhausted",
+    "underflow": "step size underflow near a singular point",
+    "overflow": "solution overflows to a non-finite state",
+}
 
 
 def _omega_squared_overflows(u):
@@ -168,9 +215,13 @@ class ComplexTrajectory:
     omega: complex
     tol: float
     singular_near_zero: bool
-    halted: bool = False
     halt_reason: str = None
+    halt_kind: str = None  # "manifold" | "underflow" | "overflow" | "budget"
     stats: dict = field(default_factory=dict)
+
+    @property
+    def halted(self) -> bool:
+        return self.halt_kind is not None
 
     @property
     def end(self) -> TrajectoryPoint:
@@ -199,8 +250,9 @@ def integrate(
     can share a grid; with ``record_samples_only`` the output contains just
     those shared points (plus start and waypoints), which makes grids from
     different equations comparable.  The local error of each step is kept
-    at or below ``tol``; integration halts with a recorded reason near the
-    singular manifold, on step underflow or after ``MAX_STEPS`` steps.
+    at or below ``tol``; integration halts near the singular manifold, on
+    step underflow, on overflow or after ``MAX_STEPS`` steps, and records
+    the reason and its ``halt_kind``.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
@@ -220,23 +272,22 @@ def integrate(
     events = sorted(events)
 
     points = [TrajectoryPoint(path.waypoints[0], y0, y1)]
-    halt_reason = None
+    halt_kind = halt_reason = None
     if halt_radius and abs(y0) < halt_radius:
+        halt_kind = "manifold"
         halt_reason = "initial value already inside the singular-manifold guard"
 
     accel = ode.accel
     append = points.append
     new_point = tuple.__new__
     max_steps = MAX_STEPS
-    (
-        (a10,),
-        (a20, a21),
-        (a30, a31, a32),
-        (a40, a41, a42, a43),
-        (a50, a51, a52, a53, a54),
-    ) = _DP_A
-    b0, _, b2, b3, b4, b5 = _DP_B5
-    e0, _, e2, e3, e4, e5, e6 = _DP_E
+    inf = math.inf
+    c1, c2, c3, c4, _ = _NY_C
+    (g20,), (g30, g31), (g40, g41, g42), (g50, g51, g52, g53) = _NY_ABAR
+    ba0, _, ba2, ba3, ba4 = _NY_BA
+    b0, _, b2, b3, b4, b5 = _NY_B
+    ea0, _, ea2, ea3, ea4, ea5 = _NY_EA
+    e0, _, e2, e3, e4, e5, e6 = _NY_E
     accepted = rejected = rhs_evals = 0
     min_step, max_step = math.inf, 0.0
 
@@ -245,95 +296,80 @@ def integrate(
     end_slack = 1e-13 * max(1.0, path.length)
     snap = 1e-12 * max(1.0, path.length)
     s_cur = 0.0
-    d_cur = q0 = None
+    f0 = None
+    # |value| and |slope|, carried over from the step that made them
+    ay0 = abs(y0)
+    ay1 = abs(y1)
 
     for target in events:
-        if halt_reason:
+        if halt_kind:
             break
         seg = path.segment_of((s_cur + target) / 2.0)
         base_t = path.waypoints[seg]
         base_s = path.cums[seg]
         d = path.direction(seg)
-        if d != d_cur:
-            # a new direction: the first stage is evaluated afresh
-            d_cur, q0 = d, None
         while s_cur < target - end_slack:
             if accepted + rejected >= max_steps:
-                halt_reason = "step budget exhausted"
+                halt_kind = "budget"
                 break
             h_try = target - s_cur
             if not h_try < h:
                 h_try = h
             try:
-                # stage j: p_j = d * slope_j, q_j = d * accel(value_j)
-                if q0 is None:
-                    p0 = d * y1
-                    q0 = d * accel(y0)
+                if f0 is None:
+                    f0 = accel(y0)
                     rhs_evals += 1
-                c0 = h_try * a10
-                p1 = d * (y1 + c0 * q0)
-                q1 = d * accel(y0 + c0 * p0)
-                c0, c1 = h_try * a20, h_try * a21
-                p2 = d * (y1 + c0 * q0 + c1 * q1)
-                q2 = d * accel(y0 + c0 * p0 + c1 * p1)
-                c0, c1, c2 = h_try * a30, h_try * a31, h_try * a32
-                p3 = d * (y1 + c0 * q0 + c1 * q1 + c2 * q2)
-                q3 = d * accel(y0 + c0 * p0 + c1 * p1 + c2 * p2)
-                c0, c1, c2, c3 = (h_try * a40, h_try * a41, h_try * a42,
-                                  h_try * a43)
-                p4 = d * (y1 + c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3)
-                q4 = d * accel(y0 + c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3)
-                c0, c1, c2, c3, c4 = (h_try * a50, h_try * a51, h_try * a52,
-                                      h_try * a53, h_try * a54)
-                p5 = d * (y1 + c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3 + c4 * q4)
-                q5 = d * accel(
-                    y0 + c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
-                )
-                z0 = y0 + h_try * (0 + b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4
-                                   + b5 * p5)
-                z1 = y1 + h_try * (0 + b0 * q0 + b2 * q2 + b3 * q3 + b4 * q4
-                                   + b5 * q5)
+                hc = h_try * d
+                hv = hc * y1
+                h2 = hc * hc
+                f1 = accel(y0 + c1 * hv)
+                f2 = accel(y0 + c2 * hv + h2 * (g20 * f0))
+                f3 = accel(y0 + c3 * hv + h2 * (g30 * f0 + g31 * f1))
+                f4 = accel(y0 + c4 * hv + h2 * (g40 * f0 + g41 * f1
+                                                + g42 * f2))
+                f5 = accel(y0 + hv + h2 * (g50 * f0 + g51 * f1 + g52 * f2
+                                           + g53 * f3))
+                z0 = y0 + hv + h2 * (ba0 * f0 + ba2 * f2 + ba3 * f3
+                                     + ba4 * f4)
+                z1 = y1 + hc * (b0 * f0 + b2 * f2 + b3 * f3 + b4 * f4
+                                + b5 * f5)
                 # the last stage sits at the new state: the next first stage
-                p6 = d * z1
-                q6 = d * accel(z0)
+                f6 = accel(z0)
                 rhs_evals += 6
+                az0 = abs(z0)
+                az1 = abs(z1)
                 scale = 1.0
-                m = abs(y0)
-                if m > scale:
-                    scale = m
-                m = abs(z0)
-                if m > scale:
-                    scale = m
-                err = abs(h_try * (
-                    0 + e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5
-                    + e6 * p6
-                )) / scale
+                if ay0 > scale:
+                    scale = ay0
+                if az0 > scale:
+                    scale = az0
+                err = abs(h2 * (ea0 * f0 + ea2 * f2 + ea3 * f3 + ea4 * f4
+                                + ea5 * f5)) / scale
                 scale = 1.0
-                m = abs(y1)
-                if m > scale:
-                    scale = m
-                m = abs(z1)
-                if m > scale:
-                    scale = m
-                m = abs(h_try * (
-                    0 + e0 * q0 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5
-                    + e6 * q6
-                )) / scale
+                if ay1 > scale:
+                    scale = ay1
+                if az1 > scale:
+                    scale = az1
+                m = abs(hc * (e0 * f0 + e2 * f2 + e3 * f3 + e4 * f4
+                              + e5 * f5 + e6 * f6)) / scale
                 if m > err:
                     err = m
-                if err != err or m != m:
-                    # a NaN estimate (inf - inf in a stage) fails like an
-                    # overflow
-                    err = math.inf
+                if not (err < inf and m < inf and az0 < inf and az1 < inf):
+                    # a new state or an estimate that is not finite (inf -
+                    # inf in a stage makes a NaN) fails like an overflow
+                    err = inf
+                    stall = "overflow"
             except (ZeroDivisionError, OverflowError):
-                err = math.inf
+                err = inf
+                stall = "underflow"
 
             if err <= tol:
                 s_cur += h_try
                 if abs(s_cur - target) <= snap:
                     s_cur = target
                 y0, y1 = z0, z1
-                p0, q0 = p6, q6
+                ay0, ay1 = az0, az1
+                f0 = f6
                 accepted += 1
                 if h_try < min_step:
                     min_step = h_try
@@ -354,7 +390,8 @@ def integrate(
                     if not factor < 5.0:
                         factor = 5.0
                 h = h_try * factor
-                if halt_radius and abs(y0) < halt_radius:
+                if halt_radius and ay0 < halt_radius:
+                    halt_kind = "manifold"
                     halt_reason = (
                         "approaching the singular manifold: |value| < "
                         f"{halt_radius:.3e}"
@@ -362,9 +399,10 @@ def integrate(
                     break
             else:
                 rejected += 1
-                if err == math.inf:
+                if err == inf:
                     h = h_try / 2.0
                 else:
+                    stall = "underflow"
                     # min(1.0, max(0.1, f))
                     factor = 0.9 * (tol / err) ** 0.2
                     if not factor > 0.1:
@@ -373,16 +411,19 @@ def integrate(
                         factor = 1.0
                     h = h_try * factor
                 if h < h_min:
-                    halt_reason = "step size underflow near a singular point"
+                    # named after the failure that shrank the step last
+                    halt_kind = stall
                     break
+    if halt_reason is None and halt_kind:
+        halt_reason = _HALT_REASONS[halt_kind]
     return ComplexTrajectory(
         points=points,
         ode_name=ode.name,
         omega=ode.omega,
         tol=tol,
         singular_near_zero=ode.singular_near_zero,
-        halted=halt_reason is not None,
         halt_reason=halt_reason,
+        halt_kind=halt_kind,
         stats={"accepted": accepted, "rejected": rejected,
                "rhs_evals": rhs_evals, "min_step": min_step,
                "max_step": max_step},
@@ -440,9 +481,10 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
     ys = [value for _, value, _ in w]
     mags = [abs(y) for y in ys]
     # a halt counts only where the magnitude fell by the window's factor of
-    # two; a step underflow on the way to overflow is no approach to a zero
+    # two: an underflow can also come from a state too large for ``abs``,
+    # which is no approach to a zero
     halted_singular = (
-        traj.halted and traj.halt_reason and "singular" in traj.halt_reason
+        traj.halt_kind in ("manifold", "underflow")
         and mags[0] >= 2.0 * mags[-1]
     )
     decreasing = all(

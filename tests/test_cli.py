@@ -213,24 +213,32 @@ def test_probe_command(tmp_path):
     assert abs(payload["exponent"]["value"] - 0.5) < 0.02
     stats = payload["stats"]
     assert set(stats) == {"accepted", "rejected", "rhs_evals"}
-    # six evaluations per attempted step, plus the first stage of the path's
-    # one segment
+    # six evaluations per attempted step, plus the integration's one first
+    # stage
     assert stats["rhs_evals"] == 6 * (stats["accepted"] + stats["rejected"]) + 1
     # one recorded sample per accepted step, plus the start point
     assert payload["samples"] == stats["accepted"] + 1
 
 
 def test_integrate_overflow_halts_on_finite_points(tmp_path):
-    # |value| grows like exp(1000 t) and overflows near t = 0.355; the NaN
-    # error estimates there are rejected until the step underflows
+    # |value| grows like exp(1000 t) and overflows near t = 0.355; the
+    # non-finite states there are rejected until the step underflows, and
+    # the halt says that the solution overflowed
     payload = run_json(
         tmp_path,
         ["integrate", "--omega", "1000i", "--ic", "2,0", "--path", "0:1"],
     )
     assert payload["halted"] is True
-    assert payload["halt_reason"] == "step size underflow near a singular point"
+    assert payload["halt_reason"] == "solution overflows to a non-finite state"
     assert all(math.isfinite(x) for row in payload["samples"] for x in row)
     assert payload["samples"][-1][0] < 1.0
+    # a linear equation has no singular point to blame either
+    payload = run_json(
+        tmp_path,
+        ["integrate", "--system", "linear", "--omega", "1000i", "--ic", "2,0",
+         "--path", "0:1"],
+    )
+    assert payload["halt_reason"] == "solution overflows to a non-finite state"
     # the same trajectory is no approach to a zero of the width
     payload = run_json(
         tmp_path,
