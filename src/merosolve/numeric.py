@@ -69,6 +69,7 @@ Python-level ``__new__`` of the ``TrajectoryPoint`` named tuple.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -447,6 +448,67 @@ class ExponentFit:
     window: tuple
 
 
+def _fsum_complex(terms):
+    """Correctly rounded sum of complex terms, real and imaginary parts
+    apart (``math.fsum``)."""
+    terms = list(terms)
+    return complex(math.fsum(z.real for z in terms),
+                   math.fsum(z.imag for z in terms))
+
+
+def _quadratic_roots(a, b, c):
+    """Roots of a u**2 + b u + c, without cancellation.
+
+    q = -(b + sign * sqrt(b**2 - 4ac)) / 2 takes the sign that makes |q|
+    largest, and the roots are q / a and c / q (Press et al., Numerical
+    Recipes, section 5.6).  With a = 0 the root is linear, and with a and b
+    both 0 there is none, as ``numpy.roots`` gives for an all-zero fit.
+    """
+    if a == 0:
+        return [-c / b] if b != 0 else []
+    root = cmath.sqrt(b * b - 4.0 * a * c)
+    plus, minus = b + root, b - root
+    q = -0.5 * (plus if abs(plus) >= abs(minus) else minus)
+    # q = 0 only where b = 0 and the discriminant is 0: a double root at 0
+    return [q / a, c / q] if q != 0 else [0j]
+
+
+def _quadratic_fit(s_vals, values):
+    """Least-squares quadratic through the points (s, value).
+
+    The abscissae are centred and scaled, u = (s - mid) / half, and the fit
+    is expanded in the polynomials orthogonal on them (Forsythe's
+    three-term recurrence): q0 = 1, q1 = u - mean(u), q2 = (u - alpha) q1 -
+    beta, with alpha = sum(u q1**2) / sum(q1**2) and beta = sum(q1**2) / n.
+    Each coefficient is then a projection, value . q_k / q_k . q_k, with no
+    normal equations to solve.  Returns the fitted values and the roots of
+    the fit in s.  A constant window is its own fit and has no root.
+    """
+    first = values[0]
+    if all(v == first for v in values):
+        return list(values), []
+    n = len(s_vals)
+    mid = (s_vals[0] + s_vals[-1]) / 2.0
+    half = (s_vals[-1] - s_vals[0]) / 2.0
+    us = [(s - mid) / half for s in s_vals]
+    u_mean = math.fsum(us) / n
+    q1 = [u - u_mean for u in us]
+    norm1 = math.fsum(p * p for p in q1)
+    alpha = math.fsum(u * p * p for u, p in zip(us, q1)) / norm1
+    beta = norm1 / n
+    q2 = [(u - alpha) * p - beta for u, p in zip(us, q1)]
+    norm2 = math.fsum(p * p for p in q2)
+    c0 = _fsum_complex(values) / n
+    c1 = _fsum_complex(v * p for v, p in zip(values, q1)) / norm1
+    c2 = _fsum_complex(v * p for v, p in zip(values, q2)) / norm2
+    fitted = [c0 + c1 * p1 + c2 * p2 for p1, p2 in zip(q1, q2)]
+    # c0 + c1 q1 + c2 q2 = a u**2 + b u + c
+    a = c2
+    b = c1 - c2 * (alpha + u_mean)
+    c = c0 - c1 * u_mean + c2 * (alpha * u_mean - beta)
+    return fitted, [mid + half * r for r in _quadratic_roots(a, b, c)]
+
+
 def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> SingularityProbe:
     """Extrapolate the zero of value**2 from the trajectory tail.
 
@@ -454,8 +516,12 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
     point, so a local quadratic fit of value**2 against arc length locates
     the singular time cleanly.  The fit window grows backwards from the end
     until the magnitude has dropped by a factor of two, so the approach is
-    genuinely resolved.  Linear equations have no singular manifold, so
-    their trajectories always report kind 'none'.
+    genuinely resolved.  The fit is a least-squares quadratic in an
+    orthogonal basis, summed with ``math.fsum`` (``_quadratic_fit``); a
+    relative residual above 1e-3 or a fit without a root reads kind 'none',
+    and so does a window whose squares are not finite.  Linear equations
+    have no singular manifold, so their trajectories always report kind
+    'none'.
     """
     if not traj.singular_near_zero:
         return SingularityProbe(t_star=None, kind="none")
@@ -496,21 +562,25 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
     s_vals = [0.0]
     for a, b in zip(ts, ts[1:]):
         s_vals.append(s_vals[-1] + abs(b - a))
-    import numpy as np
-
-    s = np.array(s_vals)
-    values = np.array([y ** 2 for y in ys], dtype=complex)
-    coeffs = np.polyfit(s, values, 2)
-    fitted = np.polyval(coeffs, s)
-    scale = max(1e-300, float(np.max(np.abs(values))))
-    fit_residual = float(np.max(np.abs(fitted - values))) / scale
+    # y * y, not y ** 2: the power raises OverflowError where the product
+    # overflows to inf, and squares that are not finite have no fit
+    values = [y * y for y in ys]
+    if not all(map(cmath.isfinite, values)):
+        return SingularityProbe(t_star=None, kind="none")
+    # the power of two that brings every part within 1 keeps the sums of
+    # the fit in range and changes no bit of the roots or of the residual
+    peak = max(max(abs(v.real), abs(v.imag)) for v in values)
+    unit = math.ldexp(1.0, -math.frexp(peak)[1])
+    values = [v * unit for v in values]
+    fitted, roots = _quadratic_fit(s_vals, values)
+    scale = max(1e-300, max(map(abs, values)))
+    fit_residual = max(abs(f - v) for f, v in zip(fitted, values)) / scale
     if fit_residual > 1e-3:
         return SingularityProbe(t_star=None, kind="none", fit_residual=fit_residual)
-    roots = np.roots(coeffs)
-    if len(roots) == 0:
+    if not roots:
         return SingularityProbe(t_star=None, kind="none", fit_residual=fit_residual)
     s_end = s_vals[-1]
-    root = min((complex(r) for r in roots), key=lambda z: abs(z - s_end))
+    root = min(roots, key=lambda z: abs(z - s_end))
     direction = (ts[-1] - ts[-2]) / abs(ts[-1] - ts[-2])
     t_star = ts[-1] + direction * (root - s_end)
     return SingularityProbe(
@@ -526,6 +596,7 @@ def fit_local_exponent(
 ) -> ExponentFit:
     """Least-squares slope of log|value| against log|t - t_star|.
 
+    Logarithms come from ``math.log`` and every sum from ``math.fsum``.
     The default window spans a decade of distances starting at the closest
     sample; a fit with R^2 at or below 0.99 raises
     :class:`ExponentUnresolvedError`.
@@ -554,21 +625,22 @@ def fit_local_exponent(
         raise ValueError(
             f"need at least 8 samples inside the fit annulus, got {len(selected)}"
         )
-    import numpy as np
-
-    x = np.log([r for r, _ in selected])
-    yv = np.log([m for _, m in selected])
+    x = [math.log(r) for r, _ in selected]
+    yv = [math.log(m) for _, m in selected]
     n = len(x)
-    x_mean = x.mean()
-    y_mean = yv.mean()
-    sxx = float(np.sum((x - x_mean) ** 2))
+    x_mean = math.fsum(x) / n
+    y_mean = math.fsum(yv) / n
+    dx = [a - x_mean for a in x]
+    dy = [b - y_mean for b in yv]
+    sxx = math.fsum(d * d for d in dx)
     if sxx == 0.0:
         raise ValueError("degenerate fit window: all radii equal")
-    slope = float(np.sum((x - x_mean) * (yv - y_mean)) / sxx)
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
     intercept = y_mean - slope * x_mean
-    residuals = yv - (slope * x + intercept)
-    ss_res = float(np.sum(residuals ** 2))
-    ss_tot = float(np.sum((yv - y_mean) ** 2))
+    ss_res = math.fsum(
+        (b - (slope * a + intercept)) ** 2 for a, b in zip(x, yv)
+    )
+    ss_tot = math.fsum(d * d for d in dy)
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if r_squared <= 0.99:
         raise ExponentUnresolvedError(

@@ -27,7 +27,11 @@ from .closedform import (
     period_branch_values,
     period_from_pole_data,
 )
-from .errors import NoPeriodicCandidateError, NotLaurentError
+from .errors import (
+    ExponentUnresolvedError,
+    NoPeriodicCandidateError,
+    NotLaurentError,
+)
 from .exactlab import (
     QuadFormParams,
     constraint_report,
@@ -889,7 +893,8 @@ def probe_payload(omega, ic, path_points, tol: float = 1e-10) -> dict:
                 "n_samples": fit.n_samples,
                 "window": [float(fit.window[0]), float(fit.window[1])],
             }
-        except Exception as exc:  # unresolved fits are reported, not fatal
+        except (ValueError, ExponentUnresolvedError) as exc:
+            # a fit that cannot resolve the exponent is reported, not fatal
             payload["exponent"] = {"error": str(exc)}
     return payload
 

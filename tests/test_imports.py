@@ -1,5 +1,7 @@
-"""numpy is loaded only where float arithmetic needs it: importing the
-package and exact analyses leave it out, float coefficients bring it in."""
+"""numpy is loaded only for the roots of float coefficients: importing the
+package, exact analyses, a complex-time probe with its singularity and
+exponent fits, and the default report leave it out; float coefficients bring
+it in."""
 
 import json
 import os
@@ -19,6 +21,18 @@ from merosolve.scalars import QComplex
 to_json(analyze_payload("y'' + omega^2*y - y^-3", {"omega": QComplex(3, 2)}, K=12))
 to_json(analyze_payload("y'' - 2*y^3", {}, K=12))
 seen["exact"] = "numpy" in sys.modules
+
+import contextlib, io
+from merosolve.cli import main
+from merosolve.report import probe_payload
+probe = probe_payload(0, (1, 0), [0, 0.999j])
+seen["probe_kind"] = probe["kind"]
+seen["probe_t_star"] = probe["t_star"]
+seen["probe_exponent"] = probe["exponent"]["value"]
+seen["probe"] = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["report"])
+seen["report"] = "numpy" in sys.modules
 
 from merosolve.balance import find_balances
 from merosolve.odemodel import normalize, parse_ode
@@ -49,6 +63,13 @@ def test_numpy_is_loaded_only_for_float_coefficients():
     seen = json.loads(done.stdout)
     assert seen["import"] is False
     assert seen["exact"] is False
+    # the probe detects the zero of the width at t* = i and fits the
+    # exponent 1/2 there, all without numpy
+    assert seen["probe_kind"] == "zero-of-alpha"
+    assert abs(complex(*seen["probe_t_star"]) - 1j) < 1e-9
+    assert abs(seen["probe_exponent"] - 0.5) < 1e-2
+    assert seen["probe"] is False
+    assert seen["report"] is False
     assert seen["float"] is True
     # float roots still come from numpy.roots, bit for bit
     assert seen["float_roots"] == seen["numpy_roots"]

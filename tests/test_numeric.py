@@ -675,6 +675,117 @@ def test_detect_nothing_on_linear_oscillator():
     assert detect_singularity(traj).kind == "none"
 
 
+def random_quadratic_window(rng, noise):
+    """Arc positions on [0, span] and k (s - r1) (s - r2), each value
+    perturbed by a relative ``noise``; spans run from 1e-8 to 10 and the
+    values lie near 1e-8, 1 or 1e4.  The roots sit about a span away on
+    either side, where they are well conditioned."""
+    n = rng.randint(6, 120)
+    span = 10 ** rng.uniform(-8, 1)
+    size = 10 ** rng.choice([-8, 0, 4]) * rng.uniform(0.5, 2.0)
+    s = [0.0]
+    for _ in range(n - 1):
+        s.append(s[-1] + rng.uniform(0.2, 1.0))
+    s = [x * span / s[-1] for x in s]
+    r1 = span * complex(rng.uniform(1.0, 2.0), rng.uniform(-0.5, 0.5))
+    r2 = span * complex(rng.uniform(-2.0, -1.0), rng.uniform(-1.0, 1.0))
+    k = size / span ** 2 * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+    values = [
+        k * (x - r1) * (x - r2)
+        * (1 + noise * complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+        for x in s
+    ]
+    return s, values, (r1, r2)
+
+
+def by_real_part(roots):
+    return sorted((complex(r) for r in roots), key=lambda z: z.real)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_quadratic_fit_agrees_with_numpy(seed):
+    # numpy's least-squares fit and companion-matrix roots are the oracle:
+    # the fitted values agree to 1e-12 of the largest value, the roots to
+    # 1e-10 relative (the worst of 400 such windows reads 2e-15 and 1e-14)
+    np = pytest.importorskip("numpy")
+    rng = random.Random(seed)
+    for _ in range(40):
+        s, values, _ = random_quadratic_window(rng, noise=1e-6)
+        fitted, roots = numeric._quadratic_fit(s, values)
+        coeffs = np.polyfit(np.array(s), np.array(values), 2)
+        expected = np.polyval(coeffs, np.array(s))
+        scale = max(map(abs, values))
+        assert max(abs(f - e) for f, e in zip(fitted, expected)) <= 1e-12 * scale
+        assert len(roots) == 2
+        for mine, ref in zip(by_real_part(roots), by_real_part(np.roots(coeffs))):
+            assert abs(mine - ref) <= 1e-10 * abs(ref)
+
+
+def test_quadratic_fit_recovers_exact_roots():
+    rng = random.Random(11)
+    for _ in range(40):
+        s, values, true_roots = random_quadratic_window(rng, noise=0.0)
+        fitted, roots = numeric._quadratic_fit(s, values)
+        scale = max(map(abs, values))
+        assert max(abs(f - v) for f, v in zip(fitted, values)) <= 1e-13 * scale
+        for mine, exact in zip(by_real_part(roots), by_real_part(true_roots)):
+            assert abs(mine - exact) <= 1e-12 * abs(exact)
+
+
+def test_quadratic_fit_degenerate_windows_have_no_root():
+    s = [0.1 * k for k in range(8)]
+    for value in (0j, 2.5 - 1j):
+        fitted, roots = numeric._quadratic_fit(s, [value] * 8)
+        assert fitted == [value] * 8
+        assert roots == []
+
+
+def test_quadratic_roots_without_cancellation():
+    # b**2 >> 4ac: the textbook formula loses the small root entirely
+    large, small = numeric._quadratic_roots(1.0, -1e9, 1.0)
+    assert abs(large - 1e9) <= 1e-15 * 1e9
+    assert abs(small - 1e-9) <= 1e-15 * 1e-9
+    assert numeric._quadratic_roots(0.0, 2.0, -4.0) == [2.0]
+    assert numeric._quadratic_roots(0.0, 0.0, 1.0) == []
+    assert numeric._quadratic_roots(3.0, 0.0, 0.0) == [0j]
+
+
+def test_detect_nothing_on_all_zero_window():
+    # a manifold halt with every value 0: the fit is 0 everywhere and has
+    # no root to report
+    traj = synthetic_ray_trajectory(lambda tau: 0j, 0.5j, [0.01 * k for k in range(1, 20)])
+    traj.halt_kind = "manifold"
+    assert detect_singularity(traj).kind == "none"
+
+
+def test_detect_nothing_when_the_squares_overflow():
+    # |value| falls from 1e200 toward a zero, but its square is not a float
+    traj = synthetic_ray_trajectory(
+        lambda tau: 1e200 * tau ** 0.5, 0.3 + 0.7j, [1e-3 * 1.2 ** k for k in range(30)]
+    )
+    probe = detect_singularity(traj)
+    assert probe.kind == "none"
+    assert probe.t_star is None
+
+
+def test_detect_is_unchanged_by_the_size_of_the_values():
+    # the fit's power-of-two scaling changes no bit: a window scaled by a
+    # power of two finds the same t* and residual, also near the top of
+    # the float range where the unscaled sums would overflow
+    def window(size):
+        return synthetic_ray_trajectory(
+            lambda tau: size * (tau + 0.3 * tau ** 2) ** 0.5, 0.3 + 0.7j,
+            [1e-3 * 1.2 ** k for k in range(30)],
+        )
+
+    base = detect_singularity(window(1.0))
+    assert base.kind == "zero-of-alpha"
+    for size in (2.0 ** -400, 2.0 ** 60, 2.0 ** 510):
+        probe = detect_singularity(window(size))
+        assert probe.t_star == base.t_star
+        assert probe.fit_residual == base.fit_residual
+
+
 # ---------------------------------------------------------------------------
 # exponent fitting
 # ---------------------------------------------------------------------------

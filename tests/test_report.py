@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from merosolve import report
+from merosolve.errors import ExponentUnresolvedError
 from merosolve.report import (
     REPORT_SCHEMA,
     Analysis,
@@ -105,6 +106,30 @@ def test_numeric_claims_refuted_off_axis():
 def test_numeric_claims_not_applicable_without_detection():
     claims = numeric_claims([probe(None, kind="none")])
     assert claims[0]["status"] == "not-applicable"
+
+
+@pytest.mark.parametrize("error", [
+    ValueError("need at least 8 samples inside the fit annulus, got 3"),
+    ExponentUnresolvedError("exponent unresolved: fit R^2 = 0.5000",
+                            r_squared=0.5),
+])
+def test_probe_payload_reports_an_unresolved_exponent(monkeypatch, error):
+    def fit(traj, t_star):
+        raise error
+
+    monkeypatch.setattr(report, "fit_local_exponent", fit)
+    payload = report.probe_payload(0, (1, 0), [0, 0.999j])
+    assert payload["kind"] == "zero-of-alpha"
+    assert payload["exponent"] == {"error": str(error)}
+
+
+def test_probe_payload_does_not_swallow_programming_errors(monkeypatch):
+    def fit(traj, t_star):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(report, "fit_local_exponent", fit)
+    with pytest.raises(TypeError):
+        report.probe_payload(0, (1, 0), [0, 0.999j])
 
 
 def invariant_status(results):
