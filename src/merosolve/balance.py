@@ -31,20 +31,21 @@ coefficients the leading roots stay numeric and resonances snap to
 denominators dividing lcm(360, n), n the family's branch order, so every
 resonance on the family's lattice is found.
 
-The numeric roots z of exact coefficients come without numpy: Yun's
-square-free decomposition over Q(i) splits the polynomial into simple
-factors f_k of multiplicity k, an Aberth-Ehrlich iteration finds the roots
-of each f_k, a Newton step on f_k polishes them, and each is listed k times.
-So multiplicities are exact and a repeated root is as accurate as a simple
-one; for real input, conjugate roots share their real part to the bit.  An
-iteration that does not converge raises instead of dropping a root.  Float
-coefficients keep ``numpy.roots``.
+Every polynomial finds its numeric roots z one way, float coefficients at
+the binary rationals they store (a coefficient that is not finite raises
+``OverflowError``).  Yun's square-free decomposition over Q(i) splits it
+into simple factors f_k of multiplicity k, an Aberth-Ehrlich iteration finds
+the roots of each f_k, a Newton step on f_k polishes them, and each is
+listed k times.  So a repeated root of exact input is as accurate as a
+simple one, and conjugate roots of real input share their real part to the
+bit.  An iteration that does not converge raises instead of dropping a root.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
@@ -68,11 +69,11 @@ DEFAULT_WINDOW = 6
 # A root candidate is evaluated only within this of the numeric root z,
 # relative to max(1, |z|).  It spares the exact evaluation of most candidates
 # for irrational roots.  Exact input gives roots polished on simple factors,
-# near machine precision; float input may have a double root, which numpy
-# returns spread by about 1e-8, and the bound admits it.
+# near machine precision; float input may have a double root, which rounding
+# splits into a cluster spread by about 1e-8, and the bound admits it.
 _ROOT_PREFILTER = 1e-7
 # Aberth sweeps stop once every correction is below this relative to its
-# root; a polynomial that has not converged within the cap raises
+# root; a root that has not converged within the cap raises
 _ABERTH_TOL = 1e-12
 _ABERTH_MAX_SWEEPS = 500
 # float resonance polynomials snap to denominators dividing the lcm of this
@@ -246,12 +247,6 @@ def _is_exact_poly(coeffs) -> bool:
     return all(is_exact(c) or c == 0 for c in coeffs)
 
 
-def _numpy_roots(coeffs):
-    import numpy as np
-
-    return [complex(z) for z in np.roots([to_complex(c) for c in reversed(coeffs)])]
-
-
 # Polynomials over Q(i) for the square-free decomposition: ascending lists
 # of QComplex without trailing zeros, so the zero polynomial is [].
 
@@ -316,21 +311,21 @@ def _horner2(coeffs, z):
     return p, dp
 
 
-def _aberth(f):
-    """Roots of a monic square-free f with nonzero constant term:
-    Aberth-Ehrlich sweeps, then a Newton step.  The sweeps start on a circle
-    of radius max |f_k|**(1/(n-k)), which is within a factor n of the
-    largest root."""
-    coeffs = [complex(c) for c in f]
-    n = len(coeffs) - 1
-    radius = max(abs(c) ** (1.0 / (n - k)) for k, c in enumerate(coeffs[:-1]))
-    zs = [radius * cmath.exp(1j * (2 * math.pi * j / n + 0.5)) for j in range(n)]
-    pending = range(n)
+def _exact_horner2(f, z):
+    """Value and derivative at z of exact coefficients f, evaluated exactly
+    at the binary rational z and rounded once."""
+    x = QComplex(Fraction(z.real), Fraction(z.imag))
+    return complex(poly_eval(f, x)), complex(poly_eval(_pderiv(f), x))
+
+
+def _sweeps(evaluate, f, zs, pending):
+    """Aberth-Ehrlich sweeps over the roots ``pending`` of ``zs``, in place,
+    on ``evaluate(f, z)``; returns the roots still moving at the cap."""
     for _ in range(_ABERTH_MAX_SWEEPS):
         moving = []
         for i in pending:
             z = zs[i]
-            p, dp = _horner2(coeffs, z)
+            p, dp = evaluate(f, z)
             if not p:
                 continue
             try:
@@ -345,16 +340,49 @@ def _aberth(f):
         if not moving:
             break
         pending = moving
-    else:
-        raise InternalInconsistencyError(
-            f"Aberth iteration did not converge on a degree-{n} factor"
-        )
-    for i, z in enumerate(zs):
-        # a Newton step on f alone: the root no longer depends on where the
-        # other approximations stood when it stopped moving
-        p, dp = _horner2(coeffs, z)
-        if dp:
-            zs[i] = z - p / dp
+    return moving
+
+
+def _aberth(f):
+    """Roots of a monic square-free f with nonzero constant term:
+    Aberth-Ehrlich sweeps from a circle of radius max |f_k|**(1/(n-k)),
+    within a factor n of the largest root, then a Newton step.  Rounding
+    splits a multiple root of float input into a cluster where f in floating
+    point is noise: Horner's rounding bound 2n * eps * sum |f_k| |z|**k
+    (Higham, *Accuracy and Stability*, 5.1) over |z f'(z)| exceeds the stop
+    test, or the root does not converge.  Such roots restart on a circle
+    about their centre and finish on exact values of f."""
+    coeffs = [complex(c) for c in f]
+    n = len(coeffs) - 1
+    radius = max(abs(c) ** (1.0 / (n - k)) for k, c in enumerate(coeffs[:-1]))
+    zs = [radius * cmath.exp(1j * (2 * math.pi * j / n + 0.5)) for j in range(n)]
+    stalled = _sweeps(_horner2, coeffs, zs, range(n))
+    values = [_horner2(coeffs, z) for z in zs]
+    rounding = 2 * n * sys.float_info.epsilon
+    weights = [abs(c) for c in coeffs]
+    noisy = [
+        i for i, (z, (_, dp)) in enumerate(zip(zs, values))
+        if i in stalled
+        or not rounding * poly_eval(weights, abs(z)) <= _ABERTH_TOL * abs(z * dp)
+    ]
+    if noisy:
+        # tilted as the first circle is: a pair started on the vertical
+        # through a real double root of a real f would stay on it
+        m = len(noisy)
+        centre = sum(zs[i] for i in noisy) / m
+        spread = max([abs(zs[i] - centre) for i in noisy]
+                     + [_ABERTH_TOL * max(1.0, abs(centre))])
+        for j, i in enumerate(noisy):
+            zs[i] = centre + spread * cmath.exp(1j * (2 * math.pi * j / m + 0.5))
+        if _sweeps(_exact_horner2, f, zs, noisy):
+            raise InternalInconsistencyError(
+                f"Aberth iteration did not converge on a degree-{n} factor"
+            )
+        for i in noisy:
+            values[i] = _exact_horner2(f, zs[i])
+    # a Newton step on f alone: the root no longer depends on where the
+    # other approximations stood when it stopped moving
+    zs = [z - p / dp if dp else z for z, (p, dp) in zip(zs, values)]
     if all(c.imag == 0 for c in coeffs):
         zs = _conjugate_closed(zs)
     return zs
@@ -377,10 +405,17 @@ def _conjugate_closed(zs):
     return out
 
 
-def _exact_numeric_roots(coeffs):
-    """Numeric roots of exact coefficients, each listed by its multiplicity.
-    A float zero counts as an exact zero, as in ``_is_exact_poly``."""
-    f = [QComplex(c) if is_exact(c) else QComplex() for c in coeffs]
+def _numeric_roots(coeffs):
+    """Numeric roots of a polynomial with a nonzero coefficient, each listed
+    by its multiplicity.  A float coefficient is the binary rational it
+    stores."""
+    f = []
+    for c in coeffs:
+        if not is_exact(c):
+            if not cmath.isfinite(c):
+                raise OverflowError(f"polynomial coefficient {c} is not finite")
+            c = QComplex(Fraction(c.real), Fraction(c.imag))
+        f.append(QComplex(c))
     low = 0
     while not f[low]:
         low += 1
@@ -388,10 +423,6 @@ def _exact_numeric_roots(coeffs):
     for g, k in _squarefree(f[low:]):
         roots.extend(z for z in _aberth(g) for _ in range(k))
     return roots
-
-
-def _numeric_roots(coeffs, exact: bool):
-    return _exact_numeric_roots(coeffs) if exact else _numpy_roots(coeffs)
 
 
 def _cleared_lead(coeffs):
@@ -429,9 +460,8 @@ def _nonzero_roots(lead_coeffs):
     core = trimmed[low:]
     if len(core) <= 1:
         return ()
-    exact = _is_exact_poly(core)
-    roots = _numeric_roots(core, exact)
-    if exact:
+    roots = _numeric_roots(core)
+    if _is_exact_poly(core):
         d = _cleared_lead(core)
         snapped = (_snap(core, z, d, True) for z in roots)
         roots = [z if c is None else c for z, c in zip(roots, snapped)]
@@ -458,7 +488,7 @@ def rational_resonances(lin: Linearization, a):
     else:
         d = math.lcm(_FLOAT_RESONANCE_DENOM, fam.branch_order)
     found = set()
-    for z in _numeric_roots(coeffs, exact):
+    for z in _numeric_roots(coeffs):
         cand = _snap(coeffs, z, d, exact)
         if cand is not None and cand.im == 0:
             found.add(cand.re)

@@ -176,10 +176,9 @@ def _render(payload, fmt):
     return render_text(payload) + "\n"
 
 
-def render_text(payload, indent: int = 0) -> str:
+def render_text(payload) -> str:
     """Plain-text summary of any payload section."""
     lines = []
-    pad = "  " * indent
 
     def walk(obj, key, depth):
         prefix = "  " * depth
@@ -201,8 +200,8 @@ def render_text(payload, indent: int = 0) -> str:
         else:
             lines.append(f"{prefix}{key}: {obj}")
 
-    walk(payload, None, indent)
-    return pad + ("\n".join(lines) if lines else "")
+    walk(payload, None, 0)
+    return "\n".join(lines)
 
 
 def _analysis(args):

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .balance import _numeric_roots
 from .errors import NoPeriodicCandidateError, NotLaurentError
 from .odemodel import DifferentialPolynomial
 from .scalars import (
@@ -108,9 +109,7 @@ def _period_from_L(L) -> complex:
     return complex(math.pi) / cmath.sqrt(Lc)
 
 
-def build_periodic(
-    local: LocalSolution, verify_order: int = DEFAULT_VERIFY_ORDER
-) -> ClosedFormCandidate:
+def build_periodic(local: LocalSolution) -> ClosedFormCandidate:
     """Match a cot-type simply periodic candidate to local Laurent data.
 
     The scale L and the additive constant are pinned by the lowest two
@@ -159,15 +158,10 @@ def build_periodic(
             )
         candidates_L = [c1 / lpoly[1]]
     else:
-        degree = max(lpoly)
-        coeffs = [to_complex(-c1)] + [
-            to_complex(lpoly.get(m, 0)) for m in range(1, degree + 1)
-        ]
-        import numpy as np
-
-        roots = [complex(r) for r in np.roots(list(reversed(coeffs)))]
+        coeffs = [-c1] + [lpoly.get(m, 0) for m in range(1, max(lpoly) + 1)]
         candidates_L = sorted(
-            (r for r in roots if abs(r) > 1e-14), key=lambda z: (z.real, z.imag)
+            (r for r in _numeric_roots(coeffs) if abs(r) > 1e-14),
+            key=lambda z: (z.real, z.imag),
         )
         if not candidates_L:
             raise NoPeriodicCandidateError(
@@ -207,15 +201,11 @@ def build_periodic(
         if best is None or score < best[0] - 1e-15:
             best = (score, cand)
     cand = best[1]
-    verify_candidate(cand, local.poly, verify_order)
+    verify_candidate(cand, local.poly)
     return cand
 
 
-def build_rational(
-    local: LocalSolution,
-    m: int,
-    verify_order: int = DEFAULT_VERIFY_ORDER,
-) -> ClosedFormCandidate:
+def build_rational(local: LocalSolution, m: int) -> ClosedFormCandidate:
     """Rational candidate: principal part plus polynomial tail of degree m
     read from the local data."""
     _require_laurent(local, "not Laurent; rational construction undefined")
@@ -236,7 +226,7 @@ def build_rational(
         h0=tail.get(0, 0),
         tail=tail,
     )
-    verify_candidate(cand, local.poly, verify_order)
+    verify_candidate(cand, local.poly)
     return cand
 
 

@@ -80,6 +80,7 @@ from .exactlab import ermakov_invariant
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 MAX_STEPS = 500_000  # accepted plus rejected steps per integration
+_FIT_MAX_POINTS = 120  # the singularity fit thins a longer tail to this many
 
 # Dormand-Prince 5(4) tableau, exact, stages numbered 0 to 6: rows 1 to 6 of
 # A (stage 0 has none), whose last row is the fifth-order weights b (first
@@ -212,9 +213,6 @@ class TrajectoryPoint(NamedTuple):
 @dataclass
 class ComplexTrajectory:
     points: list
-    ode_name: str
-    omega: complex
-    tol: float
     singular_near_zero: bool
     halt_reason: str = None
     halt_kind: str = None  # "manifold" | "underflow" | "overflow" | "budget"
@@ -290,7 +288,6 @@ def integrate(
     ea0, _, ea2, ea3, ea4, ea5 = _NY_EA
     e0, _, e2, e3, e4, e5, e6 = _NY_E
     accepted = rejected = rhs_evals = 0
-    min_step, max_step = math.inf, 0.0
 
     h = min(path.length / 100.0, 0.05)
     h_min = 1e-14 * max(1.0, path.length)
@@ -372,10 +369,6 @@ def integrate(
                 ay0, ay1 = az0, az1
                 f0 = f6
                 accepted += 1
-                if h_try < min_step:
-                    min_step = h_try
-                if h_try > max_step:
-                    max_step = h_try
                 if not record_samples_only or s_cur == target:
                     append(new_point(
                         TrajectoryPoint,
@@ -419,15 +412,11 @@ def integrate(
         halt_reason = _HALT_REASONS[halt_kind]
     return ComplexTrajectory(
         points=points,
-        ode_name=ode.name,
-        omega=ode.omega,
-        tol=tol,
         singular_near_zero=ode.singular_near_zero,
         halt_reason=halt_reason,
         halt_kind=halt_kind,
         stats={"accepted": accepted, "rejected": rejected,
-               "rhs_evals": rhs_evals, "min_step": min_step,
-               "max_step": max_step},
+               "rhs_evals": rhs_evals},
     )
 
 
@@ -436,7 +425,6 @@ class SingularityProbe:
     t_star: complex
     kind: str  # "zero-of-alpha" | "none"
     fit_residual: float = None
-    window_size: int = 0
 
 
 @dataclass(frozen=True)
@@ -462,7 +450,7 @@ def _quadratic_roots(a, b, c):
     q = -(b + sign * sqrt(b**2 - 4ac)) / 2 takes the sign that makes |q|
     largest, and the roots are q / a and c / q (Press et al., Numerical
     Recipes, section 5.6).  With a = 0 the root is linear, and with a and b
-    both 0 there is none, as ``numpy.roots`` gives for an all-zero fit.
+    both 0 there is none: an all-zero fit has no root.
     """
     if a == 0:
         return [-c / b] if b != 0 else []
@@ -509,7 +497,7 @@ def _quadratic_fit(s_vals, values):
     return fitted, [mid + half * r for r in _quadratic_roots(a, b, c)]
 
 
-def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> SingularityProbe:
+def detect_singularity(traj: ComplexTrajectory) -> SingularityProbe:
     """Extrapolate the zero of value**2 from the trajectory tail.
 
     The square of the solution is analytic through a square-root branch
@@ -540,9 +528,9 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
     w = pts[start:]
     if len(w) < 6:
         return SingularityProbe(t_star=None, kind="none")
-    if len(w) > max_window:
-        stride = (len(w) - 1) / (max_window - 1)
-        w = [w[round(i * stride)] for i in range(max_window - 1)] + [w[-1]]
+    if len(w) > _FIT_MAX_POINTS:
+        stride = (len(w) - 1) / (_FIT_MAX_POINTS - 1)
+        w = [w[round(i * stride)] for i in range(_FIT_MAX_POINTS - 1)] + [w[-1]]
     ts = [t for t, _, _ in w]
     ys = [value for _, value, _ in w]
     mags = [abs(y) for y in ys]
@@ -587,17 +575,14 @@ def detect_singularity(traj: ComplexTrajectory, max_window: int = 120) -> Singul
         t_star=complex(t_star),
         kind="zero-of-alpha",
         fit_residual=fit_residual,
-        window_size=len(w),
     )
 
 
-def fit_local_exponent(
-    traj: ComplexTrajectory, t_star: complex, window=None
-) -> ExponentFit:
+def fit_local_exponent(traj: ComplexTrajectory, t_star: complex) -> ExponentFit:
     """Least-squares slope of log|value| against log|t - t_star|.
 
     Logarithms come from ``math.log`` and every sum from ``math.fsum``.
-    The default window spans a decade of distances starting at the closest
+    The window spans a decade of distances starting at the closest
     sample; a fit with R^2 at or below 0.99 raises
     :class:`ExponentUnresolvedError`.
     """
@@ -609,17 +594,12 @@ def fit_local_exponent(
     ]
     if not pairs:
         raise ValueError("trajectory has no usable samples")
-    if window is None:
-        rs = [r for r, _ in pairs]
-        r_lo, r_max = min(rs), max(rs)
-        r_hi = min(r_max, 10.0 * r_lo)
-        selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
-        while len(selected) < 8 and r_hi < r_max:
-            r_hi = min(r_max, r_hi * 2.0)
-            selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
-        window = (r_lo, r_hi)
-    else:
-        r_lo, r_hi = window
+    rs = [r for r, _ in pairs]
+    r_lo, r_max = min(rs), max(rs)
+    r_hi = min(r_max, 10.0 * r_lo)
+    selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
+    while len(selected) < 8 and r_hi < r_max:
+        r_hi = min(r_max, r_hi * 2.0)
         selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
     if len(selected) < 8:
         raise ValueError(
@@ -652,7 +632,7 @@ def fit_local_exponent(
         half_width=2.0 * stderr,
         r_squared=r_squared,
         n_samples=n,
-        window=(float(window[0]), float(window[1])),
+        window=(r_lo, r_hi),
     )
 
 

@@ -55,7 +55,6 @@ from .numeric import (
 from .odemodel import normalize, parse_ode, unique_highest_degree_term, unparse
 from .scalars import QComplex, is_exact, is_zero, mul_frac, to_complex
 from .series import (
-    LocalSolution,
     cot_laurent,
     solve_local_series,
     substitute,
@@ -149,12 +148,12 @@ def series_json(s) -> dict:
     return {"branch_order": s.n, "terms": s.to_json_terms()}
 
 
-def _scalar_match(claimed, computed, rel_tol: float = 1e-9) -> bool:
+def _scalar_match(claimed, computed) -> bool:
     if is_exact(claimed) and is_exact(computed):
         return claimed == computed
     diff = abs(to_complex(claimed) - to_complex(computed))
     scale = max(1.0, abs(to_complex(claimed)))
-    return diff <= rel_tol * scale
+    return diff <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +183,10 @@ def claimed_pole_coefficients(omega, residue):
 
 @dataclass(frozen=True)
 class ClaimedPole:
-    """The published pole coefficients put to the test: the Laurent solution
-    they define, the cot candidate matched to it or the reason none could be
+    """The published pole coefficients put to the test: the cot candidate
+    matched to the Laurent solution they define or the reason none could be
     built, and the period-formula values (None without a candidate)."""
 
-    local: LocalSolution
     candidate: ClosedFormCandidate | None
     error: str | None
     period_formula: dict | None
@@ -292,11 +290,11 @@ class Analysis:
         try:
             cand = build_periodic(local)
         except NoPeriodicCandidateError as exc:
-            return ClaimedPole(local, None, str(exc), None)
+            return ClaimedPole(None, str(exc), None)
         formula_T = period_from_pole_data(local)
         branch_values = period_branch_values(formula_T)
         tol = 1e-8 * max(1.0, abs(cand.period))
-        return ClaimedPole(local, cand, None, {
+        return ClaimedPole(cand, None, {
             "value": complex_json(formula_T),
             "branch_values": [complex_json(v) for v in branch_values],
             "matched_period": complex_json(cand.period),

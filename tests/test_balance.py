@@ -1,4 +1,6 @@
 import json
+import random
+import statistics
 import time
 from collections import Counter
 from dataclasses import replace
@@ -408,6 +410,57 @@ def test_real_input_gives_conjugate_closed_roots():
     (real,) = [z for z in balance._nonzero_roots([QComplex(-3), 0, 0, QComplex(1)])
                if z.imag == 0]
     assert abs(real - 3 ** (1 / 3)) < 1e-15
+
+
+def _float_cluster_poly(rng, mult):
+    """Ascending float coefficients of lead * (x - r)**mult * prod (x - w),
+    with zero to three other roots w; half of them real polynomials."""
+    def point():
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    if rng.random() < 0.5:
+        r, others = rng.uniform(-2, 2), []
+        for _ in range(rng.randint(0, 2)):
+            w = point()
+            others += [w.real] if rng.random() < 0.5 else [w, w.conjugate()]
+    else:
+        r, others = point(), [point() for _ in range(rng.randint(0, 3))]
+    coeffs = [rng.choice([-1, 1]) * rng.uniform(0.5, 4) + 0j]
+    for w in [r] * mult + others:
+        coeffs = [hi - w * lo for hi, lo in zip([0j] + coeffs, coeffs + [0j])]
+    if isinstance(r, float):
+        coeffs = [complex(c.real, 0.0) for c in coeffs]
+    return r, coeffs
+
+
+def _cluster_error(roots, r, mult):
+    """Largest relative distance from r of the mult roots nearest to it."""
+    return max(sorted(abs(complex(z) - r) for z in roots)[:mult]) / max(1.0, abs(r))
+
+
+def test_float_multiple_roots_match_numpy_accuracy():
+    # rounding splits a multiple root of float coefficients into a cluster
+    # about eps**(1/mult) wide.  The roots come back without raising, each
+    # is a simple root of the coefficients as given (an exact Newton step
+    # moves it by at most 1e-12 relative), and their median and worst
+    # distance from the multiple root are within 2x of numpy.roots
+    np = pytest.importorskip("numpy")
+    rng = random.Random(19)
+    errors = {2: ([], []), 3: ([], [])}
+    for k in range(400):
+        mult = 2 + k % 2
+        r, coeffs = _float_cluster_poly(rng, mult)
+        mine = balance._numeric_roots(coeffs)
+        assert len(set(mine)) == len(mine) == len(coeffs) - 1
+        exact = [QComplex(Fraction(c.real), Fraction(c.imag)) for c in coeffs]
+        for z in mine:
+            p, dp = balance._exact_horner2(exact, z)
+            assert abs(p) <= 1e-12 * abs(z * dp)
+        errors[mult][0].append(_cluster_error(mine, r, mult))
+        errors[mult][1].append(_cluster_error(np.roots(coeffs[::-1]), r, mult))
+    for mine, ref in errors.values():
+        assert statistics.median(mine) <= 2 * statistics.median(ref)
+        assert max(mine) <= 2 * max(ref)
 
 
 def test_unconverged_root_iteration_raises(monkeypatch):

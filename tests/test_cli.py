@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import jsonschema
 import pytest
@@ -363,6 +364,30 @@ def test_float_overflow_exits_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
         f"error: {argv[0]}: input overflows floating point (")
+
+
+@pytest.mark.parametrize("power", [3, 5])
+def test_non_finite_polynomial_coefficient_exits_2(power, capsys):
+    # c = 1e308 overflows a coefficient of the resonance polynomial to inf
+    # or nan; the root finder refuses it before any arithmetic warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "--ode", f"y'' - c*y^{power}", "--param", "c=1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: analyze: input overflows floating point (")
+    assert err.endswith(" is not finite)\n")
+
+
+def test_one_equation_one_branch(tmp_path):
+    # exact and float coefficients find their roots on one path, so they
+    # pick the same leading coefficient, and 2.0 gives the exact root -i
+    def leading(ode):
+        payload = run_json(tmp_path, ["series", "--ode", ode])
+        return [s["leading_coefficient"] for s in payload["series"]["solutions"]]
+
+    assert leading("y'' + y^3") == leading("y'' + 1.0*y^3") == [[0, -1.414213562373095]]
+    assert leading("y'' + 2.0*y^3") == [[0, -1]]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -91,6 +91,31 @@ def test_periodic_recovers_doubled_frequency(cot_poly):
     assert cand.h0 == 0
 
 
+def test_periodic_picks_scale_among_quadratic_roots(cot_poly):
+    # data of h0 + b1*g + b3*g'' with g = s*cot(s*tau): a pole of order 3,
+    # so the order-1 matching equation is quadratic in L,
+    #   b1*g1*L + 6*b3*g3*L**2 = c_1,
+    # with the roots L = s**2 and -b1*g1/(6*b3*g3) - s**2 = -19/4
+    s, h0, b1, b3 = Fraction(3, 2), Fraction(1, 2), 1, 1
+    g = {j: c * s ** (j + 1) for j, c in cot_laurent(10).coeffs.items()}
+    coeffs = {0: QComplex(h0)}
+    for j, c in g.items():
+        if j <= 8:
+            coeffs[j] = coeffs.get(j, 0) + b1 * c
+        if j not in (0, 1):
+            coeffs[j - 2] = coeffs.get(j - 2, 0) + b3 * j * (j - 1) * c
+    local = synthetic_laurent_solution(cot_poly, coeffs, trunc=8)
+    assert local.series.min_index == -3
+    cand = build_periodic(local)
+    assert abs(cand.L - s * s) <= 1e-15 * s * s
+    assert abs(cand.period - math.pi / s) <= 1e-15 * math.pi
+    assert cand.h0 == h0
+    assert cand.pole_part == {1: b1, 2: 0, 3: 2 * b3}
+    expansion = cand.expand(6)
+    for j in range(-3, 7):
+        assert abs(complex(expansion.coeffs.get(j, 0) - coeffs.get(j, 0))) < 1e-13
+
+
 def test_periodic_requires_pole(cot_poly):
     local = synthetic_laurent_solution(cot_poly, {0: 1, 1: 2}, trunc=4)
     with pytest.raises(NoPeriodicCandidateError):

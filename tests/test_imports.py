@@ -1,7 +1,8 @@
-"""numpy is loaded only for the roots of float coefficients: importing the
-package, exact analyses, a complex-time probe with its singularity and
-exponent fits, and the default report leave it out; float coefficients bring
-it in."""
+"""No merosolve run imports numpy: importing the package, exact analyses, a
+complex-time probe with its singularity and exponent fits, the default
+report, a float-coefficient analysis and a closed form whose scale
+polynomial has degree two all leave it out.  numpy is loaded afterwards, as
+the oracle for the float roots."""
 
 import json
 import os
@@ -40,6 +41,13 @@ fam = next(f for f in find_balances(normalize(parse_ode("y'' - 1.5*y^3"), {}))
            if f.consistent)
 seen["float"] = "numpy" in sys.modules
 
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    seen["closed_form_exit"] = main(["closed-form", "--ode", "y''' - 6*y^2"])
+seen["closed_form_errors"] = [e["error"] for e in
+                              json.loads(out.getvalue())["closed_form"]["periodic_errors"]]
+seen["closed_form"] = "numpy" in sys.modules
+
 import numpy as np
 core = list(fam.leading_poly)
 while core[-1] == 0:
@@ -48,13 +56,13 @@ while core[0] == 0:
     core.pop(0)
 expected = sorted((complex(z) for z in np.roots([complex(c) for c in reversed(core)])),
                   key=lambda z: (z.real, z.imag))
-seen["float_roots"] = [repr(z) for z in fam.leading_coeffs]
-seen["numpy_roots"] = [repr(z) for z in expected]
+seen["float_roots"] = [[z.real, z.imag] for z in fam.leading_coeffs]
+seen["numpy_roots"] = [[z.real, z.imag] for z in expected]
 print(json.dumps(seen))
 """
 
 
-def test_numpy_is_loaded_only_for_float_coefficients():
+def test_no_merosolve_run_imports_numpy():
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
@@ -70,7 +78,16 @@ def test_numpy_is_loaded_only_for_float_coefficients():
     assert abs(seen["probe_exponent"] - 0.5) < 1e-2
     assert seen["probe"] is False
     assert seen["report"] is False
-    assert seen["float"] is True
-    # float roots still come from numpy.roots, bit for bit
-    assert seen["float_roots"] == seen["numpy_roots"]
-    assert len(seen["float_roots"]) == 2
+    assert seen["float"] is False
+    assert seen["closed_form_exit"] == 0
+    # c_1 = 0 and only c_-3 enters, so the scale polynomial is c * L**2:
+    # its roots are the double root 0, which matches no period
+    assert seen["closed_form_errors"] == [
+        "no periodic candidate: no finite nonzero scale matches"]
+    assert seen["closed_form"] is False
+    # the float roots agree with numpy.roots by value
+    mine = [complex(*z) for z in seen["float_roots"]]
+    ref = [complex(*z) for z in seen["numpy_roots"]]
+    assert len(mine) == len(ref) == 2
+    for z, w in zip(mine, ref):
+        assert abs(z - w) <= 1e-12 * abs(w)

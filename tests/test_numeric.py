@@ -30,10 +30,7 @@ def synthetic_ray_trajectory(func, t_star, radii, direction=1.0):
         TrajectoryPoint(t_star + direction * r, func(direction * r), 0j)
         for r in sorted(radii, reverse=True)
     ]
-    return ComplexTrajectory(
-        points=pts, ode_name="synthetic", omega=0j, tol=1e-12,
-        singular_near_zero=True,
-    )
+    return ComplexTrajectory(points=pts, singular_near_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +183,7 @@ def test_integrate_initial_value_inside_guard():
         "initial value already inside the singular-manifold guard"
     )
     assert len(traj.points) == 1
-    assert traj.stats == {"accepted": 0, "rejected": 0, "rhs_evals": 0,
-                          "min_step": math.inf, "max_step": 0.0}
+    assert traj.stats == {"accepted": 0, "rejected": 0, "rhs_evals": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +365,9 @@ def _drive(step, ode, ic, path, tol, sample_points=None,
                 events.add(s)
     events = sorted(events)
     points = [TrajectoryPoint(path.waypoints[0], y[0], y[1])]
-    traj = ComplexTrajectory(points=points, ode_name=ode.name,
-                             omega=ode.omega, tol=tol,
+    traj = ComplexTrajectory(points=points,
                              singular_near_zero=ode.singular_near_zero)
-    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
-             "min_step": math.inf, "max_step": 0.0}
+    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0}
     traj.stats = stats
 
     def halt(kind, reason=None):
@@ -407,8 +401,6 @@ def _drive(step, ode, ic, path, tol, sample_points=None,
                 y = y_new
                 step.accept()
                 stats["accepted"] += 1
-                stats["min_step"] = min(stats["min_step"], h_try)
-                stats["max_step"] = max(stats["max_step"], h_try)
                 if not record_samples_only or s_cur == target:
                     points.append(TrajectoryPoint(
                         base_t + direction * (s_cur - base_s), y[0], y[1]))
