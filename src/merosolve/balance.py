@@ -238,9 +238,18 @@ def linear_response(lin: Linearization, a):
     coefficient multiplying a raw series coefficient injected at relative
     order r: the scaled perturbation y = a*tau**p*(1 + eps*tau**r) responds
     with eps * R(r), and a raw coefficient delta at the same order
-    corresponds to eps = delta/a."""
+    corresponds to eps = delta/a.
+
+    It is summed as a**(s-1) * gamma, never as (a**s * gamma)/a: for a tiny
+    float a (|a| ~ 1e-110 when y'' = c*y^3 at c = 1e220) a**s underflows to
+    0 where a**(s-1) does not.  A monomial of total degree 0 is free of y,
+    so its gamma is empty and it adds nothing."""
     a = canonical_scalar(a)
-    return [c / a for c in _response(lin.terms, a)]
+    out = []
+    for s, gamma in lin.terms:
+        if gamma:
+            out = _poly_add(out, [scalar_pow(a, s - 1) * c for c in gamma])
+    return out
 
 
 def _is_exact_poly(coeffs) -> bool:

@@ -224,6 +224,11 @@ def _cmd_analysis(args):
     return rpt.analysis_payload(_analysis(args), args.command)
 
 
+# one template for every sample row; "%.17g" prints what format(v, ".17g")
+# prints, signed zeros, subnormals, inf and nan included
+_CSV_ROW = ",".join(["%.17g"] * 6)
+
+
 def _cmd_integrate(args):
     omega = complex(_literal("--omega", args.omega))
     ode = EpWidthOde(omega) if args.system == "ep" else LinearOscillatorOde(omega)
@@ -232,7 +237,7 @@ def _cmd_integrate(args):
     rows = traj.to_rows()
     if args.format == "csv":
         lines = ["re_t,im_t,re_value,im_value,re_slope,im_slope"]
-        lines += [",".join([format(v, ".17g") for v in row]) for row in rows]
+        lines += [_CSV_ROW % row for row in rows]
         return "\n".join(lines) + "\n"
     payload = {
         "schema_version": rpt.SCHEMA_VERSION,

@@ -227,8 +227,10 @@ class ComplexTrajectory:
         return self.points[-1]
 
     def to_rows(self):
+        """One (re t, im t, re value, im value, re slope, im slope) tuple
+        per point."""
         return [
-            [t.real, t.imag, value.real, value.imag, slope.real, slope.imag]
+            (t.real, t.imag, value.real, value.imag, slope.real, slope.imag)
             for t, value, slope in self.points
         ]
 

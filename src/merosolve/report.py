@@ -12,10 +12,10 @@ never hard-coded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 
 from .balance import find_balances, scaled_exponents
 from .closedform import (
@@ -70,14 +70,6 @@ DEFAULT_ODE_TEXT = "y'' + omega^2*y - y^-3"
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if x != x or x in (math.inf, -math.inf):
-        raise ValueError("non-finite float in report payload")
-    if x == 0.0:
-        return "0" if math.copysign(1.0, x) > 0 else "-0"
-    return format(x, ".17g")
-
-
 # '"', backslash and the control characters below 0x20; every other code
 # point passes through unchanged
 _ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\"}
@@ -86,6 +78,23 @@ _ESCAPES.update((c, f"\\u{c:04x}") for c in range(0x20))
 
 def _escape(s: str) -> str:
     return '"' + s.translate(_ESCAPES) + '"'
+
+
+# Every float is printed by "%.17g": 17 significant digits, a lowercase
+# exponent, "0" and "-0" for the zeros.  It is the formatter that
+# format(v, ".17g") uses, and of all the floats only inf and nan put an "n"
+# into the text.
+
+def _finite(text: str) -> str:
+    if "n" in text:
+        raise ValueError("non-finite float in report payload")
+    return text
+
+
+@lru_cache(maxsize=64)
+def _row_template(n: int) -> str:
+    """``"[%.17g, ..., %.17g]"`` for a row of n floats."""
+    return "[" + ", ".join(["%.17g"] * n) + "]"
 
 
 def to_json(obj, indent: int = 0) -> str:
@@ -100,23 +109,26 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return _finite("%.17g" % obj)
     if isinstance(obj, str):
         return _escape(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        for v in obj:
-            if type(v) is not float:
-                break
-        else:
-            # A row of plain floats in one pass.  For a finite float
-            # format(v, ".17g") is _fmt_float(v), signed zeros included, and
-            # only inf and nan put an "n" into the line.
-            line = "[" + ", ".join([format(v, ".17g") for v in obj]) + "]"
-            if "n" in line:
-                raise ValueError("non-finite float in report payload")
-            return line
+        # exact types: an int, a bool or a float subclass is no plain float
+        types = set(map(type, obj))
+        if types == {float}:
+            # a row of plain floats: one template application
+            return _finite(_row_template(len(obj)) % tuple(obj))
+        cells = chain.from_iterable(obj) if types <= {list, tuple} else ()
+        if set(map(type, cells)) == {float}:
+            # a table of float rows: one template application per row (an
+            # empty row's template is "[]"), one non-finite scan for the
+            # whole table
+            body = (",\n" + pad_in).join(
+                [_row_template(len(row)) % tuple(row) for row in obj]
+            )
+            return _finite("[\n" + pad_in + body + "\n" + pad + "]")
         items = [to_json(v, indent + 1) for v in obj]
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
             return "[" + ", ".join(items) + "]"

@@ -203,6 +203,36 @@ def test_integrate_csv(tmp_path):
     assert abs(last[2] - 1.0) < 1e-8
 
 
+def test_integrate_csv_and_json_cells_of_extreme_floats(tmp_path, monkeypatch):
+    # signed zero, the smallest subnormal and the largest float print with
+    # 17 significant digits in both formats and read back bit for bit
+    from merosolve import cli
+    from merosolve.numeric import ComplexTrajectory, TrajectoryPoint
+
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    traj = ComplexTrajectory(
+        points=[TrajectoryPoint(complex(-0.0, 0.0), complex(tiny, -huge),
+                                complex(huge, -tiny))],
+        singular_near_zero=False,
+        stats={"accepted": 0, "rejected": 0, "rhs_evals": 1},
+    )
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: traj)
+    out = tmp_path / "traj.csv"
+    assert main(["integrate", "--format", "csv", "--out", str(out)]) == 0
+    cells = ("-0,0,4.9406564584124654e-324,-1.7976931348623157e+308,"
+             "1.7976931348623157e+308,-4.9406564584124654e-324")
+    assert out.read_text(encoding="utf-8") == (
+        "re_t,im_t,re_value,im_value,re_slope,im_slope\n" + cells + "\n"
+    )
+    row = [float(x) for x in cells.split(",")]
+    assert [math.copysign(1.0, x) for x in row[:2]] == [-1.0, 1.0]
+    assert row[2:] == [tiny, -huge, huge, -tiny]
+    out = tmp_path / "traj.json"
+    assert main(["integrate", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert '"samples": [\n    [' + cells.replace(",", ", ") + "]\n  ]" in text
+
+
 def test_probe_command(tmp_path):
     payload = run_json(
         tmp_path,
@@ -377,6 +407,24 @@ def test_non_finite_polynomial_coefficient_exits_2(power, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: analyze: input overflows floating point (")
     assert err.endswith(" is not finite)\n")
+
+
+@pytest.mark.parametrize("power, p, resonances", [
+    (3, "-1", ["-1", "4"]),
+    (5, "-1/2", ["-1", "3"]),
+])
+@pytest.mark.parametrize("c", ["1e220", "1e250", "1e300"])
+def test_large_coefficient_keeps_the_linear_response(tmp_path, power, p,
+                                                     resonances, c):
+    # at c = 1e300 the leading coefficient a = (p(p-1)/c)**(1/(m-1)) is
+    # about 1e-150 (m = 3) or 1e-75 (m = 5), so a**m underflows; the linear
+    # response is summed from a**(m-1) and the series still solves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_json(tmp_path, ["analyze", "--ode", f"y'' - c*y^{power}",
+                                      "--param", f"c={c}"])
+    consistent = [f for f in payload["balance"]["families"] if f["consistent"]]
+    assert [(f["p"], f["resonances"]) for f in consistent] == [(p, resonances)]
 
 
 def test_one_equation_one_branch(tmp_path):

@@ -243,6 +243,41 @@ def test_to_json_rejects_unknown_types():
         to_json({"x": object()})
     with pytest.raises(TypeError):
         to_json({1: "non-string key"})
+    # an unknown value inside a table of float rows
+    with pytest.raises(TypeError):
+        to_json([[1.0, 2.0], [0.5, object()]])
+
+
+def _reference_json(obj, indent=0):
+    """Reference writer, one value at a time: the element-wise rules of
+    to_json with no row or table shortcut."""
+    pad, pad_in = "  " * indent, "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("non-finite float in report payload")
+        if obj == 0.0:
+            return "0" if math.copysign(1.0, obj) > 0 else "-0"
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return _escape_by_loop(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_reference_json(v, indent + 1) for v in obj]
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(pad_in + item for item in items) + "\n" + pad + "]"
+    if not obj:
+        return "{}"
+    parts = [pad_in + _escape_by_loop(k) + ": " + _reference_json(v, indent + 1)
+             for k, v in obj.items()]
+    return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
 
 
 _FINITE_FLOATS = st.one_of(
@@ -256,8 +291,8 @@ _FINITE_FLOATS = st.one_of(
 @given(st.lists(_FINITE_FLOATS, min_size=1, max_size=8))
 def test_to_json_float_row_matches_per_item_formatting(row):
     # a row of plain floats takes the one-pass path; it must print what
-    # _fmt_float prints for each item
-    want = "[" + ", ".join(report._fmt_float(v) for v in row) + "]"
+    # the element-wise writer prints for each item
+    want = "[" + ", ".join(_reference_json(v) for v in row) + "]"
     assert to_json(row) == want
     assert to_json(tuple(row)) == want
     assert to_json({"rows": [row]}) == '{\n  "rows": [\n    ' + want + "\n  ]\n}"
@@ -269,6 +304,52 @@ def test_to_json_rejects_non_finite_in_float_rows(bad):
         to_json([1.0, bad, -0.0])
     with pytest.raises(ValueError, match="non-finite"):
         to_json({"samples": [[0.0, 1.0], [bad, 0.5]]})
+
+
+def _rows_of(values, max_size=6):
+    # lists and tuples, ragged and empty
+    return st.one_of(st.lists(values, max_size=max_size),
+                     st.lists(values, max_size=max_size).map(tuple))
+
+
+_FLOAT_ROWS = _rows_of(_FINITE_FLOATS)
+_MIXED_ROWS = _rows_of(st.one_of(
+    _FINITE_FLOATS, st.integers(), st.booleans(), st.none(),
+    st.text(max_size=3), st.lists(_FINITE_FLOATS, max_size=2),
+))
+_TABLES = _rows_of(st.one_of(_FLOAT_ROWS, _FLOAT_ROWS.filter(bool), _MIXED_ROWS),
+                   max_size=5)
+_PAYLOADS = st.recursive(
+    st.one_of(_FINITE_FLOATS, st.integers(), st.none(), st.text(max_size=3),
+              _FLOAT_ROWS, _MIXED_ROWS, _TABLES),
+    lambda children: st.one_of(
+        _rows_of(children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_PAYLOADS, st.integers(min_value=0, max_value=3))
+def test_to_json_tables_match_the_element_wise_writer(payload, indent):
+    assert to_json(payload, indent) == _reference_json(payload, indent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FLOAT_ROWS.filter(bool), min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=3), st.data())
+def test_to_json_non_finite_anywhere_in_a_table_raises(table, indent, data):
+    bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    i = data.draw(st.integers(min_value=0, max_value=len(table) - 1))
+    row = list(table[i])
+    row[data.draw(st.integers(min_value=0, max_value=len(row) - 1))] = bad
+    table[i] = row
+    for payload in (table, {"samples": table}, [table]):
+        with pytest.raises(ValueError, match="non-finite float in report payload"):
+            _reference_json(payload, indent)
+        with pytest.raises(ValueError, match="non-finite float in report payload"):
+            to_json(payload, indent)
 
 
 class _Float(float):
