@@ -46,12 +46,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import DegenerateFamilyError, InternalInconsistencyError
 from .odemodel import DiffMonomial, DifferentialPolynomial
+from .records import Record, setfield
 from .scalars import (
     QComplex,
     canonical_scalar,
@@ -76,6 +76,8 @@ _ROOT_PREFILTER = 1e-7
 # root; a root that has not converged within the cap raises
 _ABERTH_TOL = 1e-12
 _ABERTH_MAX_SWEEPS = 500
+# a float coefficient this small relative to the largest one is trimmed
+_TRIM_REL = 1e-14
 # float resonance polynomials snap to denominators dividing the lcm of this
 # and the branch order, and must leave a residual <= 1e-8 relative
 _FLOAT_RESONANCE_DENOM = 360
@@ -111,21 +113,28 @@ def scaled_exponents(poly: DifferentialPolynomial, p: Fraction) -> list:
     return _scaled_exponents(_degree_weights(poly), p.numerator, p.denominator)
 
 
-@dataclass(frozen=True)
-class BalanceFamily:
+class BalanceFamily(Record):
     """One movable-singularity family: exponent, dominance data, leading
     coefficients and resonances.  ``branch_order == 1`` is a pole family,
     larger values mark algebraic branch points."""
 
-    p: Fraction
-    branch_order: int
-    q: Fraction
-    dominant: tuple
-    leading_poly: tuple  # coefficients of the leading equation, ascending in a
-    leading_coeffs: tuple  # nonzero roots, sorted by (re, im)
-    consistent: bool
-    resonances: tuple
-    two_term: bool  # False when reported via the negative-integer fallback
+    __slots__ = ("p", "branch_order", "q", "dominant", "leading_poly",
+                 "leading_coeffs", "consistent", "resonances", "two_term")
+
+    def __init__(self, p: Fraction, branch_order: int, q: Fraction,
+                 dominant: tuple, leading_poly: tuple, leading_coeffs: tuple,
+                 consistent: bool, resonances: tuple, two_term: bool):
+        setfield(self, "p", p)
+        setfield(self, "branch_order", branch_order)
+        setfield(self, "q", q)
+        setfield(self, "dominant", dominant)
+        # coefficients of the leading equation, ascending in a
+        setfield(self, "leading_poly", leading_poly)
+        setfield(self, "leading_coeffs", leading_coeffs)  # nonzero roots, sorted by (re, im)
+        setfield(self, "consistent", consistent)
+        setfield(self, "resonances", resonances)
+        # False when reported via the negative-integer fallback
+        setfield(self, "two_term", two_term)
 
 
 def _fall_poly_in_r(p: Fraction, k: int):
@@ -159,8 +168,14 @@ def _poly_add(a, b):
 
 
 def _trim(coeffs):
+    """Drop trailing zeros: exact coefficients that are zero, float ones
+    within _TRIM_REL of the largest float coefficient's magnitude."""
     out = list(coeffs)
-    while out and is_zero(out[-1], 1e-14):
+    tol = 0.0
+    if out and not is_exact(out[-1]):
+        scale = max(abs(c) for c in out if not is_exact(c))
+        tol = _TRIM_REL * scale if scale < math.inf else 0.0  # never trim inf
+    while out and is_zero(out[-1], tol):
         out.pop()
     return out
 
@@ -168,8 +183,12 @@ def _trim(coeffs):
 def _leading_polynomial(poly: DifferentialPolynomial, p: Fraction, dominant):
     """Leading equation in the coefficient a, ascending powers: under
     y = a*tau**p each dominant monomial contributes ``phi * a**s``, s its
-    total degree and phi = coeff * prod falling(p, k)**d_k."""
+    total degree and phi = coeff * prod falling(p, k)**d_k.  Only a sum
+    can make noise: a float coefficient that cancels to within the rounding
+    of its own terms, 4 * len(dominant) * eps * sum |phi|, is zero.  A
+    coefficient of any other size belongs to the equation, however small."""
     coeffs = [0]
+    sizes = [0.0]  # sum |phi| over the float terms of each coefficient
     for idx in dominant:
         mono = poly.monomials[idx]
         weight = Fraction(1)
@@ -178,12 +197,19 @@ def _leading_polynomial(poly: DifferentialPolynomial, p: Fraction, dominant):
         s = mono.total_degree
         if len(coeffs) <= s:
             coeffs.extend([0] * (s + 1 - len(coeffs)))
-        coeffs[s] = coeffs[s] + mul_frac(mono.coeff, weight)
-    return coeffs
+            sizes.extend([0.0] * (s + 1 - len(sizes)))
+        phi = mul_frac(mono.coeff, weight)
+        coeffs[s] = coeffs[s] + phi
+        if not is_exact(phi):
+            sizes[s] += abs(phi)
+    # a float sum cancels only against terms of about its own float terms'
+    # size, so those bound its rounding even when exact terms join in
+    rounding = 4 * len(dominant) * sys.float_info.epsilon
+    return [0j if size and c and abs(c) <= rounding * size else c
+            for c, size in zip(coeffs, sizes)]
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(Record):
     """The dominant monomials of one family linearized about y = a*tau**p.
     Under y = a*tau**p*(1 + eps*tau**r) the monomial of total degree s gains
     ``eps * gamma(r) * a**s`` at relative order r; ``terms`` holds one pair
@@ -191,8 +217,11 @@ class Linearization:
     ascending in r.  The family's leading polynomial holds, at a**s, the
     sum phi of the same monomials' leading weights."""
 
-    family: BalanceFamily
-    terms: tuple
+    __slots__ = ("family", "terms")
+
+    def __init__(self, family: BalanceFamily, terms: tuple):
+        setfield(self, "family", family)
+        setfield(self, "terms", terms)
 
 
 def linearize(poly: DifferentialPolynomial, fam: BalanceFamily) -> Linearization:
@@ -352,6 +381,14 @@ def _sweeps(evaluate, f, zs, pending):
     return moving
 
 
+def _horner_rounding(sizes, x: float) -> float:
+    """Horner's rounding bound 2n * eps * sum |c_k| x**k on the value of a
+    degree-n polynomial at a point of modulus x, from the moduli ``sizes``
+    of its coefficients (Higham, *Accuracy and Stability*, 5.1): a float
+    value within it is zero as far as floats can tell."""
+    return 2 * (len(sizes) - 1) * sys.float_info.epsilon * poly_eval(sizes, x)
+
+
 def _aberth(f):
     """Roots of a monic square-free f with nonzero constant term:
     Aberth-Ehrlich sweeps from a circle of radius max |f_k|**(1/(n-k)),
@@ -367,12 +404,11 @@ def _aberth(f):
     zs = [radius * cmath.exp(1j * (2 * math.pi * j / n + 0.5)) for j in range(n)]
     stalled = _sweeps(_horner2, coeffs, zs, range(n))
     values = [_horner2(coeffs, z) for z in zs]
-    rounding = 2 * n * sys.float_info.epsilon
     weights = [abs(c) for c in coeffs]
     noisy = [
         i for i, (z, (_, dp)) in enumerate(zip(zs, values))
         if i in stalled
-        or not rounding * poly_eval(weights, abs(z)) <= _ABERTH_TOL * abs(z * dp)
+        or not _horner_rounding(weights, abs(z)) <= _ABERTH_TOL * abs(z * dp)
     ]
     if noisy:
         # tilted as the first circle is: a pair started on the vertical
@@ -462,11 +498,13 @@ def _snap(coeffs, z, d, exact: bool):
 def _nonzero_roots(lead_coeffs):
     """Nonzero roots of the leading polynomial, sorted by (re, im): exact
     where the root rule finds them, numeric otherwise."""
-    trimmed = _trim(lead_coeffs)
+    core = list(lead_coeffs)
+    while core and not core[-1]:
+        core.pop()
     low = 0
-    while low < len(trimmed) and is_zero(trimmed[low], 1e-14):
+    while low < len(core) and not core[low]:
         low += 1
-    core = trimmed[low:]
+    core = core[low:]
     if len(core) <= 1:
         return ()
     roots = _numeric_roots(core)
@@ -578,6 +616,6 @@ def find_balances(
         )
         if fam.consistent:
             resonances = compute_resonances(poly, fam, roots[0])
-            fam = replace(fam, resonances=tuple(resonances))
+            fam = fam.replace(resonances=tuple(resonances))
         families.append(fam)
     return families

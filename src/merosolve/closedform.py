@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balance import _numeric_roots
 from .errors import NoPeriodicCandidateError, NotLaurentError
 from .odemodel import DifferentialPolynomial
+from .records import field_repr
 from .scalars import (
     canonical_scalar,
     is_zero,
@@ -40,19 +40,27 @@ KIND_SIMPLY_PERIODIC = "simply-periodic"
 KIND_RATIONAL = "rational"
 
 
-@dataclass
 class ClosedFormCandidate:
     """A candidate exact solution with its verification record."""
 
-    kind: str
-    pole_part: dict  # k -> c_{-k}, k >= 1
-    h0: object
-    L: object = None  # (pi/T)**2; simply periodic only
-    period: complex = None  # pi / sqrt(L), principal branch
-    tail: dict = field(default_factory=dict)  # rational tail k -> c_k
-    verified: bool = None
-    residual_norm: float = None
-    first_failing_order: Fraction = None
+    __slots__ = ("kind", "pole_part", "h0", "L", "period", "tail", "verified",
+                 "residual_norm", "first_failing_order")
+
+    def __init__(self, kind: str, pole_part: dict, h0, L=None,
+                 period: complex = None, tail: dict = None,
+                 verified: bool = None, residual_norm: float = None,
+                 first_failing_order: Fraction = None):
+        self.kind = kind
+        self.pole_part = pole_part  # k -> c_{-k}, k >= 1
+        self.h0 = h0
+        self.L = L  # (pi/T)**2; simply periodic only
+        self.period = period  # pi / sqrt(L), principal branch
+        self.tail = {} if tail is None else tail  # rational tail k -> c_k
+        self.verified = verified
+        self.residual_norm = residual_norm
+        self.first_failing_order = first_failing_order
+
+    __repr__ = field_repr
 
     @property
     def pole_order(self) -> int:

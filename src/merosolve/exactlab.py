@@ -13,9 +13,9 @@ from ``eta'' = -omega**2 eta``.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .errors import EvaluationDomainError
+from .records import Record, setfield
 
 
 class LinearOscillation:
@@ -43,14 +43,17 @@ class LinearOscillation:
         return self.jet(t)[1]
 
 
-@dataclass(frozen=True)
-class OscillatorBasis:
+class OscillatorBasis(Record):
     """Two independent oscillator solutions with their (constant) Wronskian."""
 
-    omega: complex
-    u: LinearOscillation
-    v: LinearOscillation
-    wronskian: complex
+    __slots__ = ("omega", "u", "v", "wronskian")
+
+    def __init__(self, omega: complex, u: LinearOscillation,
+                 v: LinearOscillation, wronskian: complex):
+        setfield(self, "omega", omega)
+        setfield(self, "u", u)
+        setfield(self, "v", v)
+        setfield(self, "wronskian", wronskian)
 
     def wronskian_at(self, t) -> complex:
         u, du = self.u.jet(t)
@@ -70,11 +73,13 @@ def oscillator_basis(omega) -> OscillatorBasis:
     return basis
 
 
-@dataclass(frozen=True)
-class QuadFormParams:
-    A: complex
-    B: complex
-    C: complex
+class QuadFormParams(Record):
+    __slots__ = ("A", "B", "C")
+
+    def __init__(self, A: complex, B: complex, C: complex):
+        setfield(self, "A", A)
+        setfield(self, "B", B)
+        setfield(self, "C", C)
 
 
 class PinneyWidth:

@@ -71,12 +71,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ExponentUnresolvedError
 from .exactlab import ermakov_invariant
+from .records import Record, field_repr, setfield
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 MAX_STEPS = 500_000  # accepted plus rejected steps per integration
@@ -210,13 +210,21 @@ class TrajectoryPoint(NamedTuple):
     slope: complex
 
 
-@dataclass
 class ComplexTrajectory:
-    points: list
-    singular_near_zero: bool
-    halt_reason: str = None
-    halt_kind: str = None  # "manifold" | "underflow" | "overflow" | "budget"
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("points", "singular_near_zero", "halt_reason", "halt_kind",
+                 "stats")
+
+    def __init__(self, points: list, singular_near_zero: bool,
+                 halt_reason: str = None, halt_kind: str = None,
+                 stats: dict = None):
+        self.points = points
+        self.singular_near_zero = singular_near_zero
+        self.halt_reason = halt_reason
+        # "manifold" | "underflow" | "overflow" | "budget"
+        self.halt_kind = halt_kind
+        self.stats = {} if stats is None else stats
+
+    __repr__ = field_repr
 
     @property
     def halted(self) -> bool:
@@ -422,20 +430,25 @@ def integrate(
     )
 
 
-@dataclass(frozen=True)
-class SingularityProbe:
-    t_star: complex
-    kind: str  # "zero-of-alpha" | "none"
-    fit_residual: float = None
+class SingularityProbe(Record):
+    __slots__ = ("t_star", "kind", "fit_residual")
+
+    def __init__(self, t_star: complex, kind: str, fit_residual: float = None):
+        setfield(self, "t_star", t_star)
+        setfield(self, "kind", kind)  # "zero-of-alpha" | "none"
+        setfield(self, "fit_residual", fit_residual)
 
 
-@dataclass(frozen=True)
-class ExponentFit:
-    value: float
-    half_width: float
-    r_squared: float
-    n_samples: int
-    window: tuple
+class ExponentFit(Record):
+    __slots__ = ("value", "half_width", "r_squared", "n_samples", "window")
+
+    def __init__(self, value: float, half_width: float, r_squared: float,
+                 n_samples: int, window: tuple):
+        setfield(self, "value", value)
+        setfield(self, "half_width", half_width)
+        setfield(self, "r_squared", r_squared)
+        setfield(self, "n_samples", n_samples)
+        setfield(self, "window", window)
 
 
 def _fsum_complex(terms):

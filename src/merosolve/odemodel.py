@@ -17,10 +17,10 @@ literals become floats.  Parameter names are ASCII identifiers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import NormalizationError, OdeSyntaxError, UnboundParameterError
+from .records import Record, setfield
 from .scalars import QComplex, canonical_scalar, is_exact, is_zero, scalar_pow
 
 MAX_DERIVATIVE_ORDER = 9
@@ -30,35 +30,47 @@ MAX_DERIVATIVE_ORDER = 9
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
-    value: object  # QComplex (exact) or complex
+class Const(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        setfield(self, "value", value)  # QComplex (exact) or complex
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
+class Param(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Y:
-    order: int
+class Y(Record):
+    __slots__ = ("order",)
+
+    def __init__(self, order: int):
+        setfield(self, "order", order)
 
 
-@dataclass(frozen=True)
-class Add:
-    terms: tuple
+class Add(Record):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        setfield(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple
+class Mul(Record):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        setfield(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent: int):
+        setfield(self, "base", base)
+        setfield(self, "exponent", exponent)
 
 
 OdeAst = Union[Const, Param, Y, Add, Mul, Pow]
@@ -118,12 +130,14 @@ _NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER NAME Y OP END
-    value: object
-    line: int
-    column: int
+class _Token(Record):
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind: str, value, line: int, column: int):
+        setfield(self, "kind", kind)  # NUMBER NAME Y OP END
+        setfield(self, "value", value)
+        setfield(self, "line", line)
+        setfield(self, "column", column)
 
 
 def _tokenize(text: str):
@@ -412,12 +426,14 @@ def unparse(ast) -> str:
 # Differential polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiffMonomial:
+class DiffMonomial(Record):
     """One monomial ``coeff * prod_k (y^(k))^d_k`` with d_k > 0."""
 
-    coeff: object
-    degrees: tuple  # sorted ((k, d_k), ...)
+    __slots__ = ("coeff", "degrees")
+
+    def __init__(self, coeff, degrees: tuple):
+        setfield(self, "coeff", coeff)
+        setfield(self, "degrees", degrees)  # sorted ((k, d_k), ...)
 
     @classmethod
     def from_map(cls, coeff, degree_map):
@@ -454,20 +470,20 @@ class DiffMonomial:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class DifferentialPolynomial:
+class DifferentialPolynomial(Record):
     """Cleared polynomial form of the ODE, with the y-power used to clear
     negative exponents recorded in ``clearing_multiplier``."""
 
-    monomials: tuple
-    clearing_multiplier: int = 0
+    __slots__ = ("monomials", "clearing_multiplier")
 
-    def __post_init__(self):
-        if not self.monomials:
+    def __init__(self, monomials: tuple, clearing_multiplier: int = 0):
+        if not monomials:
             raise ValueError("differential polynomial must have monomials")
-        signatures = [m.degrees for m in self.monomials]
+        signatures = [m.degrees for m in monomials]
         if len(set(signatures)) != len(signatures):
             raise ValueError("duplicate monomial signatures")
+        setfield(self, "monomials", monomials)
+        setfield(self, "clearing_multiplier", clearing_multiplier)
 
     @property
     def max_order(self) -> int:
@@ -621,11 +637,13 @@ def normalize(ast, env) -> DifferentialPolynomial:
     return DifferentialPolynomial(tuple(monomials), multiplier)
 
 
-@dataclass(frozen=True)
-class TopDegreeReport:
-    holds: bool
-    top_degree: int
-    top_monomials: tuple
+class TopDegreeReport(Record):
+    __slots__ = ("holds", "top_degree", "top_monomials")
+
+    def __init__(self, holds: bool, top_degree: int, top_monomials: tuple):
+        setfield(self, "holds", holds)
+        setfield(self, "top_degree", top_degree)
+        setfield(self, "top_monomials", top_monomials)
 
 
 def unique_highest_degree_term(poly: DifferentialPolynomial) -> TopDegreeReport:

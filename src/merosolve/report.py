@@ -12,7 +12,6 @@ never hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -53,6 +52,7 @@ from .numeric import (
     invariant_drift,
 )
 from .odemodel import normalize, parse_ode, unique_highest_degree_term, unparse
+from .records import Record, setfield
 from .scalars import QComplex, is_exact, is_zero, mul_frac, to_complex
 from .series import (
     cot_laurent,
@@ -193,15 +193,18 @@ def claimed_pole_coefficients(omega, residue):
     return {-1: a, 0: a0, 1: a1, 2: a2, 3: a3}
 
 
-@dataclass(frozen=True)
-class ClaimedPole:
+class ClaimedPole(Record):
     """The published pole coefficients put to the test: the cot candidate
     matched to the Laurent solution they define or the reason none could be
     built, and the period-formula values (None without a candidate)."""
 
-    candidate: ClosedFormCandidate | None
-    error: str | None
-    period_formula: dict | None
+    __slots__ = ("candidate", "error", "period_formula")
+
+    def __init__(self, candidate: ClosedFormCandidate | None, error: str | None,
+                 period_formula: dict | None):
+        setfield(self, "candidate", candidate)
+        setfield(self, "error", error)
+        setfield(self, "period_formula", period_formula)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .balance import BalanceFamily, linear_response, linearize, rational_resonances
+from .balance import (
+    BalanceFamily,
+    _horner_rounding,
+    linear_response,
+    linearize,
+    rational_resonances,
+)
 from .errors import InternalInconsistencyError, TruncationError
 from .odemodel import DifferentialPolynomial
+from .records import Record, setfield
 from .scalars import (
     QComplex,
     canonical_scalar,
@@ -302,25 +308,36 @@ def cot_laurent(K: int) -> PuiseuxSeries:
     return PuiseuxSeries(1, c, K)
 
 
-@dataclass(frozen=True)
-class CompatibilityCheck:
+class CompatibilityCheck(Record):
     """Outcome at one resonance order: did the obstruction vanish?"""
 
-    resonance: Fraction
-    satisfied: bool
-    residual: object
+    __slots__ = ("resonance", "satisfied", "residual")
+
+    def __init__(self, resonance: Fraction, satisfied: bool, residual):
+        setfield(self, "resonance", resonance)
+        setfield(self, "satisfied", satisfied)
+        setfield(self, "residual", residual)
 
 
-@dataclass(frozen=True)
-class LocalSolution:
+class LocalSolution(Record):
     """A local Puiseux solution attached to its balance family."""
 
-    family: BalanceFamily
-    a: object
-    series: PuiseuxSeries
-    free_parameters: dict
-    compatibility: tuple
-    poly: DifferentialPolynomial
+    __slots__ = ("family", "a", "series", "free_parameters", "compatibility",
+                 "poly")
+
+    def __init__(self, family: BalanceFamily, a, series: PuiseuxSeries,
+                 free_parameters: dict, compatibility: tuple,
+                 poly: DifferentialPolynomial):
+        setfield(self, "family", family)
+        setfield(self, "a", a)
+        setfield(self, "series", series)
+        setfield(self, "free_parameters", free_parameters)
+        setfield(self, "compatibility", compatibility)
+        setfield(self, "poly", poly)
+
+
+def _moduli(coeffs) -> list:
+    return [abs(to_complex(c)) for c in coeffs]
 
 
 def _compat_tolerance(poly: DifferentialPolynomial, a) -> float:
@@ -539,7 +556,11 @@ def solve_local_series(
     q_idx = int(q_scaled)
 
     lead_val = poly_eval(fam.leading_poly, a)
-    if not force and not is_zero(lead_val, 1e-8 * max(1.0, abs(to_complex(a)))):
+    # an exact value must vanish, a float one may be as large as its rounding
+    if not force and lead_val and (
+            is_exact(lead_val)
+            or not abs(lead_val) <= _horner_rounding(
+                _moduli(fam.leading_poly), abs(to_complex(a)))):
         raise ValueError(
             "a does not satisfy the leading equation; pass force=True "
             "to inject it anyway"
@@ -552,6 +573,7 @@ def solve_local_series(
             if scaled.denominator == 1:
                 resonance_orders[int(scaled)] = Fraction(r)
     response = linear_response(lin, a)
+    response_sizes = None if all(map(is_exact, response)) else _moduli(response)
 
     tol = _compat_tolerance(poly, a)
     compatibility = []
@@ -591,7 +613,8 @@ def solve_local_series(
             lam = 0
             for c in reversed(response):
                 lam = mul_ratio(lam, rho, n) + c
-            if is_zero(lam, 1e-13):
+            if not lam or (response_sizes and abs(lam) <= _horner_rounding(
+                    response_sizes, rho / n)):
                 raise InternalInconsistencyError(
                     f"singular linear step at non-resonant order {Fraction(rho, n)}"
                 )

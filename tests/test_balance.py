@@ -3,7 +3,6 @@ import random
 import statistics
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -121,6 +120,18 @@ def test_leading_roots_annihilate_leading_polynomial(ep_poly, w3_poly):
                 assert abs(to_complex(poly_eval(fam.leading_poly, a))) < 1e-10
 
 
+def test_float_cancellation_in_the_leading_polynomial_is_zero():
+    # at p = -2, a*y^2*y'' and c*y*y'^2 both weigh into a**3: 0.1*6 - 0.15*4
+    # cancels to 1.1e-16 in floats, which is noise and not a root -1.1e-16;
+    # a coefficient of the equation that small is kept (test_cli's c=1e-15)
+    poly = normalize(parse_ode("a*y^2*y'' + c*y*y'^2 + y^4"),
+                     {"a": 0.1, "c": -0.15})
+    fam = next(f for f in find_balances(poly) if f.p == -2)
+    assert fam.dominant == (0, 1, 2)
+    assert fam.leading_poly[3] == 0
+    assert not fam.consistent
+
+
 def test_find_balances_deterministic(ep_poly):
     one = find_balances(ep_poly)
     two = find_balances(ep_poly)
@@ -191,7 +202,7 @@ def reference_find_balances(poly, n_max, window):
         )
         if fam.consistent:
             resonances = compute_resonances(poly, fam, roots[0])
-            fam = replace(fam, resonances=tuple(resonances))
+            fam = fam.replace(resonances=tuple(resonances))
         families.append(fam)
     return families
 

@@ -5,7 +5,9 @@ import warnings
 import jsonschema
 import pytest
 
+from merosolve.balance import find_balances
 from merosolve.cli import main
+from merosolve.odemodel import normalize, parse_ode
 from merosolve.report import REPORT_SCHEMA, SCHEMA_VERSION
 
 
@@ -425,6 +427,66 @@ def test_large_coefficient_keeps_the_linear_response(tmp_path, power, p,
                                       "--param", f"c={c}"])
     consistent = [f for f in payload["balance"]["families"] if f["consistent"]]
     assert [(f["p"], f["resonances"]) for f in consistent] == [(p, resonances)]
+
+
+@pytest.mark.parametrize("c", ["1e-15", "1/1000000000000000"])
+def test_small_coefficient_keeps_its_family(tmp_path, c):
+    # the leading polynomial is 2a - c*a**3: a float c of any size is a
+    # coefficient of the equation, not noise, so the float input finds the
+    # family a = +-sqrt(2/c) ~ +-4.47e7 that the exact one finds
+    payload = run_json(tmp_path, ["analyze", "--ode", "y'' - c*y^3",
+                                  "--param", f"c={c}"])
+    consistent = [f for f in payload["balance"]["families"] if f["consistent"]]
+    assert [(f["p"], f["resonances"]) for f in consistent] == [("-1", ["-1", "4"])]
+    coeffs = consistent[0]["leading_coefficients"]
+    assert len(coeffs) == 2
+    for (re, im), sign in zip(coeffs, (-1, 1)):
+        assert im == 0
+        assert math.isclose(re, sign * math.sqrt(2e15), rel_tol=1e-15)
+
+
+def test_tiny_coefficient_finds_its_family_and_overflows_cleanly(capsys):
+    # at c = 1e-300 the family a = +-sqrt(2e300) is found; its series needs
+    # a**3 ~ 2.8e450, beyond the float range, so analyze stops with the
+    # overflow error that exact c = 1/10**300 gives too
+    families = find_balances(normalize(parse_ode("y'' - c*y^3"), {"c": 1e-300}))
+    consistent = [f for f in families if f.consistent]
+    assert [(f.p, f.resonances) for f in consistent] == [(-1, (-1, 4))]
+    coeffs = consistent[0].leading_coeffs
+    assert [z.imag for z in coeffs] == [0, 0]
+    assert math.isclose(coeffs[1].real, math.sqrt(2e300), rel_tol=1e-15)
+    assert coeffs[0] == -coeffs[1]
+    assert main(["analyze", "--ode", "y'' - c*y^3", "--param", "c=1e-300"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: analyze: input overflows floating point (")
+
+
+def test_leading_equation_check_scales_with_its_terms(tmp_path):
+    # the leading equation is -108000 a**4 - 90 a**6 = 0, so a = +-20 sqrt(3) i
+    # and |90 a**6| ~ 1.6e11: float rounding alone leaves ~1e-5 in its
+    # value, which the check allows because it is bounded by the terms'
+    # own size and not by 1e-8 * |a|
+    payload = run_json(tmp_path, [
+        "analyze", "--ode", "y'' + k0*y^3*y^2*y''' + k1*y*y'''^3",
+        "--param", "k0=3/2", "--param", "k1=1/2"])
+    assert payload["series"]["solutions"]
+
+
+@pytest.mark.parametrize("ode, params", [
+    # the linear step at order 2 is 4.8e-16: below 1e-13, but some 1e14
+    # times its own rounding
+    ("y'''' + k0*y''^2 + k1*y'^3", ["k0=1e-9", "k1=0.1"]),
+    # a = +-3.7e4 makes the leading terms ~2e30, so rounding leaves ~5e14
+    # in the value of the leading equation, far above 1e-8 * |a|
+    ("y'' + k0*y'^3*y'^2 + k1*y''^3*y^2*y^2", ["k0=1e9", "k1=1.5"]),
+], ids=["linear-step", "leading-equation"])
+def test_wide_scale_coefficients_solve(tmp_path, ode, params):
+    # a float value is judged zero against its own rounding, never against
+    # an absolute 1e-13 or 1e-8 * |a|: these exited 3 and 2 before
+    argv = ["analyze", "--ode", ode]
+    for p in params:
+        argv += ["--param", p]
+    assert run_json(tmp_path, argv)["series"]["solutions"]
 
 
 def test_one_equation_one_branch(tmp_path):

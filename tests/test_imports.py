@@ -91,3 +91,27 @@ def test_no_merosolve_run_imports_numpy():
     assert len(mine) == len(ref) == 2
     for z, w in zip(mine, ref):
         assert abs(z - w) <= 1e-12 * abs(w)
+
+
+RECORDS_CHILD = r"""
+import contextlib, io, json, sys
+import merosolve, merosolve.cli
+from merosolve.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["analyze"])
+print(json.dumps({"code": code,
+                  "loaded": [m for m in ("dataclasses", "inspect")
+                             if m in sys.modules]}))
+"""
+
+
+def test_no_generated_records_at_import():
+    # the records are plain slots classes: neither merosolve nor a fresh
+    # analyze loads dataclasses or the inspect module it brings in.  -S
+    # keeps the site hooks of the environment from loading them first
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-S", "-c", RECORDS_CHILD], env=env,
+                          timeout=120, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {"code": 0, "loaded": []}

@@ -1,0 +1,162 @@
+"""The records that carry the pipeline's data: the behaviour the
+generated dataclass methods had is kept by the slots classes that replace
+them.  The expected repr strings were printed by the dataclass records."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from merosolve.balance import find_balances
+from merosolve.closedform import ClosedFormCandidate
+from merosolve.numeric import ComplexTrajectory, SingularityProbe, TrajectoryPoint
+from merosolve.odemodel import (
+    Add,
+    Const,
+    DifferentialPolynomial,
+    DiffMonomial,
+    Mul,
+    Param,
+    Pow,
+    Y,
+    normalize,
+    parse_ode,
+)
+from merosolve.scalars import QComplex
+from merosolve.series import solve_local_series
+
+AST_REPR = (
+    "Add(terms=(Y(order=2), Mul(factors=(Const(value=QComplex('-2', '0')), "
+    'Pow(base=Y(order=0), exponent=3))), '
+    'Mul(factors=(Const(value=(1.5+0j)), Y(order=1)))))'
+)
+MONOMIAL_REPR = (
+    "DiffMonomial(coeff=QComplex('3', '-1'), degrees=((0, 2), (1, 1)))"
+)
+FAMILY_REPR = (
+    'BalanceFamily(p=Fraction(-1, 1), branch_order=1, q=Fraction(-3, 1), '
+    "dominant=(0, 1), leading_poly=(0, QComplex('2', '0'), 0, "
+    "QComplex('-2', '0')), leading_coeffs=(QComplex('-1', '0'), "
+    "QComplex('1', '0')), consistent=True, resonances=(Fraction(-1, 1), "
+    'Fraction(4, 1)), two_term=True)'
+)
+LOCAL_REPR = (
+    'LocalSolution(family=BalanceFamily(p=Fraction(-1, 1), branch_order=1, '
+    "q=Fraction(-3, 1), dominant=(0, 1), leading_poly=(0, QComplex('2', "
+    "'0'), 0, QComplex('-2', '0')), leading_coeffs=(QComplex('-1', '0'), "
+    "QComplex('1', '0')), consistent=True, resonances=(Fraction(-1, 1), "
+    "Fraction(4, 1)), two_term=True), a=QComplex('-1', '0'), "
+    'series=PuiseuxSeries((-1)*tau^(-1/1); trunc=3), '
+    "free_parameters={Fraction(4, 1): QComplex('0', '0')}, "
+    'compatibility=(CompatibilityCheck(resonance=Fraction(4, 1), '
+    'satisfied=True, residual=0),), '
+    "poly=DifferentialPolynomial(monomials=(DiffMonomial(coeff=QComplex('-2', "
+    "'0'), degrees=((0, 3),)), DiffMonomial(coeff=QComplex('1', '0'), "
+    'degrees=((2, 1),))), clearing_multiplier=0))'
+)
+TRAJECTORY_REPR = (
+    'ComplexTrajectory(points=[TrajectoryPoint(t=0j, value=(1+0j), '
+    'slope=(-0-0.5j))], singular_near_zero=False, '
+    "halt_reason='step size underflow', halt_kind='underflow', "
+    "stats={'accepted': 1})"
+)
+
+
+@pytest.fixture
+def w3():
+    poly = normalize(parse_ode("y'' - 2*y^3"), {})
+    fam = next(f for f in find_balances(poly) if f.consistent)
+    return poly, fam
+
+
+def test_repr_is_unchanged(w3):
+    poly, fam = w3
+    assert repr(parse_ode("y'' - 2*y^3 + 1.5*y'")) == AST_REPR
+    assert repr(DiffMonomial.from_map(QComplex(3, -1), {0: 2, 1: 1})) == MONOMIAL_REPR
+    assert repr(fam) == FAMILY_REPR
+    assert repr(solve_local_series(poly, fam, fam.leading_coeffs[0], K=4)) == LOCAL_REPR
+    traj = ComplexTrajectory(points=[TrajectoryPoint(0j, 1 + 0j, -0.5j)],
+                             singular_near_zero=False,
+                             halt_reason="step size underflow",
+                             halt_kind="underflow", stats={"accepted": 1})
+    assert repr(traj) == TRAJECTORY_REPR
+
+
+def test_equality_is_strict_about_type():
+    assert Const(2) == Const(2)
+    assert Const(2) != Const(3)
+    assert Const(2) != Y(2)
+    assert Param("y") != Const("y")
+    assert Y(2) != (2,)
+    assert (2,) != Y(2)
+    assert Add((Y(0),)) != Mul((Y(0),))
+    assert Pow(Y(0), 3) == Pow(Y(0), 3)
+    assert Pow(Y(0), 3) != Pow(Y(0), 2)
+
+
+def test_equal_records_hash_equal(w3):
+    poly, fam = w3
+    assert hash(Pow(Y(1), 2)) == hash(Pow(Y(1), 2))
+    assert len({Y(1), Y(1), Y(2)}) == 2
+    again = normalize(parse_ode("y'' - 2*y^3"), {})
+    assert again == poly and hash(again) == hash(poly)
+    refound = next(f for f in find_balances(again) if f.consistent)
+    assert refound == fam and hash(refound) == hash(fam)
+    # as with the dataclass, the hash is that of the field tuple
+    assert hash(Pow(Y(1), 2)) == hash((Y(1), 2))
+
+
+def test_frozen_fields_refuse_assignment(w3):
+    _, fam = w3
+    for record, name in ((Y(1), "order"), (fam, "p"), (fam, "extra"),
+                         (SingularityProbe(1j, "none"), "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert fam.p == -1
+
+
+def test_mutable_records_take_assignment():
+    traj = ComplexTrajectory(points=[], singular_near_zero=False)
+    assert traj.stats == {} and traj.halt_kind is None and not traj.halted
+    traj.halt_kind = "budget"
+    assert traj.halted
+    cand = ClosedFormCandidate("rational", {1: 1}, 0)
+    assert cand.tail == {} and cand.verified is None
+    cand.verified = True
+    assert cand.verified
+    # defaults are not shared between instances
+    assert ComplexTrajectory([], False).stats is not traj.stats
+    assert ClosedFormCandidate("rational", {}, 0).tail is not cand.tail
+
+
+def test_differential_polynomial_still_validates():
+    with pytest.raises(ValueError, match="must have monomials"):
+        DifferentialPolynomial(())
+    mono = DiffMonomial.from_map(1, {0: 3})
+    twin = DiffMonomial.from_map(2, {0: 3})
+    with pytest.raises(ValueError, match="duplicate monomial signatures"):
+        DifferentialPolynomial((mono, twin))
+    poly = DifferentialPolynomial((mono,))
+    assert poly.clearing_multiplier == 0
+    with pytest.raises(ValueError, match="duplicate monomial signatures"):
+        poly.replace(monomials=(mono, twin))
+
+
+def test_replace_builds_a_changed_copy(w3):
+    _, fam = w3
+    moved = fam.replace(q=fam.q + 1)
+    assert moved.q == Fraction(-2) and fam.q == Fraction(-3)
+    assert moved.replace(q=fam.q) == fam
+    with pytest.raises(TypeError):
+        fam.replace(r=1)
+
+
+def test_records_copy_and_pickle(w3):
+    poly, fam = w3
+    for record in (fam, poly, parse_ode("y'' - c*y^3")):
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record

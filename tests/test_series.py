@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -304,7 +303,7 @@ def test_solve_rejects_wrong_leading_coefficient(ep_poly, ep_branch_family):
 def test_solve_raises_when_a_term_needs_unsolved_coefficients(w3_poly, w3_family):
     # with q one step too high, the residual at q + rho would need the
     # coefficient of y at j0 + rho + 1, which is not solved yet
-    fam = replace(w3_family, q=w3_family.q + 1)
+    fam = w3_family.replace(q=w3_family.q + 1)
     with pytest.raises(TruncationError):
         solve_local_series(w3_poly, fam, 1, K=4)
     assert solve_local_series(w3_poly, fam, 1, K=0).series.coeffs == {-1: QComplex(1)}
