@@ -28,7 +28,6 @@ from .exactlab import (
     oscillator_basis,
     pinney_solution,
     riccati_residual,
-    third_order_residual,
     width_from_ics,
 )
 from .numeric import (
@@ -95,7 +94,6 @@ __all__ = [
     "riccati_residual",
     "solve_local_series",
     "substitute",
-    "third_order_residual",
     "unique_highest_degree_term",
     "unparse",
     "verify_candidate",

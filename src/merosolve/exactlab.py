@@ -7,7 +7,9 @@ conditions, the coupled-oscillator invariant, the third-order
 maximal-symmetry check for ``alpha**2``, and the complex Riccati reduction
 residual.  Every derivative is analytic: a time point evaluates each basis
 solution once, as a (value, slope) jet, and the higher derivatives follow
-from ``eta'' = -omega**2 eta``.
+from ``eta'' = -omega**2 eta``.  The lab's grid reads one form jet per point
+of each width: ``PinneyWidth.residuals`` takes the width-equation,
+third-order and Riccati residuals from it together.
 """
 
 from __future__ import annotations
@@ -120,24 +122,38 @@ class PinneyWidth:
     def derivatives(self, t):
         """(alpha, alpha', alpha'') at t; at a real t where the form is not
         positive this raises, naming the point."""
-        t = complex(t)
-        F, dF, ddF, _ = self.form_jet(t)
+        return self._jet(complex(t))[:3]
+
+    def residuals(self, t):
+        """At t, from one form jet and with omega the basis frequency: the
+        width-equation residual alpha'' + omega**2 alpha - alpha**-3, the
+        third-order residual x''' + 4 omega**2 x' of x = alpha**2 and the
+        Riccati residual; raises where :meth:`derivatives` does."""
+        alpha, dalpha, ddalpha, dF, dddF = self._jet(complex(t))
+        omega = self.basis.omega
+        return (ddalpha + omega ** 2 * alpha - alpha ** -3,
+                dddF + 4 * omega ** 2 * dF,
+                riccati_residual(alpha, dalpha, ddalpha, omega))
+
+    def _jet(self, t: complex):
+        """(alpha, alpha', alpha'', F', F''') at t from one form jet."""
+        F, dF, ddF, dddF = self.form_jet(t)
         if t.imag == 0 and F.imag == 0 and F.real <= 0:
             raise EvaluationDomainError(
                 f"quadratic form vanishes or turns negative at t = {t}", point=t
             )
         alpha = cmath.sqrt(F)
         return (alpha, dF / (2 * alpha),
-                ddF / (2 * alpha) - dF ** 2 / (4 * alpha ** 3))
+                ddF / (2 * alpha) - dF ** 2 / (4 * alpha ** 3), dF, dddF)
 
     def __call__(self, t) -> complex:
-        return self.derivatives(t)[0]
+        return self._jet(complex(t))[0]
 
     def d1(self, t) -> complex:
-        return self.derivatives(t)[1]
+        return self._jet(complex(t))[1]
 
     def d2(self, t) -> complex:
-        return self.derivatives(t)[2]
+        return self._jet(complex(t))[2]
 
 
 def pinney_solution(params: QuadFormParams, basis: OscillatorBasis) -> PinneyWidth:
@@ -207,13 +223,6 @@ def ermakov_invariant(eta, deta, alpha, dalpha):
     return (cross ** 2 + (complex(eta) / alpha) ** 2) / 2
 
 
-def third_order_residual(width: PinneyWidth, omega, t) -> complex:
-    """Residual ``x''' + 4 omega**2 x'`` of the maximal-symmetry form for
-    x = width**2 (constant frequency), at t."""
-    _, dF, _, dddF = width.form_jet(t)
-    return dddF + 4 * complex(omega) ** 2 * dF
-
-
 def riccati_residual(alpha, dalpha, ddalpha, omega) -> complex:
     """Residual of the complex width Riccati equation.
 
@@ -229,17 +238,3 @@ def riccati_residual(alpha, dalpha, ddalpha, omega) -> complex:
     y = dalpha / alpha + 1j / alpha ** 2
     dy = (ddalpha * alpha - dalpha ** 2) / alpha ** 2 - 2j * dalpha / alpha ** 3
     return dy + y * y + complex(omega) ** 2
-
-
-def ep_residual(alpha, ddalpha, omega) -> complex:
-    """Width-equation residual ``alpha'' + omega**2 alpha - alpha**-3``."""
-    alpha = complex(alpha)
-    if alpha == 0:
-        raise EvaluationDomainError("width equation singular at alpha = 0")
-    return complex(ddalpha) + complex(omega) ** 2 * alpha - alpha ** -3
-
-
-def ep_residual_of(width: PinneyWidth, omega, t) -> complex:
-    """Width-equation residual of a superposition width at t."""
-    alpha, _, ddalpha = width.derivatives(t)
-    return ep_residual(alpha, ddalpha, omega)

@@ -17,6 +17,7 @@ literals become floats.  Parameter names are ASCII identifiers.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from typing import Union
 
 from .errors import NormalizationError, OdeSyntaxError, UnboundParameterError
@@ -546,33 +547,13 @@ def _expand(ast, env):
             out.extend(_expand(t, env))
         return out
     if isinstance(ast, Mul):
-        out = [(QComplex(1), {})]
-        for f in ast.factors:
-            rhs = _expand(f, env)
-            combined = []
-            for c1, d1 in out:
-                for c2, d2 in rhs:
-                    degrees = dict(d1)
-                    for k, d in d2.items():
-                        degrees[k] = degrees.get(k, 0) + d
-                    combined.append((c1 * c2, degrees))
-            out = combined
-        return out
+        return reduce(_raw_product, (_expand(f, env) for f in ast.factors),
+                      [(QComplex(1), {})])
     if isinstance(ast, Pow):
         base = _expand(ast.base, env)
         e = ast.exponent
         if e > 0:
-            out = [(QComplex(1), {})]
-            for _ in range(e):
-                combined = []
-                for c1, d1 in out:
-                    for c2, d2 in base:
-                        degrees = dict(d1)
-                        for k, d in d2.items():
-                            degrees[k] = degrees.get(k, 0) + d
-                        combined.append((c1 * c2, degrees))
-                out = combined
-            return out
+            return reduce(_raw_product, [base] * e, [(QComplex(1), {})])
         # negative exponent: only a single monomial can be inverted
         merged = _merge_raw(base)
         if len(merged) != 1:
@@ -585,6 +566,19 @@ def _expand(ast, env):
         inv_coeff = scalar_pow(coeff, e)
         return [(inv_coeff, {k: e * d for k, d in signature})]
     raise TypeError(f"not an AST node: {ast!r}")
+
+
+def _raw_product(left, right):
+    """The raw monomials of ``left * right``: every left term times every
+    right term, left terms outermost, each coefficient ``c_left * c_right``."""
+    combined = []
+    for c1, d1 in left:
+        for c2, d2 in right:
+            degrees = dict(d1)
+            for k, d in d2.items():
+                degrees[k] = degrees.get(k, 0) + d
+            combined.append((c1 * c2, degrees))
+    return combined
 
 
 def _merge_raw(raw):

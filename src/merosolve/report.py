@@ -19,7 +19,6 @@ from itertools import chain
 from .balance import find_balances, scaled_exponents
 from .closedform import (
     DEFAULT_VERIFY_ORDER,
-    ClosedFormCandidate,
     build_periodic,
     build_rational,
     elliptic_admissible,
@@ -34,12 +33,9 @@ from .errors import (
 from .exactlab import (
     QuadFormParams,
     constraint_report,
-    ep_residual_of,
     ermakov_invariant,
     oscillator_basis,
     pinney_solution,
-    riccati_residual,
-    third_order_residual,
     width_from_ics,
 )
 from .numeric import (
@@ -85,9 +81,18 @@ def _escape(s: str) -> str:
 # format(v, ".17g") uses, and of all the floats only inf and nan put an "n"
 # into the text.
 
+class _NonFinite(ValueError):
+    """A non-finite float in a payload; ``args`` holds the keys (".key") and
+    indices ("[i]") that lead to it from the payload's root."""
+
+    def __str__(self):
+        where = "".join(self.args).lstrip(".")
+        return "non-finite float in report payload" + (where and " at " + where)
+
+
 def _finite(text: str) -> str:
     if "n" in text:
-        raise ValueError("non-finite float in report payload")
+        raise _NonFinite()
     return text
 
 
@@ -129,7 +134,16 @@ def to_json(obj, indent: int = 0) -> str:
                 [_row_template(len(row)) % tuple(row) for row in obj]
             )
             return _finite("[\n" + pad_in + body + "\n" + pad + "]")
-        items = [to_json(v, indent + 1) for v in obj]
+        try:
+            items = [to_json(v, indent + 1) for v in obj]
+        except _NonFinite:
+            # the error path only: serialize again to find the element
+            for i, v in enumerate(obj):
+                try:
+                    to_json(v, indent + 1)
+                except _NonFinite as exc:
+                    exc.args = (f"[{i}]",) + exc.args
+                    raise
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
             return "[" + ", ".join(items) + "]"
         body = ",\n".join(pad_in + item for item in items)
@@ -138,10 +152,14 @@ def to_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         parts = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            parts.append(pad_in + _escape(key) + ": " + to_json(value, indent + 1))
+        try:
+            for key, value in obj.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be strings, got {key!r}")
+                parts.append(pad_in + _escape(key) + ": " + to_json(value, indent + 1))
+        except _NonFinite as exc:
+            exc.args = ("." + key,) + exc.args
+            raise
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -193,14 +211,18 @@ def claimed_pole_coefficients(omega, residue):
     return {-1: a, 0: a0, 1: a1, 2: a2, 3: a3}
 
 
+# the comparison's rows: every claimed coefficient after the residue (index -1)
+COMPARED_INDICES = range(0, 4)
+
+
 class ClaimedPole(Record):
-    """The published pole coefficients put to the test: the cot candidate
-    matched to the Laurent solution they define or the reason none could be
-    built, and the period-formula values (None without a candidate)."""
+    """The published pole coefficients put to the test: the JSON of the cot
+    candidate matched to the Laurent solution they define or the reason none
+    could be built, and the period-formula values (None without one)."""
 
     __slots__ = ("candidate", "error", "period_formula")
 
-    def __init__(self, candidate: ClosedFormCandidate | None, error: str | None,
+    def __init__(self, candidate: dict | None, error: str | None,
                  period_formula: dict | None):
         setfield(self, "candidate", candidate)
         setfield(self, "error", error)
@@ -248,7 +270,8 @@ class Analysis:
     Building it parses and clears the equation, finds the balance families
     and evaluates the published pole coefficients at the residue i.  The
     costly stages are cached properties, each computed on first use and at
-    most once: ``locals``, ``forced`` and ``claimed``.
+    most once: ``locals``, ``forced``, ``claimed`` and ``comparison``, the
+    pole-coefficient table that the series section and the ledger share.
     """
 
     def __init__(self, ode_text: str, env: dict, K: int = 12, n_max: int = 4,
@@ -289,9 +312,10 @@ class Analysis:
     def forced(self):
         """Independent recomputation of the pole coefficients: the simple-pole
         ansatz with ``residue`` forced into the cleared equation and solved
-        order by order."""
-        return solve_local_series(self.poly, self.pole_family, self.residue, K=6,
-                                  force=True)
+        order by order, through the last index the comparison reads: index
+        k lies k + 1 orders above the residue."""
+        return solve_local_series(self.poly, self.pole_family, self.residue,
+                                  K=COMPARED_INDICES[-1] + 1, force=True)
 
     @cached_property
     def claimed(self):
@@ -309,7 +333,7 @@ class Analysis:
         formula_T = period_from_pole_data(local)
         branch_values = period_branch_values(formula_T)
         tol = 1e-8 * max(1.0, abs(cand.period))
-        return ClaimedPole(cand, None, {
+        return ClaimedPole(_candidate_json(cand, "claimed-pole-data"), None, {
             "value": complex_json(formula_T),
             "branch_values": [complex_json(v) for v in branch_values],
             "matched_period": complex_json(cand.period),
@@ -317,6 +341,11 @@ class Analysis:
             "branch_consistent": any(abs(v - cand.period) <= tol
                                      for v in branch_values),
         })
+
+    @cached_property
+    def comparison(self):
+        """The :func:`coefficient_comparison_section` table, or None."""
+        return coefficient_comparison_section(self)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +381,6 @@ def _uncleared_exponents(fam, poly) -> list:
     shift = poly.clearing_multiplier * fam.p.numerator
     return [Fraction(e - shift, fam.p.denominator)
             for e in scaled_exponents(poly, fam.p)]
-
-
-def _uncleared_q(fam, poly) -> str:
-    """The family's q in the original, uncleared equation."""
-    return frac_str(min(_uncleared_exponents(fam, poly)))
 
 
 def family_json(fam, poly) -> dict:
@@ -431,7 +455,7 @@ def series_section(a: Analysis) -> dict:
     return {
         "order": a.K,
         "solutions": [local_solution_json(local) for local in a.locals],
-        "coefficient_comparison": coefficient_comparison_section(a),
+        "coefficient_comparison": a.comparison,
     }
 
 
@@ -442,7 +466,7 @@ def coefficient_comparison_section(a: Analysis):
     if a.claimed_coefficients is None:
         return None
     rows = []
-    for k in range(0, 4):
+    for k in COMPARED_INDICES:
         claim_value = a.claimed_coefficients[k]
         computed = a.forced.series.coeffs.get(k, 0)
         rows.append(
@@ -531,7 +555,7 @@ def closedform_section(a: Analysis) -> dict:
         except (NoPeriodicCandidateError, NotLaurentError) as exc:
             errors.append({"p": frac_str(fam.p), "error": str(exc)})
     if a.claimed is not None and a.claimed.candidate is not None:
-        candidates.append(_candidate_json(a.claimed.candidate, "claimed-pole-data"))
+        candidates.append(a.claimed.candidate)
     return {
         "candidates": candidates,
         "periodic_errors": errors,
@@ -544,43 +568,15 @@ def closedform_section(a: Analysis) -> dict:
 # claims ledger: one anchor per claim, one check per claim
 # ---------------------------------------------------------------------------
 
-CLAIM_ANCHORS = {
-    "simple-pole-family": "(p, q) = (-1, -3) simple-pole family",
-    "branch-point-order-two":
-        "leading-order balance admits a branch point with n = 2",
-    "imaginary-free-residue":
-        "principal coefficient a_{-1} = c*i with arbitrary real c",
-    "pole-coefficient-recursion":
-        "a_0 = 0, a_1 = -(2/3) w^2 a_{-1}, a_2, a_3 recursion values",
-    "exact-cot-solution":
-        "exact solution a_{-1} (pi/T) cot(pi (t - t_0)/T) + h_0",
-    "period-formula": "T = pi (a_{-1}/45)^(1/4) / a_3^(1/4)",
-    "cot-expansion-magnitudes": "cot expansion magnitudes 1/3, 1/45, 2/945",
-    "no-painleve-property":
-        "movable algebraic branching defeats the Painleve property",
-    "global-exponential-form": "global exponential-form closed solution",
-    "quadratic-form-superposition":
-        "width = sqrt(A u^2 + 2 B u v + C v^2) solves the width equation",
-    "constraint-sign": "constraint B^2 - A*C = 1/W^2",
-    "invariant-conservation":
-        "I = ((eta' a - eta a')^2 + (eta/a)^2)/2 is constant",
-    "third-order-maximal-symmetry": "x = width^2 satisfies x''' + 4 w^2 x' = 0",
-    "riccati-reduction":
-        "Y' + Y^2 + w^2 = 0 with Y_I = 1/width^2 yields the width equation",
-    "imaginary-axis-confinement":
-        "detected singular times confined to the imaginary axis",
-}
-
-
 def _ledger(checks: dict, subject) -> list:
-    """Run each ``claim_id -> check`` of ``checks`` on ``subject``; a check
-    returns ``(status, evidence)``."""
+    """Run each ``claim_id -> (anchor, check)`` of ``checks`` on
+    ``subject``; a check returns ``(status, evidence)``."""
     claims = []
-    for claim_id, check in checks.items():
+    for claim_id, (anchor, check) in checks.items():
         status, evidence = check(subject)
         if status not in ("confirmed", "refuted", "not-applicable"):
             raise ValueError(f"bad claim status {status!r}")
-        claims.append({"id": claim_id, "anchor": CLAIM_ANCHORS[claim_id],
+        claims.append({"id": claim_id, "anchor": anchor,
                        "status": status, "evidence": evidence})
     return claims
 
@@ -595,7 +591,7 @@ def _simple_pole_family(a: Analysis):
         "consistent": fam.consistent,
         "leading_polynomial": [complex_json(c) for c in fam.leading_poly],
         "cleared_q": frac_str(fam.q),
-        "uncleared_q": _uncleared_q(fam, a.poly),
+        "uncleared_q": frac_str(min(_uncleared_exponents(fam, a.poly))),
     }
 
 
@@ -612,7 +608,8 @@ def _branch_point_order_two(a: Analysis):
 def _imaginary_free_residue(a: Analysis):
     fam = a.pole_family
     leading_polynomial = [complex_json(c) for c in fam.leading_poly]
-    if all(is_zero(c, 1e-14) for c in fam.leading_poly):
+    # float cancellation noise is already exactly 0 in the leading polynomial
+    if not any(fam.leading_poly):
         return "confirmed", {
             "note": "the p = -1 leading polynomial vanishes identically, so every "
                     "residue, c*i included, solves it; this holds at leading "
@@ -633,7 +630,7 @@ def _imaginary_free_residue(a: Analysis):
 def _pole_coefficient_recursion(a: Analysis):
     if a.omega is None:
         return "not-applicable", {"note": "no frequency parameter bound"}
-    table = coefficient_comparison_section(a)
+    table = a.comparison
     if table is None:
         return "not-applicable", {
             "note": "recursion denominators vanish"}
@@ -656,7 +653,7 @@ def _exact_cot_solution(a: Analysis):
     note = _claimed_unavailable(a)
     if note is not None:
         return "not-applicable", {"note": note}
-    cand = _candidate_json(a.claimed.candidate, "claimed-pole-data")
+    cand = a.claimed.candidate
     evidence = {
         "residual_norm": cand["residual_norm"],
         "first_failing_order": cand["first_failing_order"],
@@ -703,35 +700,52 @@ def _global_exponential_form(a: Analysis):
                                       "untrusted candidate and not implemented"}
 
 
+# each claim id maps to (anchor, check), in ledger order
 ANALYSIS_CHECKS = {
-    "simple-pole-family": _simple_pole_family,
-    "branch-point-order-two": _branch_point_order_two,
-    "imaginary-free-residue": _imaginary_free_residue,
-    "pole-coefficient-recursion": _pole_coefficient_recursion,
-    "exact-cot-solution": _exact_cot_solution,
-    "period-formula": _period_formula,
-    "cot-expansion-magnitudes": _cot_expansion_magnitudes,
-    "no-painleve-property": _no_painleve_property,
-    "global-exponential-form": _global_exponential_form,
+    "simple-pole-family": (
+        "(p, q) = (-1, -3) simple-pole family", _simple_pole_family),
+    "branch-point-order-two": (
+        "leading-order balance admits a branch point with n = 2",
+        _branch_point_order_two),
+    "imaginary-free-residue": (
+        "principal coefficient a_{-1} = c*i with arbitrary real c",
+        _imaginary_free_residue),
+    "pole-coefficient-recursion": (
+        "a_0 = 0, a_1 = -(2/3) w^2 a_{-1}, a_2, a_3 recursion values",
+        _pole_coefficient_recursion),
+    "exact-cot-solution": (
+        "exact solution a_{-1} (pi/T) cot(pi (t - t_0)/T) + h_0", _exact_cot_solution),
+    "period-formula": ("T = pi (a_{-1}/45)^(1/4) / a_3^(1/4)", _period_formula),
+    "cot-expansion-magnitudes": (
+        "cot expansion magnitudes 1/3, 1/45, 2/945", _cot_expansion_magnitudes),
+    "no-painleve-property": (
+        "movable algebraic branching defeats the Painleve property",
+        _no_painleve_property),
+    "global-exponential-form": (
+        "global exponential-form closed solution", _global_exponential_form),
 }
 
 EXACTLAB_CHECKS = {
-    "quadratic-form-superposition": lambda r: (
-        _verdict(r["pinney"]["max_residual"] < 1e-8),
-        {"max_residual": r["pinney"]["max_residual"],
-         "params": r["pinney"]["params"]},
-    ),
-    "constraint-sign": lambda r: (
-        _verdict(r["pinney"]["constraint"]["reversed_sign_holds"]),
-        r["pinney"]["constraint"],
-    ),
-    "invariant-conservation": lambda r: (
-        _verdict(r["invariant"]["drift"] < r["invariant"]["threshold"]),
-        r["invariant"]),
-    "third-order-maximal-symmetry": lambda r: (
-        _verdict(r["third_order"]["max_residual"] < 1e-6), r["third_order"]),
-    "riccati-reduction": lambda r: (
-        _verdict(r["riccati"]["max_residual"] < 1e-6), r["riccati"]),
+    "quadratic-form-superposition": (
+        "width = sqrt(A u^2 + 2 B u v + C v^2) solves the width equation",
+        lambda r: (_verdict(r["pinney"]["max_residual"] < 1e-8),
+                   {"max_residual": r["pinney"]["max_residual"],
+                    "params": r["pinney"]["params"]})),
+    "constraint-sign": (
+        "constraint B^2 - A*C = 1/W^2",
+        lambda r: (_verdict(r["pinney"]["constraint"]["reversed_sign_holds"]),
+                   r["pinney"]["constraint"])),
+    "invariant-conservation": (
+        "I = ((eta' a - eta a')^2 + (eta/a)^2)/2 is constant",
+        lambda r: (_verdict(r["invariant"]["drift"] < r["invariant"]["threshold"]),
+                   r["invariant"])),
+    "third-order-maximal-symmetry": (
+        "x = width^2 satisfies x''' + 4 w^2 x' = 0",
+        lambda r: (_verdict(r["third_order"]["max_residual"] < 1e-6),
+                   r["third_order"])),
+    "riccati-reduction": (
+        "Y' + Y^2 + w^2 = 0 with Y_I = 1/width^2 yields the width equation",
+        lambda r: (_verdict(r["riccati"]["max_residual"] < 1e-6), r["riccati"])),
 }
 
 
@@ -750,7 +764,9 @@ def _imaginary_axis_confinement(probe_results: list):
     }
 
 
-NUMERIC_CHECKS = {"imaginary-axis-confinement": _imaginary_axis_confinement}
+NUMERIC_CHECKS = {"imaginary-axis-confinement": (
+    "detected singular times confined to the imaginary axis",
+    _imaginary_axis_confinement)}
 
 
 def analysis_claims(a: Analysis) -> list:
@@ -788,7 +804,10 @@ def exactlab_results(omega=1.0, params=(2, 1, 1), tol: float = 1e-10) -> dict:
     t0, t1 = LAB_INTERVAL
     ts = [t0 + (t1 - t0) * i / (LAB_GRID - 1) for i in range(LAB_GRID)]
 
-    pinney_residual = max(abs(ep_residual_of(width, omega_c, t)) for t in ts)
+    # one form jet per grid point gives all three residuals
+    pinney_residual, third_max, riccati_max = (
+        max(map(abs, column)) for column in zip(*map(width.residuals, ts))
+    )
 
     ode = EpWidthOde(omega_c)
     traj = integrate(ode, (width(t0), width.d1(t0)), [t0, t1], tol=tol)
@@ -806,16 +825,8 @@ def exactlab_results(omega=1.0, params=(2, 1, 1), tol: float = 1e-10) -> dict:
                            sample_points=shared, record_samples_only=True)
     drift = float(invariant_drift(eta_traj, alpha_traj))
 
-    third_max = max(abs(third_order_residual(width, omega_c, t)) for t in ts)
-
-    riccati_max = max(
-        abs(riccati_residual(*width.derivatives(t), omega_c)) for t in ts
-    )
-
     ic_width, mismatch = width_from_ics(1.0, 0.0, basis)
-    ic_residual = max(
-        abs(ep_residual_of(ic_width, omega_c, t)) for t in ts
-    )
+    ic_residual = max(abs(ic_width.residuals(t)[0]) for t in ts)
 
     return {
         "omega": complex_json(omega_c),

@@ -398,6 +398,19 @@ def test_float_overflow_exits_2(argv, capsys):
         f"error: {argv[0]}: input overflows floating point (")
 
 
+def test_non_finite_payload_float_names_its_field(capsys):
+    # the p = -1 family (a = 4.3e-10) has series coefficients up to 1e65, so
+    # the rational candidate's residual norm overflows to inf
+    argv = ["analyze", "--ode", "y'' + k0*y^3 + k1*y^2*y' + k2*y'^2",
+            "--param", "k0=0.5", "--param", "k1=7/3", "--param", "k2=1e-9"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: non-finite float in report payload at "
+        "closed_form.candidates[0].residual_norm\n")
+
+
 @pytest.mark.parametrize("power", [3, 5])
 def test_non_finite_polynomial_coefficient_exits_2(power, capsys):
     # c = 1e308 overflows a coefficient of the resonance polynomial to inf
@@ -443,6 +456,25 @@ def test_small_coefficient_keeps_its_family(tmp_path, c):
     for (re, im), sign in zip(coeffs, (-1, 1)):
         assert im == 0
         assert math.isclose(re, sign * math.sqrt(2e15), rel_tol=1e-15)
+
+
+def test_tiny_float_coefficients_pin_the_residue_as_exact_ones_do(tmp_path):
+    # k*y'' - c*y^3 with k = c = 1e-15 has the leading polynomial
+    # 2e-15 a - 1e-15 a**3: small coefficients, not zero ones, so the residue
+    # is pinned to +-sqrt 2 as with exact k = c = 1/10**15
+    claims = []
+    for k in ("1e-15", "1/1000000000000000"):
+        payload = run_json(tmp_path, ["analyze", "--ode", "k*y'' - c*y^3",
+                                      "--param", f"k={k}", "--param", f"c={k}"])
+        claims.append(next(c for c in payload["claims"]
+                           if c["id"] == "imaginary-free-residue"))
+    assert claims[0]["status"] == claims[1]["status"] == "refuted"
+    coeffs = claims[0]["evidence"]["leading_coefficients"]
+    assert coeffs == claims[1]["evidence"]["leading_coefficients"]
+    assert len(coeffs) == 2
+    for (re, im), sign in zip(coeffs, (-1, 1)):
+        assert im == 0
+        assert math.isclose(re, sign * math.sqrt(2), rel_tol=1e-15)
 
 
 def test_tiny_coefficient_finds_its_family_and_overflows_cleanly(capsys):

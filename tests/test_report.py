@@ -11,6 +11,7 @@ from merosolve.errors import ExponentUnresolvedError
 from merosolve.report import (
     REPORT_SCHEMA,
     Analysis,
+    analysis_claims,
     analyze_payload,
     claimed_pole_coefficients,
     coefficient_comparison_section,
@@ -82,6 +83,54 @@ def test_analyze_solves_each_series_once(monkeypatch):
                         counted("synthetic", report.synthetic_laurent_solution))
     analyze_payload(EP_TEXT, {"omega": QComplex(1)})
     assert calls == {"solve": 2, "synthetic": 1}
+
+
+def test_analyze_builds_the_comparison_table_once(monkeypatch):
+    # the series section and the pole-coefficient-recursion claim read one
+    # table, and the forced series is solved only through its last index
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return coefficient_comparison_section(a)
+
+    monkeypatch.setattr(report, "coefficient_comparison_section", counted)
+    payload = analyze_payload(EP_TEXT, {"omega": QComplex(1)})
+    assert len(calls) == 1
+    claim = next(c for c in payload["claims"]
+                 if c["id"] == "pole-coefficient-recursion")
+    table = payload["series"]["coefficient_comparison"]
+    assert claim["evidence"]["rows"] is table["rows"]
+    assert max(calls[0].forced.series.coeffs) == report.COMPARED_INDICES[-1] == 3
+
+
+def test_analyze_builds_the_claimed_candidate_json_once(monkeypatch):
+    # the closed-form section and the exact-cot-solution claim read one entry
+    sources = []
+    candidate_json = report._candidate_json
+
+    def counted(cand, source):
+        sources.append(source)
+        return candidate_json(cand, source)
+
+    monkeypatch.setattr(report, "_candidate_json", counted)
+    payload = analyze_payload(EP_TEXT, {"omega": QComplex(1)})
+    assert sources.count("claimed-pole-data") == 1
+    [entry] = [c for c in payload["closed_form"]["candidates"]
+               if c["source"] == "claimed-pole-data"]
+    claim = next(c for c in payload["claims"] if c["id"] == "exact-cot-solution")
+    assert claim["evidence"]["residual_norm"] == entry["residual_norm"]
+    assert claim["status"] == ("confirmed" if entry["verified"] else "refuted")
+
+
+def test_ledger_ids_are_unique_and_anchored():
+    claims = (analysis_claims(Analysis(EP_TEXT, {"omega": 1}))
+              + exactlab_claims(exactlab_results())
+              + numeric_claims([]))
+    ids = [c["id"] for c in claims]
+    assert len(ids) == len(set(ids)) == 15
+    assert all(isinstance(c["anchor"], str) and c["anchor"].strip()
+               for c in claims)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +353,19 @@ def test_to_json_rejects_non_finite_in_float_rows(bad):
         to_json([1.0, bad, -0.0])
     with pytest.raises(ValueError, match="non-finite"):
         to_json({"samples": [[0.0, 1.0], [bad, 0.5]]})
+
+
+@pytest.mark.parametrize("where, payload", [
+    ("a[1].b[2]", {"a": [1, {"b": [1, "s", math.inf]}]}),
+    ("[0].t[1]", ({"t": (1, math.nan)},)),
+    ("[1][1][0].k", [[1, 2], [3, [{"k": -math.inf}]]]),
+    # a float row or table is named as a whole
+    ("x.rows", {"x": {"rows": [[0.0], [math.nan]]}}),
+])
+def test_to_json_names_the_path_to_a_non_finite_float(where, payload):
+    with pytest.raises(ValueError) as info:
+        to_json(payload)
+    assert str(info.value) == "non-finite float in report payload at " + where
 
 
 def _rows_of(values, max_size=6):
