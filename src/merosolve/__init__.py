@@ -9,93 +9,50 @@ closed-form candidates, cross-check against a library of exact solutions,
 and probe singularities by complex-time integration.  Every published
 formula the pipeline touches is re-derived or verified numerically, and the
 verdicts land in a claims ledger inside the JSON report.
+
+Importing the package loads none of its layers.  Each public name resolves
+on first use: the layer module that defines it is imported then, and the
+value is kept in the package namespace for later lookups.
 """
 
-from .balance import BalanceFamily, compute_resonances, find_balances, monomial_exponent
-from .closedform import (
-    ClosedFormCandidate,
-    build_periodic,
-    build_rational,
-    elliptic_admissible,
-    period_from_pole_data,
-    verify_candidate,
-)
-from .errors import MerosolveError
-from .exactlab import (
-    OscillatorBasis,
-    QuadFormParams,
-    ermakov_invariant,
-    oscillator_basis,
-    pinney_solution,
-    riccati_residual,
-    width_from_ics,
-)
-from .numeric import (
-    ComplexPath,
-    ComplexTrajectory,
-    EpWidthOde,
-    LinearOscillatorOde,
-    detect_singularity,
-    fit_local_exponent,
-    integrate,
-    invariant_drift,
-)
-from .odemodel import (
-    DifferentialPolynomial,
-    DiffMonomial,
-    normalize,
-    parse_ode,
-    unique_highest_degree_term,
-    unparse,
-)
-from .scalars import QComplex
-from .series import (
-    LocalSolution,
-    PuiseuxSeries,
-    cot_laurent,
-    solve_local_series,
-    substitute,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BalanceFamily",
-    "ClosedFormCandidate",
-    "ComplexPath",
-    "ComplexTrajectory",
-    "DiffMonomial",
-    "DifferentialPolynomial",
-    "EpWidthOde",
-    "LinearOscillatorOde",
-    "LocalSolution",
-    "MerosolveError",
-    "OscillatorBasis",
-    "PuiseuxSeries",
-    "QComplex",
-    "QuadFormParams",
-    "build_periodic",
-    "build_rational",
-    "compute_resonances",
-    "cot_laurent",
-    "detect_singularity",
-    "elliptic_admissible",
-    "ermakov_invariant",
-    "find_balances",
-    "fit_local_exponent",
-    "integrate",
-    "invariant_drift",
-    "monomial_exponent",
-    "normalize",
-    "oscillator_basis",
-    "parse_ode",
-    "period_from_pole_data",
-    "pinney_solution",
-    "riccati_residual",
-    "solve_local_series",
-    "substitute",
-    "unique_highest_degree_term",
-    "unparse",
-    "verify_candidate",
-    "width_from_ics",
-]
+# the public names, by the layer module that defines them
+_EXPORTS = {
+    "balance": ("BalanceFamily", "compute_resonances", "find_balances",
+                "monomial_exponent"),
+    "closedform": ("ClosedFormCandidate", "build_periodic", "build_rational",
+                   "elliptic_admissible", "period_from_pole_data",
+                   "verify_candidate"),
+    "errors": ("MerosolveError",),
+    "exactlab": ("OscillatorBasis", "QuadFormParams", "ermakov_invariant",
+                 "oscillator_basis", "pinney_solution", "riccati_residual",
+                 "width_from_ics"),
+    "numeric": ("ComplexPath", "ComplexTrajectory", "EpWidthOde",
+                "LinearOscillatorOde", "detect_singularity",
+                "fit_local_exponent", "integrate", "invariant_drift"),
+    "odemodel": ("DifferentialPolynomial", "DiffMonomial", "normalize",
+                 "parse_ode", "unique_highest_degree_term", "unparse"),
+    "scalars": ("QComplex",),
+    "series": ("LocalSolution", "PuiseuxSeries", "cot_laurent",
+               "solve_local_series", "substitute"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    # an unknown name raises AttributeError, so ``from merosolve import cli``
+    # falls through to importing the submodule
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

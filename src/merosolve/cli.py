@@ -10,7 +10,6 @@ CSV.  Exit codes: 0 success, 2 input error, 3 internal inconsistency.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from fractions import Fraction
@@ -51,21 +50,24 @@ def _add_output_options(p, formats=("json", "text")):
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser reports the arguments it does not know itself,
-    with its own usage line, instead of leaving them to the top level."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
-
-
 @functools.cache
 def _build_parser():
     """The command table: each subparser carries its handler as ``run``.
-    Built on the first :func:`main` call and reused by every later one."""
+    Built on the first :func:`main` call and reused by every later one, so
+    only a process that parses arguments loads argparse."""
+    import argparse
+
+    class _SubcommandParser(argparse.ArgumentParser):
+        """A subcommand's parser reports the arguments it does not know
+        itself, with its own usage line, instead of leaving them to the top
+        level."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            return namespace, extras
+
     parser = argparse.ArgumentParser(
         prog="merosolve",
         description="Movable-singularity analysis and exact-solution "

@@ -4,6 +4,16 @@ deterministic JSON emitter.  The record computes each costly stage at most
 once and only when a section needs it, so a command pays only for the
 sections it prints.
 
+Importing this module loads ``numeric`` and ``exactlab``, which the probes,
+the exact lab and the JSON writer need on every path.  The four symbolic
+layers, ``odemodel``, ``balance``, ``series`` and ``closedform``, are
+imported by the functions that call them, so they load with the first
+``Analysis`` and a probe-only process never loads them.  Those functions
+import the module (``import merosolve.series as series``), not names from
+it: once the module is loaded, that statement costs about 0.3 microseconds
+on CPython 3.11 and ``from .series import ...`` about 1.2, and an analysis
+runs 16-20 of them, one per family in ``_uncleared_exponents``.
+
 Every published claim the pipeline can test appears in the ledger with an
 anchor string, a status in {confirmed, refuted, not-applicable} and the
 numeric evidence that produced the verdict.  Verdicts are always computed,
@@ -16,15 +26,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from .balance import find_balances, scaled_exponents
-from .closedform import (
-    DEFAULT_VERIFY_ORDER,
-    build_periodic,
-    build_rational,
-    elliptic_admissible,
-    period_branch_values,
-    period_from_pole_data,
-)
 from .errors import (
     ExponentUnresolvedError,
     NoPeriodicCandidateError,
@@ -47,15 +48,8 @@ from .numeric import (
     integrate,
     invariant_drift,
 )
-from .odemodel import normalize, parse_ode, unique_highest_degree_term, unparse
 from .records import Record, setfield
 from .scalars import QComplex, is_exact, is_zero, mul_frac, to_complex
-from .series import (
-    cot_laurent,
-    solve_local_series,
-    substitute,
-    synthetic_laurent_solution,
-)
 
 SCHEMA_VERSION = 1
 
@@ -276,6 +270,9 @@ class Analysis:
 
     def __init__(self, ode_text: str, env: dict, K: int = 12, n_max: int = 4,
                  window: int = 6, free=None):
+        import merosolve.balance as balance
+        import merosolve.odemodel as odemodel
+
         self.ode_text = ode_text
         self.env = env
         self.K = K
@@ -283,9 +280,10 @@ class Analysis:
         self.window = window
         self.free = free
         self.omega = env.get("omega")
-        self.ast = parse_ode(ode_text)
-        self.poly = normalize(self.ast, env)
-        self.families = find_balances(self.poly, n_max=n_max, window=window)
+        self.ast = odemodel.parse_ode(ode_text)
+        self.poly = odemodel.normalize(self.ast, env)
+        self.families = balance.find_balances(self.poly, n_max=n_max,
+                                              window=window)
         if free:
             _check_free(free, self.families, K)
         # every window >= 1 holds the candidate p = -1
@@ -301,9 +299,11 @@ class Analysis:
     def locals(self) -> list:
         """One local solution per consistent family, with ``free`` injected
         at the resonances."""
+        import merosolve.series as series
+
         return [
-            solve_local_series(self.poly, fam, fam.leading_coeffs[0], K=self.K,
-                               free=self.free)
+            series.solve_local_series(self.poly, fam, fam.leading_coeffs[0],
+                                      K=self.K, free=self.free)
             for fam in self.families
             if fam.consistent
         ]
@@ -314,8 +314,11 @@ class Analysis:
         ansatz with ``residue`` forced into the cleared equation and solved
         order by order, through the last index the comparison reads: index
         k lies k + 1 orders above the residue."""
-        return solve_local_series(self.poly, self.pole_family, self.residue,
-                                  K=COMPARED_INDICES[-1] + 1, force=True)
+        import merosolve.series as series
+
+        return series.solve_local_series(self.poly, self.pole_family,
+                                         self.residue,
+                                         K=COMPARED_INDICES[-1] + 1, force=True)
 
     @cached_property
     def claimed(self):
@@ -323,15 +326,18 @@ class Analysis:
         coefficients."""
         if self.claimed_coefficients is None:
             return None
-        local = synthetic_laurent_solution(
+        import merosolve.closedform as closedform
+        import merosolve.series as series
+
+        local = series.synthetic_laurent_solution(
             self.poly, dict(self.claimed_coefficients), trunc=3
         )
         try:
-            cand = build_periodic(local)
+            cand = closedform.build_periodic(local)
         except NoPeriodicCandidateError as exc:
             return ClaimedPole(None, str(exc), None)
-        formula_T = period_from_pole_data(local)
-        branch_values = period_branch_values(formula_T)
+        formula_T = closedform.period_from_pole_data(local)
+        branch_values = closedform.period_branch_values(formula_T)
         tol = 1e-8 * max(1.0, abs(cand.period))
         return ClaimedPole(_candidate_json(cand, "claimed-pole-data"), None, {
             "value": complex_json(formula_T),
@@ -353,9 +359,11 @@ class Analysis:
 # ---------------------------------------------------------------------------
 
 def ode_section(a: Analysis) -> dict:
+    import merosolve.odemodel as odemodel
+
     return {
         "input": a.ode_text,
-        "normalized_input": unparse(a.ast),
+        "normalized_input": odemodel.unparse(a.ast),
         "parameters": {
             name: complex_json(a.env[name]) for name in sorted(a.env)
         },
@@ -378,9 +386,11 @@ def _uncleared_exponents(fam, poly) -> list:
     """The monomial exponents at the family's p in the original, uncleared
     equation: clearing multiplied it by y**C, C the ``clearing_multiplier``,
     which raised every exponent by C*p."""
+    import merosolve.balance as balance
+
     shift = poly.clearing_multiplier * fam.p.numerator
     return [Fraction(e - shift, fam.p.denominator)
-            for e in scaled_exponents(poly, fam.p)]
+            for e in balance.scaled_exponents(poly, fam.p)]
 
 
 def family_json(fam, poly) -> dict:
@@ -402,7 +412,9 @@ def family_json(fam, poly) -> dict:
 
 
 def balance_section(a: Analysis) -> dict:
-    top = unique_highest_degree_term(a.poly)
+    import merosolve.odemodel as odemodel
+
+    top = odemodel.unique_highest_degree_term(a.poly)
     return {
         "branch_max": a.n_max,
         "window": a.window,
@@ -436,7 +448,9 @@ def local_solution_json(local) -> dict:
 
 
 def _residual_norm(local) -> float:
-    residual = substitute(local.poly, local.series)
+    import merosolve.series as series
+
+    residual = series.substitute(local.poly, local.series)
     skip = set()
     n = local.series.n
     q_idx = int(local.family.q * n)
@@ -527,6 +541,8 @@ def _claimed_pole_data(a: Analysis):
 
 
 def closedform_section(a: Analysis) -> dict:
+    import merosolve.closedform as closedform
+
     candidates = []
     errors = []
     elliptic = []
@@ -537,11 +553,12 @@ def closedform_section(a: Analysis) -> dict:
             # (vanishing residue); no construction is attempted either way
             elliptic.append({
                 "p": frac_str(fam.p),
-                "admissible": elliptic_admissible(local),
+                "admissible": closedform.elliptic_admissible(local),
             })
             candidates.append(
-                _candidate_json(build_rational(local, m=max(0, a.K // 2)),
-                                "local-series")
+                _candidate_json(
+                    closedform.build_rational(local, m=max(0, a.K // 2)),
+                    "local-series")
             )
         else:
             elliptic.append({
@@ -550,7 +567,7 @@ def closedform_section(a: Analysis) -> dict:
                 "note": f"branch order {fam.branch_order}: not Laurent",
             })
         try:
-            cand = build_periodic(local)
+            cand = closedform.build_periodic(local)
             candidates.append(_candidate_json(cand, "local-series"))
         except (NoPeriodicCandidateError, NotLaurentError) as exc:
             errors.append({"p": frac_str(fam.p), "error": str(exc)})
@@ -650,6 +667,8 @@ def _claimed_unavailable(a: Analysis):
 
 
 def _exact_cot_solution(a: Analysis):
+    import merosolve.closedform as closedform
+
     note = _claimed_unavailable(a)
     if note is not None:
         return "not-applicable", {"note": note}
@@ -657,10 +676,11 @@ def _exact_cot_solution(a: Analysis):
     evidence = {
         "residual_norm": cand["residual_norm"],
         "first_failing_order": cand["first_failing_order"],
-        "verified_through_order": DEFAULT_VERIFY_ORDER,
+        "verified_through_order": closedform.DEFAULT_VERIFY_ORDER,
     }
     if not cand["verified"]:
-        evidence["verdict"] = f"refuted at order <= {DEFAULT_VERIFY_ORDER}"
+        evidence["verdict"] = (
+            f"refuted at order <= {closedform.DEFAULT_VERIFY_ORDER}")
     return _verdict(cand["verified"]), evidence
 
 
@@ -673,7 +693,9 @@ def _period_formula(a: Analysis):
 
 
 def _cot_expansion_magnitudes(a: Analysis):
-    cot = cot_laurent(7)
+    import merosolve.series as series
+
+    cot = series.cot_laurent(7)
     expected = {
         1: QComplex(Fraction(1, 3)),
         3: QComplex(Fraction(1, 45)),

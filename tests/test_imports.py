@@ -1,16 +1,32 @@
-"""No merosolve run imports numpy: importing the package, exact analyses, a
-complex-time probe with its singularity and exponent fits, the default
-report, a float-coefficient analysis and a closed form whose scale
-polynomial has degree two all leave it out.  numpy is loaded afterwards, as
-the oracle for the float roots."""
+"""What a merosolve process loads.  No run imports numpy: importing the
+package, exact analyses, a complex-time probe with its singularity and
+exponent fits, the default report, a float-coefficient analysis and a closed
+form whose scale polynomial has degree two all leave it out.  numpy is
+loaded afterwards, as the oracle for the float roots.  Importing the package
+loads none of its layers, and a probe loads none of the symbolic ones."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def run_child(code, *flags):
+    """The JSON that ``code`` prints in a fresh interpreter run with
+    ``flags``, merosolve's sources first on its path."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          timeout=120, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 CHILD = r"""
 import json, sys
@@ -63,12 +79,7 @@ print(json.dumps(seen))
 
 
 def test_no_merosolve_run_imports_numpy():
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
-    done = subprocess.run([sys.executable, "-c", CHILD], env=env, timeout=120,
-                          capture_output=True, text=True, check=True)
-    seen = json.loads(done.stdout)
+    seen = run_child(CHILD)
     assert seen["import"] is False
     assert seen["exact"] is False
     # the probe detects the zero of the width at t* = i and fits the
@@ -109,9 +120,70 @@ def test_no_generated_records_at_import():
     # the records are plain slots classes: neither merosolve nor a fresh
     # analyze loads dataclasses or the inspect module it brings in.  -S
     # keeps the site hooks of the environment from loading them first
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
-    done = subprocess.run([sys.executable, "-S", "-c", RECORDS_CHILD], env=env,
-                          timeout=120, capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == {"code": 0, "loaded": []}
+    assert run_child(RECORDS_CHILD, "-S") == {"code": 0, "loaded": []}
+
+
+SYMBOLIC = ["merosolve.odemodel", "merosolve.balance", "merosolve.series",
+            "merosolve.closedform"]
+
+PROBE_CHILD = r"""
+import contextlib, io, json, sys
+import merosolve
+bare = sorted(m for m in sys.modules if m.startswith("merosolve."))
+import merosolve.cli as cli, merosolve.report as report
+report.to_json(report.probe_payload(0, (1, 0), [0, 0.999j]))
+after_probe = [m for m in %r + ["argparse"] if m in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["analyze"])
+print(json.dumps({"bare": bare, "after_probe": after_probe, "code": code,
+                  "analyze": out.getvalue()}))
+""" % SYMBOLIC
+
+
+def test_probe_loads_no_symbolic_layer():
+    # the package alone loads no layer; a probe and its JSON need numeric,
+    # exactlab and the writer, never the four symbolic layers or argparse.
+    # The analysis that follows loads them on first use, output unchanged
+    seen = run_child(PROBE_CHILD, "-S")
+    assert seen["bare"] == []
+    assert seen["after_probe"] == []
+    assert seen["code"] == 0
+    expected = (GOLDEN_DIR / "analyze-default.json").read_text(encoding="utf-8")
+    assert seen["analyze"] == expected
+
+
+def test_package_exports_resolve_lazily():
+    import merosolve
+
+    assert len(merosolve.__all__) == 38
+    assert merosolve.__all__ == sorted(merosolve.__all__)
+    for name in merosolve.__all__:
+        value = getattr(merosolve, name)
+        # the very object that its defining layer module holds
+        assert value.__module__.startswith("merosolve.")
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    assert set(merosolve.__all__) <= set(dir(merosolve))
+    namespace = {}
+    exec("from merosolve import *", namespace)
+    assert all(namespace[name] is getattr(merosolve, name)
+               for name in merosolve.__all__)
+    with pytest.raises(AttributeError) as info:
+        merosolve.nope
+    assert str(info.value) == "module 'merosolve' has no attribute 'nope'"
+
+
+SUBMODULE_CHILD = r"""
+import json, sys
+import merosolve
+before = "merosolve.cli" in sys.modules
+from merosolve import cli
+print(json.dumps({"before": before,
+                  "is_module": cli is sys.modules["merosolve.cli"],
+                  "main": cli.main.__module__}))
+"""
+
+
+def test_from_package_import_still_loads_a_submodule():
+    assert run_child(SUBMODULE_CHILD, "-S") == {
+        "before": False, "is_module": True, "main": "merosolve.cli"}

@@ -69,6 +69,8 @@ def test_analyze_solves_each_series_once(monkeypatch):
     # one solve for the single consistent family (p = 1/2) plus the forced
     # p = -1 solve; the claimed-pole block is built once for the closed-form
     # section and the ledger together
+    from merosolve import series
+
     calls = {"solve": 0, "synthetic": 0}
 
     def counted(name, fn):
@@ -77,10 +79,10 @@ def test_analyze_solves_each_series_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(report, "solve_local_series",
-                        counted("solve", report.solve_local_series))
-    monkeypatch.setattr(report, "synthetic_laurent_solution",
-                        counted("synthetic", report.synthetic_laurent_solution))
+    monkeypatch.setattr(series, "solve_local_series",
+                        counted("solve", series.solve_local_series))
+    monkeypatch.setattr(series, "synthetic_laurent_solution",
+                        counted("synthetic", series.synthetic_laurent_solution))
     analyze_payload(EP_TEXT, {"omega": QComplex(1)})
     assert calls == {"solve": 2, "synthetic": 1}
 
