@@ -18,8 +18,10 @@ Only a family with a nonzero leading root is linearized: ``linearize``
 builds the perturbation polynomial of each dominant monomial once, and the
 resonances (``rational_resonances``, via ``compute_resonances`` during the
 search) and the solver's linear response (``linear_response``) both read
-that one linearization.  ``series.solve_local_series`` builds it once per
-solve and passes it to both.
+that one linearization.  The search stores the resonances at the family's
+first leading root, so ``series.solve_local_series`` at that root reads
+them and builds the linearization for the linear response alone; a forced
+residue or another root solves its own resonance polynomial.
 
 Roots follow one rule.  Exact coefficients are cleared to primitive
 Gaussian integers with leading coefficient d.  By the rational-root theorem
@@ -132,6 +134,8 @@ class BalanceFamily(Record):
         setfield(self, "leading_poly", leading_poly)
         setfield(self, "leading_coeffs", leading_coeffs)  # nonzero roots, sorted by (re, im)
         setfield(self, "consistent", consistent)
+        # the resonances at leading_coeffs[0], which the series solve at
+        # that root reads instead of solving the polynomial again
         setfield(self, "resonances", resonances)
         # False when reported via the negative-integer fallback
         setfield(self, "two_term", two_term)

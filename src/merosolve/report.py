@@ -1,6 +1,6 @@
 """Analysis report assembly: one ``Analysis`` record per call, the payload
 sections and the published claims ledger as pure functions of it, and a
-deterministic JSON emitter.  The record computes each costly stage at most
+deterministic one-pass JSON writer.  The record computes each costly stage at most
 once and only when a section needs it, so a command pays only for the
 sections it prints.
 
@@ -60,6 +60,13 @@ DEFAULT_ODE_TEXT = "y'' + omega^2*y - y^-3"
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
+# One pass over the payload: ``_write`` appends the text of each value to a
+# single list that ``to_json`` joins once.  It dispatches on the exact type,
+# formats the scalars inside a dict or a list in that container's loop,
+# prints a row or a table of plain floats through one "%.17g" template, and
+# sends anything else (a subclass of a JSON type, say) through the isinstance
+# rules of ``_scalar``.  Equal payloads give equal bytes.
+
 # '"', backslash and the control characters below 0x20; every other code
 # point passes through unchanged
 _ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\"}
@@ -67,6 +74,11 @@ _ESCAPES.update((c, f"\\u{c:04x}") for c in range(0x20))
 
 
 def _escape(s: str) -> str:
+    # every code point below 0x20 is non-printable, so a printable string
+    # without '"' and backslash is its own escape; the table lookup of
+    # str.translate costs a failed dict probe per character
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
     return '"' + s.translate(_ESCAPES) + '"'
 
 
@@ -96,11 +108,33 @@ def _row_template(n: int) -> str:
     return "[" + ", ".join(["%.17g"] * n) + "]"
 
 
+class _Newlines(dict):
+    """A line break and the indent of nesting level ``level``, made once."""
+
+    def __missing__(self, level: int) -> str:
+        text = self[level] = "\n" + "  " * level
+        return text
+
+
+_NEWLINE = _Newlines()
+_FLOAT = frozenset({float})
+_SEQUENCES = frozenset({list, tuple})
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_CONTAINERS = (dict, list, tuple)
+
+
 def to_json(obj, indent: int = 0) -> str:
     """Emit JSON with fixed float formatting (17 significant digits,
     lowercase exponent) so identical payloads serialize byte-identically."""
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
+    out = []
+    _write(obj, indent, out)
+    return "".join(out)
+
+
+def _scalar(obj) -> str:
+    """The text of a value that is no dict, list or tuple.  The writer
+    formats values of the exact scalar types itself; this takes the rest,
+    so a subclass prints as its base type."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -111,51 +145,86 @@ def to_json(obj, indent: int = 0) -> str:
         return _finite("%.17g" % obj)
     if isinstance(obj, str):
         return _escape(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _write(obj, level: int, out: list) -> None:
+    """Append the text of ``obj`` to ``out`` in one pass.  ``level`` is the
+    indent of the line the value starts on; the values inside a dict or a
+    list are formatted in its loop, and only a nested dict or list (or a
+    subclass value) makes a call."""
+    cls = type(obj)
+    if cls is not dict and cls is not list and cls is not tuple:
+        if isinstance(obj, dict):
+            cls = dict
+        elif not isinstance(obj, (list, tuple)):
+            out.append(_scalar(obj))
+            return
+    if not obj:
+        out.append("{}" if cls is dict else "[]")
+        return
+    append = out.append
+    if cls is dict:
+        inner = _NEWLINE[level + 1]
+        items = obj.items()
+        head, sep, close = "{" + inner, "," + inner, _NEWLINE[level] + "}"
+    else:
         # exact types: an int, a bool or a float subclass is no plain float
         types = set(map(type, obj))
-        if types == {float}:
+        if types == _FLOAT:
             # a row of plain floats: one template application
-            return _finite(_row_template(len(obj)) % tuple(obj))
-        cells = chain.from_iterable(obj) if types <= {list, tuple} else ()
-        if set(map(type, cells)) == {float}:
+            append(_finite(_row_template(len(obj)) % tuple(obj)))
+            return
+        inner = _NEWLINE[level + 1]
+        if types <= _SEQUENCES and set(map(type, chain.from_iterable(obj))) == _FLOAT:
             # a table of float rows: one template application per row (an
             # empty row's template is "[]"), one non-finite scan for the
             # whole table
-            body = (",\n" + pad_in).join(
+            body = ("," + inner).join(
                 [_row_template(len(row)) % tuple(row) for row in obj]
             )
-            return _finite("[\n" + pad_in + body + "\n" + pad + "]")
-        try:
-            items = [to_json(v, indent + 1) for v in obj]
-        except _NonFinite:
-            # the error path only: serialize again to find the element
-            for i, v in enumerate(obj):
-                try:
-                    to_json(v, indent + 1)
-                except _NonFinite as exc:
-                    exc.args = (f"[{i}]",) + exc.args
-                    raise
-        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
-            return "[" + ", ".join(items) + "]"
-        body = ",\n".join(pad_in + item for item in items)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        try:
-            for key, value in obj.items():
-                if not isinstance(key, str):
+            append(_finite("[" + inner + body + _NEWLINE[level] + "]"))
+            return
+        items = enumerate(obj)
+        if types <= _SCALARS or not any(issubclass(t, _CONTAINERS) for t in types):
+            head, sep, close = "[", ", ", "]"
+        else:
+            head, sep, close = "[" + inner, "," + inner, _NEWLINE[level] + "]"
+    try:
+        for key, value in items:
+            if cls is dict:
+                if type(key) is str and key.isprintable() and '"' not in key \
+                        and "\\" not in key:
+                    head = f'{head}"{key}": '
+                elif isinstance(key, str):
+                    head = f"{head}{_escape(key)}: "
+                else:
                     raise TypeError(f"JSON keys must be strings, got {key!r}")
-                parts.append(pad_in + _escape(key) + ": " + to_json(value, indent + 1))
-        except _NonFinite as exc:
-            exc.args = ("." + key,) + exc.args
-            raise
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+            t = type(value)
+            if t is str:
+                if value.isprintable() and '"' not in value and "\\" not in value:
+                    append(f'{head}"{value}"')
+                else:
+                    append(head + _escape(value))
+            elif t is float:
+                text = "%.17g" % value
+                if "n" in text:
+                    raise _NonFinite()
+                append(head + text)
+            elif t is int:
+                append(f"{head}{value}")
+            elif t is bool:
+                append(head + ("true" if value else "false"))
+            elif value is None:
+                append(head + "null")
+            else:
+                append(head)
+                _write(value, level + 1, out)
+            head = sep
+    except _NonFinite as exc:
+        exc.args = ("." + key if cls is dict else f"[{key}]",) + exc.args
+        raise
+    append(close)
 
 
 def complex_json(z) -> list:

@@ -413,9 +413,17 @@ def parse_complex_literal(text: str):
             re_sum_float += sign * value_float
     if exact:
         return QComplex(re_sum_exact, im_sum_exact)
-    return complex(
-        float(re_sum_exact) + re_sum_float, float(im_sum_exact) + im_sum_float
-    )
+    # a component or a sum beyond the float range is refused here, as the
+    # literal "inf" is: an inf or nan input would fail later, far from it
+    try:
+        z = complex(
+            float(re_sum_exact) + re_sum_float, float(im_sum_exact) + im_sum_float
+        )
+    except OverflowError:
+        z = None
+    if z is None or not cmath.isfinite(z):
+        raise OverflowError(f"complex literal {text!r} is beyond the float range")
+    return z
 
 
 def principal_root(z, n: int) -> complex:

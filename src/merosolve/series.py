@@ -566,8 +566,15 @@ def solve_local_series(
             "to inject it anyway"
         )
     lin = linearize(poly, fam)
+    # find_balances stored the resonances at the family's first root; the
+    # forced residue and any other root solve their own
+    lead = fam.leading_coeffs[0] if fam.leading_coeffs else None
+    if not force and fam.resonances and type(a) is type(lead) and a == lead:
+        resonances = fam.resonances
+    else:
+        resonances = rational_resonances(lin, a)
     resonance_orders = {}
-    for r in rational_resonances(lin, a):
+    for r in resonances:
         if r > 0:
             scaled = Fraction(r) * n
             if scaled.denominator == 1:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -10,6 +14,7 @@ from merosolve.cli import main
 from merosolve.odemodel import normalize, parse_ode
 from merosolve.report import REPORT_SCHEMA, SCHEMA_VERSION
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run_json(tmp_path, args, name="out.json"):
     out = tmp_path / name
@@ -396,6 +401,29 @@ def test_float_overflow_exits_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(
         f"error: {argv[0]}: input overflows floating point (")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--param", "omega=1e400"],
+    ["integrate", "--omega", "1e400"],
+])
+def test_overflowing_literal_gives_one_error_in_every_run(argv, capsys):
+    # the literal is refused where it is parsed, so neither the payload's
+    # non-finite check nor an errno left over from earlier float arithmetic
+    # decides which error is printed
+    want = (f"error: {argv[0]}: input overflows floating point "
+            f"(complex literal '1e400' is beyond the float range)\n")
+    for _ in range(2):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == want
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from merosolve.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, timeout=120, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", want)
 
 
 def test_non_finite_payload_float_names_its_field(capsys):

@@ -87,6 +87,38 @@ def test_analyze_solves_each_series_once(monkeypatch):
     assert calls == {"solve": 2, "synthetic": 1}
 
 
+def test_analyze_solves_each_resonance_polynomial_once(monkeypatch, w3_poly,
+                                                       w3_family):
+    # the family search solves the p = 1/2 family's polynomial and stores
+    # the resonances, its series solve reads them, and the forced p = -1
+    # solve needs its own
+    from merosolve import balance, series
+
+    calls = []
+    rational_resonances = balance.rational_resonances
+
+    def counted(lin, a):
+        calls.append(a)
+        return rational_resonances(lin, a)
+
+    monkeypatch.setattr(balance, "rational_resonances", counted)
+    monkeypatch.setattr(series, "rational_resonances", counted)
+    analyze_payload(EP_TEXT, {"omega": QComplex(1)})
+    assert len(calls) == 2
+
+    # y'' = 2 y^3 has the roots -1 and 1; only the first one's resonances
+    # are stored, and a forced solve recomputes even at that root
+    calls.clear()
+    first, other = w3_family.leading_coeffs
+    stored = series.solve_local_series(w3_poly, w3_family, first, K=6)
+    assert calls == []
+    series.solve_local_series(w3_poly, w3_family, other, K=6)
+    forced = series.solve_local_series(w3_poly, w3_family, first, K=6, force=True)
+    assert calls == [other, first]
+    assert stored.series == forced.series
+    assert stored.free_parameters == forced.free_parameters
+
+
 def test_analyze_builds_the_comparison_table_once(monkeypatch):
     # the series section and the pole-coefficient-recursion claim read one
     # table, and the forced series is solved only through its last index
@@ -363,6 +395,7 @@ def test_to_json_rejects_non_finite_in_float_rows(bad):
     ("[1][1][0].k", [[1, 2], [3, [{"k": -math.inf}]]]),
     # a float row or table is named as a whole
     ("x.rows", {"x": {"rows": [[0.0], [math.nan]]}}),
+    ("x[1].y", {"x": [0, {"z": "s", "y": math.inf}]}),
 ])
 def test_to_json_names_the_path_to_a_non_finite_float(where, payload):
     with pytest.raises(ValueError) as info:
@@ -376,6 +409,27 @@ def _rows_of(values, max_size=6):
                      st.lists(values, max_size=max_size).map(tuple))
 
 
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# the characters that need an escape, and printable and non-printable ones
+# that need none
+_TEXT = st.one_of(
+    st.text(max_size=3),
+    st.text(st.sampled_from('"\\\x00\x1f\x7f \u00e9\u2028\U0001f600a'), max_size=4),
+)
+_SUBCLASS_VALUES = st.one_of(
+    _FINITE_FLOATS.map(_Float), st.integers().map(_Int), _TEXT.map(_Str),
+)
 _FLOAT_ROWS = _rows_of(_FINITE_FLOATS)
 _MIXED_ROWS = _rows_of(st.one_of(
     _FINITE_FLOATS, st.integers(), st.booleans(), st.none(),
@@ -384,11 +438,16 @@ _MIXED_ROWS = _rows_of(st.one_of(
 _TABLES = _rows_of(st.one_of(_FLOAT_ROWS, _FLOAT_ROWS.filter(bool), _MIXED_ROWS),
                    max_size=5)
 _PAYLOADS = st.recursive(
-    st.one_of(_FINITE_FLOATS, st.integers(), st.none(), st.text(max_size=3),
+    st.one_of(_FINITE_FLOATS, st.integers(), st.booleans(), st.none(), _TEXT,
               _FLOAT_ROWS, _MIXED_ROWS, _TABLES),
     lambda children: st.one_of(
         _rows_of(children, max_size=4),
-        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(
+            st.one_of(_TEXT, _TEXT.map(_Str)),
+            st.one_of(children, _SUBCLASS_VALUES,
+                      st.lists(children, max_size=3).map(tuple)),
+            max_size=4,
+        ),
     ),
     max_leaves=12,
 )
@@ -414,10 +473,6 @@ def test_to_json_non_finite_anywhere_in_a_table_raises(table, indent, data):
             _reference_json(payload, indent)
         with pytest.raises(ValueError, match="non-finite float in report payload"):
             to_json(payload, indent)
-
-
-class _Float(float):
-    pass
 
 
 def test_to_json_float_subclass_row_renders_the_same_bytes():

@@ -109,6 +109,17 @@ def test_parse_complex_literal_rejects(bad):
         parse_complex_literal(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "1e400", "-1e400i", "1e308+1e308", "1e400-1e400", "1" * 400 + "+0.5i",
+])
+def test_parse_complex_literal_refuses_what_overflows(text):
+    # "inf" is no literal; a component or a sum that rounds to it is refused
+    # too, with the literal named
+    with pytest.raises(OverflowError, match="beyond the float range") as info:
+        parse_complex_literal(text)
+    assert repr(text) in str(info.value)
+
+
 def test_principal_root():
     r = principal_root(-4, 4)
     assert abs(r - (1 + 1j)) < 1e-14
