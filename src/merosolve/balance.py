@@ -14,19 +14,23 @@ their exponent; ``Fraction`` values of p and q are built only for the
 families kept.  A family's leading equation needs only the weight
 ``coeff * prod falling(p, k)**d_k`` of each dominant monomial.
 
-Only a family with a nonzero leading root is linearized: ``linearize``
-builds the perturbation polynomial of each dominant monomial once, and the
+Only a family with a nonzero leading root is linearized, once, by the
+search: ``linearize`` builds the perturbation polynomial of each dominant
+monomial, and the family keeps them in its ``linearization``.  The
 resonances (``rational_resonances``, via ``compute_resonances`` during the
 search) and the solver's linear response (``linear_response``) both read
-that one linearization.  The search stores the resonances at the family's
-first leading root, so ``series.solve_local_series`` at that root reads
-them and builds the linearization for the linear response alone; a forced
-residue or another root solves its own resonance polynomial.
+that field.  The search also stores the resonances at the family's first
+leading root, so ``series.solve_local_series`` at that root reads them; a
+forced residue or another root solves its own resonance polynomial from
+the same linearization.
 
 Roots follow one rule.  Exact coefficients are cleared to primitive
 Gaussian integers with leading coefficient d.  By the rational-root theorem
 in Z[i] every root in Q(i) has a denominator dividing d, so ``round(z*d)/d``
 is the only candidate near a numeric root z, and exact evaluation decides.
+Once |z*d| reaches 2**52 a float no longer holds the lattice point, so a
+candidate that fails is finished by exact Newton steps, each rounded back
+to the 1/d lattice and checked exactly again.
 Leading coefficients that fail it stay numeric (irrational roots);
 resonances that fail it, or are not real, are left out.  For float
 coefficients the leading roots stay numeric and resonances snap to
@@ -80,6 +84,8 @@ _ABERTH_TOL = 1e-12
 _ABERTH_MAX_SWEEPS = 500
 # a float coefficient this small relative to the largest one is trimmed
 _TRIM_REL = 1e-14
+# exact Newton steps that finish a root candidate past 2**52 on the lattice
+_SNAP_NEWTON_STEPS = 12
 # float resonance polynomials snap to denominators dividing the lcm of this
 # and the branch order, and must leave a residual <= 1e-8 relative
 _FLOAT_RESONANCE_DENOM = 360
@@ -98,34 +104,19 @@ def monomial_exponent(mono: DiffMonomial, p: Fraction) -> Fraction:
     return mono.total_degree * Fraction(p) - mono.derivative_weight
 
 
-def _scaled_exponents(weights, m: int, n: int) -> list:
-    """``D*m - n*W`` for each pair (D, W) of ``weights``: n times the
-    monomial exponents at p = m/n, as integers."""
-    return [deg * m - n * w for deg, w in weights]
-
-
-def _degree_weights(poly: DifferentialPolynomial) -> list:
-    return [(mono.total_degree, mono.derivative_weight) for mono in poly.monomials]
-
-
-def scaled_exponents(poly: DifferentialPolynomial, p: Fraction) -> list:
-    """The integers ``D*m - n*W`` of every monomial at p = m/n in lowest
-    terms: n times each monomial's leading tau-exponent."""
-    p = Fraction(p)
-    return _scaled_exponents(_degree_weights(poly), p.numerator, p.denominator)
-
-
 class BalanceFamily(Record):
     """One movable-singularity family: exponent, dominance data, leading
     coefficients and resonances.  ``branch_order == 1`` is a pole family,
     larger values mark algebraic branch points."""
 
     __slots__ = ("p", "branch_order", "q", "dominant", "leading_poly",
-                 "leading_coeffs", "consistent", "resonances", "two_term")
+                 "leading_coeffs", "consistent", "resonances", "two_term",
+                 "linearization")
 
     def __init__(self, p: Fraction, branch_order: int, q: Fraction,
                  dominant: tuple, leading_poly: tuple, leading_coeffs: tuple,
-                 consistent: bool, resonances: tuple, two_term: bool):
+                 consistent: bool, resonances: tuple, two_term: bool,
+                 linearization: tuple = ()):
         setfield(self, "p", p)
         setfield(self, "branch_order", branch_order)
         setfield(self, "q", q)
@@ -139,6 +130,9 @@ class BalanceFamily(Record):
         setfield(self, "resonances", resonances)
         # False when reported via the negative-integer fallback
         setfield(self, "two_term", two_term)
+        # ``linearize(poly, self)``, set by the search on consistent families
+        # and read by the resonances at any root and the linear response
+        setfield(self, "linearization", linearization)
 
 
 def _fall_poly_in_r(p: Fraction, k: int):
@@ -213,60 +207,42 @@ def _leading_polynomial(poly: DifferentialPolynomial, p: Fraction, dominant):
             for c, size in zip(coeffs, sizes)]
 
 
-class Linearization(Record):
-    """The dominant monomials of one family linearized about y = a*tau**p.
+def linearize(poly: DifferentialPolynomial, fam: BalanceFamily) -> tuple:
+    """The dominant monomials of ``fam`` linearized about y = a*tau**p.
     Under y = a*tau**p*(1 + eps*tau**r) the monomial of total degree s gains
-    ``eps * gamma(r) * a**s`` at relative order r; ``terms`` holds one pair
-    (s, gamma) per dominant monomial, gamma scaled by its coefficient and
-    ascending in r.  The family's leading polynomial holds, at a**s, the
-    sum phi of the same monomials' leading weights."""
-
-    __slots__ = ("family", "terms")
-
-    def __init__(self, family: BalanceFamily, terms: tuple):
-        setfield(self, "family", family)
-        setfield(self, "terms", terms)
-
-
-def linearize(poly: DifferentialPolynomial, fam: BalanceFamily) -> Linearization:
-    """The linearization that the resonances and the linear response of
-    ``fam`` read."""
+    ``eps * gamma(r) * a**s`` at relative order r; the result holds one pair
+    (s, gamma) per dominant monomial, gamma a tuple scaled by the monomial's
+    coefficient and ascending in r.  The family's leading polynomial holds,
+    at a**s, the sum phi of the same monomials' leading weights."""
     terms = []
     for idx in fam.dominant:
         mono = poly.monomials[idx]
-        gamma = [mul_frac(mono.coeff, c) for c in _perturbation_poly(mono, fam.p)]
+        gamma = tuple([mul_frac(mono.coeff, c)
+                       for c in _perturbation_poly(mono, fam.p)])
         terms.append((mono.total_degree, gamma))
-    return Linearization(fam, tuple(terms))
+    return tuple(terms)
 
 
-def _response(terms, a):
-    """R(r) = sum of a**s * gamma(r): the response of the leading order to
-    the scaled perturbation, ascending in r."""
-    out = []
-    for s, gamma in terms:
-        out = _poly_add(out, [scalar_pow(a, s) * c for c in gamma])
-    return out
-
-
-def _resonance_poly(lin: Linearization, a):
+def _resonance_poly(fam: BalanceFamily, a):
     """Polynomial whose roots are the resonances.  With at most two
     total-degree groups the leading equation eliminates a, so the result is
-    exact for exact input; otherwise it is R(r) at the given a."""
+    exact for exact input; otherwise it is the linear response R(r)/a at the
+    given a, which has the roots of R(r)."""
     groups = {}
-    for s, gamma in lin.terms:
+    for s, gamma in fam.linearization:
         groups[s] = _poly_add(groups.get(s, []), gamma)
     if len(groups) == 1:
         (gamma,) = groups.values()
         return gamma
     if len(groups) == 2:
         s1, s2 = sorted(groups)
-        phi1, phi2 = lin.family.leading_poly[s1], lin.family.leading_poly[s2]
+        phi1, phi2 = fam.leading_poly[s1], fam.leading_poly[s2]
         return _poly_add([phi2 * c for c in groups[s1]],
                          [-(phi1 * c) for c in groups[s2]])
-    return _response(lin.terms, a)
+    return linear_response(fam, a)
 
 
-def linear_response(lin: Linearization, a):
+def linear_response(fam: BalanceFamily, a):
     """Response polynomial R(r)/a, ascending in r.  Its value at r is the
     coefficient multiplying a raw series coefficient injected at relative
     order r: the scaled perturbation y = a*tau**p*(1 + eps*tau**r) responds
@@ -279,7 +255,7 @@ def linear_response(lin: Linearization, a):
     so its gamma is empty and it adds nothing."""
     a = canonical_scalar(a)
     out = []
-    for s, gamma in lin.terms:
+    for s, gamma in fam.linearization:
         if gamma:
             out = _poly_add(out, [scalar_pow(a, s - 1) * c for c in gamma])
     return out
@@ -487,13 +463,26 @@ def _cleared_lead(coeffs):
 def _snap(coeffs, z, d, exact: bool):
     """The root rule: ``round(z*d)/d`` when it lies near the numeric root z
     and is a root of coeffs (exactly for exact coeffs, to 1e-8 relative
-    otherwise); else None."""
+    otherwise); else None.  Past |z*d| = 2**52 the float z*d need not hold
+    the lattice point, so an exact candidate that fails takes up to
+    _SNAP_NEWTON_STEPS exact Newton steps, each rounded to the 1/d lattice."""
     w = z * complex(d)
     cand = QComplex(round(w.real), round(w.imag)) / d
     if abs(complex(cand) - z) > _ROOT_PREFILTER * max(1.0, abs(z)):
         return None
     value = poly_eval(coeffs, cand)
     if exact:
+        if value and abs(w) >= 2.0 ** 52:
+            deriv = _pderiv(coeffs)
+            for _ in range(_SNAP_NEWTON_STEPS):
+                slope = poly_eval(deriv, cand)
+                if not slope:
+                    break
+                x = (cand - value / slope) * d
+                cand = QComplex(round(x.re), round(x.im)) / d
+                value = poly_eval(coeffs, cand)
+                if not value:
+                    break
         return cand if value == 0 else None
     scale = max(abs(to_complex(c)) for c in coeffs)
     return cand if abs(to_complex(value)) <= 1e-8 * scale else None
@@ -520,15 +509,14 @@ def _nonzero_roots(lead_coeffs):
     return tuple(roots)
 
 
-def rational_resonances(lin: Linearization, a):
+def rational_resonances(fam: BalanceFamily, a):
     """Rational resonances (orders at which free coefficients enter) of one
     linearized family at leading coefficient a, sorted.  Roots that are not
     real and rational are left out; callers decide whether that is an
     error.  There is no -1 membership requirement, so force-solved
     families, whose leading equation is knowingly violated, use this
     directly."""
-    fam = lin.family
-    coeffs = _trim(_resonance_poly(lin, canonical_scalar(a)))
+    coeffs = _trim(_resonance_poly(fam, canonical_scalar(a)))
     if not coeffs:
         raise DegenerateFamilyError(
             f"degenerate family at p = {fam.p}: resonance polynomial vanishes"
@@ -550,12 +538,15 @@ def compute_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
     """Resonances of one family at a nonzero leading coefficient a.
 
     -1 must appear (it tracks the free singularity location); its absence
-    signals an inconsistent balance and raises.
+    signals an inconsistent balance and raises.  A family without a
+    linearization is linearized here.
     """
     a = canonical_scalar(a)
     if is_zero(a, 0.0):
         raise ValueError("leading coefficient must be nonzero")
-    roots = rational_resonances(linearize(poly, fam), a)
+    if not fam.linearization:
+        fam = fam.replace(linearization=linearize(poly, fam))
+    roots = rational_resonances(fam, a)
     if Fraction(-1) not in roots:
         raise InternalInconsistencyError(
             f"resonance -1 missing for family p = {fam.p}; balance inconsistent"
@@ -594,10 +585,11 @@ def find_balances(
         raise ValueError("n_max must be at least 1")
     if window < 1:
         raise ValueError("window must be at least 1")
-    weights = _degree_weights(poly)
+    weights = [(mono.total_degree, mono.derivative_weight)
+               for mono in poly.monomials]
     families = []
     for m, n in candidate_exponents(n_max, window):
-        exps = _scaled_exponents(weights, m, n)
+        exps = [deg * m - n * w for deg, w in weights]  # n * (D*p - W)
         low = min(exps)
         dominant = tuple(i for i, e in enumerate(exps) if e == low)
         two_term = len(dominant) >= 2
@@ -619,6 +611,7 @@ def find_balances(
             two_term=two_term,
         )
         if fam.consistent:
+            fam = fam.replace(linearization=linearize(poly, fam))
             resonances = compute_resonances(poly, fam, roots[0])
             fam = fam.replace(resonances=tuple(resonances))
         families.append(fam)

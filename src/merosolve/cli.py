@@ -249,7 +249,7 @@ def _cmd_integrate(args):
         "tol": args.tol,
         "halted": traj.halted,
         "halt_reason": traj.halt_reason,
-        "stats": rpt.trajectory_stats(traj),
+        "stats": traj.stats,
         "samples": rows,
     }
     return payload

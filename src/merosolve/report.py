@@ -11,8 +11,7 @@ imported by the functions that call them, so they load with the first
 ``Analysis`` and a probe-only process never loads them.  Those functions
 import the module (``import merosolve.series as series``), not names from
 it: once the module is loaded, that statement costs about 0.3 microseconds
-on CPython 3.11 and ``from .series import ...`` about 1.2, and an analysis
-runs 16-20 of them, one per family in ``_uncleared_exponents``.
+on CPython 3.11 and ``from .series import ...`` about 1.2.
 
 Every published claim the pipeline can test appears in the ledger with an
 anchor string, a status in {confirmed, refuted, not-applicable} and the
@@ -452,14 +451,14 @@ def ode_section(a: Analysis) -> dict:
 
 
 def _uncleared_exponents(fam, poly) -> list:
-    """The monomial exponents at the family's p in the original, uncleared
-    equation: clearing multiplied it by y**C, C the ``clearing_multiplier``,
-    which raised every exponent by C*p."""
-    import merosolve.balance as balance
-
-    shift = poly.clearing_multiplier * fam.p.numerator
-    return [Fraction(e - shift, fam.p.denominator)
-            for e in balance.scaled_exponents(poly, fam.p)]
+    """The monomial exponents at the family's p = m/n in the original,
+    uncleared equation: clearing multiplied it by y**C, C the
+    ``clearing_multiplier``, which raised every exponent ``D*p - W`` by C*p
+    (D the total degree, W the derivative weight)."""
+    m, n = fam.p.numerator, fam.p.denominator
+    c = poly.clearing_multiplier
+    return [Fraction((mono.total_degree - c) * m - n * mono.derivative_weight, n)
+            for mono in poly.monomials]
 
 
 def family_json(fam, poly) -> dict:
@@ -963,17 +962,6 @@ def _constraint_json(report: dict) -> dict:
     }
 
 
-def trajectory_stats(traj) -> dict:
-    """The integrator counters printed with a trajectory; step extremes stay
-    out because they are infinite on a trajectory without accepted steps."""
-    stats = traj.stats
-    return {
-        "accepted": stats["accepted"],
-        "rejected": stats["rejected"],
-        "rhs_evals": stats["rhs_evals"],
-    }
-
-
 def probe_payload(omega, ic, path_points, tol: float = 1e-10) -> dict:
     """Integrate one path, locate the singular approach and fit the local
     exponent; failures to resolve are embedded, not raised."""
@@ -989,7 +977,7 @@ def probe_payload(omega, ic, path_points, tol: float = 1e-10) -> dict:
         "path": [complex_json(w) for w in path.waypoints],
         "halted": traj.halted,
         "halt_reason": traj.halt_reason,
-        "stats": trajectory_stats(traj),
+        "stats": traj.stats,
         "samples": len(traj.points),
         "kind": probe.kind,
         "t_star": complex_json(probe.t_star) if probe.t_star is not None else None,

@@ -411,22 +411,6 @@ class _Deriv(_PlanNode):
         return mul_ratio(c, j, self.n)
 
 
-class _Scale(_PlanNode):
-    """``monomial(coeff) * right``, the head of a term's left fold: each
-    entry is the one-pair sum ``0 + coeff * c`` of ``PuiseuxSeries.__mul__``."""
-
-    __slots__ = ("coeff", "right")
-
-    def __init__(self, coeff, right):
-        super().__init__(right.base)
-        self.coeff = coeff
-        self.right = right
-
-    def _entry(self, r):
-        c = self.right.coef[r]
-        return 0 if c is None else sum_of_products([(self.coeff, c)])
-
-
 class _Mul(_PlanNode):
     """``left * right`` as ``PuiseuxSeries.__mul__``: the Cauchy sum runs
     over ``left`` in ascending index through ``sum_of_products``, which
@@ -449,10 +433,12 @@ class _Mul(_PlanNode):
 
 
 class _Const:
-    """A monomial without y: its coefficient at index 0, exact zero
-    elsewhere."""
+    """A monomial coefficient: its value at index 0, exact zero elsewhere.
+    It heads each term's left fold and stands alone for a monomial without
+    y."""
 
     base = 0
+    stored = (0,)
 
     def __init__(self, coeff):
         self.coef = [coeff]
@@ -478,7 +464,7 @@ def _online_plan(poly: DifferentialPolynomial, y: _Solution, n: int):
 
     terms = []
     for mono in poly.monomials:
-        term = None
+        term = _Const(mono.coeff)
         for k, d in mono.degrees:
             base, power = derivs[k], None
             while d:
@@ -487,12 +473,8 @@ def _online_plan(poly: DifferentialPolynomial, y: _Solution, n: int):
                 d >>= 1
                 if d:
                     base = mul(base, base)
-            if term is None:
-                term = _Scale(mono.coeff, power)
-                nodes.append(term)
-            else:
-                term = mul(term, power)
-        terms.append(term or _Const(mono.coeff))
+            term = mul(term, power)
+        terms.append(term)
     return nodes, terms
 
 
@@ -565,24 +547,29 @@ def solve_local_series(
             "a does not satisfy the leading equation; pass force=True "
             "to inject it anyway"
         )
-    lin = linearize(poly, fam)
-    # find_balances stored the resonances at the family's first root; the
-    # forced residue and any other root solve their own
+    # find_balances linearized every consistent family and stored the
+    # resonances at its first root; the forced residue and any other root
+    # solve their own
+    linearized = fam if fam.linearization else fam.replace(
+        linearization=linearize(poly, fam))
     lead = fam.leading_coeffs[0] if fam.leading_coeffs else None
     if not force and fam.resonances and type(a) is type(lead) and a == lead:
         resonances = fam.resonances
     else:
-        resonances = rational_resonances(lin, a)
+        resonances = rational_resonances(linearized, a)
     resonance_orders = {}
     for r in resonances:
         if r > 0:
             scaled = Fraction(r) * n
             if scaled.denominator == 1:
                 resonance_orders[int(scaled)] = Fraction(r)
-    response = linear_response(lin, a)
+    response = linear_response(linearized, a)
     response_sizes = None if all(map(is_exact, response)) else _moduli(response)
 
-    tol = _compat_tolerance(poly, a)
+    # an exact residual is compared with 0, so the tolerance is computed only
+    # once a float enters: |a|**top overflows for a huge exact root
+    exact = poly.is_exact and is_exact(a) and all(map(is_exact, free.values()))
+    tol = 0.0 if exact else _compat_tolerance(poly, a)
     compatibility = []
     # only the resonances the truncated series reaches take a free value
     free_used = {

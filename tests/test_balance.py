@@ -201,6 +201,7 @@ def reference_find_balances(poly, n_max, window):
             consistent=bool(roots), resonances=(), two_term=two_term,
         )
         if fam.consistent:
+            fam = fam.replace(linearization=linearize(poly, fam))
             resonances = compute_resonances(poly, fam, roots[0])
             fam = fam.replace(resonances=tuple(resonances))
         families.append(fam)
@@ -288,7 +289,7 @@ def test_degenerate_family_raises(ep_poly):
 
 def test_linear_response_matches_resonance_roots(w3_poly, w3_family):
     # the response polynomial vanishes exactly at resonances and nowhere else
-    response = linear_response(linearize(w3_poly, w3_family), 1)
+    response = linear_response(w3_family, 1)
     assert poly_eval(response, Fraction(4)) == 0
     assert poly_eval(response, Fraction(2)) != 0
 
@@ -394,6 +395,19 @@ def test_double_root_with_large_denominator_is_exact():
     # double root found as two spread numeric roots misses round(z*d)/d
     r = QComplex(Fraction(8003, 4001))
     assert balance._nonzero_roots(poly_from_roots([r, r], QComplex(4001**2))) == (r, r)
+
+
+@pytest.mark.parametrize("root", [
+    QComplex(10**150),
+    QComplex(2**60 + 1),
+    QComplex(3 * 10**40, 4 * 10**40),
+])
+def test_exact_roots_beyond_float_precision_stay_exact(root):
+    # |z*d| >= 2**52: the float root cannot hold the lattice point, so the
+    # rounded candidate misses and exact Newton steps finish it
+    found = balance._nonzero_roots(poly_from_roots([root, -root]))
+    assert all(isinstance(z, QComplex) for z in found)
+    assert set(found) == {root, -root}
 
 
 def test_irrational_roots_match_sympy():

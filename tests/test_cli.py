@@ -470,6 +470,29 @@ def test_large_coefficient_keeps_the_linear_response(tmp_path, power, p,
     assert [(f["p"], f["resonances"]) for f in consistent] == [(p, resonances)]
 
 
+def test_exact_root_past_float_precision_solves_exactly(tmp_path):
+    # c = 2/(10**16 + 1)**2 has the exact roots a = +-(10**16 + 1), which a
+    # float cannot hold; the root rule finishes them exactly, so the series
+    # of exact input stays exact and leaves no residual
+    c = "2/" + str((10**16 + 1) ** 2)
+    payload = run_json(tmp_path, ["series", "--ode", "y'' - c*y^3",
+                                  "--param", f"c={c}"])
+    (solution,) = payload["series"]["solutions"]
+    assert solution["max_residual_through_order"] == 0
+    assert all(c["satisfied"] for c in solution["compatibility"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "series", "closed-form", "report"])
+def test_huge_exact_root_does_not_overflow(tmp_path, command):
+    # c = 2/10**300 has the exact roots a = +-10**150: the compatibility
+    # tolerance, which needs |a|**3, is not computed for exact input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_json(tmp_path, [command, "--ode", "y'' - c*y^3",
+                                      "--param", "c=2/1" + "0" * 300])
+    assert payload["command"] == command
+
+
 @pytest.mark.parametrize("c", ["1e-15", "1/1000000000000000"])
 def test_small_coefficient_keeps_its_family(tmp_path, c):
     # the leading polynomial is 2a - c*a**3: a float c of any size is a

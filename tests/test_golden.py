@@ -25,6 +25,9 @@ CASES = {
     "analyze-cubic": ["analyze", "--ode", "y'' - 2*y^3"],
     "analyze-quadratic": ["analyze", "--ode", "y'' - 6*y^2"],
     "analyze-kdv": ["analyze", "--ode", "y''' - 12*y*y'"],
+    # three dominant monomials at p = -1, one with a float coefficient
+    "analyze-three-group-float": ["analyze", "--ode", "y'' + k1*y*y' + k2*y^3",
+                                  "--param", "k1=3.0", "--param", "k2=1"],
     "integrate-width": ["integrate", "--ic", "2,0", "--path", "0:3",
                         "--tol", "1e-8"],
     "integrate-complex": ["integrate", "--omega", "0.8", "--ic", "1.2,-0.4",

@@ -1,6 +1,7 @@
 """The records that carry the pipeline's data: the behaviour the
 generated dataclass methods had is kept by the slots classes that replace
-them.  The expected repr strings were printed by the dataclass records."""
+them.  The expected repr strings were printed by the dataclass records;
+the family's ``linearization`` field came later and prints last."""
 
 import copy
 import pickle
@@ -39,14 +40,18 @@ FAMILY_REPR = (
     "dominant=(0, 1), leading_poly=(0, QComplex('2', '0'), 0, "
     "QComplex('-2', '0')), leading_coeffs=(QComplex('-1', '0'), "
     "QComplex('1', '0')), consistent=True, resonances=(Fraction(-1, 1), "
-    'Fraction(4, 1)), two_term=True)'
+    "Fraction(4, 1)), two_term=True, linearization=((3, (QComplex('-6', "
+    "'0'),)), (1, (QComplex('2', '0'), QComplex('-3', '0'), QComplex('1', "
+    "'0')))))"
 )
 LOCAL_REPR = (
     'LocalSolution(family=BalanceFamily(p=Fraction(-1, 1), branch_order=1, '
     "q=Fraction(-3, 1), dominant=(0, 1), leading_poly=(0, QComplex('2', "
     "'0'), 0, QComplex('-2', '0')), leading_coeffs=(QComplex('-1', '0'), "
     "QComplex('1', '0')), consistent=True, resonances=(Fraction(-1, 1), "
-    "Fraction(4, 1)), two_term=True), a=QComplex('-1', '0'), "
+    "Fraction(4, 1)), two_term=True, linearization=((3, (QComplex('-6', "
+    "'0'),)), (1, (QComplex('2', '0'), QComplex('-3', '0'), QComplex('1', "
+    "'0'))))), a=QComplex('-1', '0'), "
     'series=PuiseuxSeries((-1)*tau^(-1/1); trunc=3), '
     "free_parameters={Fraction(4, 1): QComplex('0', '0')}, "
     'compatibility=(CompatibilityCheck(resonance=Fraction(4, 1), '

@@ -97,9 +97,9 @@ def test_analyze_solves_each_resonance_polynomial_once(monkeypatch, w3_poly,
     calls = []
     rational_resonances = balance.rational_resonances
 
-    def counted(lin, a):
+    def counted(fam, a):
         calls.append(a)
-        return rational_resonances(lin, a)
+        return rational_resonances(fam, a)
 
     monkeypatch.setattr(balance, "rational_resonances", counted)
     monkeypatch.setattr(series, "rational_resonances", counted)
@@ -117,6 +117,35 @@ def test_analyze_solves_each_resonance_polynomial_once(monkeypatch, w3_poly,
     assert calls == [other, first]
     assert stored.series == forced.series
     assert stored.free_parameters == forced.free_parameters
+
+
+def test_analyze_linearizes_each_family_once(monkeypatch, tmp_path):
+    # the family search linearizes the consistent p = 1/2 family and its
+    # series solve reads that linearization; only the forced p = -1 solve,
+    # on a one-monomial pole family the search left alone, linearizes again
+    from merosolve import balance, series
+    from merosolve.cli import main
+
+    calls = []
+    linearize = balance.linearize
+
+    def counted(poly, fam):
+        calls.append(fam.p)
+        return linearize(poly, fam)
+
+    monkeypatch.setattr(balance, "linearize", counted)
+    monkeypatch.setattr(series, "linearize", counted)
+    out = str(tmp_path / "out.json")
+    for argv, linearized in (
+        (["analyze"], [Fraction(1, 2), Fraction(-1)]),
+        (["report"], [Fraction(1, 2), Fraction(-1)]),
+        # y'' = 2 y^3: the search linearizes the p = -1 family and the
+        # series solve and the forced residue solve read it
+        (["analyze", "--ode", "y'' - 2*y^3"], [Fraction(-1)]),
+    ):
+        calls.clear()
+        assert main(argv + ["--out", out]) == 0
+        assert calls == linearized
 
 
 def test_analyze_builds_the_comparison_table_once(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from merosolve.balance import find_balances, linear_response, linearize, rational_resonances
+from merosolve.balance import find_balances, linear_response, rational_resonances
 from merosolve.errors import TruncationError
 from merosolve.odemodel import normalize, parse_ode
 from merosolve.scalars import QComplex, is_zero, poly_eval
@@ -355,9 +355,8 @@ def reference_solve(poly, fam, a, K, free=None):
     series at every order, ``free`` values (default 0) at the resonances."""
     n = fam.branch_order
     j0, q_idx = int(fam.p * n), int(fam.q * n)
-    lin = linearize(poly, fam)
-    resonant = {r * n: r for r in rational_resonances(lin, a) if r > 0}
-    response = linear_response(lin, a)
+    resonant = {r * n: r for r in rational_resonances(fam, a) if r > 0}
+    response = linear_response(fam, a)
     coeffs = {j0: a}
     for rho in range(1, K + 1):
         if rho in resonant:
