@@ -2,16 +2,17 @@
 
 Substituting ``y ~ a * tau**p`` into a cleared differential polynomial sends
 each monomial to a single power of tau, ``D*p - W``: D is its total degree
-and W = sum k*d_k its total derivative order.  A candidate exponent p is
-kept when at least two monomials share the minimal exponent q and every
-other monomial sits at or above it.  Negative integer p are additionally
-reported even when a single monomial dominates, so claimed pole families
-always receive an explicit verdict instead of silently disappearing.
-
-The search runs on integers.  Candidates are reduced pairs (m, n) ordered
-by m/n, and at p = m/n the monomials are compared by ``D*m - n*W``, n times
-their exponent; ``Fraction`` values of p and q are built only for the
-families kept.  A family's leading equation needs only the weight
+and W = sum k*d_k its total derivative order.  A family needs the monomials
+at the minimal exponent q to span two total degrees: monomials of one degree
+D leave the leading equation c(p)*a**D, which has no nonzero root.  So the
+families sit at the breakpoints p = (W_i - W_j)/(D_i - D_j) of the lower
+envelope min_i (D_i*p - W_i), the edges of the Newton polygon of the points
+(D_i, W_i) (Grigoriev & Singer, Trans. AMS 327, 1991; Cano, Analysis 13,
+1993).  That set is finite and exact, and the search takes all of it but the
+nonnegative integers (regular-point behaviors, not singularities).  p = -1
+is reported even off it, so the simple pole always receives a verdict.  At
+p = m/n the monomials are compared on integers, by ``D*m - n*W``, and a
+family's leading equation needs only the weight
 ``coeff * prod falling(p, k)**d_k`` of each dominant monomial.
 
 Only a family with a nonzero leading root is linearized, once, by the
@@ -69,9 +70,6 @@ from .scalars import (
     to_complex,
 )
 
-DEFAULT_BRANCH_MAX = 4
-DEFAULT_WINDOW = 6
-
 # A root candidate is evaluated only within this of the numeric root z,
 # relative to max(1, |z|).  It spares the exact evaluation of most candidates
 # for irrational roots.  Exact input gives roots polished on simple factors,
@@ -128,7 +126,7 @@ class BalanceFamily(Record):
         # the resonances at leading_coeffs[0], which the series solve at
         # that root reads instead of solving the polynomial again
         setfield(self, "resonances", resonances)
-        # False when reported via the negative-integer fallback
+        # False when p = -1 is reported with one dominant monomial
         setfield(self, "two_term", two_term)
         # ``linearize(poly, self)``, set by the search on consistent families
         # and read by the resonances at any root and the linear response
@@ -554,48 +552,35 @@ def compute_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
     return roots
 
 
-def candidate_exponents(n_max: int = DEFAULT_BRANCH_MAX, window: int = DEFAULT_WINDOW):
-    """Candidate exponents m/n as reduced integer pairs (m, n), ascending in
-    m/n, with 1 <= n <= n_max and 1 <= |m| <= window; the nonnegative
-    integers are excluded (those are regular-point behaviors, not
-    singularities)."""
-    pairs = [
-        (m, n)
-        for n in range(1, n_max + 1)
-        for m in range(-window, window + 1)
-        if m and math.gcd(m, n) == 1 and (n > 1 or m < 0)
-    ]
-    # m/n < m'/n' exactly when m*(L/n) < m'*(L/n'), L a common multiple
-    scale = math.lcm(*range(1, n_max + 1))
-    pairs.sort(key=lambda mn: mn[0] * (scale // mn[1]))
-    return pairs
-
-
-def find_balances(
-    poly: DifferentialPolynomial,
-    n_max: int = DEFAULT_BRANCH_MAX,
-    window: int = DEFAULT_WINDOW,
-):
-    """All balance families in the search window, sorted by exponent.
+def find_balances(poly: DifferentialPolynomial, n_max: int | None = None):
+    """All balance families, sorted by exponent: one per envelope
+    breakpoint, and p = -1.  ``n_max`` caps the branch order when given.
 
     Families whose leading equation has only the zero root are reported with
     ``consistent=False`` rather than dropped.
     """
-    if n_max < 1:
+    if n_max is not None and n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if window < 1:
-        raise ValueError("window must be at least 1")
     weights = [(mono.total_degree, mono.derivative_weight)
                for mono in poly.monomials]
+    points = set(weights)
+    candidates = {Fraction(-1)}
+    for d1, w1 in points:
+        for d2, w2 in points:
+            if d1 > d2:
+                p = Fraction(w1 - w2, d1 - d2)
+                if ((p < 0 or p.denominator > 1)
+                        and (n_max is None or p.denominator <= n_max)):
+                    candidates.add(p)
     families = []
-    for m, n in candidate_exponents(n_max, window):
+    for p in sorted(candidates):
+        m, n = p.numerator, p.denominator
         exps = [deg * m - n * w for deg, w in weights]  # n * (D*p - W)
         low = min(exps)
         dominant = tuple(i for i, e in enumerate(exps) if e == low)
+        if p != -1 and len({weights[i][0] for i in dominant}) < 2:
+            continue  # one total degree: c(p)*a**D has no nonzero root
         two_term = len(dominant) >= 2
-        if not two_term and not (n == 1 and m < 0):
-            continue
-        p = Fraction(m, n)
         lead = _leading_polynomial(poly, p, dominant)
         # a single dominant monomial leaves one term: no nonzero root
         roots = _nonzero_roots(lead) if two_term else ()

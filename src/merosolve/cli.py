@@ -25,6 +25,23 @@ from .numeric import ComplexPath, EpWidthOde, LinearOscillatorOde, integrate
 from .scalars import parse_complex_literal
 
 
+def _at_least(low):
+    """An argparse ``type``: an integer of at least ``low``, so a bad value
+    is reported against its flag and not by the layer that reads it."""
+    def convert(text):
+        import argparse
+
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
+
+
 def _add_ode_options(p):
     p.add_argument("--ode", default=None,
                    help="ODE text, or @file to read it from a file "
@@ -33,13 +50,11 @@ def _add_ode_options(p):
                    metavar="NAME=VALUE",
                    help="bind a parameter (repeatable); integer/fraction "
                         "values stay exact")
-    p.add_argument("--order", type=int, default=12, metavar="K",
+    p.add_argument("--order", type=_at_least(0), default=12, metavar="K",
                    help="series truncation order (default 12)")
-    p.add_argument("--branch-max", type=int, default=4, metavar="N",
-                   help="largest branch order searched, at least 1 (default 4)")
-    p.add_argument("--window", type=int, default=6, metavar="M",
-                   help="numerator window for candidate exponents, at least 1 "
-                        "(default 6)")
+    p.add_argument("--branch-max", type=_at_least(1), default=None,
+                   metavar="N",
+                   help="largest branch order searched (default: no cap)")
     p.add_argument("--free", action="append", default=[], metavar="R=VALUE",
                    help="free-parameter value injected at resonance R "
                         "(repeatable)")
@@ -217,7 +232,6 @@ def _analysis(args):
         ode_text = Path(ode_text[1:]).read_text(encoding="utf-8").strip()
     return rpt.Analysis(
         ode_text, env, K=args.order, n_max=args.branch_max,
-        window=args.window,
         free=_parse_pairs(args.free, "--free", "R=VALUE", Fraction),
     )
 

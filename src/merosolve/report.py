@@ -336,8 +336,8 @@ class Analysis:
     pole-coefficient table that the series section and the ledger share.
     """
 
-    def __init__(self, ode_text: str, env: dict, K: int = 12, n_max: int = 4,
-                 window: int = 6, free=None):
+    def __init__(self, ode_text: str, env: dict, K: int = 12,
+                 n_max: int | None = None, free=None):
         import merosolve.balance as balance
         import merosolve.odemodel as odemodel
 
@@ -345,16 +345,14 @@ class Analysis:
         self.env = env
         self.K = K
         self.n_max = n_max
-        self.window = window
         self.free = free
         self.omega = env.get("omega")
         self.ast = odemodel.parse_ode(ode_text)
         self.poly = odemodel.normalize(self.ast, env)
-        self.families = balance.find_balances(self.poly, n_max=n_max,
-                                              window=window)
+        self.families = balance.find_balances(self.poly, n_max=n_max)
         if free:
             _check_free(free, self.families, K)
-        # every window >= 1 holds the candidate p = -1
+        # the search always reports p = -1
         self.pole_family = next(f for f in self.families if f.p == -1)
         self.residue = QComplex(0, 1) if is_exact(self.omega) else 1j
         # None without a frequency or when a recursion denominator vanishes
@@ -485,7 +483,6 @@ def balance_section(a: Analysis) -> dict:
     top = odemodel.unique_highest_degree_term(a.poly)
     return {
         "branch_max": a.n_max,
-        "window": a.window,
         "top_degree_uniqueness": {
             "holds": top.holds,
             "top_degree": top.top_degree,
@@ -1043,10 +1040,9 @@ def analysis_payload(a: Analysis, command: str) -> dict:
     return payload
 
 
-def analyze_payload(ode_text: str, env: dict, K: int = 12, n_max: int = 4,
-                    window: int = 6, free=None) -> dict:
-    return analysis_payload(Analysis(ode_text, env, K, n_max, window, free),
-                            "analyze")
+def analyze_payload(ode_text: str, env: dict, K: int = 12,
+                    n_max: int | None = None, free=None) -> dict:
+    return analysis_payload(Analysis(ode_text, env, K, n_max, free), "analyze")
 
 
 def report_payload(a: Analysis, tol: float, ic) -> dict:

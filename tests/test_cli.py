@@ -131,6 +131,21 @@ def test_free_parameters_list_only_resonances_the_series_reaches(tmp_path):
             assert len(solution["compatibility"]) == len(listed)
 
 
+@pytest.mark.parametrize("m, p, resonance", [
+    (6, "-2/5", "14/5"),
+    (8, "-2/7", "18/7"),
+])
+def test_high_power_branch_family_without_a_cap(tmp_path, m, p, resonance):
+    # y'' = y^m branches as tau^(-2/(m-1)); the search has no default cap
+    payload = run_json(tmp_path, ["analyze", "--ode", f"y'' - y^{m}"])
+    assert payload["balance"]["branch_max"] is None
+    (fam,) = [f for f in payload["balance"]["families"] if f["consistent"]]
+    assert fam["p"] == p
+    assert fam["resonances"] == ["-1", resonance]
+    claim = next(c for c in payload["claims"] if c["id"] == "no-painleve-property")
+    assert claim["status"] == "confirmed"
+
+
 def test_float_resonance_off_the_360_lattice_is_kept(tmp_path):
     # p = -2/7 has the resonance 18/7, and 7 does not divide 360
     payload = run_json(tmp_path, [
@@ -357,20 +372,21 @@ def test_bad_param_syntax_exits_2(capsys):
 
 def test_negative_order_exits_2(capsys):
     assert main(["series", "--order", "-3"]) == 2
-    assert "error: K must be nonnegative" in capsys.readouterr().err
+    assert "argument --order: must be at least 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, value", [("analyze", "0"), ("report", "-2")])
+def test_branch_max_below_one_exits_2(command, value, capsys):
+    assert main([command, "--branch-max", value]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --branch-max: must be at least 1, got {value}" in err
+    assert "n_max" not in err
 
 
 def test_order_zero_keeps_the_leading_term(tmp_path):
     payload = run_json(tmp_path, ["series", "--order", "0"])
     (solution,) = payload["series"]["solutions"]
     assert [j for j, _, _ in solution["series"]["terms"]] == [1]
-
-
-@pytest.mark.parametrize("window", ["0", "-2"])
-def test_window_below_one_exits_2(window, capsys):
-    # a window below 1 searches no exponent; it must not yield a verdict
-    assert main(["analyze", "--window", window]) == 2
-    assert "error: window must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, terms", [

@@ -25,6 +25,8 @@ CASES = {
     "analyze-cubic": ["analyze", "--ode", "y'' - 2*y^3"],
     "analyze-quadratic": ["analyze", "--ode", "y'' - 6*y^2"],
     "analyze-kdv": ["analyze", "--ode", "y''' - 12*y*y'"],
+    # a branch family of order 5, which no default cap excludes
+    "analyze-sextic": ["analyze", "--ode", "y'' - y^6"],
     # three dominant monomials at p = -1, one with a float coefficient
     "analyze-three-group-float": ["analyze", "--ode", "y'' + k1*y*y' + k2*y^3",
                                   "--param", "k1=3.0", "--param", "k2=1"],
