@@ -26,9 +26,13 @@ forced residue or another root solves its own resonance polynomial from
 the same linearization.
 
 Roots follow one rule.  Exact coefficients are cleared to primitive
-Gaussian integers with leading coefficient d.  By the rational-root theorem
-in Z[i] every root in Q(i) has a denominator dividing d, so ``round(z*d)/d``
-is the only candidate near a numeric root z, and exact evaluation decides.
+Gaussian integers with leading coefficient d: divided by their rational
+content, which is read off the integer fields of the scalars (over the lcm
+L of their denominators every real and imaginary part is an integer, and
+the content is the gcd of those integers over L).  By the rational-root
+theorem in Z[i] every root in Q(i) has a denominator dividing d, so
+``round(z*d)/d`` is the only candidate near a numeric root z, and exact
+evaluation decides.
 Once |z*d| reaches 2**52 a float no longer holds the lattice point, so a
 candidate that fails is finished by exact Newton steps, each rounded back
 to the 1/d lattice and checked exactly again.
@@ -41,11 +45,14 @@ resonance on the family's lattice is found.
 Every polynomial finds its numeric roots z one way, float coefficients at
 the binary rationals they store (a coefficient that is not finite raises
 ``OverflowError``).  Yun's square-free decomposition over Q(i) splits it
-into simple factors f_k of multiplicity k, an Aberth-Ehrlich iteration finds
-the roots of each f_k, a Newton step on f_k polishes them, and each is
-listed k times.  So a repeated root of exact input is as accurate as a
-simple one, and conjugate roots of real input share their real part to the
-bit.  An iteration that does not converge raises instead of dropping a root.
+into simple factors f_k of multiplicity k (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 14); when gcd(f, f') is already a constant, f is
+square-free and is its own factor, made monic, without Yun's loop.  An
+Aberth-Ehrlich iteration finds the roots of each f_k, a Newton step on f_k
+polishes them, and each is listed k times.  So a repeated root of exact
+input is as accurate as a simple one, and conjugate roots of real input
+share their real part to the bit.  An iteration that does not converge
+raises instead of dropping a root.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ from .odemodel import DiffMonomial, DifferentialPolynomial
 from .records import Record, setfield
 from .scalars import (
     QComplex,
+    _norm,
+    _parts,
     canonical_scalar,
     is_exact,
     is_zero,
@@ -300,9 +309,16 @@ def _pgcd(f, g):
 
 def _squarefree(f):
     """Yun's square-free decomposition: pairs (f_k, k) of monic square-free
-    factors of positive degree with f = lead * prod f_k**k."""
+    factors of positive degree with f = lead * prod f_k**k.  A constant
+    gcd(f, f') shows f square-free, and Yun's loop would return f made
+    monic."""
     df = _pderiv(f)
     g = _pgcd(f, df)
+    if len(g) == 1:
+        if len(f) == 1:
+            return []
+        inv = 1 / f[-1]
+        return [([c * inv for c in f], 1)]
     b = _pdivmod(f, g)[0]
     c = _pdivmod(df, g)[0]
     out = []
@@ -450,12 +466,14 @@ def _numeric_roots(coeffs):
 
 def _cleared_lead(coeffs):
     """Leading coefficient of exact coefficients cleared to primitive
-    Gaussian integers: divided by their rational content, the gcd of every
-    numerator over the lcm of every denominator."""
-    parts = [x for c in coeffs if is_exact(c) for x in (QComplex(c).re, QComplex(c).im)]
-    content = Fraction(math.gcd(*(x.numerator for x in parts)),
-                       math.lcm(*(x.denominator for x in parts)))
-    return QComplex(coeffs[-1]) / content
+    Gaussian integers: divided by their rational content.  Over the lcm L
+    of the denominators every part is an integer, and the content is the
+    gcd of those integers over L."""
+    parts = [p for c in coeffs if (p := _parts(c)) is not None]
+    lcm = math.lcm(*(d for _, _, d in parts))
+    content = math.gcd(*(x * (lcm // d) for a, b, d in parts for x in (a, b)))
+    a, b, d = parts[-1]
+    return _norm(a * lcm, b * lcm, d * content)
 
 
 def _snap(coeffs, z, d, exact: bool):
@@ -465,7 +483,7 @@ def _snap(coeffs, z, d, exact: bool):
     the lattice point, so an exact candidate that fails takes up to
     _SNAP_NEWTON_STEPS exact Newton steps, each rounded to the 1/d lattice."""
     w = z * complex(d)
-    cand = QComplex(round(w.real), round(w.imag)) / d
+    cand = _norm(round(w.real), round(w.imag), 1) / d
     if abs(complex(cand) - z) > _ROOT_PREFILTER * max(1.0, abs(z)):
         return None
     value = poly_eval(coeffs, cand)
@@ -477,7 +495,7 @@ def _snap(coeffs, z, d, exact: bool):
                 if not slope:
                     break
                 x = (cand - value / slope) * d
-                cand = QComplex(round(x.re), round(x.im)) / d
+                cand = _norm(round(x.re), round(x.im), 1) / d
                 value = poly_eval(coeffs, cand)
                 if not value:
                     break

@@ -142,13 +142,20 @@ def _build_parser():
     return parser
 
 
+def _refused(flag, given, exc):
+    """The input error for a value that ``flag`` refuses: it names the flag
+    and ``given``, the argument as given.  An overflow is not refused here
+    and keeps its own message."""
+    reason = "division by zero" if isinstance(exc, ZeroDivisionError) else exc
+    return ValueError(f"{flag} {given!r}: {reason}")
+
+
 def _literal(flag, text):
-    """The complex literal ``text`` given to ``flag``; an exact division by
-    zero names both."""
+    """The complex literal ``text`` given to ``flag``."""
     try:
         return parse_complex_literal(text)
-    except ZeroDivisionError:
-        raise ValueError(f"{flag} {text!r}: division by zero") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _refused(flag, text, exc) from None
 
 
 def _parse_pairs(pairs, flag, form, key):
@@ -161,8 +168,8 @@ def _parse_pairs(pairs, flag, form, key):
         name, _, value = pair.partition("=")
         try:
             out[key(name.strip())] = parse_complex_literal(value)
-        except ZeroDivisionError:
-            raise ValueError(f"{flag} {pair!r}: division by zero") from None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _refused(flag, pair, exc) from None
     return out
 
 

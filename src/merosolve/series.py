@@ -522,6 +522,19 @@ def solve_local_series(
     first and skips exact zeros, so float coefficients are bit-identical to
     solving with ``substitute``.  ``substitute`` itself stays the
     independent check.
+
+    Only orders on the solve's lattice are computed.  Its step g is the gcd
+    of every term's offset from the balance index and of every resonance
+    order up to K that takes a nonzero free value.  By induction over the
+    orders and the plan nodes, every stored coefficient sits at a multiple
+    of g: y starts at relative order 0, a derivative keeps the order, a
+    product adds two, and the residual of a term reads its order minus the
+    term's offset.  At an order off the lattice (every order when g = 0) no
+    Cauchy pair exists, so every node stores an exact zero without a sum
+    and the residual is 0, for exact and float input alike.  The linear
+    response is still evaluated there, so a singular non-resonant step
+    raises at the same order, and a resonance there records the satisfied
+    check with residual 0 that the full sums would give.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -593,12 +606,25 @@ def solve_local_series(
     y.top = a
     for node in nodes:
         node.extend()
+    # the lattice step g of the docstring; g = 0 leaves order 0 alone
+    step = 0
+    for term in terms:
+        step = math.gcd(step, term.base - q_idx)
+    for rho, r in resonance_orders.items():
+        if rho <= K and not is_zero(free_used[r], 0.0):
+            step = math.gcd(step, rho)
 
     for rho in range(1, K + 1):
-        y.top = 0
-        for node in nodes:
-            node.extend()
-        e = _residual_at(terms, q_idx + rho)
+        if step and not rho % step:
+            y.top = 0
+            for node in nodes:
+                node.extend()
+            e = _residual_at(terms, q_idx + rho)
+        else:
+            # off the lattice: no Cauchy pair, an exact zero everywhere
+            for node in nodes:
+                node.coef.append(None)
+            e = 0
         if rho in resonance_orders:
             r = resonance_orders[rho]
             compatibility.append(CompatibilityCheck(r, is_zero(e, tol), e))

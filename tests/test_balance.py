@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import statistics
 import time
@@ -454,6 +455,88 @@ def test_double_root_with_large_denominator_is_exact():
     # double root found as two spread numeric roots misses round(z*d)/d
     r = QComplex(Fraction(8003, 4001))
     assert balance._nonzero_roots(poly_from_roots([r, r], QComplex(4001**2))) == (r, r)
+
+
+def yun_full_loop(f):
+    """Yun's square-free decomposition as the textbook loop, which divides
+    on after gcd(f, f') = 1 has shown f square-free."""
+    df = balance._pderiv(f)
+    g = balance._pgcd(f, df)
+    b = balance._pdivmod(f, g)[0]
+    c = balance._pdivmod(df, g)[0]
+    out = []
+    k = 1
+    while len(b) > 1:
+        d = balance._psub(c, balance._pderiv(b))
+        g = balance._pgcd(b, d)
+        if len(g) > 1:
+            out.append((g, k))
+        b = balance._pdivmod(b, g)[0]
+        c = balance._pdivmod(d, g)[0]
+        k += 1
+    return out
+
+
+def random_gaussian_rational(rng, zero_part=False):
+    re = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    im = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    if zero_part:
+        re, im = rng.choice([(re, 0), (0, im)])
+    return QComplex(re, im)
+
+
+def test_squarefree_matches_yuns_full_loop():
+    rng = random.Random(20261020)
+    cases = [
+        [QComplex(3)],
+        [QComplex(-2), QComplex(1, 1)],
+        [QComplex(-4)] + [QComplex(0)] * 4 + [QComplex(1)],  # x^5 - 4
+        [QComplex(0, 2)] + [QComplex(0)] * 2 + [QComplex(3)],  # 3x^3 + 2i
+    ]
+    for _ in range(200):
+        factors = []
+        while not factors:
+            factors = [(random_gaussian_rational(rng), rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 4))]
+            factors = list(dict(factors).items())
+        roots = [r for r, m in factors for _ in range(m)]
+        lead = random_gaussian_rational(rng) or QComplex(1)
+        cases.append(poly_from_roots(roots, lead))
+    for f in cases:
+        # repr pins the canonical fields and that every entry is a QComplex
+        got = [(list(map(repr, g)), k) for g, k in balance._squarefree(f)]
+        want = [(list(map(repr, g)), k) for g, k in yun_full_loop(f)]
+        assert got == want
+
+
+def fraction_content_lead(coeffs):
+    """The cleared leading coefficient by the rational content taken over
+    the Fraction parts: gcd of the numerators over lcm of the denominators."""
+    parts = [x for c in coeffs if is_exact(c)
+             for x in (QComplex(c).re, QComplex(c).im)]
+    content = Fraction(math.gcd(*(x.numerator for x in parts)),
+                       math.lcm(*(x.denominator for x in parts)))
+    return QComplex(coeffs[-1]) / content
+
+
+def test_cleared_lead_matches_the_fraction_content():
+    rng = random.Random(7)
+    for _ in range(500):
+        coeffs = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            if kind < 0.15:
+                coeffs.append(rng.choice([0, QComplex(0), 0j]))
+            elif kind < 0.25:
+                coeffs.append(rng.randint(-9, 9))
+            else:
+                coeffs.append(random_gaussian_rational(rng, kind < 0.6))
+        lead = QComplex(0)
+        while not lead:
+            lead = random_gaussian_rational(rng, rng.random() < 0.5)
+        coeffs.append(lead)
+        assert repr(balance._cleared_lead(coeffs)) == \
+            repr(fraction_content_lead(coeffs))
 
 
 @pytest.mark.parametrize("root", [

@@ -27,6 +27,10 @@ CASES = {
     "analyze-kdv": ["analyze", "--ode", "y''' - 12*y*y'"],
     # a branch family of order 5, which no default cap excludes
     "analyze-sextic": ["analyze", "--ode", "y'' - y^6"],
+    # a free value off the width terms' lattice: the solve's step falls
+    # from 4 to 2
+    "series-width-free": ["series", "--param", "omega=3/2", "--free", "1=1/3",
+                          "--order", "16"],
     # three dominant monomials at p = -1, one with a float coefficient
     "analyze-three-group-float": ["analyze", "--ode", "y'' + k1*y*y' + k2*y^3",
                                   "--param", "k1=3.0", "--param", "k2=1"],

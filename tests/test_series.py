@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from merosolve.balance import find_balances, linear_response, rational_resonances
+from merosolve import series as series_module
+from merosolve.balance import (
+    find_balances,
+    linear_response,
+    linearize,
+    rational_resonances,
+)
 from merosolve.errors import TruncationError
 from merosolve.odemodel import normalize, parse_ode
 from merosolve.scalars import QComplex, is_zero, poly_eval
@@ -389,6 +395,12 @@ SOLVE_CASES = [
     # exact up to the resonance, complex from there: the Cauchy sums mix
     # exact and float factors
     ("y'' - c*y^3", {"c": 2}, False, {Fraction(4): 0.37 - 1.1j}),
+    # the width terms sit on every 4th index; a free value at resonance 1
+    # (index 2) is off that lattice and halves its step
+    ("y'' + omega^2*y - y^-3", {"omega": Fraction(3, 2)}, True,
+     {Fraction(1): QComplex(Fraction(1, 3))}),
+    ("y'' + omega^2*y - y^-3", {"omega": 1.5}, False,
+     {Fraction(1): QComplex(Fraction(1, 3))}),
 ]
 
 
@@ -410,6 +422,67 @@ def test_truncated_solve_matches_untruncated_reference(text, env, exact, free):
                 series = solve_local_series(poly, fam, a, K=K, free=free).series
                 assert series.is_exact == exact
                 assert series == reference_solve(poly, fam, a, K, free)
+
+
+def test_forced_solve_matches_an_every_order_run(ep_poly):
+    # the forced residue i on the width's p = -1 family, against the residual
+    # of the whole partial series read at every order, resonances included
+    fam = next(f for f in find_balances(ep_poly) if f.p == -1)
+    fam = fam.replace(linearization=linearize(ep_poly, fam))
+    a, K = QComplex(0, 1), 24
+    local = solve_local_series(ep_poly, fam, a, K=K, force=True)
+    j0, q_idx = -1, int(fam.q)
+    resonant = {r: r for r in rational_resonances(fam, a)
+                if r > 0 and r.denominator == 1}
+    response = linear_response(fam, a)
+    coeffs = {j0: a}
+    checks = []
+    for rho in range(K + 1):
+        e = substitute(ep_poly, PuiseuxSeries(1, coeffs, math.inf)).coeffs.get(
+            q_idx + rho, 0)
+        if rho == 0 or rho in resonant:
+            checks.append((Fraction(rho), e))
+            continue
+        lam = poly_eval(response, Fraction(rho))
+        assert lam
+        if e:
+            coeffs[j0 + rho] = -(e / lam)
+    assert local.series == PuiseuxSeries(1, coeffs, j0 + K)
+    assert [(c.resonance, c.residual) for c in local.compatibility] == checks
+
+
+def cauchy_orders(monkeypatch, poly, a, K, free=None):
+    """Orders at which the solve sums a product node's Cauchy pairs: a
+    node's relative order is the solve's order, since every node gains one
+    coefficient per order."""
+    orders = set()
+    entry = series_module._Mul._entry
+
+    def spy(node, r):
+        orders.add(r)
+        return entry(node, r)
+
+    monkeypatch.setattr(series_module._Mul, "_entry", spy)
+    fam = next(f for f in find_balances(poly) if f.consistent)
+    solve_local_series(poly, fam, a, K=K, free=free)
+    monkeypatch.undo()
+    return orders
+
+
+def test_cauchy_sums_run_only_on_the_terms_lattice(monkeypatch):
+    # the width terms sit at offsets 0 and 4 from the balance index, so
+    # every other order is an exact zero of every node
+    width = normalize(parse_ode("y'' + omega^2*y - y^-3"),
+                      {"omega": Fraction(3, 2)})
+    a = find_balances(width)[-1].leading_coeffs[0]
+    orders = cauchy_orders(monkeypatch, width, a, 48)
+    assert orders == set(range(0, 49, 4))
+    # a free value at resonance 1 (order 2) brings in every 2nd order
+    free = {Fraction(1): QComplex(Fraction(1, 3))}
+    assert cauchy_orders(monkeypatch, width, a, 48, free) == set(range(0, 49, 2))
+    # both terms of y'' = 2 y^3 sit at the balance index: y = a/tau exactly
+    cubic = normalize(parse_ode("y'' - 2*y^3"), {})
+    assert cauchy_orders(monkeypatch, cubic, QComplex(-1), 12) == {0}
 
 
 def test_synthetic_laurent_solution_requires_nonzero(ep_poly):
