@@ -15,15 +15,17 @@ p = m/n the monomials are compared on integers, by ``D*m - n*W``, and a
 family's leading equation needs only the weight
 ``coeff * prod falling(p, k)**d_k`` of each dominant monomial.
 
-Only a family with a nonzero leading root is linearized, once, by the
-search: ``linearize`` builds the perturbation polynomial of each dominant
-monomial, and the family keeps them in its ``linearization``.  The
-resonances (``rational_resonances``, via ``compute_resonances`` during the
-search) and the solver's linear response (``linear_response``) both read
-that field.  The search also stores the resonances at the family's first
+Every family the search returns is linearized, once, by the search:
+``linearize`` builds the perturbation polynomial of each dominant monomial,
+and the family keeps them in its ``linearization``.  The resonances
+(``rational_resonances``, via ``compute_resonances`` during the search) and
+the solver's linear response (``linear_response``) both read that field,
+for a consistent family and for the forced residue on an inconsistent one
+alike.  The search also stores the resonances at the family's first
 leading root, so ``series.solve_local_series`` at that root reads them; a
 forced residue or another root solves its own resonance polynomial from
-the same linearization.
+the same linearization.  A family's branch order, consistency and
+two-term flag are read off its other fields, not stored.
 
 Roots follow one rule.  Exact coefficients are cleared to primitive
 Gaussian integers with leading coefficient d: divided by their rational
@@ -113,33 +115,40 @@ def monomial_exponent(mono: DiffMonomial, p: Fraction) -> Fraction:
 
 class BalanceFamily(Record):
     """One movable-singularity family: exponent, dominance data, leading
-    coefficients and resonances.  ``branch_order == 1`` is a pole family,
-    larger values mark algebraic branch points."""
+    coefficients, resonances and linearization.  ``branch_order == 1`` is a
+    pole family, larger values mark algebraic branch points."""
 
-    __slots__ = ("p", "branch_order", "q", "dominant", "leading_poly",
-                 "leading_coeffs", "consistent", "resonances", "two_term",
-                 "linearization")
+    __slots__ = ("p", "q", "dominant", "leading_poly", "leading_coeffs",
+                 "resonances", "linearization")
 
-    def __init__(self, p: Fraction, branch_order: int, q: Fraction,
-                 dominant: tuple, leading_poly: tuple, leading_coeffs: tuple,
-                 consistent: bool, resonances: tuple, two_term: bool,
-                 linearization: tuple = ()):
+    def __init__(self, p: Fraction, q: Fraction, dominant: tuple,
+                 leading_poly: tuple, leading_coeffs: tuple,
+                 resonances: tuple, linearization: tuple):
         setfield(self, "p", p)
-        setfield(self, "branch_order", branch_order)
         setfield(self, "q", q)
         setfield(self, "dominant", dominant)
         # coefficients of the leading equation, ascending in a
         setfield(self, "leading_poly", leading_poly)
         setfield(self, "leading_coeffs", leading_coeffs)  # nonzero roots, sorted by (re, im)
-        setfield(self, "consistent", consistent)
         # the resonances at leading_coeffs[0], which the series solve at
         # that root reads instead of solving the polynomial again
         setfield(self, "resonances", resonances)
-        # False when p = -1 is reported with one dominant monomial
-        setfield(self, "two_term", two_term)
-        # ``linearize(poly, self)``, set by the search on consistent families
-        # and read by the resonances at any root and the linear response
+        # ``linearize(poly, p, dominant)``, read by the resonances at any
+        # root and by the linear response
         setfield(self, "linearization", linearization)
+
+    @property
+    def branch_order(self) -> int:
+        return self.p.denominator
+
+    @property
+    def consistent(self) -> bool:
+        return bool(self.leading_coeffs)
+
+    @property
+    def two_term(self) -> bool:
+        """False when p = -1 is reported with one dominant monomial."""
+        return len(self.dominant) >= 2
 
 
 def _fall_poly_in_r(p: Fraction, k: int):
@@ -214,18 +223,19 @@ def _leading_polynomial(poly: DifferentialPolynomial, p: Fraction, dominant):
             for c, size in zip(coeffs, sizes)]
 
 
-def linearize(poly: DifferentialPolynomial, fam: BalanceFamily) -> tuple:
-    """The dominant monomials of ``fam`` linearized about y = a*tau**p.
-    Under y = a*tau**p*(1 + eps*tau**r) the monomial of total degree s gains
-    ``eps * gamma(r) * a**s`` at relative order r; the result holds one pair
-    (s, gamma) per dominant monomial, gamma a tuple scaled by the monomial's
-    coefficient and ascending in r.  The family's leading polynomial holds,
-    at a**s, the sum phi of the same monomials' leading weights."""
+def linearize(poly: DifferentialPolynomial, p: Fraction, dominant) -> tuple:
+    """The dominant monomials (indices ``dominant`` into ``poly``) linearized
+    about y = a*tau**p.  Under y = a*tau**p*(1 + eps*tau**r) the monomial of
+    total degree s gains ``eps * gamma(r) * a**s`` at relative order r; the
+    result holds one pair (s, gamma) per dominant monomial, gamma a tuple
+    scaled by the monomial's coefficient and ascending in r.  The family's
+    leading polynomial holds, at a**s, the sum phi of the same monomials'
+    leading weights."""
     terms = []
-    for idx in fam.dominant:
+    for idx in dominant:
         mono = poly.monomials[idx]
         gamma = tuple([mul_frac(mono.coeff, c)
-                       for c in _perturbation_poly(mono, fam.p)])
+                       for c in _perturbation_poly(mono, p)])
         terms.append((mono.total_degree, gamma))
     return tuple(terms)
 
@@ -554,14 +564,11 @@ def compute_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
     """Resonances of one family at a nonzero leading coefficient a.
 
     -1 must appear (it tracks the free singularity location); its absence
-    signals an inconsistent balance and raises.  A family without a
-    linearization is linearized here.
+    signals an inconsistent balance and raises.
     """
     a = canonical_scalar(a)
     if is_zero(a, 0.0):
         raise ValueError("leading coefficient must be nonzero")
-    if not fam.linearization:
-        fam = fam.replace(linearization=linearize(poly, fam))
     roots = rational_resonances(fam, a)
     if Fraction(-1) not in roots:
         raise InternalInconsistencyError(
@@ -598,23 +605,19 @@ def find_balances(poly: DifferentialPolynomial, n_max: int | None = None):
         dominant = tuple(i for i, e in enumerate(exps) if e == low)
         if p != -1 and len({weights[i][0] for i in dominant}) < 2:
             continue  # one total degree: c(p)*a**D has no nonzero root
-        two_term = len(dominant) >= 2
         lead = _leading_polynomial(poly, p, dominant)
         # a single dominant monomial leaves one term: no nonzero root
-        roots = _nonzero_roots(lead) if two_term else ()
+        roots = _nonzero_roots(lead) if len(dominant) >= 2 else ()
         fam = BalanceFamily(
             p=p,
-            branch_order=n,
             q=Fraction(low, n),
             dominant=dominant,
             leading_poly=tuple(lead),
             leading_coeffs=roots,
-            consistent=bool(roots),
             resonances=(),
-            two_term=two_term,
+            linearization=linearize(poly, p, dominant),
         )
-        if fam.consistent:
-            fam = fam.replace(linearization=linearize(poly, fam))
+        if roots:
             resonances = compute_resonances(poly, fam, roots[0])
             fam = fam.replace(resonances=tuple(resonances))
         families.append(fam)

@@ -353,21 +353,25 @@ def parse_ode(text: str) -> OdeAst:
 # ---------------------------------------------------------------------------
 
 def _format_number(value) -> str:
+    """A real constant as DSL text.  A negative one heads no addend (those
+    are emitted via subtraction), so it is a factor, a base or the whole
+    equation, and it prints in parentheses, as ``(-2)``, which the grammar
+    reads back as the same constant."""
     if isinstance(value, QComplex):
         if value.im != 0:
             raise ValueError("complex constants are not representable in the DSL")
-        if value.re < 0:
-            raise ValueError("negative constants are emitted via subtraction")
-        if value.re.denominator == 1:
-            return str(value.re.numerator)
-        raise ValueError("non-integer exact constants are not representable")
-    if isinstance(value, complex):
+        if value.re.denominator != 1:
+            raise ValueError("non-integer exact constants are not representable")
+        text = str(value.re.numerator)
+        negative = value.re < 0
+    elif isinstance(value, complex):
         if value.imag != 0:
             raise ValueError("complex constants are not representable in the DSL")
-        if value.real < 0:
-            raise ValueError("negative constants are emitted via subtraction")
-        return repr(value.real)
-    raise TypeError(f"unexpected constant type {type(value)!r}")
+        text = repr(value.real)
+        negative = value.real < 0
+    else:
+        raise TypeError(f"unexpected constant type {type(value)!r}")
+    return f"({text})" if negative else text
 
 
 def _is_negative_addend(node) -> bool:

@@ -16,7 +16,13 @@ on CPython 3.11 and ``from .series import ...`` about 1.2.
 Every published claim the pipeline can test appears in the ledger with an
 anchor string, a status in {confirmed, refuted, not-applicable} and the
 numeric evidence that produced the verdict.  Verdicts are always computed,
-never hard-coded.
+never hard-coded: each one depends on the analysed equation, the exact-lab
+parameters or the probe paths.  Two claims of the paper are left out of the
+ledger because no input could change their verdict.  The cot expansion
+magnitudes 1/3, 1/45 and 2/945 are fixed numbers; acceptance criterion 3
+(``tests/test_acceptance.py``) checks them against ``series.cot_laurent``.
+The global exponential-form solution has no derivation to check, and
+nothing tests it.
 """
 
 from __future__ import annotations
@@ -757,21 +763,6 @@ def _period_formula(a: Analysis):
     return _verdict(pf["magnitude_consistent"]), pf
 
 
-def _cot_expansion_magnitudes(a: Analysis):
-    import merosolve.series as series
-
-    cot = series.cot_laurent(7)
-    expected = {
-        1: QComplex(Fraction(1, 3)),
-        3: QComplex(Fraction(1, 45)),
-        5: QComplex(Fraction(2, 945)),
-    }
-    got = {k: -cot.coeffs.get(k, 0) for k in expected}
-    return _verdict(got == expected), {
-        "coefficients": {str(k): complex_json(v) for k, v in sorted(got.items())}
-    }
-
-
 def _no_painleve_property(a: Analysis):
     consistent = [f for f in a.families if f.consistent]
     branching = [f for f in consistent if f.branch_order > 1]
@@ -780,11 +771,6 @@ def _no_painleve_property(a: Analysis):
         "consistent_families": [frac_str(f.p) for f in consistent],
         "branching_families": [frac_str(f.p) for f in branching],
     }
-
-
-def _global_exponential_form(a: Analysis):
-    return "not-applicable", {"note": "no derivation available; recorded as an "
-                                      "untrusted candidate and not implemented"}
 
 
 # each claim id maps to (anchor, check), in ledger order
@@ -803,13 +789,9 @@ ANALYSIS_CHECKS = {
     "exact-cot-solution": (
         "exact solution a_{-1} (pi/T) cot(pi (t - t_0)/T) + h_0", _exact_cot_solution),
     "period-formula": ("T = pi (a_{-1}/45)^(1/4) / a_3^(1/4)", _period_formula),
-    "cot-expansion-magnitudes": (
-        "cot expansion magnitudes 1/3, 1/45, 2/945", _cot_expansion_magnitudes),
     "no-painleve-property": (
         "movable algebraic branching defeats the Painleve property",
         _no_painleve_property),
-    "global-exponential-form": (
-        "global exponential-form closed solution", _global_exponential_form),
 }
 
 EXACTLAB_CHECKS = {

@@ -30,7 +30,6 @@ from .balance import (
     BalanceFamily,
     _horner_rounding,
     linear_response,
-    linearize,
     rational_resonances,
 )
 from .errors import InternalInconsistencyError, TruncationError
@@ -320,12 +319,13 @@ class CompatibilityCheck(Record):
 
 
 class LocalSolution(Record):
-    """A local Puiseux solution attached to its balance family."""
+    """A local Puiseux solution attached to its balance family; ``family``
+    is None for coefficients supplied from outside the solver."""
 
     __slots__ = ("family", "a", "series", "free_parameters", "compatibility",
                  "poly")
 
-    def __init__(self, family: BalanceFamily, a, series: PuiseuxSeries,
+    def __init__(self, family: BalanceFamily | None, a, series: PuiseuxSeries,
                  free_parameters: dict, compatibility: tuple,
                  poly: DifferentialPolynomial):
         setfield(self, "family", family)
@@ -510,6 +510,12 @@ def solve_local_series(
     (used to realize claimed pole expansions on families that have none);
     the violated orders appear as unsatisfied compatibility entries.
 
+    The resonances and the linear response are read from the family's
+    linearization, which ``find_balances`` built for every family, the
+    inconsistent ones that a forced residue solves included.  At the
+    family's first leading root the resonances the search stored are
+    reused; a forced residue or another root solves its own.
+
     The solve is online (relaxed), O(K**2) per family.  Every series that
     ``substitute`` would build from y -- its derivatives, the powers of
     those and the monomial terms -- is a plan node that keeps its
@@ -560,23 +566,18 @@ def solve_local_series(
             "a does not satisfy the leading equation; pass force=True "
             "to inject it anyway"
         )
-    # find_balances linearized every consistent family and stored the
-    # resonances at its first root; the forced residue and any other root
-    # solve their own
-    linearized = fam if fam.linearization else fam.replace(
-        linearization=linearize(poly, fam))
     lead = fam.leading_coeffs[0] if fam.leading_coeffs else None
     if not force and fam.resonances and type(a) is type(lead) and a == lead:
         resonances = fam.resonances
     else:
-        resonances = rational_resonances(linearized, a)
+        resonances = rational_resonances(fam, a)
     resonance_orders = {}
     for r in resonances:
         if r > 0:
             scaled = Fraction(r) * n
             if scaled.denominator == 1:
                 resonance_orders[int(scaled)] = Fraction(r)
-    response = linear_response(linearized, a)
+    response = linear_response(fam, a)
     response_sizes = None if all(map(is_exact, response)) else _moduli(response)
 
     # an exact residual is compared with 0, so the tolerance is computed only
@@ -660,24 +661,14 @@ def synthetic_laurent_solution(
     poly: DifferentialPolynomial, coeffs: dict, trunc: int
 ) -> LocalSolution:
     """Wrap externally supplied Laurent coefficients as a LocalSolution so
-    the closed-form builders can consume claimed or sampled data."""
+    the closed-form builders can consume claimed or sampled data.  No
+    balance family produced them, so ``family`` is None."""
     series = PuiseuxSeries(1, coeffs, trunc)
     if series.is_zero_series:
         raise ValueError("synthetic data must be nonzero")
     v = series.min_index
-    fam = BalanceFamily(
-        p=Fraction(v),
-        branch_order=1,
-        q=Fraction(0),
-        dominant=(),
-        leading_poly=(),
-        leading_coeffs=(),
-        consistent=False,
-        resonances=(),
-        two_term=False,
-    )
     return LocalSolution(
-        family=fam,
+        family=None,
         a=series.coeffs[v],
         series=series,
         free_parameters={},

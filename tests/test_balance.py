@@ -199,12 +199,11 @@ def reference_find_balances(poly, n_max, window):
         lead = reference_leading_polynomial(poly, p, dominant)
         roots = balance._nonzero_roots(lead)
         fam = BalanceFamily(
-            p=p, branch_order=p.denominator, q=q, dominant=dominant,
-            leading_poly=tuple(lead), leading_coeffs=roots,
-            consistent=bool(roots), resonances=(), two_term=two_term,
+            p=p, q=q, dominant=dominant, leading_poly=tuple(lead),
+            leading_coeffs=roots, resonances=(),
+            linearization=linearize(poly, p, dominant),
         )
         if fam.consistent:
-            fam = fam.replace(linearization=linearize(poly, fam))
             resonances = compute_resonances(poly, fam, roots[0])
             fam = fam.replace(resonances=tuple(resonances))
         families.append(fam)
@@ -337,9 +336,8 @@ def test_resonance_rejects_zero_leading_coefficient(ep_poly, ep_branch_family):
 
 def test_degenerate_family_raises(ep_poly):
     fake = BalanceFamily(
-        p=Fraction(-1), branch_order=1, q=Fraction(0), dominant=(),
-        leading_poly=(0,), leading_coeffs=(QComplex(1),), consistent=True,
-        resonances=(), two_term=False,
+        p=Fraction(-1), q=Fraction(0), dominant=(), leading_poly=(0,),
+        leading_coeffs=(QComplex(1),), resonances=(), linearization=(),
     )
     with pytest.raises(DegenerateFamilyError):
         compute_resonances(ep_poly, fake, 1)

@@ -62,6 +62,28 @@ def test_vanishing_pole_leading_polynomial_frees_the_residue(tmp_path):
     assert "zero root" not in claim["evidence"]["note"]
 
 
+@pytest.mark.parametrize("ode", [
+    "y'' - 2*(-y)^3",
+    "y'' + (-5)^-1",
+    "-(y'' - 2*y^3)",
+    "y''*(-2) + y^3",
+])
+def test_negative_constant_in_a_factor_or_base_is_analyzed(tmp_path, ode):
+    # normalized_input prints the constant in parentheses, as (-2)
+    payload = run_json(tmp_path, ["analyze", "--ode", ode])
+    text = payload["ode"]["normalized_input"]
+    assert parse_ode(text) == parse_ode(ode)
+
+
+def test_negated_base_analyzes_as_its_expansion(tmp_path):
+    # -2*(-y)^3 = 2*y^3: everything but the input text agrees
+    negated = run_json(tmp_path, ["analyze", "--ode", "y'' - 2*(-y)^3"], "a.json")
+    expanded = run_json(tmp_path, ["analyze", "--ode", "y'' + 2*y^3"], "b.json")
+    for payload in (negated, expanded):
+        del payload["ode"]["input"], payload["ode"]["normalized_input"]
+    assert negated == expanded
+
+
 def test_analyze_reads_ode_from_file(tmp_path):
     ode_file = tmp_path / "equation.txt"
     ode_file.write_text("y'' - 2*y^3\n", encoding="utf-8")

@@ -27,6 +27,8 @@ CASES = {
     "analyze-kdv": ["analyze", "--ode", "y''' - 12*y*y'"],
     # a branch family of order 5, which no default cap excludes
     "analyze-sextic": ["analyze", "--ode", "y'' - y^6"],
+    # a negative constant inside a base: normalized_input prints it as (-1)
+    "analyze-negated-base": ["analyze", "--ode", "y'' - 2*(-y)^3"],
     # a free value off the width terms' lattice: the solve's step falls
     # from 4 to 2
     "series-width-free": ["series", "--param", "omega=3/2", "--free", "1=1/3",

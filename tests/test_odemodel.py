@@ -89,6 +89,23 @@ def test_unparse_round_trip_on_text():
         assert parse_ode(unparse(ast)) == ast
 
 
+# negative constants that head no addend: a factor after the first, a
+# power's base and a whole negated equation, which unparse prints as (-2)
+NEGATIVE_CONSTANT_INPUTS = (
+    "y'' - 2*(-y)^3",
+    "y'' + (-5)^-1",
+    "-(y'' - 2*y^3)",
+    "y''*(-2) + y^3",
+)
+
+
+@pytest.mark.parametrize("text", NEGATIVE_CONSTANT_INPUTS + (
+    "y''*(-2.5) + y^3", "(-0.5)^2*y'' - y", "-(2.5*y'')"))
+def test_unparse_round_trip_of_negative_constants(text):
+    ast = parse_ode(text)
+    assert parse_ode(unparse(ast)) == ast
+
+
 def _random_ast(rng, depth=0):
     choice = rng.random()
     if depth > 2 or choice < 0.35:
@@ -101,8 +118,16 @@ def _random_ast(rng, depth=0):
     if choice < 0.55:
         return Add(tuple(_random_ast(rng, depth + 1) for _ in range(2)))
     if choice < 0.8:
-        return Mul(tuple(_random_ast(rng, depth + 1) for _ in range(2)))
+        factors = tuple(_random_ast(rng, depth + 1) for _ in range(2))
+        if rng.random() < 0.3:
+            # a negative factor after the first, as y*(-3)
+            factors += (Const(QComplex(-rng.randrange(1, 9))),)
+        return Mul(factors)
     base = _random_ast(rng, depth + 1)
+    if rng.random() < 0.3:
+        # a negative base, as (-3)^k, or a negated one, as (-y)^k
+        base = rng.choice([Const(QComplex(-rng.randrange(1, 9))),
+                           Mul((Const(QComplex(-1)), base))])
     exponent = rng.choice([1, 2, 3])
     return Pow(base, exponent)
 

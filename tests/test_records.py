@@ -1,7 +1,9 @@
 """The records that carry the pipeline's data: the behaviour the
 generated dataclass methods had is kept by the slots classes that replace
 them.  The expected repr strings were printed by the dataclass records;
-the family's ``linearization`` field came later and prints last."""
+the family's ``linearization`` field came later and prints last, and its
+branch order, consistency and two-term flag are now read off the other
+fields, so they no longer print."""
 
 import copy
 import pickle
@@ -36,20 +38,20 @@ MONOMIAL_REPR = (
     "DiffMonomial(coeff=QComplex('3', '-1'), degrees=((0, 2), (1, 1)))"
 )
 FAMILY_REPR = (
-    'BalanceFamily(p=Fraction(-1, 1), branch_order=1, q=Fraction(-3, 1), '
+    'BalanceFamily(p=Fraction(-1, 1), q=Fraction(-3, 1), '
     "dominant=(0, 1), leading_poly=(0, QComplex('2', '0'), 0, "
     "QComplex('-2', '0')), leading_coeffs=(QComplex('-1', '0'), "
-    "QComplex('1', '0')), consistent=True, resonances=(Fraction(-1, 1), "
-    "Fraction(4, 1)), two_term=True, linearization=((3, (QComplex('-6', "
+    "QComplex('1', '0')), resonances=(Fraction(-1, 1), "
+    "Fraction(4, 1)), linearization=((3, (QComplex('-6', "
     "'0'),)), (1, (QComplex('2', '0'), QComplex('-3', '0'), QComplex('1', "
     "'0')))))"
 )
 LOCAL_REPR = (
-    'LocalSolution(family=BalanceFamily(p=Fraction(-1, 1), branch_order=1, '
+    'LocalSolution(family=BalanceFamily(p=Fraction(-1, 1), '
     "q=Fraction(-3, 1), dominant=(0, 1), leading_poly=(0, QComplex('2', "
     "'0'), 0, QComplex('-2', '0')), leading_coeffs=(QComplex('-1', '0'), "
-    "QComplex('1', '0')), consistent=True, resonances=(Fraction(-1, 1), "
-    "Fraction(4, 1)), two_term=True, linearization=((3, (QComplex('-6', "
+    "QComplex('1', '0')), resonances=(Fraction(-1, 1), "
+    "Fraction(4, 1)), linearization=((3, (QComplex('-6', "
     "'0'),)), (1, (QComplex('2', '0'), QComplex('-3', '0'), QComplex('1', "
     "'0'))))), a=QComplex('-1', '0'), "
     'series=PuiseuxSeries((-1)*tau^(-1/1); trunc=3), '

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
@@ -120,25 +122,24 @@ def test_analyze_solves_each_resonance_polynomial_once(monkeypatch, w3_poly,
 
 
 def test_analyze_linearizes_each_family_once(monkeypatch, tmp_path):
-    # the family search linearizes the consistent p = 1/2 family and its
-    # series solve reads that linearization; only the forced p = -1 solve,
-    # on a one-monomial pole family the search left alone, linearizes again
-    from merosolve import balance, series
+    # the family search linearizes every family it returns, the
+    # one-monomial p = -1 pole family of the width equation included; the
+    # series solve and the forced p = -1 solve read those linearizations
+    from merosolve import balance
     from merosolve.cli import main
 
     calls = []
     linearize = balance.linearize
 
-    def counted(poly, fam):
-        calls.append(fam.p)
-        return linearize(poly, fam)
+    def counted(poly, p, dominant):
+        calls.append(p)
+        return linearize(poly, p, dominant)
 
     monkeypatch.setattr(balance, "linearize", counted)
-    monkeypatch.setattr(series, "linearize", counted)
     out = str(tmp_path / "out.json")
     for argv, linearized in (
-        (["analyze"], [Fraction(1, 2), Fraction(-1)]),
-        (["report"], [Fraction(1, 2), Fraction(-1)]),
+        (["analyze"], [Fraction(-1), Fraction(1, 2)]),
+        (["report"], [Fraction(-1), Fraction(1, 2)]),
         # y'' = 2 y^3: the search linearizes the p = -1 family and the
         # series solve and the forced residue solve read it
         (["analyze", "--ode", "y'' - 2*y^3"], [Fraction(-1)]),
@@ -191,7 +192,7 @@ def test_ledger_ids_are_unique_and_anchored():
               + exactlab_claims(exactlab_results())
               + numeric_claims([]))
     ids = [c["id"] for c in claims]
-    assert len(ids) == len(set(ids)) == 15
+    assert len(ids) == len(set(ids)) == 13
     assert all(isinstance(c["anchor"], str) and c["anchor"].strip()
                for c in claims)
 
@@ -282,9 +283,7 @@ def test_analysis_claim_statuses_default(ep_poly):
     assert statuses["imaginary-free-residue"] == "refuted"
     assert statuses["pole-coefficient-recursion"] == "refuted"
     assert statuses["exact-cot-solution"] == "refuted"
-    assert statuses["cot-expansion-magnitudes"] == "confirmed"
     assert statuses["no-painleve-property"] == "confirmed"
-    assert statuses["global-exponential-form"] == "not-applicable"
     jsonschema.validate(payload, REPORT_SCHEMA)
 
 
@@ -515,3 +514,29 @@ def test_to_json_float_subclass_row_renders_the_same_bytes():
 def test_frac_str():
     assert frac_str(Fraction(-1)) == "-1"
     assert frac_str(Fraction(3, 2)) == "3/2"
+
+
+def test_every_claim_verdict_depends_on_the_input():
+    # a check whose (status, evidence) no input of a fixed corpus changes is
+    # a constant, not a computed verdict: every claim id must give at least
+    # two distinct pairs over the golden analyze and verify-exact inputs and
+    # two report runs that differ only in the probes' initial data
+    from merosolve.cli import main
+    from test_golden import CASES
+
+    runs = [argv for argv in CASES.values() if argv[0] == "analyze"]
+    runs += [["verify-exact"]]
+    runs += [argv for argv in CASES.values() if argv[0] == "verify-exact"]
+    runs += [["report", "--ic", "1,0"], ["report", "--ic", "0.5,0"]]
+    seen = {}
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        for claim in json.loads(out.getvalue())["claims"]:
+            seen.setdefault(claim["id"], set()).add(
+                (claim["status"], to_json(claim["evidence"])))
+    ids = [*report.ANALYSIS_CHECKS, *report.EXACTLAB_CHECKS,
+           *report.NUMERIC_CHECKS]
+    assert sorted(seen) == sorted(ids)
+    assert {i: len(seen[i]) for i in ids if len(seen[i]) < 2} == {}
