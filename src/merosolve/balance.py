@@ -67,7 +67,7 @@ from itertools import zip_longest
 
 from .errors import DegenerateFamilyError, InternalInconsistencyError
 from .odemodel import DiffMonomial, DifferentialPolynomial
-from .records import Record, setfield
+from .records import Record
 from .scalars import (
     QComplex,
     _norm,
@@ -118,24 +118,13 @@ class BalanceFamily(Record):
     coefficients, resonances and linearization.  ``branch_order == 1`` is a
     pole family, larger values mark algebraic branch points."""
 
+    # leading_poly: the leading equation's coefficients, ascending in a;
+    # leading_coeffs: its nonzero roots, sorted by (re, im); resonances: those
+    # at leading_coeffs[0], which the series solve at that root reads instead
+    # of solving the polynomial again; linearization: ``linearize(poly, p,
+    # dominant)``, read by the resonances at any root and by the linear response
     __slots__ = ("p", "q", "dominant", "leading_poly", "leading_coeffs",
                  "resonances", "linearization")
-
-    def __init__(self, p: Fraction, q: Fraction, dominant: tuple,
-                 leading_poly: tuple, leading_coeffs: tuple,
-                 resonances: tuple, linearization: tuple):
-        setfield(self, "p", p)
-        setfield(self, "q", q)
-        setfield(self, "dominant", dominant)
-        # coefficients of the leading equation, ascending in a
-        setfield(self, "leading_poly", leading_poly)
-        setfield(self, "leading_coeffs", leading_coeffs)  # nonzero roots, sorted by (re, im)
-        # the resonances at leading_coeffs[0], which the series solve at
-        # that root reads instead of solving the polynomial again
-        setfield(self, "resonances", resonances)
-        # ``linearize(poly, p, dominant)``, read by the resonances at any
-        # root and by the linear response
-        setfield(self, "linearization", linearization)
 
     @property
     def branch_order(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 
 from .errors import EvaluationDomainError
-from .records import Record, setfield
+from .records import Record
 
 
 class LinearOscillation:
@@ -50,13 +50,6 @@ class OscillatorBasis(Record):
 
     __slots__ = ("omega", "u", "v", "wronskian")
 
-    def __init__(self, omega: complex, u: LinearOscillation,
-                 v: LinearOscillation, wronskian: complex):
-        setfield(self, "omega", omega)
-        setfield(self, "u", u)
-        setfield(self, "v", v)
-        setfield(self, "wronskian", wronskian)
-
     def wronskian_at(self, t) -> complex:
         u, du = self.u.jet(t)
         v, dv = self.v.jet(t)
@@ -77,11 +70,6 @@ def oscillator_basis(omega) -> OscillatorBasis:
 
 class QuadFormParams(Record):
     __slots__ = ("A", "B", "C")
-
-    def __init__(self, A: complex, B: complex, C: complex):
-        setfield(self, "A", A)
-        setfield(self, "B", B)
-        setfield(self, "C", C)
 
 
 class PinneyWidth:

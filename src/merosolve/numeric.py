@@ -76,7 +76,7 @@ from typing import NamedTuple
 
 from .errors import ExponentUnresolvedError
 from .exactlab import ermakov_invariant
-from .records import Record, field_repr, setfield
+from .records import Record, field_repr
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 MAX_STEPS = 500_000  # accepted plus rejected steps per integration
@@ -431,24 +431,15 @@ def integrate(
 
 
 class SingularityProbe(Record):
+    # kind: "zero-of-alpha" | "none"
     __slots__ = ("t_star", "kind", "fit_residual")
 
     def __init__(self, t_star: complex, kind: str, fit_residual: float = None):
-        setfield(self, "t_star", t_star)
-        setfield(self, "kind", kind)  # "zero-of-alpha" | "none"
-        setfield(self, "fit_residual", fit_residual)
+        super().__init__(t_star, kind, fit_residual)
 
 
 class ExponentFit(Record):
     __slots__ = ("value", "half_width", "r_squared", "n_samples", "window")
-
-    def __init__(self, value: float, half_width: float, r_squared: float,
-                 n_samples: int, window: tuple):
-        setfield(self, "value", value)
-        setfield(self, "half_width", half_width)
-        setfield(self, "r_squared", r_squared)
-        setfield(self, "n_samples", n_samples)
-        setfield(self, "window", window)
 
 
 def _fsum_complex(terms):

@@ -16,12 +16,13 @@ literals become floats.  Parameter names are ASCII identifiers.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import reduce
 from typing import Union
 
 from .errors import NormalizationError, OdeSyntaxError, UnboundParameterError
-from .records import Record, setfield
+from .records import Record
 from .scalars import QComplex, canonical_scalar, is_exact, is_zero, scalar_pow
 
 MAX_DERIVATIVE_ORDER = 9
@@ -32,46 +33,27 @@ MAX_DERIVATIVE_ORDER = 9
 # ---------------------------------------------------------------------------
 
 class Const(Record):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        setfield(self, "value", value)  # QComplex (exact) or complex
+    __slots__ = ("value",)  # QComplex (exact) or complex
 
 
 class Param(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        setfield(self, "name", name)
-
 
 class Y(Record):
     __slots__ = ("order",)
-
-    def __init__(self, order: int):
-        setfield(self, "order", order)
 
 
 class Add(Record):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
-        setfield(self, "terms", terms)
-
 
 class Mul(Record):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        setfield(self, "factors", factors)
-
 
 class Pow(Record):
     __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent: int):
-        setfield(self, "base", base)
-        setfield(self, "exponent", exponent)
 
 
 OdeAst = Union[Const, Param, Y, Add, Mul, Pow]
@@ -132,13 +114,8 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class _Token(Record):
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind: str, value, line: int, column: int):
-        setfield(self, "kind", kind)  # NUMBER NAME Y OP END
-        setfield(self, "value", value)
-        setfield(self, "line", line)
-        setfield(self, "column", column)
+    # kind: NUMBER NAME Y OP END; text: the source text, which errors quote
+    __slots__ = ("kind", "value", "text", "line", "column")
 
 
 def _tokenize(text: str):
@@ -157,7 +134,7 @@ def _tokenize(text: str):
             i += 1
             continue
         if ch in "+-*^()":
-            tokens.append(_Token("OP", ch, line, col))
+            tokens.append(_Token("OP", ch, ch, line, col))
             i += 1
             col += 1
             continue
@@ -168,7 +145,7 @@ def _tokenize(text: str):
                 value = QComplex(int(literal))
             else:
                 value = complex(float(literal))
-            tokens.append(_Token("NUMBER", value, line, col))
+            tokens.append(_Token("NUMBER", value, literal, line, col))
             col += len(literal)
             i = m.end()
             continue
@@ -187,16 +164,16 @@ def _tokenize(text: str):
                         line,
                         col,
                     )
-                tokens.append(_Token("Y", order, line, col))
+                tokens.append(_Token("Y", order, text[i:j], line, col))
                 col += j - i
                 i = j
             else:
-                tokens.append(_Token("NAME", name, line, col))
+                tokens.append(_Token("NAME", name, name, line, col))
                 col += len(name)
                 i = m.end()
             continue
         raise OdeSyntaxError(f"unknown token {ch!r}", line, col)
-    tokens.append(_Token("END", None, line, col))
+    tokens.append(_Token("END", None, "", line, col))
     return tokens
 
 
@@ -240,7 +217,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "END":
             raise OdeSyntaxError(
-                f"unexpected trailing input {tok.value!r}", tok.line, tok.column
+                f"unexpected trailing input {tok.text!r}", tok.line, tok.column
             )
         return node
 
@@ -334,7 +311,7 @@ class _Parser:
             self.expect_op(")")
             return node
         raise OdeSyntaxError(
-            f"unexpected token {tok.value!r}" if tok.kind != "END" else "unexpected end of input",
+            f"unexpected token {tok.text!r}" if tok.kind != "END" else "unexpected end of input",
             tok.line,
             tok.column,
         )
@@ -368,7 +345,7 @@ def _format_number(value) -> str:
         if value.imag != 0:
             raise ValueError("complex constants are not representable in the DSL")
         text = repr(value.real)
-        negative = value.real < 0
+        negative = math.copysign(1.0, value.real) < 0
     else:
         raise TypeError(f"unexpected constant type {type(value)!r}")
     return f"({text})" if negative else text
@@ -378,7 +355,7 @@ def _is_negative_addend(node) -> bool:
     def neg_const(value):
         if isinstance(value, QComplex):
             return value.im == 0 and value.re < 0
-        return value.imag == 0 and value.real < 0
+        return value.imag == 0 and math.copysign(1.0, value.real) < 0
 
     if isinstance(node, Const):
         return neg_const(node.value)
@@ -434,11 +411,7 @@ def unparse(ast) -> str:
 class DiffMonomial(Record):
     """One monomial ``coeff * prod_k (y^(k))^d_k`` with d_k > 0."""
 
-    __slots__ = ("coeff", "degrees")
-
-    def __init__(self, coeff, degrees: tuple):
-        setfield(self, "coeff", coeff)
-        setfield(self, "degrees", degrees)  # sorted ((k, d_k), ...)
+    __slots__ = ("coeff", "degrees")  # degrees: sorted ((k, d_k), ...)
 
     @classmethod
     def from_map(cls, coeff, degree_map):
@@ -487,8 +460,7 @@ class DifferentialPolynomial(Record):
         signatures = [m.degrees for m in monomials]
         if len(set(signatures)) != len(signatures):
             raise ValueError("duplicate monomial signatures")
-        setfield(self, "monomials", monomials)
-        setfield(self, "clearing_multiplier", clearing_multiplier)
+        super().__init__(monomials, clearing_multiplier)
 
     @property
     def max_order(self) -> int:
@@ -560,13 +532,13 @@ def _expand(ast, env):
             return reduce(_raw_product, [base] * e, [(QComplex(1), {})])
         # negative exponent: only a single monomial can be inverted
         merged = _merge_raw(base)
+        if not merged:
+            raise NormalizationError("negative power of a zero subexpression")
         if len(merged) != 1:
             raise NormalizationError(
                 "negative power applies to a non-monomial subexpression"
             )
         (signature, coeff), = merged.items()
-        if is_zero(coeff):
-            raise NormalizationError("negative power of a zero subexpression")
         inv_coeff = scalar_pow(coeff, e)
         return [(inv_coeff, {k: e * d for k, d in signature})]
     raise TypeError(f"not an AST node: {ast!r}")
@@ -637,11 +609,6 @@ def normalize(ast, env) -> DifferentialPolynomial:
 
 class TopDegreeReport(Record):
     __slots__ = ("holds", "top_degree", "top_monomials")
-
-    def __init__(self, holds: bool, top_degree: int, top_monomials: tuple):
-        setfield(self, "holds", holds)
-        setfield(self, "top_degree", top_degree)
-        setfield(self, "top_monomials", top_monomials)
 
 
 def unique_highest_degree_term(poly: DifferentialPolynomial) -> TopDegreeReport:

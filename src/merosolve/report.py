@@ -53,7 +53,7 @@ from .numeric import (
     integrate,
     invariant_drift,
 )
-from .records import Record, setfield
+from .records import Record
 from .scalars import QComplex, is_exact, is_zero, mul_frac, to_complex
 
 SCHEMA_VERSION = 1
@@ -289,12 +289,6 @@ class ClaimedPole(Record):
     could be built, and the period-formula values (None without one)."""
 
     __slots__ = ("candidate", "error", "period_formula")
-
-    def __init__(self, candidate: dict | None, error: str | None,
-                 period_formula: dict | None):
-        setfield(self, "candidate", candidate)
-        setfield(self, "error", error)
-        setfield(self, "period_formula", period_formula)
 
 
 # ---------------------------------------------------------------------------

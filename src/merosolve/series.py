@@ -34,7 +34,7 @@ from .balance import (
 )
 from .errors import InternalInconsistencyError, TruncationError
 from .odemodel import DifferentialPolynomial
-from .records import Record, setfield
+from .records import Record
 from .scalars import (
     QComplex,
     canonical_scalar,
@@ -312,11 +312,6 @@ class CompatibilityCheck(Record):
 
     __slots__ = ("resonance", "satisfied", "residual")
 
-    def __init__(self, resonance: Fraction, satisfied: bool, residual):
-        setfield(self, "resonance", resonance)
-        setfield(self, "satisfied", satisfied)
-        setfield(self, "residual", residual)
-
 
 class LocalSolution(Record):
     """A local Puiseux solution attached to its balance family; ``family``
@@ -324,16 +319,6 @@ class LocalSolution(Record):
 
     __slots__ = ("family", "a", "series", "free_parameters", "compatibility",
                  "poly")
-
-    def __init__(self, family: BalanceFamily | None, a, series: PuiseuxSeries,
-                 free_parameters: dict, compatibility: tuple,
-                 poly: DifferentialPolynomial):
-        setfield(self, "family", family)
-        setfield(self, "a", a)
-        setfield(self, "series", series)
-        setfield(self, "free_parameters", free_parameters)
-        setfield(self, "compatibility", compatibility)
-        setfield(self, "poly", poly)
 
 
 def _moduli(coeffs) -> list:

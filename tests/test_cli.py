@@ -375,6 +375,42 @@ def test_bad_ode_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--ode", "(y + 1"], "expected ')' (line 1, column 7)"),
+    (["analyze", "--ode", "y^y"], "expected integer exponent (line 1, column 3)"),
+    (["analyze", "--ode", "y^1.5"],
+     "exponent must be an integer (line 1, column 3)"),
+    (["analyze", "--ode", "y'' y"],
+     "unexpected trailing input 'y' (line 1, column 5)"),
+    (["analyze", "--ode", "y'' 2"],
+     "unexpected trailing input '2' (line 1, column 5)"),
+    (["analyze", "--ode", "(y + 1)^-1"],
+     "negative power applies to a non-monomial subexpression"),
+    (["analyze", "--ode", "(y - y)^-1 + y"],
+     "negative power of a zero subexpression"),
+    (["probe", "--ic", "1"], "--ic needs VALUE,SLOPE, got '1'"),
+    (["report", "--ic", "1,2,3"], "--ic needs VALUE,SLOPE, got '1,2,3'"),
+])
+def test_input_error_message_names_what_was_written(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_syntax_error_in_an_ode_file_names_its_line(tmp_path, capsys):
+    path = tmp_path / "ode.txt"
+    path.write_text("y''\n  - 2*y^3 + )", encoding="utf-8")
+    assert main(["analyze", "--ode", f"@{path}"]) == 2
+    assert capsys.readouterr().err == \
+        "error: unexpected token ')' (line 2, column 13)\n"
+
+
+def test_non_integer_order_exits_2(capsys):
+    assert main(["analyze", "--order", "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == \
+        "merosolve analyze: error: argument --order: invalid int value: 'x'"
+
+
 def test_unbound_parameter_exits_2(capsys):
     assert main(["analyze", "--ode", "y'' + omega^2*y"]) == 2
 
@@ -727,3 +763,32 @@ def test_every_subcommand_default_case_is_fast(tmp_path):
         start = time.monotonic()
         assert main(args + ["--out", str(out)]) == 0
         assert time.monotonic() - start < 5.0, args[0]
+
+
+# ---------------------------------------------------------------------------
+# open exit-3 inputs: each is a known defect, pinned so that its fix flips
+# the strict xfail
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a 1e-300 coefficient can still reach exit 3: the p = -3 family has "
+    "a = 9.6e-299, linear_response underflows to zero, and the first "
+    "non-resonant order reports a singular linear step"))
+def test_tiny_coefficient_on_a_high_derivative_never_exits_3(tmp_path):
+    argv = ["closed-form", "--ode",
+            "y'' + k0*y''^3*y''^2 + k1*y'*y''^3*y^2 + k2*y^2",
+            "--param", "k0=1e-300", "--param", "k1=0.5", "--param", "k2=0.3",
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv) in (0, 2)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the perfect square (y'' - c*y^3)^2 has double leading roots, where the "
+    "float linear response is rounding noise: c = 3 reports 'resonance -1 "
+    "missing' while c = 2 reports a degenerate family"))
+def test_perfect_square_fails_alike_for_every_coefficient(capsys):
+    outcomes = []
+    for c in (2, 3):
+        code = main(["analyze", "--ode", f"(y'' - {c}*y^3)^2"])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]

@@ -100,10 +100,23 @@ NEGATIVE_CONSTANT_INPUTS = (
 
 
 @pytest.mark.parametrize("text", NEGATIVE_CONSTANT_INPUTS + (
-    "y''*(-2.5) + y^3", "(-0.5)^2*y'' - y", "-(2.5*y'')"))
+    "y''*(-2.5) + y^3", "(-0.5)^2*y'' - y", "-(2.5*y'')",
+    # -0.0 is negative by its sign bit, though not less than zero
+    "y'' - 0.0 + y^3", "y'' - 0.0*y + y^3", "y''*(-0.0) + y^3",
+    "y'' + (-0.0)^3*y + y^3"))
 def test_unparse_round_trip_of_negative_constants(text):
     ast = parse_ode(text)
     assert parse_ode(unparse(ast)) == ast
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("y'' - 0.0 + y^3", "y'' - 0.0 + y^3"),
+    ("y'' - 0.0*y + y^3", "y'' - 0.0*y + y^3"),
+    ("y''*(-0.0) + y^3", "y''*(-0.0) + y^3"),
+    ("y'' + (-0.0)^3*y + y^3", "y'' + (-0.0)^3*y + y^3"),
+])
+def test_negative_zero_prints_its_sign(text, printed):
+    assert unparse(parse_ode(text)) == printed
 
 
 def _random_ast(rng, depth=0):

@@ -167,3 +167,46 @@ def test_records_copy_and_pickle(w3):
         assert copy.copy(record) == record
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+def _record_classes():
+    # importing each layer registers its records
+    from merosolve import exactlab, numeric, report, series  # noqa: F401
+    from merosolve.records import Record
+
+    found, todo = [], [Record]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return found[1:]
+
+
+def test_only_checking_or_defaulting_records_write_an_init():
+    classes = _record_classes()
+    assert {"BalanceFamily", "ClaimedPole", "QuadFormParams"} <= \
+        {cls.__name__ for cls in classes}
+    own_init = sorted(cls.__name__ for cls in classes if "__init__" in vars(cls))
+    assert own_init == ["DifferentialPolynomial", "SingularityProbe"]
+
+
+def test_the_base_builds_a_record_from_its_slots():
+    assert Pow(Y(0), 3) == Pow(Y(0), exponent=3) == Pow(exponent=3, base=Y(0))
+    probe = SingularityProbe(1j, "none")
+    assert probe.fit_residual is None
+    assert SingularityProbe(t_star=1j, kind="none", fit_residual=0.5) == \
+        probe.replace(fit_residual=0.5)
+    assert DifferentialPolynomial(monomials=(DiffMonomial(1, ((0, 3),)),)) \
+        .clearing_multiplier == 0
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((Y(0),), {}, "Pow() is missing field 'exponent'"),
+    ((Y(0), 3), {"base": Y(1)}, "Pow() got field 'base' twice"),
+    ((Y(0), 3, 4), {}, "Pow() takes 2 fields, got 3"),
+    ((Y(0),), {"power": 3}, "Pow() has no field 'power'"),
+], ids=["missing", "repeated", "extra", "unknown"])
+def test_the_base_names_a_bad_field(args, kwargs, message):
+    with pytest.raises(TypeError) as err:
+        Pow(*args, **kwargs)
+    assert str(err.value) == message
