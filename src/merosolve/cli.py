@@ -113,7 +113,7 @@ def _build_parser():
     p = sub.add_parser("probe", help="locate a singular time and fit the "
                                      "local exponent")
     p.add_argument("--omega", default="1")
-    p.add_argument("--ic", default="1,0", metavar="VALUE,SLOPE")
+    p.add_argument("--ic", default="0.5,0", metavar="VALUE,SLOPE")
     p.add_argument("--path", default="0:0.999i", metavar="A:B[:C...]")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_output_options(p)

@@ -3,18 +3,24 @@
 
 Provides the classical linear-oscillator basis, quadratic-form (Pinney)
 superposition solutions, the superposition built directly from initial
-conditions, the coupled-oscillator invariant, the third-order
-maximal-symmetry check for ``alpha**2``, and the complex Riccati reduction
-residual.  Every derivative is analytic: a time point evaluates each basis
-solution once, as a (value, slope) jet, and the higher derivatives follow
-from ``eta'' = -omega**2 eta``.  The lab's grid reads one form jet per point
+conditions and the zero of that width nearest t = 0 (``pinney_zero``), the
+coupled-oscillator invariant, the third-order maximal-symmetry check for
+``alpha**2``, and the complex Riccati reduction residual.  Every derivative
+is analytic: a time point evaluates each basis solution once, as a (value,
+slope) jet, and the higher derivatives follow from
+``eta'' = -omega**2 eta``.  The lab's grid reads one form jet per point
 of each width: ``PinneyWidth.residuals`` takes the width-equation,
-third-order and Riccati residuals from it together.
+third-order and Riccati residuals from it together.  A width called for
+its value alone (``PinneyWidth.__call__``, as the comparison with a
+trajectory does at each of its points) builds only F = alpha**2 from the
+two basis values, by the expression the form jet uses, so it returns the
+same value, and raises the same domain error, with no derivative work.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 from .errors import EvaluationDomainError
 from .records import Record
@@ -84,6 +90,11 @@ class PinneyWidth:
         self.params = params
         self.basis = basis
 
+    def _form(self, u, v):
+        """F = A u**2 + 2 B u v + C v**2 from the basis values at a point."""
+        A, B, C = self.params.A, self.params.B, self.params.C
+        return A * u ** 2 + 2 * B * u * v + C * v ** 2
+
     def form_jet(self, t):
         """(F, F', F'', F''') of the form F = alpha**2 at t, from one jet
         of each basis solution."""
@@ -93,7 +104,7 @@ class PinneyWidth:
         neg_w2 = -self.basis.omega ** 2
         ddu, dddu = neg_w2 * u, neg_w2 * du
         ddv, dddv = neg_w2 * v, neg_w2 * dv
-        F = A * u ** 2 + 2 * B * u * v + C * v ** 2
+        F = self._form(u, v)
         dF = 2 * A * u * du + 2 * B * (du * v + u * dv) + 2 * C * v * dv
         ddF = (
             2 * A * (du ** 2 + u * ddu)
@@ -126,22 +137,32 @@ class PinneyWidth:
     def _jet(self, t: complex):
         """(alpha, alpha', alpha'', F', F''') at t from one form jet."""
         F, dF, ddF, dddF = self.form_jet(t)
-        if t.imag == 0 and F.imag == 0 and F.real <= 0:
-            raise EvaluationDomainError(
-                f"quadratic form vanishes or turns negative at t = {t}", point=t
-            )
-        alpha = cmath.sqrt(F)
+        alpha = _root(F, t)
         return (alpha, dF / (2 * alpha),
                 ddF / (2 * alpha) - dF ** 2 / (4 * alpha ** 3), dF, dddF)
 
     def __call__(self, t) -> complex:
-        return self._jet(complex(t))[0]
+        """alpha at t from the values of the basis solutions alone, with
+        the F of :meth:`form_jet`: the value :meth:`derivatives` gives, and
+        the same domain error."""
+        t = complex(t)
+        return _root(self._form(self.basis.u(t), self.basis.v(t)), t)
 
     def d1(self, t) -> complex:
         return self._jet(complex(t))[1]
 
     def d2(self, t) -> complex:
         return self._jet(complex(t))[2]
+
+
+def _root(F, t: complex) -> complex:
+    """alpha = sqrt(F) at t; at a real t where the form F is not positive
+    this raises, naming the point."""
+    if t.imag == 0 and F.imag == 0 and F.real <= 0:
+        raise EvaluationDomainError(
+            f"quadratic form vanishes or turns negative at t = {t}", point=t
+        )
+    return cmath.sqrt(F)
 
 
 def pinney_solution(params: QuadFormParams, basis: OscillatorBasis) -> PinneyWidth:
@@ -199,6 +220,26 @@ def width_from_ics(alpha0, dalpha0, basis: OscillatorBasis):
     except EvaluationDomainError:
         mismatch = True
     return width, mismatch
+
+
+def pinney_zero(alpha0: float, dalpha0: float, omega: float) -> complex:
+    """The zero of the width pinned by real initial data (alpha0, dalpha0)
+    at a real omega != 0 that lies nearest t = 0.
+
+    alpha**2 is the form of :func:`width_from_ics`, A cos**2 wt +
+    2 B cos wt sin wt / w + C sin**2 wt / w**2 with B = alpha0 dalpha0 and
+    C = dalpha0**2 + alpha0**-2.  Since A C - B**2 = 1 it vanishes where
+    tan wt = w (-B +- i) / C; the nearest zero is one of the principal
+    arctangents or a half-period beside it.  At a zero the width has a
+    square-root branch point, the oracle for a complex-time probe.
+    """
+    b = alpha0 * dalpha0
+    c = dalpha0 ** 2 + alpha0 ** -2
+    zeros = []
+    for sign in (1, -1):
+        base = cmath.atan(omega * complex(-b, sign) / c) / omega
+        zeros += [base + k * math.pi / omega for k in (-1, 0, 1)]
+    return min(zeros, key=abs)
 
 
 def ermakov_invariant(eta, deta, alpha, dalpha):

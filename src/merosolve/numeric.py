@@ -63,6 +63,17 @@ trajectories are bit-identical to it
   when a later one compares strictly greater (``max``) or strictly less
   (``min``), so ties resolve to the same float.
 
+The coefficients that multiply stage values are held as complex constants
+``complex(x, 0.0)``.  On CPython 3.10 to 3.13 a product ``float * complex``
+first fails in ``float.__mul__``; the complex type then promotes the float
+to exactly ``complex(x, 0.0)`` and multiplies as ``complex * complex`` does.
+A complex constant skips that dispatch and gives the same bits, signed
+zeros included.  Nearby rewrites that look alike are not bit-identical, so
+the step does not make them: ``1 / (u * (u * u))`` for ``u ** -3`` in
+``accel`` flips signed zeros and turns the ``OverflowError`` at tiny u
+(an ``underflow`` halt) into a silent inf (an ``overflow`` halt), and the
+operand order of ``h_try * d`` and of every stage sum is kept.
+
 Accepted points are built with ``tuple.__new__``, which skips the
 Python-level ``__new__`` of the ``TrajectoryPoint`` named tuple.
 """
@@ -111,20 +122,23 @@ def _times_a(w):
     )
 
 
-def _floats(row):
-    return tuple(map(float, row))
+def _complexes(row):
+    """The correctly rounded floats of ``row`` as complex constants with
+    imaginary part +0.0 (see the module docstring)."""
+    return tuple(complex(float(x)) for x in row)
 
 
-# the Nystrom coefficients as floats: the nodes c_1..c_5 (row sums of A),
-# the rows of abar = A*A for stages 2 to 5 (stage 1's is empty), bA, b and
-# eA.  e is the difference of the rounded weight rows; each subtraction is
-# exact (Sterbenz: every pair lies within a factor of two)
-_NY_C = _floats(sum(row) for row in _DP_A[:5])
-_NY_ABAR = tuple(_floats(_times_a(row)) for row in _DP_A[1:5])
-_NY_BA = _floats(_times_a(_DP_B))
-_NY_B = _floats(_DP_B)
-_NY_EA = _floats(_times_a(_DP_E))
-_NY_E = tuple(float(b) - float(b4) for b, b4 in zip(_DP_B + (0,), _DP_B4))
+# the Nystrom coefficients: the nodes c_1..c_5 (row sums of A), the rows of
+# abar = A*A for stages 2 to 5 (stage 1's is empty), bA, b and eA.  e is
+# the difference of the rounded weight rows; each subtraction is exact
+# (Sterbenz: every pair lies within a factor of two)
+_NY_C = _complexes(sum(row) for row in _DP_A[:5])
+_NY_ABAR = tuple(_complexes(_times_a(row)) for row in _DP_A[1:5])
+_NY_BA = _complexes(_times_a(_DP_B))
+_NY_B = _complexes(_DP_B)
+_NY_EA = _complexes(_times_a(_DP_E))
+_NY_E = _complexes(float(b) - float(b4)
+                   for b, b4 in zip(_DP_B + (0,), _DP_B4))
 
 _HALT_REASONS = {
     "budget": "step budget exhausted",

@@ -295,6 +295,18 @@ def test_probe_command(tmp_path):
     assert payload["samples"] == stats["accepted"] + 1
 
 
+def test_probe_default_locates_a_zero(tmp_path):
+    # the default probes omega = 1 with ic (1/2, 0), whose width has zeros
+    # at +-i atanh(1/4), not the equilibrium alpha = 1 of ic (1, 0)
+    payload = run_json(tmp_path, ["probe"])
+    assert payload["omega"] == [1, 0]
+    assert payload["kind"] == "zero-of-alpha"
+    t_star = complex(*payload["t_star"])
+    assert abs(t_star - 1j * math.atanh(0.25)) < 1e-8
+    assert abs(payload["exponent"]["value"] - 0.5) < 1e-4
+    assert payload["halt_reason"].startswith("approaching the singular")
+
+
 def test_integrate_overflow_halts_on_finite_points(tmp_path):
     # |value| grows like exp(1000 t) and overflows near t = 0.355; the
     # non-finite states there are rejected until the step underflows, and

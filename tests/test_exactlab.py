@@ -13,6 +13,7 @@ from merosolve.exactlab import (
     ermakov_invariant,
     oscillator_basis,
     pinney_solution,
+    pinney_zero,
     riccati_residual,
     width_from_ics,
 )
@@ -166,12 +167,73 @@ def test_exactlab_reads_one_jet_per_point(monkeypatch):
 
     monkeypatch.setattr(exactlab, "cmath", types.SimpleNamespace(
         cos=counted("cos"), sin=counted("sin"), sqrt=cmath.sqrt))
+    form_jet = exactlab.PinneyWidth.form_jet
+    call = exactlab.PinneyWidth.__call__
+    jets = {"all": 0, "in_value_calls": 0, "value_calls": 0}
+
+    def counted_form_jet(self, t):
+        jets["all"] += 1
+        return form_jet(self, t)
+
+    def counted_call(self, t):
+        before = jets["all"]
+        try:
+            return call(self, t)
+        finally:
+            jets["value_calls"] += 1
+            jets["in_value_calls"] += jets["all"] - before
+
+    monkeypatch.setattr(exactlab.PinneyWidth, "form_jet", counted_form_jet)
+    monkeypatch.setattr(exactlab.PinneyWidth, "__call__", counted_call)
     exactlab_results(omega=1)
-    # 910 cos calls: one form jet (two oscillator jets) per grid point of
-    # 101 for each of the two widths, the rest for the trajectory comparison
-    # and the basis check.  A lab that evaluates the Pinney width once per
-    # identity made 1,314, the per-derivative evaluation 13,148
+    # one form jet per grid point of 101 for each of the two widths, one
+    # for the trajectory's initial slope and one for the initial-data
+    # check of width_from_ics; the comparison with the trajectory reads
+    # the width's value alone at each of its points and builds no jet
+    assert jets["all"] == 2 * 101 + 2
+    assert jets["value_calls"] > 200 and jets["in_value_calls"] == 0
+    # 910 cos calls: two oscillator jets per form jet, the rest for the
+    # trajectory comparison and the basis check.  A lab that evaluates the
+    # Pinney width once per identity made 1,314, the per-derivative
+    # evaluation 13,148
     assert 0 < calls["cos"] == calls["sin"] <= 920
+
+
+def _same_outcome(f, g):
+    """f() and g() return values with the same repr, or raise the same
+    domain error naming the same point."""
+    try:
+        want = repr(f())
+    except EvaluationDomainError as err:
+        with pytest.raises(EvaluationDomainError) as got:
+            g()
+        assert str(got.value) == str(err) and repr(got.value.point) == repr(
+            err.point)
+        return False
+    assert repr(g()) == want
+    return True
+
+
+@pytest.mark.parametrize("omega, params", [
+    (1.0, (2, 1, 1)),
+    (1.5, (2, 1, 1)),
+    (0.0, (1, 0, 1)),
+    (1.0 + 0.3j, (2, 1j, 1 - 0.5j)),
+    (0.7j, (1.5, -0.2, 0.9)),
+    # 1 - t^2 turns negative inside the grid
+    (0.0, (1, 0, -1)),
+])
+def test_width_value_is_the_jet_value(omega, params):
+    width = pinney_solution(QuadFormParams(*map(complex, params)),
+                            oscillator_basis(omega))
+    points = list(GRID) + [0.3 + 0.4j, -1.2 + 2j, 2.5j, -0.0, 3 - 0j]
+    results = [
+        _same_outcome(lambda: width._jet(complex(t))[0], lambda: width(t))
+        for t in points
+    ]
+    assert any(results)
+    if params == (1, 0, -1):
+        assert not all(results)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +269,27 @@ def test_pinney_domain_error_names_the_point():
     with pytest.raises(EvaluationDomainError) as err:
         width(2.0)
     assert err.value.point == complex(2.0)
+
+
+@pytest.mark.parametrize("a0, da0, omega", [
+    (2.0, 0.0, 1.0), (0.5, 0.0, 1.0), (1.3, -0.6, 0.7), (0.9, 0.8, 1.6),
+    (2.4, 0.3, 0.6),
+])
+def test_pinney_zero_is_the_nearest_zero_of_the_form(a0, da0, omega):
+    basis = oscillator_basis(omega)
+    width, _ = width_from_ics(a0, da0, basis)
+    t_star = pinney_zero(a0, da0, omega)
+    assert abs(width.form_jet(t_star)[0]) < 1e-12
+    # the zeros of the form repeat with period pi / omega, on two lines
+    # mirrored in the real axis; none lies nearer t = 0
+    for z in (t_star, t_star.conjugate()):
+        for k in (-2, -1, 0, 1, 2):
+            assert abs(z + k * math.pi / omega) >= abs(t_star) - 1e-15
+    if da0 == 0 and omega * a0 * a0 < 1:
+        # tan wt = +-i w alpha0**2 with w alpha0**2 < 1: the zero lies on
+        # the imaginary axis
+        assert abs(t_star.real) < 1e-15
+        assert abs(abs(t_star.imag) - math.atanh(omega * a0 * a0) / omega) < 1e-15
 
 
 def test_pinney_constraint_property():

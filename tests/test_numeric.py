@@ -482,6 +482,15 @@ _REFERENCE_CASES = {
     "nan-error-estimate": (
         EpWidthOde(1000j), (2.0, 0.0), [0, 1], 1e-8, None, False,
     ),
+    # a real path in the negative direction, d = -1 + 0j, with a negative
+    # zero slope: the signed zeros of every point are pinned by repr
+    "negative-real-direction": (
+        EpWidthOde(1.0), (2.0, -0.0), [0, -3], 1e-10, None, False,
+    ),
+    # real data on an imaginary path toward the zero at i atanh(4/9)
+    "imaginary-path-from-real-data": (
+        EpWidthOde(1.0), (1.5, 0.0), [0, 0.9j], 1e-10, None, False,
+    ),
 }
 
 
@@ -558,7 +567,21 @@ def test_nystrom_coefficients():
     # each pair of weights lies within a factor of two (Sterbenz)
     assert numeric._NY_E == _NY_E
     for e, b5, b4 in zip(numeric._NY_E, _REF_B5, _REF_B4):
-        assert _Q(e) == _Q(float(b5)) - _Q(float(b4))
+        assert _Q(e.real) == _Q(float(b5)) - _Q(float(b4))
+    # the step multiplies by complex constants: each is its float with
+    # imaginary part +0.0, the value CPython promotes a float factor to
+    rows = {
+        "c": (numeric._NY_C, _NY_C[1:6]),
+        "bA": (numeric._NY_BA, _NY_BA), "b": (numeric._NY_B, _NY_B),
+        "eA": (numeric._NY_EA, _NY_EA), "e": (numeric._NY_E, _NY_E),
+    }
+    for j, row in enumerate(numeric._NY_ABAR, start=2):
+        rows[f"abar_{j}"] = (row, _NY_ABAR[j])
+    for name, (got, floats) in rows.items():
+        for z, x in zip(got, floats):
+            assert type(z) is complex, name
+            assert z.real == x and repr(z.real) == repr(x), name
+            assert z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0, name
 
 
 def test_tableau_is_first_same_as_last():

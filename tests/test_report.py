@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import jsonschema
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from merosolve import report
 from merosolve.errors import ExponentUnresolvedError
+from merosolve.exactlab import pinney_zero
 from merosolve.report import (
     REPORT_SCHEMA,
     Analysis,
@@ -243,6 +245,26 @@ def test_probe_payload_does_not_swallow_programming_errors(monkeypatch):
     monkeypatch.setattr(report, "fit_local_exponent", fit)
     with pytest.raises(TypeError):
         report.probe_payload(0, (1, 0), [0, 0.999j])
+
+
+def _probe_points(seed, count):
+    """Seeded initial data (alpha0, alpha0', omega) drawn from the boxes
+    the probe benchmark draws from."""
+    rng = random.Random(seed)
+    box = ((0.8, 2.5), (-0.8, 0.8), (0.6, 1.6))
+    return [tuple(round(rng.uniform(lo, hi), 6) for lo, hi in box)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("a0, da0, omega", _probe_points(30, 6))
+def test_probe_payload_reaches_the_closed_form_zero(a0, da0, omega):
+    # a probe aimed at the closed-form zero of the width locates it and
+    # fits the square-root exponent there
+    t_star = pinney_zero(a0, da0, omega)
+    payload = report.probe_payload(omega, (a0, da0), [0, t_star], tol=1e-10)
+    assert payload["kind"] == "zero-of-alpha"
+    assert abs(complex(*payload["t_star"]) - t_star) <= 1e-8
+    assert abs(payload["exponent"]["value"] - 0.5) <= 1e-4
 
 
 def invariant_status(results):
