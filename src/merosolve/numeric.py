@@ -11,9 +11,9 @@ steps shrink in proportion to the distance left, so the approach reaches the
 10*sqrt(tol) guard in a few hundred steps.
 
 Both equations are autonomous and second order, u'' = accel(u), so the state
-is the pair (value, slope) and an ODE class supplies only ``accel``.  A step
-of arc length h along a segment with unit direction d is a step of the
-complex size H = h * d in t.
+is the pair (value, slope) and an ODE class supplies ``accel`` and its real
+form ``accel_real`` (below).  A step of arc length h along a segment with
+unit direction d is a step of the complex size H = h * d in t.
 
 The step is the Nystrom form of the Dormand-Prince method for u'' = f(u)
 (Hairer, Norsett & Wanner I, section II.14): the same tableau, with the
@@ -74,6 +74,31 @@ the step does not make them: ``1 / (u * (u * u))`` for ``u ** -3`` in
 (an ``underflow`` halt) into a silent inf (an ``overflow`` halt), and the
 operand order of ``h_try * d`` and of every stage sum is kept.
 
+A problem on the real line steps in float arithmetic, with the same
+unrolled step.  ``integrate`` picks the float kernel once per call when the
+ODE has an ``accel_real`` (-omega**2 is real), every waypoint has imaginary
+part 0 (either sign) and both initial values have imaginary part +0.0 (a
+-0.0 there can last into the complex kernel's points).  The kernel then
+multiplies by the float constants, holds value and slope as floats, steps
+along d.real and calls ``accel_real``; everything else, every probe
+included, runs the complex kernel, which stays the reference.  The floats
+are the complex kernel's real parts bit for bit.  With zero imaginary
+parts, each complex sum is the float sum in its real part, and the real
+part of each complex product is the float product minus a product of two
+zeros: exact, and able to change only the sign of a zero result.  The
+stage values' imaginary parts stay +0.0, so ``accel_real`` subtracts the
+zero that -omega**2 contributes; the all-zero reference row and the random
+sweep in ``test_numeric`` pin the signs of zeros.  abs is
+hypot(x, 0) = |x|.  FMA contraction in the C library cannot change a
+product whose imaginary parts are zero, since the fused term is a zero.
+``accel_real`` of the width equation emulates what complex ``u ** -3``
+does on the real line: ``ZeroDivisionError`` where u * (u * u) is 0,
+``OverflowError`` where its reciprocal overflows, and NaN where u * u
+overflows, because the square and multiply of ``c_powu`` then multiplies
+inf by the zero imaginary part.  Points are handed back as
+``complex(x)``, exact and with imaginary part +0.0 as in the complex
+kernel, so both kernels give the same bytes.
+
 Accepted points are built with ``tuple.__new__``, which skips the
 Python-level ``__new__`` of the ``TrajectoryPoint`` named tuple.
 """
@@ -122,23 +147,39 @@ def _times_a(w):
     )
 
 
+def _floats(row):
+    """The correctly rounded floats of ``row``."""
+    return tuple(float(x) for x in row)
+
+
 def _complexes(row):
-    """The correctly rounded floats of ``row`` as complex constants with
-    imaginary part +0.0 (see the module docstring)."""
-    return tuple(complex(float(x)) for x in row)
+    """The floats of ``row`` as complex constants with imaginary part +0.0
+    (see the module docstring)."""
+    return tuple(complex(x) for x in row)
 
 
-# the Nystrom coefficients: the nodes c_1..c_5 (row sums of A), the rows of
-# abar = A*A for stages 2 to 5 (stage 1's is empty), bA, b and eA.  e is
-# the difference of the rounded weight rows; each subtraction is exact
-# (Sterbenz: every pair lies within a factor of two)
-_NY_C = _complexes(sum(row) for row in _DP_A[:5])
-_NY_ABAR = tuple(_complexes(_times_a(row)) for row in _DP_A[1:5])
-_NY_BA = _complexes(_times_a(_DP_B))
-_NY_B = _complexes(_DP_B)
-_NY_EA = _complexes(_times_a(_DP_E))
-_NY_E = _complexes(float(b) - float(b4)
-                   for b, b4 in zip(_DP_B + (0,), _DP_B4))
+# the Nystrom coefficients, in the order the step unpacks them: the nodes
+# c_1..c_5 (row sums of A), the rows of abar = A*A for stages 2 to 5 (stage
+# 1's is empty), bA, b, eA and e.  e is the difference of the rounded weight
+# rows; each subtraction is exact (Sterbenz: every pair lies within a factor
+# of two).  The float kernel multiplies by these floats, the complex kernel
+# by the same values as complex constants
+_NY_FLOATS = (
+    _floats(sum(row) for row in _DP_A[:5]),
+    tuple(_floats(_times_a(row)) for row in _DP_A[1:5]),
+    _floats(_times_a(_DP_B)),
+    _floats(_DP_B),
+    _floats(_times_a(_DP_E)),
+    tuple(float(b) - float(b4) for b, b4 in zip(_DP_B + (0,), _DP_B4)),
+)
+_NY_C, _NY_ABAR, _NY_BA, _NY_B, _NY_EA, _NY_E = _NY_COMPLEXES = (
+    _complexes(_NY_FLOATS[0]),
+    tuple(map(_complexes, _NY_FLOATS[1])),
+    *map(_complexes, _NY_FLOATS[2:]),
+)
+
+_INF = math.inf
+_NAN = math.nan
 
 _HALT_REASONS = {
     "budget": "step budget exhausted",
@@ -152,7 +193,14 @@ def _omega_squared_overflows(u):
 
 
 class _OscillatorOde:
-    """u'' = accel(u) with a restoring term -omega**2 u."""
+    """u'' = accel(u) with a restoring term -omega**2 u.
+
+    ``accel_real`` is the real part of ``accel`` on the real line, in float
+    arithmetic, where -omega**2 is real (and then finite: the power raises
+    ``OverflowError`` otherwise); elsewhere it is None.  With
+    -omega**2 = a + ai j, ai a signed zero, the real part of
+    (a + ai j) * (u + 0j) is a * u - ai.
+    """
 
     def __init__(self, omega):
         self.omega = complex(omega)
@@ -161,6 +209,12 @@ class _OscillatorOde:
         except OverflowError:
             # every step fails and the integrator halts on step underflow
             self.accel = _omega_squared_overflows
+            self.accel_real = None
+            return
+        self._neg_w2_real = self._neg_w2.real
+        self._neg_w2_imag = self._neg_w2.imag
+        if self._neg_w2_imag != 0:
+            self.accel_real = None
 
 
 class EpWidthOde(_OscillatorOde):
@@ -172,6 +226,19 @@ class EpWidthOde(_OscillatorOde):
     def accel(self, u):
         return self._neg_w2 * u + u ** -3
 
+    def accel_real(self, u):
+        # complex u ** -3 on the real line: NaN where u * u overflows (its
+        # square and multiply takes inf times the zero imaginary part),
+        # ZeroDivisionError where u * (u * u) is 0, OverflowError where the
+        # reciprocal overflows, and 1 / (u * (u * u)) otherwise
+        uu = u * u
+        if uu == _INF:
+            return _NAN
+        q = 1.0 / (u * uu)
+        if q == _INF or q == -_INF:
+            raise OverflowError("u ** -3 overflows")
+        return self._neg_w2_real * u - self._neg_w2_imag + q
+
 
 class LinearOscillatorOde(_OscillatorOde):
     """``eta'' = accel(eta) = -omega**2 eta``."""
@@ -181,6 +248,9 @@ class LinearOscillatorOde(_OscillatorOde):
 
     def accel(self, u):
         return self._neg_w2 * u
+
+    def accel_real(self, u):
+        return self._neg_w2_real * u - self._neg_w2_imag
 
 
 class ComplexPath:
@@ -267,15 +337,15 @@ def integrate(
 ) -> ComplexTrajectory:
     """Adaptive Dormand-Prince 5(4) integration along a complex path.
 
-    ``ode`` supplies ``accel`` (see the module docstring) and ``ic`` is
-    (value, slope) at the path start.  Extra arc positions in
-    ``sample_points`` become exact step boundaries so several trajectories
-    can share a grid; with ``record_samples_only`` the output contains just
-    those shared points (plus start and waypoints), which makes grids from
-    different equations comparable.  The local error of each step is kept
-    at or below ``tol``; integration halts near the singular manifold, on
-    step underflow, on overflow or after ``MAX_STEPS`` steps, and records
-    the reason and its ``halt_kind``.
+    ``ode`` supplies ``accel`` and ``accel_real`` (see the module
+    docstring) and ``ic`` is (value, slope) at the path start.  Extra arc
+    positions in ``sample_points`` become exact step boundaries so several
+    trajectories can share a grid; with ``record_samples_only`` the output
+    contains just those shared points (plus start and waypoints), which
+    makes grids from different equations comparable.  The local error of
+    each step is kept at or below ``tol``; integration halts near the
+    singular manifold, on step underflow, on overflow or after
+    ``MAX_STEPS`` steps, and records the reason and its ``halt_kind``.
     """
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
@@ -300,17 +370,29 @@ def integrate(
         halt_kind = "manifold"
         halt_reason = "initial value already inside the singular-manifold guard"
 
-    accel = ode.accel
+    # a problem on the real line steps in floats (see the module docstring)
+    real = (ode.accel_real is not None
+            and all(z.imag == 0 and math.copysign(1.0, z.imag) > 0
+                    for z in (y0, y1))
+            and all(w.imag == 0 for w in path.waypoints))
+    if real:
+        accel = ode.accel_real
+        y0, y1 = y0.real, y1.real
+        rows = _NY_FLOATS
+    else:
+        accel = ode.accel
+        rows = _NY_COMPLEXES
     append = points.append
     new_point = tuple.__new__
     max_steps = MAX_STEPS
     inf = math.inf
-    c1, c2, c3, c4, _ = _NY_C
-    (g20,), (g30, g31), (g40, g41, g42), (g50, g51, g52, g53) = _NY_ABAR
-    ba0, _, ba2, ba3, ba4 = _NY_BA
-    b0, _, b2, b3, b4, b5 = _NY_B
-    ea0, _, ea2, ea3, ea4, ea5 = _NY_EA
-    e0, _, e2, e3, e4, e5, e6 = _NY_E
+    c_row, abar_rows, ba_row, b_row, ea_row, e_row = rows
+    c1, c2, c3, c4, _ = c_row
+    (g20,), (g30, g31), (g40, g41, g42), (g50, g51, g52, g53) = abar_rows
+    ba0, _, ba2, ba3, ba4 = ba_row
+    b0, _, b2, b3, b4, b5 = b_row
+    ea0, _, ea2, ea3, ea4, ea5 = ea_row
+    e0, _, e2, e3, e4, e5, e6 = e_row
     accepted = rejected = rhs_evals = 0
 
     h = min(path.length / 100.0, 0.05)
@@ -330,6 +412,8 @@ def integrate(
         base_t = path.waypoints[seg]
         base_s = path.cums[seg]
         d = path.direction(seg)
+        # the step's direction; the times of points keep the complex d
+        d_step = d.real if real else d
         while s_cur < target - end_slack:
             if accepted + rejected >= max_steps:
                 halt_kind = "budget"
@@ -341,7 +425,7 @@ def integrate(
                 if f0 is None:
                     f0 = accel(y0)
                     rhs_evals += 1
-                hc = h_try * d
+                hc = h_try * d_step
                 hv = hc * y1
                 h2 = hc * hc
                 f1 = accel(y0 + c1 * hv)
@@ -394,9 +478,10 @@ def integrate(
                 f0 = f6
                 accepted += 1
                 if not record_samples_only or s_cur == target:
+                    t = base_t + d * (s_cur - base_s)
                     append(new_point(
                         TrajectoryPoint,
-                        (base_t + d * (s_cur - base_s), y0, y1),
+                        (t, complex(y0), complex(y1)) if real else (t, y0, y1),
                     ))
                 if err == 0.0:
                     factor = 5.0

@@ -491,6 +491,30 @@ _REFERENCE_CASES = {
     "imaginary-path-from-real-data": (
         EpWidthOde(1.0), (1.5, 0.0), [0, 0.9j], 1e-10, None, False,
     ),
+    # the rows below are real problems, which step in floats: the reference
+    # steps them in complex arithmetic
+    # u * u overflows, so complex u ** -3 is NaN: every step is rejected
+    # and the integration halts at t = 0 on overflow
+    "width-square-overflows": (
+        EpWidthOde(1.0), (1e200, 0.0), [0, 1], 1e-10, None, False,
+    ),
+    # u**3 overflows and u ** -3 is 0: the integration reaches t = 1
+    "width-cube-overflows": (
+        EpWidthOde(1.0), (1e120, 0.0), [0, 1], 1e-10, None, False,
+    ),
+    # every stage is a signed zero, so every sign is pinned
+    "all-zero-linear-state": (
+        LinearOscillatorOde(0.0), (-0.0, 0.0), [0, 2], 1e-10, None, False,
+    ),
+    # -omega**2 = 1 is real, and the second segment runs backwards
+    "imaginary-omega-real-line": (
+        EpWidthOde(1j), (1.5, 0.3), [0, 2, 0.5], 1e-10, None, False,
+    ),
+    # the shape of the exact lab's shared eta/alpha grid
+    "real-record-samples-only": (
+        LinearOscillatorOde(1.0), (0.0, 1.0), [0, 4], 1e-10,
+        [0.25 * k for k in range(1, 16)], True,
+    ),
 }
 
 
@@ -503,10 +527,7 @@ def _run_case(case, step=None):
                   record_samples_only=samples_only)
 
 
-@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
-def test_unrolled_step_matches_generic_reference(case):
-    got = _run_case(case)
-    want = _run_case(case, _NystromStep)
+def _assert_same_trajectory(got, want):
     assert len(got.points) == len(want.points)
     for g, w in zip(got.points, want.points):
         assert g.t == w.t and g.value == w.value and g.slope == w.slope
@@ -516,6 +537,86 @@ def test_unrolled_step_matches_generic_reference(case):
     assert got.halted == want.halted
     assert got.halt_reason == want.halt_reason
     assert got.halt_kind == want.halt_kind
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_unrolled_step_matches_generic_reference(case):
+    _assert_same_trajectory(_run_case(case), _run_case(case, _NystromStep))
+
+
+def test_float_kernel_matches_complex_reference_on_random_real_problems():
+    # real problems step in floats; the reference steps them in complex
+    # arithmetic, and the real parts must agree bit for bit
+    rng = random.Random(20261020)
+
+    def value():
+        # mostly moderate, sometimes a signed zero or an extreme magnitude
+        moderate = rng.uniform(0.2, 2.5)
+        return rng.choice((-1, 1)) * rng.choice((
+            moderate, moderate, moderate, 0.0, 1e-100, 1e120, 1e160))
+
+    for _ in range(50):
+        ode = rng.choice((EpWidthOde, LinearOscillatorOde))(rng.choice((
+            rng.uniform(-2.0, 2.0), 1j * rng.uniform(-1.5, 1.5),
+            0.0, -0.0, 1e-170)))
+        ic = (value(), value())
+        if ode.singular_near_zero and ic[0] == 0:
+            ic = (1.0, ic[1])
+        path = [rng.uniform(-1.0, 1.0)]
+        for _ in range(rng.randint(1, 3)):
+            path.append(path[-1]
+                        + rng.choice((-1, 1)) * rng.uniform(0.1, 12.0))
+        tol = rng.choice((1e-8, 1e-10, 1e-12, TOL_MIN))
+        length = sum(abs(b - a) for a, b in zip(path, path[1:]))
+        samples = sorted(rng.uniform(0.0, length) for _ in range(4))
+        only = rng.random() < 0.5
+        got = integrate(ode, ic, path, tol=tol, sample_points=samples,
+                        record_samples_only=only)
+        want = _drive(_NystromStep(ode), ode, ic, path, tol,
+                      sample_points=samples, record_samples_only=only)
+        _assert_same_trajectory(got, want)
+
+
+class _CountingWidthOde(EpWidthOde):
+    """The width equation, counting the calls to its complex ``accel``."""
+
+    calls = 0
+
+    def accel(self, u):
+        self.calls += 1
+        return super().accel(u)
+
+
+@pytest.mark.parametrize("omega, ic, path, steps_in_complex", [
+    (1.0, (1.5, 0.3), [0, 2, 0.5], False),
+    (1j, (1.5, -0.3), [0, -2], False),
+    (1.0, (1.5, 0.3), [0, 1 + 0.5j], True),
+    (0.8 + 0.2j, (1.5, 0.3), [0, 2], True),
+    (1.0, (1.5 + 0.1j, 0.3), [0, 2], True),
+    # a -0.0 imaginary part of an initial value can last into the complex
+    # kernel's points, so it keeps that kernel
+    (1.0, (complex(1.5, -0.0), 0.3), [0, 2], True),
+], ids=["real", "real-reversed", "complex-path", "complex-omega",
+        "complex-ic", "negative-zero-imaginary-ic"])
+def test_real_problems_step_in_floats(omega, ic, path, steps_in_complex):
+    ode = _CountingWidthOde(omega)
+    traj = integrate(ode, ic, path, tol=1e-10)
+    assert (ode.calls > 0) == steps_in_complex
+    assert len(traj.points) > 1
+    assert all(type(x) is complex for p in traj.points for x in p)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "complex u ** -3 is NaN once u * u overflows (|u| >= 2**512): its "
+    "square and multiply takes inf times the zero imaginary part, so every "
+    "step is rejected and the integration halts at t = 0 on overflow"))
+def test_integrate_width_from_a_huge_initial_value():
+    # the solution is alpha = sqrt(1e400 cos(t)**2 + 1e-400 sin(t)**2),
+    # finite on [0, 1]
+    traj = integrate(EpWidthOde(1.0), (1e200, 0.0), [0, 1])
+    assert not traj.halted
+    assert traj.end.t == 1
+    assert abs(traj.end.value / 1e200 - math.cos(1.0)) <= 1e-8
 
 
 # the largest relative difference measured over the reference cases is
@@ -582,6 +683,18 @@ def test_nystrom_coefficients():
             assert type(z) is complex, name
             assert z.real == x and repr(z.real) == repr(x), name
             assert z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0, name
+    # the float kernel multiplies by the real parts of the same constants
+    def flat(rows):
+        c, abar, *rest = rows
+        return (c, *abar, *rest)
+
+    assert numeric._NY_COMPLEXES == (
+        numeric._NY_C, numeric._NY_ABAR, numeric._NY_BA, numeric._NY_B,
+        numeric._NY_EA, numeric._NY_E)
+    for got, consts in zip(flat(numeric._NY_FLOATS),
+                           flat(numeric._NY_COMPLEXES), strict=True):
+        assert all(type(x) is float for x in got)
+        assert [repr(x) for x in got] == [repr(z.real) for z in consts]
 
 
 def test_tableau_is_first_same_as_last():
