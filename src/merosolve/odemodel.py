@@ -10,8 +10,12 @@ Grammar (whitespace insignificant)::
     yterm  := 'y' followed by primes, one per derivative order
 
 ``y`` is the dependent variable, primes mark derivatives (``y''`` is the
-second derivative, at most order 9).  Integer literals stay exact; decimal
-literals become floats.  Parameter names are ASCII identifiers.
+second derivative, at most order 9).  Numbers are read by
+:func:`merosolve.scalars.parse_complex_literal`, the reader of flag values
+too: integers stay exact and decimals become floats.  A decimal that is
+nonzero as written but rounds to 0.0 is an :class:`OdeSyntaxError` at its
+position; one beyond the float range raises ``OverflowError``, as a flag's
+does.  Parameter names are ASCII identifiers.
 """
 
 from __future__ import annotations
@@ -23,7 +27,15 @@ from typing import Union
 
 from .errors import NormalizationError, OdeSyntaxError, UnboundParameterError
 from .records import Record
-from .scalars import QComplex, canonical_scalar, is_exact, is_zero, scalar_pow
+from .scalars import (
+    DECIMAL,
+    QComplex,
+    canonical_scalar,
+    is_exact,
+    is_zero,
+    parse_complex_literal,
+    scalar_pow,
+)
 
 MAX_DERIVATIVE_ORDER = 9
 
@@ -109,7 +121,6 @@ def eval_ast(ast, env, y_values):
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -138,13 +149,13 @@ def _tokenize(text: str):
             i += 1
             col += 1
             continue
-        m = _NUMBER.match(text, i)
+        m = DECIMAL.match(text, i)
         if m:
             literal = m.group(0)
-            if re.fullmatch(r"\d+", literal):
-                value = QComplex(int(literal))
-            else:
-                value = complex(float(literal))
+            try:
+                value = parse_complex_literal(literal)
+            except ValueError as exc:
+                raise OdeSyntaxError(str(exc), line, col) from None
             tokens.append(_Token("NUMBER", value, literal, line, col))
             col += len(literal)
             i = m.end()
@@ -183,10 +194,10 @@ def _negate(node):
     if isinstance(node, Mul) and isinstance(node.factors[0], Const):
         head = Const(-node.factors[0].value)
         rest = node.factors[1:]
-        if head.value == 1 and len(rest) > 1:
-            return Mul(rest)
-        if head.value == 1 and len(rest) == 1:
-            return rest[0]
+        # only the exact 1 that negation itself puts in front goes; a float
+        # 1.0 was written and keeps the term in float mode
+        if head.value.__class__ is QComplex and head.value == 1:
+            return Mul(rest) if len(rest) > 1 else rest[0]
         return Mul((head,) + rest)
     if isinstance(node, Mul):
         return Mul((Const(QComplex(-1)),) + node.factors)
@@ -329,38 +340,39 @@ def parse_ode(text: str) -> OdeAst:
 # Unparser
 # ---------------------------------------------------------------------------
 
+def _real_constant(value):
+    """``(negative, magnitude text)`` of a real constant, or None for one
+    with an imaginary part.  A float is negative by its sign bit, so -0.0
+    is; an exact magnitude prints as its Fraction does, ``3`` or ``3/2``."""
+    if isinstance(value, QComplex):
+        if value.im != 0:
+            return None
+        return value.re < 0, str(abs(value.re))
+    if value.imag != 0:
+        return None
+    return math.copysign(1.0, value.real) < 0, repr(abs(value.real))
+
+
 def _format_number(value) -> str:
     """A real constant as DSL text.  A negative one heads no addend (those
     are emitted via subtraction), so it is a factor, a base or the whole
     equation, and it prints in parentheses, as ``(-2)``, which the grammar
     reads back as the same constant."""
-    if isinstance(value, QComplex):
-        if value.im != 0:
-            raise ValueError("complex constants are not representable in the DSL")
-        if value.re.denominator != 1:
-            raise ValueError("non-integer exact constants are not representable")
-        text = str(value.re.numerator)
-        negative = value.re < 0
-    elif isinstance(value, complex):
-        if value.imag != 0:
-            raise ValueError("complex constants are not representable in the DSL")
-        text = repr(value.real)
-        negative = math.copysign(1.0, value.real) < 0
-    else:
-        raise TypeError(f"unexpected constant type {type(value)!r}")
-    return f"({text})" if negative else text
+    real = _real_constant(value)
+    if real is None:
+        raise ValueError("complex constants are not representable in the DSL")
+    negative, magnitude = real
+    if "/" in magnitude:
+        raise ValueError("non-integer exact constants are not representable")
+    return f"(-{magnitude})" if negative else magnitude
 
 
 def _is_negative_addend(node) -> bool:
-    def neg_const(value):
-        if isinstance(value, QComplex):
-            return value.im == 0 and value.re < 0
-        return value.imag == 0 and math.copysign(1.0, value.real) < 0
-
+    if isinstance(node, Mul):
+        node = node.factors[0]
     if isinstance(node, Const):
-        return neg_const(node.value)
-    if isinstance(node, Mul) and isinstance(node.factors[0], Const):
-        return neg_const(node.factors[0].value)
+        real = _real_constant(node.value)
+        return real is not None and real[0]
     return False
 
 
@@ -479,19 +491,11 @@ class DifferentialPolynomial(Record):
     def to_text(self) -> str:
         parts = []
         for i, m in enumerate(self.monomials):
-            coeff = m.coeff
-            if isinstance(coeff, QComplex) and coeff.im == 0:
-                sign = "-" if coeff.re < 0 else "+"
-                mag = abs(coeff.re)
-                mag_str = (
-                    str(mag.numerator) if mag.denominator == 1 else str(mag)
-                )
-            elif isinstance(coeff, complex) and coeff.imag == 0:
-                sign = "-" if coeff.real < 0 else "+"
-                mag_str = repr(abs(coeff.real))
+            real = _real_constant(m.coeff)
+            if real is None:
+                sign, mag_str = "+", f"({m.coeff})"
             else:
-                sign = "+"
-                mag_str = f"({coeff})"
+                sign, mag_str = "-" if real[0] else "+", real[1]
             body = m.text()
             if body == "1":
                 piece = mag_str

@@ -237,13 +237,9 @@ def complex_json(z) -> list:
     return [float(zc.real), float(zc.imag)]
 
 
-def frac_str(f: Fraction) -> str:
-    f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def series_json(s) -> dict:
-    return {"branch_order": s.n, "terms": s.to_json_terms()}
+    return {"branch_order": s.n,
+            "terms": [[j, *complex_json(c)] for j, c in s.terms()]}
 
 
 def _scalar_match(claimed, computed) -> bool:
@@ -310,10 +306,10 @@ def _check_free(free, families, K):
     requested = sorted(Fraction(r) for r in free)
     unused = [r for r in requested if r not in reached_at]
     if unused:
-        listed = ", ".join(frac_str(r) for r in sorted(reached_at)) or "none"
+        listed = ", ".join(str(r) for r in sorted(reached_at)) or "none"
         raise ValueError(
             "free value at a non-resonant order "
-            f"{', '.join(frac_str(r) for r in unused)}; "
+            f"{', '.join(str(r) for r in unused)}; "
             f"available resonances: {listed}"
         )
     beyond = [r for r in requested if reached_at[r] > K]
@@ -321,7 +317,7 @@ def _check_free(free, families, K):
         needed = max(reached_at[r] for r in beyond)
         raise ValueError(
             "free value at resonance "
-            f"{', '.join(frac_str(r) for r in beyond)} lies beyond the "
+            f"{', '.join(str(r) for r in beyond)} lies beyond the "
             f"truncation order {K}; it needs --order {needed} or higher"
         )
 
@@ -462,18 +458,18 @@ def _uncleared_exponents(fam, poly) -> list:
 def family_json(fam, poly) -> dict:
     uncleared = _uncleared_exponents(fam, poly)
     return {
-        "p": frac_str(fam.p),
+        "p": str(fam.p),
         "branch_order": fam.branch_order,
-        "q": frac_str(fam.q),
+        "q": str(fam.q),
         "kind": "pole" if fam.branch_order == 1 else "algebraic-branch-point",
         "dominant_monomials": list(fam.dominant),
         "two_term_balance": fam.two_term,
         "leading_polynomial": [complex_json(c) for c in fam.leading_poly],
         "leading_coefficients": [complex_json(a) for a in fam.leading_coeffs],
         "consistent": fam.consistent,
-        "resonances": [frac_str(r) for r in fam.resonances],
-        "uncleared_exponents": [frac_str(e) for e in uncleared],
-        "uncleared_q": frac_str(min(uncleared)),
+        "resonances": [str(r) for r in fam.resonances],
+        "uncleared_exponents": [str(e) for e in uncleared],
+        "uncleared_q": str(min(uncleared)),
     }
 
 
@@ -493,16 +489,16 @@ def balance_section(a: Analysis) -> dict:
 
 def local_solution_json(local) -> dict:
     return {
-        "p": frac_str(local.family.p),
+        "p": str(local.family.p),
         "leading_coefficient": complex_json(local.a),
         "series": series_json(local.series),
         "free_parameters": {
-            frac_str(r): complex_json(v)
+            str(r): complex_json(v)
             for r, v in sorted(local.free_parameters.items())
         },
         "compatibility": [
             {
-                "resonance": frac_str(c.resonance),
+                "resonance": str(c.resonance),
                 "satisfied": c.satisfied,
                 "residual": complex_json(c.residual),
             }
@@ -585,7 +581,7 @@ def _candidate_json(cand, source: str) -> dict:
         "verified": cand.verified,
         "residual_norm": float(cand.residual_norm),
         "first_failing_order": (
-            frac_str(cand.first_failing_order)
+            str(cand.first_failing_order)
             if cand.first_failing_order is not None
             else None
         ),
@@ -617,7 +613,7 @@ def closedform_section(a: Analysis) -> dict:
             # elliptic forms are only gated by the necessary condition
             # (vanishing residue); no construction is attempted either way
             elliptic.append({
-                "p": frac_str(fam.p),
+                "p": str(fam.p),
                 "admissible": closedform.elliptic_admissible(local),
             })
             candidates.append(
@@ -627,7 +623,7 @@ def closedform_section(a: Analysis) -> dict:
             )
         else:
             elliptic.append({
-                "p": frac_str(fam.p),
+                "p": str(fam.p),
                 "admissible": None,
                 "note": f"branch order {fam.branch_order}: not Laurent",
             })
@@ -635,7 +631,7 @@ def closedform_section(a: Analysis) -> dict:
             cand = closedform.build_periodic(local)
             candidates.append(_candidate_json(cand, "local-series"))
         except (NoPeriodicCandidateError, NotLaurentError) as exc:
-            errors.append({"p": frac_str(fam.p), "error": str(exc)})
+            errors.append({"p": str(fam.p), "error": str(exc)})
     if a.claimed is not None and a.claimed.candidate is not None:
         candidates.append(a.claimed.candidate)
     return {
@@ -672,15 +668,15 @@ def _simple_pole_family(a: Analysis):
     return _verdict(fam.consistent), {
         "consistent": fam.consistent,
         "leading_polynomial": [complex_json(c) for c in fam.leading_poly],
-        "cleared_q": frac_str(fam.q),
-        "uncleared_q": frac_str(min(_uncleared_exponents(fam, a.poly))),
+        "cleared_q": str(fam.q),
+        "uncleared_q": str(min(_uncleared_exponents(fam, a.poly))),
     }
 
 
 def _branch_point_order_two(a: Analysis):
     branch = [f for f in a.families if f.consistent and f.branch_order == 2]
     return _verdict(bool(branch)), {
-        "consistent_branch_families": [frac_str(f.p) for f in branch],
+        "consistent_branch_families": [str(f.p) for f in branch],
         "leading_coefficients": [
             complex_json(c) for f in branch for c in f.leading_coeffs
         ],
@@ -762,8 +758,8 @@ def _no_painleve_property(a: Analysis):
     branching = [f for f in consistent if f.branch_order > 1]
     status = _verdict(bool(branching)) if consistent else "not-applicable"
     return status, {
-        "consistent_families": [frac_str(f.p) for f in consistent],
-        "branching_families": [frac_str(f.p) for f in branching],
+        "consistent_families": [str(f.p) for f in consistent],
+        "branching_families": [str(f.p) for f in branching],
     }
 
 

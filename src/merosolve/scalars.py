@@ -351,21 +351,28 @@ def scalar_pow(x, e: int):
     return x ** e
 
 
+# An unsigned decimal number: the magnitude of a complex literal's component
+# below, and the extent of a number token in ODE text (``odemodel``)
+DECIMAL = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+
 _COMPONENT = re.compile(
-    r"""^(?P<mag>
-            \d+/\d+
-          | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?
-        )?(?P<imag>[ij])?$""",
-    re.VERBOSE,
+    rf"(?P<mag>\d+/\d+|{DECIMAL.pattern})?(?P<imag>[ij])?$"
 )
 
 
 def parse_complex_literal(text: str):
     """Parse a complex literal like ``1``, ``3/2``, ``-0.5i`` or ``1+2i``.
 
-    Integer and fraction components yield an exact :class:`QComplex`;
-    any decimal or exponent component yields a plain ``complex``.
+    This is the one reader of number literals: flag values and the numbers
+    in ODE text both come here.  Integer and fraction components yield an
+    exact :class:`QComplex`; any decimal or exponent component yields a
+    plain ``complex``.  A decimal component that is nonzero as written but
+    rounds to 0.0 raises ``ValueError``; a component or a sum beyond the
+    float range raises ``OverflowError``.
     """
+    if text.isdigit() and text.isascii():
+        # the common literal, an exponent or an integer coefficient
+        return _norm(int(text), 0, 1)
     s = text.strip()
     if not s:
         raise ValueError("empty complex literal")
@@ -380,45 +387,38 @@ def parse_complex_literal(text: str):
             start = k
     parts.append(s[start:])
 
-    re_sum_exact = Fraction(0)
-    im_sum_exact = Fraction(0)
-    re_sum_float = 0.0
-    im_sum_float = 0.0
-    exact = True
+    # the real and the imaginary part each sum their exact components
+    # exactly and their decimal ones in floats, in the order written
+    exact = [0, 0]
+    decimal = [0.0, 0.0]
+    is_float = False
     for part in parts:
-        sign = 1
-        body = part
-        if body and body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        m = _COMPONENT.match(body)
-        if not m or (m.group("mag") is None and m.group("imag") is None):
+        negative = part[0] == "-"
+        m = _COMPONENT.match(part[1:] if part[0] in "+-" else part)
+        if not m or not m.group(0):
             raise ValueError(f"bad complex literal: {text!r}")
         mag = m.group("mag")
+        k = 1 if m.group("imag") else 0
         if mag is None:
-            value_exact, value_float, part_exact = Fraction(1), 1.0, True
+            value = 1
         elif "/" in mag:
-            value_exact, value_float, part_exact = Fraction(mag), 0.0, True
-        elif "." in mag or "e" in mag or "E" in mag:
-            value_exact, value_float, part_exact = Fraction(0), float(mag), False
+            value = Fraction(mag)
+        elif mag.isdigit():
+            value = int(mag)
         else:
-            value_exact, value_float, part_exact = Fraction(int(mag)), 0.0, True
-        if not part_exact:
-            exact = False
-        if m.group("imag"):
-            im_sum_exact += sign * value_exact
-            im_sum_float += sign * value_float
-        else:
-            re_sum_exact += sign * value_exact
-            re_sum_float += sign * value_float
-    if exact:
-        return QComplex(re_sum_exact, im_sum_exact)
+            value = float(mag)
+            if value == 0.0 and int(mag.lower().partition("e")[0].replace(".", "")):
+                raise ValueError(f"complex literal {text!r} underflows to zero")
+            decimal[k] += -value if negative else value
+            is_float = True
+            continue
+        exact[k] += -value if negative else value
+    if not is_float:
+        return QComplex(*exact)
     # a component or a sum beyond the float range is refused here, as the
     # literal "inf" is: an inf or nan input would fail later, far from it
     try:
-        z = complex(
-            float(re_sum_exact) + re_sum_float, float(im_sum_exact) + im_sum_float
-        )
+        z = complex(float(exact[0]) + decimal[0], float(exact[1]) + decimal[1])
     except OverflowError:
         z = None
     if z is None or not cmath.isfinite(z):

@@ -250,11 +250,6 @@ class PuiseuxSeries:
             total += to_complex(c) * zeta ** j
         return total
 
-    def to_json_terms(self):
-        return [
-            [j, to_complex(c).real, to_complex(c).imag] for j, c in self.terms()
-        ]
-
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented

@@ -492,6 +492,7 @@ def test_float_overflow_exits_2(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--param", "omega=1e400"],
     ["integrate", "--omega", "1e400"],
+    ["analyze", "--ode", "y'' - 1e400*y^3"],
 ])
 def test_overflowing_literal_gives_one_error_in_every_run(argv, capsys):
     # the literal is refused where it is parsed, so neither the payload's
@@ -690,12 +691,26 @@ def test_one_equation_one_branch(tmp_path):
     (["probe", "--path", "0:1+"], "--path '1+': bad complex literal: '1+'"),
     (["verify-exact", "--A", "1 2"],
      "--A '1 2': whitespace inside complex literal: '1 2'"),
+    # a literal that is nonzero as written must not silently become 0.0;
+    # in ODE text the refusal names the literal's position
+    (["analyze", "--param", "c=1e-400"],
+     "--param 'c=1e-400': complex literal '1e-400' underflows to zero"),
+    (["integrate", "--ic", "1e-400,0"],
+     "--ic '1e-400': complex literal '1e-400' underflows to zero"),
+    (["integrate", "--omega", "1e-400"],
+     "--omega '1e-400': complex literal '1e-400' underflows to zero"),
+    (["probe", "--path", "0:1e-400"],
+     "--path '1e-400': complex literal '1e-400' underflows to zero"),
+    (["analyze", "--ode", "y'' - 1e-400*y^3"],
+     "complex literal '1e-400' underflows to zero (line 1, column 7)"),
 ], ids=["analyze-param", "series-free-value", "series-free-resonance",
         "report-param", "integrate-omega", "probe-ic", "probe-path",
         "verify-exact-C", "analyze-param-text", "report-param-empty",
         "series-free-resonance-text", "series-free-value-text",
         "integrate-omega-text", "probe-ic-text", "probe-path-text",
-        "verify-exact-A-space"])
+        "verify-exact-A-space", "analyze-param-underflow",
+        "integrate-ic-underflow", "integrate-omega-underflow",
+        "probe-path-underflow", "analyze-ode-underflow"])
 def test_exact_division_by_zero_names_the_flag_and_value(argv, message,
                                                          capsys):
     assert main(argv) == 2

@@ -1,9 +1,11 @@
 """What a merosolve process loads.  No run imports numpy: importing the
 package, exact analyses, a complex-time probe with its singularity and
-exponent fits, the default report, a float-coefficient analysis and a closed
+exponent fits (called and as a command), the default report, a
+float-coefficient analysis (its balances and the whole command) and a closed
 form whose scale polynomial has degree two all leave it out.  numpy is
 loaded afterwards, as the oracle for the float roots.  Importing the package
-loads none of its layers, and a probe loads none of the symbolic ones."""
+loads none of its layers, and a probe, an integration and the exact lab
+load none of the symbolic ones."""
 
 import importlib
 import json
@@ -46,6 +48,9 @@ probe = probe_payload(0, (1, 0), [0, 0.999j])
 seen["probe_kind"] = probe["kind"]
 seen["probe_t_star"] = probe["t_star"]
 seen["probe_exponent"] = probe["exponent"]["value"]
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["probe_exit"] = main(["probe", "--omega", "0", "--ic", "1,0",
+                               "--path", "0:0.999i"])
 seen["probe"] = "numpy" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     main(["report"])
@@ -56,6 +61,9 @@ from merosolve.odemodel import normalize, parse_ode
 fam = next(f for f in find_balances(normalize(parse_ode("y'' - 1.5*y^3"), {}))
            if f.consistent)
 seen["float"] = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["float_cli_exit"] = main(["analyze", "--ode", "y'' - 1.5*y^3"])
+seen["float_cli"] = "numpy" in sys.modules
 
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -87,9 +95,12 @@ def test_no_merosolve_run_imports_numpy():
     assert seen["probe_kind"] == "zero-of-alpha"
     assert abs(complex(*seen["probe_t_star"]) - 1j) < 1e-9
     assert abs(seen["probe_exponent"] - 0.5) < 1e-2
+    assert seen["probe_exit"] == 0
     assert seen["probe"] is False
     assert seen["report"] is False
     assert seen["float"] is False
+    assert seen["float_cli_exit"] == 0
+    assert seen["float_cli"] is False
     assert seen["closed_form_exit"] == 0
     # c_1 = 0 and only c_-3 enters, so the scale polynomial is c * L**2:
     # its roots are the double root 0, which matches no period
@@ -133,21 +144,30 @@ bare = sorted(m for m in sys.modules if m.startswith("merosolve."))
 import merosolve.cli as cli, merosolve.report as report
 report.to_json(report.probe_payload(0, (1, 0), [0, 0.999j]))
 after_probe = [m for m in %r + ["argparse"] if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["probe", "--omega", "0", "--ic", "1,0", "--path", "0:0.999i"]),
+             cli.main(["integrate", "--ic", "2,0", "--path", "0:3", "--tol", "1e-8"]),
+             cli.main(["verify-exact"])]
+after_cli = [m for m in %r if m in sys.modules]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["analyze"])
-print(json.dumps({"bare": bare, "after_probe": after_probe, "code": code,
+print(json.dumps({"bare": bare, "after_probe": after_probe, "codes": codes,
+                  "after_cli": after_cli, "code": code,
                   "analyze": out.getvalue()}))
-""" % SYMBOLIC
+""" % (SYMBOLIC, SYMBOLIC)
 
 
 def test_probe_loads_no_symbolic_layer():
     # the package alone loads no layer; a probe and its JSON need numeric,
     # exactlab and the writer, never the four symbolic layers or argparse.
+    # The probe, integrate and verify-exact commands do without them too.
     # The analysis that follows loads them on first use, output unchanged
     seen = run_child(PROBE_CHILD, "-S")
     assert seen["bare"] == []
     assert seen["after_probe"] == []
+    assert seen["codes"] == [0, 0, 0]
+    assert seen["after_cli"] == []
     assert seen["code"] == 0
     expected = (GOLDEN_DIR / "analyze-default.json").read_text(encoding="utf-8")
     assert seen["analyze"] == expected

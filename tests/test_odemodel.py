@@ -23,7 +23,7 @@ from merosolve.odemodel import (
     unique_highest_degree_term,
     unparse,
 )
-from merosolve.scalars import QComplex
+from merosolve.scalars import QComplex, parse_complex_literal
 
 
 def degrees_map(poly):
@@ -84,9 +84,18 @@ def test_unparse_round_trip_on_text():
         "y' + 1 + y^2",
         "-y + 2.5*y''",
         "(y + 1)^2 - omega*y",
+        # float constants whose repr has an exponent or is subnormal, a
+        # -0.0 factor, and a float 1.0 that negation must keep
+        "y'' - 1e-05*y^3",
+        "y'' + 2.5e+300*y - y^3",
+        "5e-324*y'' - y^2",
+        "y*(-0.0) + y''",
+        "y'' - 1.0*y*y'",
     ):
         ast = parse_ode(text)
-        assert parse_ode(unparse(ast)) == ast
+        again = parse_ode(unparse(ast))
+        # repr tells the signs of zero parts and float from exact apart
+        assert again == ast and repr(again) == repr(ast)
 
 
 # negative constants that head no addend: a factor after the first, a
@@ -117,6 +126,50 @@ def test_unparse_round_trip_of_negative_constants(text):
 ])
 def test_negative_zero_prints_its_sign(text, printed):
     assert unparse(parse_ode(text)) == printed
+
+
+def test_negated_float_one_stays_float():
+    poly = normalize(parse_ode("y'' - (-1.0)*y*y'"), {})
+    assert not poly.is_exact
+    assert poly.to_text() == "1.0*y*y' + y''"
+
+
+def _literal_corpus():
+    """Decimal and integer literals as ODE text writes them: fixed edge
+    cases, then seeded long digit strings and decimals across the whole
+    exponent range, the refused ones included."""
+    rng = random.Random(19)
+    literals = ["3.", ".5", "1E-3", "2.5e+300", "5e-324", "1e-310", "0.0",
+                "0e5", "7", "0", "1e-400", "1e400", "2.5e-324", "2e-324"]
+
+    def digits(lo, hi):
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(lo, hi)))
+
+    for _ in range(60):
+        literals.append(rng.choice("123456789") + digits(10, 60))
+        mantissa = rng.choice([digits(1, 30) + "." + digits(0, 30),
+                               "." + digits(1, 30), digits(1, 30)])
+        literals.append(f"{mantissa}{rng.choice('eE')}{rng.choice(['', '+', '-'])}"
+                        f"{rng.randint(0, 400)}")
+    return literals
+
+
+@pytest.mark.parametrize("literal", _literal_corpus())
+def test_ode_literals_read_as_flag_literals(literal):
+    # a number in ODE text and a parameter bound to the same text reach
+    # normalize as the same coefficient, or are refused for the same reason
+    try:
+        c = parse_complex_literal(literal)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc) if isinstance(exc, OverflowError)
+                           else OdeSyntaxError) as err:
+            parse_ode(f"y'' - {literal}*y^3")
+        assert str(err.value).startswith(str(exc))
+        return
+    in_text = normalize(parse_ode(f"y'' - {literal}*y^3"), {})
+    bound = normalize(parse_ode("y'' - c*y^3"), {"c": c})
+    assert degrees_map(in_text) == degrees_map(bound)
+    assert in_text.is_exact == bound.is_exact
 
 
 def _random_ast(rng, depth=0):

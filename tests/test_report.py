@@ -22,7 +22,6 @@ from merosolve.report import (
     complex_json,
     exactlab_claims,
     exactlab_results,
-    frac_str,
     numeric_claims,
     to_json,
 )
@@ -531,11 +530,6 @@ def test_to_json_float_subclass_row_renders_the_same_bytes():
     assert to_json([1.0, _Float(-0.0)]) == "[1, -0]"
     with pytest.raises(ValueError, match="non-finite"):
         to_json([_Float(math.inf)])
-
-
-def test_frac_str():
-    assert frac_str(Fraction(-1)) == "-1"
-    assert frac_str(Fraction(3, 2)) == "3/2"
 
 
 def test_every_claim_verdict_depends_on_the_input():

@@ -95,6 +95,14 @@ def test_mul_ratio_matches_mul_frac():
         ("0.5-0.5i", complex(0.5, -0.5), False),
         ("1e-3", complex(1e-3), False),
         ("3/2-1/2i", QComplex(Fraction(3, 2), Fraction(-1, 2)), True),
+        ("0042", QComplex(42), True),
+        ("9" * 60, QComplex(int("9" * 60)), True),
+        # subnormals and written zeros are kept; only a nonzero literal
+        # that rounds to 0.0 is refused
+        ("1e-310", complex(1e-310), False),
+        ("5e-324", complex(5e-324), False),
+        ("0e5", 0j, False),
+        ("-00.000e-999", 0j, False),
     ],
 )
 def test_parse_complex_literal(text, expected, exact):
@@ -116,6 +124,16 @@ def test_parse_complex_literal_refuses_what_overflows(text):
     # "inf" is no literal; a component or a sum that rounds to it is refused
     # too, with the literal named
     with pytest.raises(OverflowError, match="beyond the float range") as info:
+        parse_complex_literal(text)
+    assert repr(text) in str(info.value)
+
+
+@pytest.mark.parametrize("text", [
+    "1e-400", "-1e-400i", "0.5+1e-400", "0.000001e-330", ".1E-9999",
+])
+def test_parse_complex_literal_refuses_what_underflows(text):
+    # nonzero as written but 0.0 as a float: the literal would vanish
+    with pytest.raises(ValueError, match="underflows to zero") as info:
         parse_complex_literal(text)
     assert repr(text) in str(info.value)
 
