@@ -13,7 +13,11 @@ nonnegative integers (regular-point behaviors, not singularities).  p = -1
 is reported even off it, so the simple pole always receives a verdict.  At
 p = m/n the monomials are compared on integers, by ``D*m - n*W``, and a
 family's leading equation needs only the weight
-``coeff * prod falling(p, k)**d_k`` of each dominant monomial.
+``coeff * prod falling(p, k)**d_k`` of each dominant monomial.  Since
+n**k * falling(m/n, k) = prod_{i<k} (m - i*n) is an integer, that weight and
+every coefficient of the perturbation polynomial below are an integer over
+n**W, applied to the coefficient by one exact (or correctly rounded float)
+multiplication.
 
 Every family the search returns is linearized, once, by the search:
 ``linearize`` builds the perturbation polynomial of each dominant monomial,
@@ -27,14 +31,17 @@ forced residue or another root solves its own resonance polynomial from
 the same linearization.  A family's branch order, consistency and
 two-term flag are read off its other fields, not stored.
 
-Roots follow one rule.  Exact coefficients are cleared to primitive
-Gaussian integers with leading coefficient d: divided by their rational
-content, which is read off the integer fields of the scalars (over the lcm
-L of their denominators every real and imaginary part is an integer, and
-the content is the gcd of those integers over L).  By the rational-root
-theorem in Z[i] every root in Q(i) has a denominator dividing d, so
-``round(z*d)/d`` is the only candidate near a numeric root z, and exact
-evaluation decides.
+Roots come one of two ways.  An exact polynomial of degree 1 or 2 with
+real coefficients whose discriminant's modulus is a rational square has
+its roots in Q(i), and the quadratic formula gives them, on integers.  Any
+other polynomial takes the numeric roots below and snaps them.  Exact
+coefficients are cleared to primitive Gaussian integers with leading
+coefficient d: divided by their rational content, which is read off the
+integer fields of the scalars (over the lcm L of their denominators every
+real and imaginary part is an integer, and the content is the gcd of those
+integers over L).  By the rational-root theorem in Z[i] every root in Q(i)
+has a denominator dividing d, so ``round(z*d)/d`` is the only candidate
+near a numeric root z, and exact evaluation decides.
 Once |z*d| reaches 2**52 a float no longer holds the lattice point, so a
 candidate that fails is finished by exact Newton steps, each rounded back
 to the 1/d lattice and checked exactly again.
@@ -48,13 +55,13 @@ Every polynomial finds its numeric roots z one way, float coefficients at
 the binary rationals they store (a coefficient that is not finite raises
 ``OverflowError``).  Yun's square-free decomposition over Q(i) splits it
 into simple factors f_k of multiplicity k (von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 14); when gcd(f, f') is already a constant, f is
-square-free and is its own factor, made monic, without Yun's loop.  An
-Aberth-Ehrlich iteration finds the roots of each f_k, a Newton step on f_k
-polishes them, and each is listed k times.  So a repeated root of exact
-input is as accurate as a simple one, and conjugate roots of real input
-share their real part to the bit.  An iteration that does not converge
-raises instead of dropping a root.
+Computer Algebra*, ch. 14); a binomial c_0 + c_d*x**d with c_0 != 0, or an
+f with gcd(f, f') already constant, is square-free and is its own factor,
+made monic, without Yun's loop.  An Aberth-Ehrlich iteration finds the
+roots of each f_k, a Newton step on f_k polishes them, and each is listed k
+times.  So a repeated root of exact input is as accurate as a simple one,
+and conjugate roots of real input share their real part to the bit.  An
+iteration that does not converge raises instead of dropping a root.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ from .scalars import (
     canonical_scalar,
     is_exact,
     is_zero,
-    mul_frac,
+    mul_ratio,
     poly_eval,
     scalar_pow,
     to_complex,
@@ -140,29 +147,33 @@ class BalanceFamily(Record):
         return len(self.dominant) >= 2
 
 
-def _fall_poly_in_r(p: Fraction, k: int):
-    """Coefficients (ascending, Fractions) of prod_{i<k} (r + p - i)."""
-    coeffs = [Fraction(1)]
+def _scaled_falling(m: int, n: int, k: int) -> int:
+    """n**k * falling(m/n, k) = prod_{i<k} (m - i*n), an integer."""
+    out = 1
     for i in range(k):
-        shift = p - i
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for deg, c in enumerate(coeffs):
-            nxt[deg] += c * shift
-            nxt[deg + 1] += c
-        coeffs = nxt
-    return coeffs
+        out *= m - i * n
+    return out
 
 
-def _perturbation_poly(mono: DiffMonomial, p: Fraction):
-    """Fraction-coefficient polynomial in r multiplying ``a**total_degree``
-    when y = a*tau**p*(1 + eps*tau**r) is linearized inside the monomial."""
+def _perturbation_poly(mono: DiffMonomial, m: int, n: int):
+    """Integer coefficients, ascending in r, of n**W times the polynomial
+    multiplying ``a**total_degree`` when y = a*tau**p*(1 + eps*tau**r) is
+    linearized inside the monomial, p = m/n and W its derivative weight."""
+    scaled = {k: _scaled_falling(m, n, k) for k, _ in mono.degrees}
     out = []
     for k, d in mono.degrees:
-        prefactor = Fraction(d) * falling(p, k) ** (d - 1)
+        # n**(W-k) * d * falling(p, k)**(d-1) * prod_{l != k} falling(p, l)**d_l
+        prefactor = d * scaled[k] ** (d - 1)
         for l, dl in mono.degrees:
             if l != k:
-                prefactor *= falling(p, l) ** dl
-        out = _poly_add(out, [prefactor * c for c in _fall_poly_in_r(p, k)])
+                prefactor *= scaled[l] ** dl
+        # times n**k * prod_{i<k} (r + p - i) = prod_{i<k} (n*r + m - i*n)
+        coeffs = [prefactor]
+        for i in range(k):
+            shift = m - i * n
+            coeffs = [shift * c + n * lo
+                      for c, lo in zip(coeffs + [0], [0] + coeffs)]
+        out = _poly_add(out, coeffs)
     return out
 
 
@@ -190,18 +201,19 @@ def _leading_polynomial(poly: DifferentialPolynomial, p: Fraction, dominant):
     can make noise: a float coefficient that cancels to within the rounding
     of its own terms, 4 * len(dominant) * eps * sum |phi|, is zero.  A
     coefficient of any other size belongs to the equation, however small."""
+    m, n = p.numerator, p.denominator
     coeffs = [0]
     sizes = [0.0]  # sum |phi| over the float terms of each coefficient
     for idx in dominant:
         mono = poly.monomials[idx]
-        weight = Fraction(1)
+        weight = 1  # n**W * prod falling(p, k)**d_k
         for k, d in mono.degrees:
-            weight *= falling(p, k) ** d
+            weight *= _scaled_falling(m, n, k) ** d
         s = mono.total_degree
         if len(coeffs) <= s:
             coeffs.extend([0] * (s + 1 - len(coeffs)))
             sizes.extend([0.0] * (s + 1 - len(sizes)))
-        phi = mul_frac(mono.coeff, weight)
+        phi = mul_ratio(mono.coeff, weight, n ** mono.derivative_weight)
         coeffs[s] = coeffs[s] + phi
         if not is_exact(phi):
             sizes[s] += abs(phi)
@@ -220,11 +232,13 @@ def linearize(poly: DifferentialPolynomial, p: Fraction, dominant) -> tuple:
     scaled by the monomial's coefficient and ascending in r.  The family's
     leading polynomial holds, at a**s, the sum phi of the same monomials'
     leading weights."""
+    m, n = p.numerator, p.denominator
     terms = []
     for idx in dominant:
         mono = poly.monomials[idx]
-        gamma = tuple([mul_frac(mono.coeff, c)
-                       for c in _perturbation_poly(mono, p)])
+        den = n ** mono.derivative_weight
+        gamma = tuple([mul_ratio(mono.coeff, c, den)
+                       for c in _perturbation_poly(mono, m, n)])
         terms.append((mono.total_degree, gamma))
     return tuple(terms)
 
@@ -308,14 +322,16 @@ def _pgcd(f, g):
 
 def _squarefree(f):
     """Yun's square-free decomposition: pairs (f_k, k) of monic square-free
-    factors of positive degree with f = lead * prod f_k**k.  A constant
-    gcd(f, f') shows f square-free, and Yun's loop would return f made
-    monic."""
+    factors of positive degree with f = lead * prod f_k**k.  A binomial
+    with a nonzero constant term, or a constant gcd(f, f'), shows f
+    square-free, and Yun's loop would return f made monic."""
+    if len(f) == 1:
+        return []
     df = _pderiv(f)
-    g = _pgcd(f, df)
+    # a binomial c_0 + c_d*x**d with c_0 != 0 shares no root with its
+    # derivative d*c_d*x**(d-1), so it is square-free without the gcd
+    g = [1] if f[0] and not any(f[1:-1]) else _pgcd(f, df)
     if len(g) == 1:
-        if len(f) == 1:
-            return []
         inv = 1 / f[-1]
         return [([c * inv for c in f], 1)]
     b = _pdivmod(f, g)[0]
@@ -503,6 +519,40 @@ def _snap(coeffs, z, d, exact: bool):
     return cand if abs(to_complex(value)) <= 1e-8 * scale else None
 
 
+def _quadratic_roots(coeffs):
+    """Roots in Q(i) of exact coefficients of degree 1 or 2 that are all
+    real, listed by multiplicity, from the quadratic formula when |disc| is
+    a square; else None (irrational roots, other degrees, non-real or float
+    coefficients).  Cleared to integers c + b*x + a*x**2 with a > 0, the
+    roots are (-b -+ sqrt(disc))/(2a)."""
+    if not 2 <= len(coeffs) <= 3:
+        return None
+    parts = []
+    for c in coeffs:
+        x = _parts(c)
+        if x is None:
+            if c:
+                return None
+            x = (0, 0, 1)  # the float zero of an exact polynomial
+        elif x[1]:
+            return None
+        parts.append(x)
+    lcm = math.lcm(*(d for _, _, d in parts))
+    ints = [a * (lcm // d) for a, _, d in parts]
+    if ints[-1] < 0:
+        ints = [-x for x in ints]
+    if len(ints) == 2:
+        return [_norm(-ints[0], 0, ints[1])]
+    c, b, a = ints
+    disc = b * b - 4 * a * c
+    s = math.isqrt(abs(disc))
+    if s * s != abs(disc):
+        return None
+    if disc < 0:
+        return [_norm(-b, -s, 2 * a), _norm(-b, s, 2 * a)]
+    return [_norm(-b - s, 0, 2 * a), _norm(-b + s, 0, 2 * a)]
+
+
 def _nonzero_roots(lead_coeffs):
     """Nonzero roots of the leading polynomial, sorted by (re, im): exact
     where the root rule finds them, numeric otherwise."""
@@ -515,11 +565,14 @@ def _nonzero_roots(lead_coeffs):
     core = core[low:]
     if len(core) <= 1:
         return ()
-    roots = _numeric_roots(core)
-    if _is_exact_poly(core):
-        d = _cleared_lead(core)
-        snapped = (_snap(core, z, d, True) for z in roots)
-        roots = [z if c is None else c for z, c in zip(roots, snapped)]
+    exact = _is_exact_poly(core)
+    roots = _quadratic_roots(core) if exact else None
+    if roots is None:
+        roots = _numeric_roots(core)
+        if exact:
+            d = _cleared_lead(core)
+            snapped = (_snap(core, z, d, True) for z in roots)
+            roots = [z if c is None else c for z, c in zip(roots, snapped)]
     roots.sort(key=lambda z: (to_complex(z).real, to_complex(z).imag))
     return tuple(roots)
 
@@ -537,16 +590,15 @@ def rational_resonances(fam: BalanceFamily, a):
             f"degenerate family at p = {fam.p}: resonance polynomial vanishes"
         )
     exact = _is_exact_poly(coeffs)
-    if exact:
-        d = _cleared_lead(coeffs)
-    else:
-        d = math.lcm(_FLOAT_RESONANCE_DENOM, fam.branch_order)
-    found = set()
-    for z in _numeric_roots(coeffs):
-        cand = _snap(coeffs, z, d, exact)
-        if cand is not None and cand.im == 0:
-            found.add(cand.re)
-    return sorted(found)
+    roots = _quadratic_roots(coeffs) if exact else None
+    if roots is None:
+        if exact:
+            d = _cleared_lead(coeffs)
+        else:
+            d = math.lcm(_FLOAT_RESONANCE_DENOM, fam.branch_order)
+        snapped = (_snap(coeffs, z, d, exact) for z in _numeric_roots(coeffs))
+        roots = [c for c in snapped if c is not None]
+    return sorted({z.re for z in roots if z.im == 0})
 
 
 def compute_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):

@@ -291,6 +291,19 @@ class ClaimedPole(Record):
 # the analysis record
 # ---------------------------------------------------------------------------
 
+def _check_params(env, read):
+    """Reject bound names the equation does not read, so that a misspelt
+    name is not analysed as the default.  ``omega`` is exempt: every
+    analysis reads it for the claimed pole data, and ``report`` for its lab
+    and probes."""
+    unused = sorted(set(env) - read - {"omega"})
+    if unused:
+        raise ValueError(
+            f"--param {', '.join(unused)}: the equation has no such parameter; "
+            f"it reads {', '.join(sorted(read)) or 'none'}"
+        )
+
+
 def _check_free(free, families, K):
     """Reject free values the solver would never use: at orders where no
     consistent family has a positive resonance on its branch lattice, or at
@@ -344,6 +357,7 @@ class Analysis:
         self.free = free
         self.omega = env.get("omega")
         self.ast = odemodel.parse_ode(ode_text)
+        _check_params(env, odemodel.ast_parameters(self.ast))
         self.poly = odemodel.normalize(self.ast, env)
         self.families = balance.find_balances(self.poly, n_max=n_max)
         if free:

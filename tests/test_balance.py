@@ -2,6 +2,7 @@ import json
 import math
 import random
 import statistics
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -296,6 +297,88 @@ def test_envelope_search_misses_no_family_of_a_wide_scan():
     assert beyond_old_scan
 
 
+# The search's algebra runs on integers over n**W at p = m/n.  The Fraction
+# algebra it replaced, kept as a reference: the falling factorials as
+# Fractions, the leading weights and perturbation polynomials summed in
+# Fractions and applied to each coefficient once.
+
+def reference_fall_poly_in_r(p, k):
+    """Coefficients (ascending, Fractions) of prod_{i<k} (r + p - i)."""
+    coeffs = [Fraction(1)]
+    for i in range(k):
+        shift = p - i
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for deg, c in enumerate(coeffs):
+            nxt[deg] += c * shift
+            nxt[deg + 1] += c
+        coeffs = nxt
+    return coeffs
+
+
+def reference_linearize(poly, p, dominant):
+    terms = []
+    for idx in dominant:
+        mono = poly.monomials[idx]
+        out = []
+        for k, d in mono.degrees:
+            prefactor = Fraction(d) * balance.falling(p, k) ** (d - 1)
+            for l, dl in mono.degrees:
+                if l != k:
+                    prefactor *= balance.falling(p, l) ** dl
+            out = balance._poly_add(
+                out, [prefactor * c for c in reference_fall_poly_in_r(p, k)])
+        terms.append((mono.total_degree,
+                      tuple(mul_frac(mono.coeff, c) for c in out)))
+    return tuple(terms)
+
+
+def reference_leading_polynomial_with_noise_rule(poly, p, dominant):
+    """``reference_leading_polynomial`` with the search's rule for float
+    sums that cancel to within 4 * len(dominant) * eps * sum |phi|."""
+    coeffs = reference_leading_polynomial(poly, p, dominant)
+    sizes = [0.0] * len(coeffs)
+    for idx in dominant:
+        mono = poly.monomials[idx]
+        if not is_exact(mono.coeff):
+            weight = Fraction(1)
+            for k, d in mono.degrees:
+                weight *= balance.falling(p, k) ** d
+            sizes[mono.total_degree] += abs(mul_frac(mono.coeff, weight))
+    rounding = 4 * len(dominant) * sys.float_info.epsilon
+    return [0j if size and c and abs(c) <= rounding * size else c
+            for c, size in zip(coeffs, sizes)]
+
+
+float_coefficients = st.builds(
+    complex,
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.one_of(coefficients, float_coefficients),
+                  st.dictionaries(st.integers(0, 4), st.integers(1, 3),
+                                  max_size=3)),
+        min_size=1, max_size=4, unique_by=lambda t: tuple(sorted(t[1].items()))),
+    m=st.integers(-12, 12),
+    n=st.integers(1, 7),
+)
+@example(terms=[(1.5, {2: 1}), (-0.1, {0: 3}), (0.3, {0: 1, 1: 2})], m=-1, n=1)
+def test_integer_algebra_matches_the_fraction_reference(terms, m, n):
+    # repr pins the canonical fields of exact values and every float bit
+    poly = DifferentialPolynomial(
+        tuple(DiffMonomial.from_map(c, degrees) for c, degrees in terms))
+    p = Fraction(m, n)
+    dominant = tuple(range(len(terms)))
+    assert repr(linearize(poly, p, dominant)) == \
+        repr(reference_linearize(poly, p, dominant))
+    assert repr(balance._leading_polynomial(poly, p, dominant)) == \
+        repr(reference_leading_polynomial_with_noise_rule(poly, p, dominant))
+
+
 # ---------------------------------------------------------------------------
 # resonances
 # ---------------------------------------------------------------------------
@@ -455,6 +538,89 @@ def test_double_root_with_large_denominator_is_exact():
     assert balance._nonzero_roots(poly_from_roots([r, r], QComplex(4001**2))) == (r, r)
 
 
+def test_close_real_roots_beyond_float_resolution_are_exact():
+    # 10**20 and 10**20 + 1 are closer than a float resolves: the numeric
+    # roots land millions away, but the quadratic formula is exact
+    roots = [QComplex(10**20), QComplex(10**20 + 1)]
+    assert balance._nonzero_roots(poly_from_roots(roots)) == tuple(roots)
+
+
+def aberth_and_snap(coeffs):
+    """The numeric roots of exact coeffs snapped by the root rule, a root
+    that does not snap as None."""
+    d = balance._cleared_lead(coeffs)
+    return [balance._snap(coeffs, z, d, True)
+            for z in balance._numeric_roots(coeffs)]
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def real_quadratics(draw):
+    """(kind, coefficients, roots) of lead * prod (x - r): one rational
+    root, two, a double one, a Gaussian-conjugate pair or an irrational
+    pair u +- w*sqrt(k), k not a square (roots None)."""
+    kind = draw(st.sampled_from(
+        ["linear", "rational", "double", "conjugate", "irrational"]))
+    lead = QComplex(draw(nonzero_rationals))
+    u = draw(rationals)
+    if kind == "linear":
+        roots = [QComplex(u)]
+    elif kind == "rational":
+        roots = [QComplex(u), QComplex(draw(rationals.filter(lambda v: v != u)))]
+    elif kind == "double":
+        roots = [QComplex(u), QComplex(u)]
+    elif kind == "conjugate":
+        v = draw(nonzero_rationals)
+        roots = [QComplex(u, -v), QComplex(u, v)]
+    else:
+        w = draw(nonzero_rationals)
+        k = draw(st.sampled_from([2, 3, 5, 6, 7, 10, -2, -3, -5]))
+        # x**2 - 2u*x + u**2 - k*w**2
+        coeffs = [lead * QComplex(u * u - k * w * w), lead * QComplex(-2 * u), lead]
+        return kind, coeffs, None
+    return kind, poly_from_roots(roots, lead), roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=real_quadratics())
+def test_quadratic_formula_matches_aberth_and_snap(case):
+    kind, coeffs, roots = case
+    got = balance._quadratic_roots(coeffs)
+    snapped = aberth_and_snap(coeffs)
+    if roots is None:
+        assert got is None
+        assert snapped == [None, None]
+        return
+    assert all(isinstance(z, QComplex) for z in got)
+    assert Counter(got) == Counter(roots) == Counter(snapped)
+    assert len(got) == len(coeffs) - 1  # a double root is listed twice
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([2, -3, 1], [QComplex(1), QComplex(2)]),
+    ([Fraction(-1, 4), 0, 1], [QComplex(Fraction(-1, 2)), QComplex(Fraction(1, 2))]),
+    ([QComplex(-4), 0j, QComplex(1)], [QComplex(-2), QComplex(2)]),  # float zero
+    ([QComplex(0), QComplex(3), QComplex(-6)], [QComplex(0), QComplex(Fraction(1, 2))]),
+    ([QComplex(1), 0, QComplex(1)], [QComplex(0, -1), QComplex(0, 1)]),
+])
+def test_quadratic_formula_on_mixed_exact_coefficients(coeffs, roots):
+    assert balance._quadratic_roots(coeffs) == roots
+
+
+@pytest.mark.parametrize("coeffs", [
+    [QComplex(1)],                                      # degree 0
+    [QComplex(-1), 0, 0, QComplex(1)],                  # degree 3
+    [QComplex(1), QComplex(0, 1), QComplex(1)],         # a Gaussian coefficient
+    [QComplex(-2), 0, 1.0 + 0j],                        # a float coefficient
+    [QComplex(2), 0, QComplex(1)],                      # roots +-i*sqrt(2)
+])
+def test_quadratic_formula_declines(coeffs):
+    assert balance._quadratic_roots(coeffs) is None
+
+
 def yun_full_loop(f):
     """Yun's square-free decomposition as the textbook loop, which divides
     on after gcd(f, f') = 1 has shown f square-free."""
@@ -490,6 +656,7 @@ def test_squarefree_matches_yuns_full_loop():
         [QComplex(-2), QComplex(1, 1)],
         [QComplex(-4)] + [QComplex(0)] * 4 + [QComplex(1)],  # x^5 - 4
         [QComplex(0, 2)] + [QComplex(0)] * 2 + [QComplex(3)],  # 3x^3 + 2i
+        [QComplex(0)] * 3 + [QComplex(3)],  # 3x^3, a binomial with a triple root
     ]
     for _ in range(200):
         factors = []
@@ -548,6 +715,24 @@ def test_exact_roots_beyond_float_precision_stay_exact(root):
     found = balance._nonzero_roots(poly_from_roots([root, -root]))
     assert all(isinstance(z, QComplex) for z in found)
     assert set(found) == {root, -root}
+
+
+@pytest.mark.parametrize("roots", [
+    [10**100, -10**100, 1],
+    [2**60 + 1, -(2**60 + 1), 1],
+])
+def test_cubic_roots_beyond_float_precision_take_exact_newton_steps(
+        roots, monkeypatch):
+    # a cubic takes Aberth and snap; the large roots need the exact Newton
+    # finish, without which they stay float
+    roots = [QComplex(r) for r in roots]
+    coeffs = poly_from_roots(roots)
+    found = balance._nonzero_roots(coeffs)
+    assert all(isinstance(z, QComplex) for z in found)
+    assert Counter(found) == Counter(roots)
+    monkeypatch.setattr(balance, "_SNAP_NEWTON_STEPS", 0)
+    assert not all(isinstance(z, QComplex)
+                   for z in balance._nonzero_roots(coeffs))
 
 
 def test_irrational_roots_match_sympy():

@@ -427,6 +427,28 @@ def test_unbound_parameter_exits_2(capsys):
     assert main(["analyze", "--ode", "y'' + omega^2*y"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--param", "omgea=2"],
+     "--param omgea: the equation has no such parameter; it reads omega"),
+    (["series", "--ode", "y'' - c*y^3", "--param", "c=2", "--param", "k=1",
+      "--param", "a=3"],
+     "--param a, k: the equation has no such parameter; it reads c"),
+    (["report", "--ode", "y'' - 2*y^3", "--param", "c=2"],
+     "--param c: the equation has no such parameter; it reads none"),
+])
+def test_unused_parameter_exits_2(capsys, argv, message):
+    # a misspelt name is refused instead of analysing the default
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "closed-form", "report"])
+def test_omega_may_be_bound_for_any_equation(tmp_path, command):
+    # the claimed pole data read omega whatever the equation
+    run_json(tmp_path, [command, "--ode", "y'' - c*y^3", "--param", "c=2",
+                        "--param", "omega=3"])
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["analyze", "--nonsense"]) == 2
 

@@ -85,7 +85,7 @@ def test_help_bytes(command, monkeypatch):
 def test_shared_parser_carries_no_state_between_calls():
     # repeatable flags, formats and defaults set by one call must not leak
     # into the next call through the parser that main builds once
-    cli_stdout(["series", "--ode", "y'' - 2*y^3", "--free", "4=1",
+    cli_stdout(["series", "--ode", "y'' - c*y^3", "--free", "4=1",
                 "--param", "c=2"])
     assert cli_stdout(CASES["analyze-default"]) == \
         golden_path("analyze-default").read_text(encoding="utf-8")
