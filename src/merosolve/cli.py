@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import report as rpt
@@ -71,11 +72,20 @@ def _build_parser():
     Built on the first :func:`main` call and reused by every later one, so
     only a process that parses arguments loads argparse."""
     import argparse
+    import re
 
     class _SubcommandParser(argparse.ArgumentParser):
         """A subcommand's parser reports the arguments it does not know
         itself, with its own usage line, instead of leaving them to the top
-        level."""
+        level.  It reads a token of '-' and then a digit, '.' or 'i'
+        (``-1,0``, ``-1:1``, ``-1/2``, ``-2i``) as the value of the flag
+        before it, where argparse reads only ``-N`` and ``-N.N`` as numbers
+        and takes the rest for unknown options; no option of ours starts
+        with those characters."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-[\d.i]")
 
         def parse_known_args(self, args=None, namespace=None):
             namespace, extras = super().parse_known_args(args, namespace)
@@ -247,8 +257,9 @@ def _cmd_analysis(args):
     return rpt.analysis_payload(_analysis(args), args.command)
 
 
-# one template for every sample row; "%.17g" prints what format(v, ".17g")
+# the template of a sample row; "%.17g" prints what format(v, ".17g")
 # prints, signed zeros, subnormals, inf and nan included
+_CSV_HEADER = "re_t,im_t,re_value,im_value,re_slope,im_slope"
 _CSV_ROW = ",".join(["%.17g"] * 6)
 
 
@@ -259,9 +270,9 @@ def _cmd_integrate(args):
                      tol=args.tol)
     rows = traj.to_rows()
     if args.format == "csv":
-        lines = ["re_t,im_t,re_value,im_value,re_slope,im_slope"]
-        lines += [_CSV_ROW % row for row in rows]
-        return "\n".join(lines) + "\n"
+        # the row templates joined into one, applied once to the flat cells
+        template = "\n".join([_CSV_HEADER] + [_CSV_ROW] * len(rows)) + "\n"
+        return template % tuple(chain.from_iterable(rows))
     payload = {
         "schema_version": rpt.SCHEMA_VERSION,
         "command": "integrate",

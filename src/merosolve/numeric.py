@@ -95,12 +95,18 @@ product whose imaginary parts are zero, since the fused term is a zero.
 does on the real line: ``ZeroDivisionError`` where u * (u * u) is 0,
 ``OverflowError`` where its reciprocal overflows, and NaN where u * u
 overflows, because the square and multiply of ``c_powu`` then multiplies
-inf by the zero imaginary part.  Points are handed back as
-``complex(x)``, exact and with imaginary part +0.0 as in the complex
-kernel, so both kernels give the same bytes.
+inf by the zero imaginary part.
 
-Accepted points are built with ``tuple.__new__``, which skips the
-Python-level ``__new__`` of the ``TrajectoryPoint`` named tuple.
+The float kernel records each accepted step as the plain tuple
+(t, value, slope), t complex and value and slope floats, and
+``ComplexTrajectory.to_rows`` reads these: a float's ``real`` and ``imag``
+are the parts of its ``complex(x)``, exact and with imaginary part +0.0 as
+in the complex kernel, so both kernels print the same bytes.  The
+``points`` of such a run are built on their first read, as
+``TrajectoryPoint(t, complex(value), complex(slope))``, equal to the
+complex kernel's by ``==`` and ``repr``.  The complex kernel builds its
+points as it steps, with ``tuple.__new__``, which skips the Python-level
+``__new__`` of the ``TrajectoryPoint`` named tuple.
 """
 
 from __future__ import annotations
@@ -295,8 +301,19 @@ class TrajectoryPoint(NamedTuple):
 
 
 class ComplexTrajectory:
-    __slots__ = ("points", "singular_near_zero", "halt_reason", "halt_kind",
-                 "stats")
+    """The points of an integration and why it stopped.
+
+    ``points`` is a list of ``TrajectoryPoint``.  The float kernel records
+    its accepted steps as plain tuples (t, value, slope), value and slope
+    floats; ``points`` builds the ``TrajectoryPoint`` list of such a run,
+    with ``complex(value)`` and ``complex(slope)``, on its first read, and
+    ``to_rows`` reads the recorded tuples without it.
+    """
+
+    __slots__ = ("_samples", "_points", "singular_near_zero", "halt_reason",
+                 "halt_kind", "stats")
+    _FIELDS = ("points", "singular_near_zero", "halt_reason", "halt_kind",
+               "stats")
 
     def __init__(self, points: list, singular_near_zero: bool,
                  halt_reason: str = None, halt_kind: str = None,
@@ -308,7 +325,22 @@ class ComplexTrajectory:
         self.halt_kind = halt_kind
         self.stats = {} if stats is None else stats
 
-    __repr__ = field_repr
+    def __repr__(self):
+        return field_repr(self, self._FIELDS)
+
+    @property
+    def points(self) -> list:
+        points = self._points
+        if points is None:
+            points = self.points = [
+                TrajectoryPoint(t, complex(value), complex(slope))
+                for t, value, slope in self._samples
+            ]
+        return points
+
+    @points.setter
+    def points(self, points: list):
+        self._samples = self._points = points
 
     @property
     def halted(self) -> bool:
@@ -320,10 +352,11 @@ class ComplexTrajectory:
 
     def to_rows(self):
         """One (re t, im t, re value, im value, re slope, im slope) tuple
-        per point."""
+        per point.  A float's ``real`` and ``imag`` are the parts of its
+        ``complex``, so the float kernel's samples give the same rows."""
         return [
             (t.real, t.imag, value.real, value.imag, slope.real, slope.imag)
-            for t, value, slope in self.points
+            for t, value, slope in self._samples
         ]
 
 
@@ -479,10 +512,8 @@ def integrate(
                 accepted += 1
                 if not record_samples_only or s_cur == target:
                     t = base_t + d * (s_cur - base_s)
-                    append(new_point(
-                        TrajectoryPoint,
-                        (t, complex(y0), complex(y1)) if real else (t, y0, y1),
-                    ))
+                    append((t, y0, y1) if real
+                           else new_point(TrajectoryPoint, (t, y0, y1)))
                 if err == 0.0:
                     factor = 5.0
                 else:
@@ -519,7 +550,7 @@ def integrate(
                     break
     if halt_reason is None and halt_kind:
         halt_reason = _HALT_REASONS[halt_kind]
-    return ComplexTrajectory(
+    traj = ComplexTrajectory(
         points=points,
         singular_near_zero=ode.singular_near_zero,
         halt_reason=halt_reason,
@@ -527,6 +558,10 @@ def integrate(
         stats={"accepted": accepted, "rejected": rejected,
                "rhs_evals": rhs_evals},
     )
+    if real:
+        # the samples hold float values and slopes: points on first read
+        traj._points = None
+    return traj
 
 
 class SingularityProbe(Record):

@@ -14,9 +14,12 @@ from __future__ import annotations
 setfield = object.__setattr__
 
 
-def field_repr(obj) -> str:
-    """``Name(field=value, ...)`` over the ``__slots__`` of ``obj``."""
-    body = ", ".join(f"{name}={getattr(obj, name)!r}" for name in obj.__slots__)
+def field_repr(obj, names=None) -> str:
+    """``Name(field=value, ...)`` over ``names``, by default the
+    ``__slots__`` of ``obj``."""
+    if names is None:
+        names = obj.__slots__
+    body = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
     return f"{type(obj).__qualname__}({body})"
 
 

@@ -68,9 +68,11 @@ DEFAULT_ODE_TEXT = "y'' + omega^2*y - y^-3"
 # One pass over the payload: ``_write`` appends the text of each value to a
 # single list that ``to_json`` joins once.  It dispatches on the exact type,
 # formats the scalars inside a dict or a list in that container's loop,
-# prints a row or a table of plain floats through one "%.17g" template, and
-# sends anything else (a subclass of a JSON type, say) through the isinstance
-# rules of ``_scalar``.  Equal payloads give equal bytes.
+# prints a row of plain floats through one "%.17g" template and a table of
+# such rows through one template for the whole table, applied to its
+# flattened cells, and sends anything else (a subclass of a JSON type, say)
+# through the isinstance rules of ``_scalar``.  Equal payloads give equal
+# bytes.
 
 # '"', backslash and the control characters below 0x20; every other code
 # point passes through unchanged
@@ -181,15 +183,20 @@ def _write(obj, level: int, out: list) -> None:
             append(_finite(_row_template(len(obj)) % tuple(obj)))
             return
         inner = _NEWLINE[level + 1]
-        if types <= _SEQUENCES and set(map(type, chain.from_iterable(obj))) == _FLOAT:
-            # a table of float rows: one template application per row (an
-            # empty row's template is "[]"), one non-finite scan for the
-            # whole table
-            body = ("," + inner).join(
-                [_row_template(len(row)) % tuple(row) for row in obj]
-            )
-            append(_finite("[" + inner + body + _NEWLINE[level] + "]"))
-            return
+        if types <= _SEQUENCES:
+            # flattened into a list: tuple() of an iterator grows and then
+            # shrinks its tuple, and CPython keeps a freed small tuple on the
+            # free list of its final length, where such tuples pile up
+            cells = [*chain.from_iterable(obj)]
+            if set(map(type, cells)) == _FLOAT:
+                # a table of float rows: the row templates (an empty row's
+                # is "[]") joined into one for the whole table, applied once
+                # to the flat cells
+                template = ("," + inner).join(
+                    [_row_template(len(row)) for row in obj])
+                template = "[" + inner + template + _NEWLINE[level] + "]"
+                append(_finite(template % tuple(cells)))
+                return
         items = enumerate(obj)
         if types <= _SCALARS or not any(issubclass(t, _CONTAINERS) for t in types):
             head, sep, close = "[", ", ", "]"

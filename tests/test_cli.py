@@ -759,6 +759,33 @@ def test_verify_exact_has_no_initial_condition_flags(capsys):
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("integrate", "--ic", "-1,0"),
+    ("integrate", "--path", "-1:1"),
+    ("probe", "--ic", "-0.5,0"),
+    ("probe", "--ic", "-.5,0"),
+    ("verify-exact", "--A", "-1/2"),
+    ("verify-exact", "--omega", "-2i"),
+    ("integrate", "--omega", "-i"),
+])
+def test_negative_value_as_a_separate_argument(command, flag, value, tmp_path,
+                                              capsys):
+    # argparse reads only -N and -N.N as numbers; a token of '-' and then a
+    # digit, '.' or 'i' is the value of the flag before it, as in FLAG=VALUE
+    runs = []
+    for argv in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / "out.json"
+        rc = main([command, *argv, "--out", str(out)])
+        text = out.read_text(encoding="utf-8") if rc == 0 else None
+        runs.append((rc, capsys.readouterr().err, text))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    rc, err, _ = runs[0]
+    assert "usage:" not in err
+    # -1/2 is no width constant, and the quadratic form says so
+    assert rc == (2 if flag == "--A" else 0)
+
+
 def test_main_builds_one_parser_tree(tmp_path, monkeypatch):
     import argparse
 

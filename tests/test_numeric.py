@@ -528,6 +528,12 @@ def _run_case(case, step=None):
 
 
 def _assert_same_trajectory(got, want):
+    # the rows first: a float run reads them from its float samples, before
+    # its points are built; repr tells the signed zeros apart
+    assert repr(got.to_rows()) == repr([
+        (p.t.real, p.t.imag, p.value.real, p.value.imag, p.slope.real,
+         p.slope.imag) for p in want.points
+    ])
     assert len(got.points) == len(want.points)
     for g, w in zip(got.points, want.points):
         assert g.t == w.t and g.value == w.value and g.slope == w.slope
@@ -602,8 +608,14 @@ def test_real_problems_step_in_floats(omega, ic, path, steps_in_complex):
     ode = _CountingWidthOde(omega)
     traj = integrate(ode, ic, path, tol=1e-10)
     assert (ode.calls > 0) == steps_in_complex
+    # a float run builds its points on their first read, and keeps them
+    assert (traj._points is None) == (not steps_in_complex)
+    rows = traj.to_rows()
+    assert traj.points is traj.points
     assert len(traj.points) > 1
+    assert all(type(p) is TrajectoryPoint for p in traj.points)
     assert all(type(x) is complex for p in traj.points for x in p)
+    assert traj.to_rows() == rows
 
 
 @pytest.mark.xfail(strict=True, reason=(

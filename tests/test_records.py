@@ -130,6 +130,11 @@ def test_mutable_records_take_assignment():
     assert traj.stats == {} and traj.halt_kind is None and not traj.halted
     traj.halt_kind = "budget"
     assert traj.halted
+    # the points given are the points read back, and the rows follow them
+    point = TrajectoryPoint(1j, 2 + 0j, complex(-0.0, 0.0))
+    traj.points = [point]
+    assert traj.points[0] is point and traj.end is point
+    assert repr(traj.to_rows()) == repr([(0.0, 1.0, 2.0, 0.0, -0.0, 0.0)])
     cand = ClosedFormCandidate("rational", {1: 1}, 0)
     assert cand.tail == {} and cand.verified is None
     cand.verified = True

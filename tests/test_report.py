@@ -484,8 +484,20 @@ _MIXED_ROWS = _rows_of(st.one_of(
     _FINITE_FLOATS, st.integers(), st.booleans(), st.none(),
     st.text(max_size=3), st.lists(_FINITE_FLOATS, max_size=2),
 ))
-_TABLES = _rows_of(st.one_of(_FLOAT_ROWS, _FLOAT_ROWS.filter(bool), _MIXED_ROWS),
-                   max_size=5)
+# long tables too, a few hundred rows as the CLI prints: a short drawn
+# table repeated to the drawn length
+_LONG_TABLES = st.builds(
+    lambda rows, n: [rows[i % len(rows)] for i in range(n)],
+    st.lists(st.one_of(_FLOAT_ROWS, st.lists(_FINITE_FLOATS, min_size=6,
+                                             max_size=6)),
+             min_size=1, max_size=4),
+    st.integers(min_value=100, max_value=400),
+)
+_TABLES = st.one_of(
+    _rows_of(st.one_of(_FLOAT_ROWS, _FLOAT_ROWS.filter(bool), _MIXED_ROWS),
+             max_size=5),
+    _LONG_TABLES, _LONG_TABLES.map(tuple),
+)
 _PAYLOADS = st.recursive(
     st.one_of(_FINITE_FLOATS, st.integers(), st.booleans(), st.none(), _TEXT,
               _FLOAT_ROWS, _MIXED_ROWS, _TABLES),
