@@ -485,8 +485,8 @@ def _cleared_lead(coeffs):
     of the denominators every part is an integer, and the content is the
     gcd of those integers over L."""
     parts = [p for c in coeffs if (p := _parts(c)) is not None]
-    lcm = math.lcm(*(d for _, _, d in parts))
-    content = math.gcd(*(x * (lcm // d) for a, b, d in parts for x in (a, b)))
+    lcm = math.lcm(*[d for _, _, d in parts])
+    content = math.gcd(*[x * (lcm // d) for a, b, d in parts for x in (a, b)])
     a, b, d = parts[-1]
     return _norm(a * lcm, b * lcm, d * content)
 
@@ -537,7 +537,7 @@ def _quadratic_roots(coeffs):
         elif x[1]:
             return None
         parts.append(x)
-    lcm = math.lcm(*(d for _, _, d in parts))
+    lcm = math.lcm(*[d for _, _, d in parts])
     ints = [a * (lcm // d) for a, _, d in parts]
     if ints[-1] < 0:
         ints = [-x for x in ints]

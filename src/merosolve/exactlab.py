@@ -6,15 +6,14 @@ superposition solutions, the superposition built directly from initial
 conditions and the zero of that width nearest t = 0 (``pinney_zero``), the
 coupled-oscillator invariant, the third-order maximal-symmetry check for
 ``alpha**2``, and the complex Riccati reduction residual.  Every derivative
-is analytic: a time point evaluates each basis solution once, as a (value,
-slope) jet, and the higher derivatives follow from
-``eta'' = -omega**2 eta``.  The lab's grid reads one form jet per point
-of each width: ``PinneyWidth.residuals`` takes the width-equation,
-third-order and Riccati residuals from it together.  A width called for
-its value alone (``PinneyWidth.__call__``, as the comparison with a
-trajectory does at each of its points) builds only F = alpha**2 from the
-two basis values, by the expression the form jet uses, so it returns the
-same value, and raises the same domain error, with no derivative work.
+is analytic: a time point takes one cos/sin pair for the basis jet
+(u, u', v, v'), and the higher derivatives follow from
+``eta'' = -omega**2 eta``.  The lab's grid takes one basis jet per point
+for both of its widths and one form jet per point of each width.  A width
+called for its value alone (``PinneyWidth.__call__``, as the comparison
+with a trajectory does at each of its points) builds F = alpha**2 from the
+two basis values by the form jet's expression: the same value and domain
+error, with no derivative work.
 """
 
 from __future__ import annotations
@@ -40,9 +39,16 @@ class LinearOscillation:
         w = self.omega
         if w == 0:
             return self.value0 + self.slope0 * t, self.slope0
-        cos, sin = cmath.cos(w * t), cmath.sin(w * t)
-        return (self.value0 * cos + self.slope0 * sin / w,
-                -self.value0 * w * sin + self.slope0 * cos)
+        return self.trig_jet(cmath.cos(w * t), cmath.sin(w * t))
+
+    def trig_value(self, cos, sin):
+        """eta where cos(omega t) = cos and sin(omega t) = sin, omega != 0."""
+        return self.value0 * cos + self.slope0 * sin / self.omega
+
+    def trig_jet(self, cos, sin):
+        """(eta, eta') where cos(omega t) = cos and sin(omega t) = sin."""
+        return (self.trig_value(cos, sin),
+                -self.value0 * self.omega * sin + self.slope0 * cos)
 
     def __call__(self, t):
         return self.jet(t)[0]
@@ -56,9 +62,24 @@ class OscillatorBasis(Record):
 
     __slots__ = ("omega", "u", "v", "wronskian")
 
+    def jet(self, t):
+        """(u, u', v, v') at t from one cos/sin pair, by the solutions' jets."""
+        w = self.omega
+        if w == 0:
+            return (*self.u.jet(t), *self.v.jet(t))
+        cos, sin = cmath.cos(w * t), cmath.sin(w * t)
+        return (*self.u.trig_jet(cos, sin), *self.v.trig_jet(cos, sin))
+
+    def values(self, t):
+        """(u, v) at t from one cos/sin pair: the values of :meth:`jet`."""
+        w = self.omega
+        if w == 0:
+            return self.u(t), self.v(t)
+        cos, sin = cmath.cos(w * t), cmath.sin(w * t)
+        return self.u.trig_value(cos, sin), self.v.trig_value(cos, sin)
+
     def wronskian_at(self, t) -> complex:
-        u, du = self.u.jet(t)
-        v, dv = self.v.jet(t)
+        u, du, v, dv = self.jet(t)
         return u * dv - du * v
 
 
@@ -89,32 +110,34 @@ class PinneyWidth:
     def __init__(self, params: QuadFormParams, basis: OscillatorBasis):
         self.params = params
         self.basis = basis
+        # each the subexpression the formulas below evaluated first: same bits
+        self._a2, self._b2, self._c2 = 2 * params.A, 2 * params.B, 2 * params.C
+        self._w2 = basis.omega ** 2
+        self._neg_w2 = -self._w2
 
     def _form(self, u, v):
         """F = A u**2 + 2 B u v + C v**2 from the basis values at a point."""
-        A, B, C = self.params.A, self.params.B, self.params.C
-        return A * u ** 2 + 2 * B * u * v + C * v ** 2
+        A, C = self.params.A, self.params.C
+        return A * u ** 2 + self._b2 * u * v + C * v ** 2
 
-    def form_jet(self, t):
-        """(F, F', F'', F''') of the form F = alpha**2 at t, from one jet
-        of each basis solution."""
-        A, B, C = self.params.A, self.params.B, self.params.C
-        u, du = self.basis.u.jet(t)
-        v, dv = self.basis.v.jet(t)
-        neg_w2 = -self.basis.omega ** 2
+    def form_jet(self, t, jet=None):
+        """(F, F', F'', F''') of the form F = alpha**2 at t, from the basis
+        ``jet`` at t (:meth:`OscillatorBasis.jet`, taken here if None)."""
+        u, du, v, dv = self.basis.jet(t) if jet is None else jet
+        a2, b2, c2, neg_w2 = self._a2, self._b2, self._c2, self._neg_w2
         ddu, dddu = neg_w2 * u, neg_w2 * du
         ddv, dddv = neg_w2 * v, neg_w2 * dv
         F = self._form(u, v)
-        dF = 2 * A * u * du + 2 * B * (du * v + u * dv) + 2 * C * v * dv
+        dF = a2 * u * du + b2 * (du * v + u * dv) + c2 * v * dv
         ddF = (
-            2 * A * (du ** 2 + u * ddu)
-            + 2 * B * (ddu * v + 2 * du * dv + u * ddv)
-            + 2 * C * (dv ** 2 + v * ddv)
+            a2 * (du ** 2 + u * ddu)
+            + b2 * (ddu * v + 2 * du * dv + u * ddv)
+            + c2 * (dv ** 2 + v * ddv)
         )
         dddF = (
-            2 * A * (3 * du * ddu + u * dddu)
-            + 2 * B * (dddu * v + 3 * ddu * dv + 3 * du * ddv + u * dddv)
-            + 2 * C * (3 * dv * ddv + v * dddv)
+            a2 * (3 * du * ddu + u * dddu)
+            + b2 * (dddu * v + 3 * ddu * dv + 3 * du * ddv + u * dddv)
+            + c2 * (3 * dv * ddv + v * dddv)
         )
         return F, dF, ddF, dddF
 
@@ -123,20 +146,25 @@ class PinneyWidth:
         positive this raises, naming the point."""
         return self._jet(complex(t))[:3]
 
-    def residuals(self, t):
-        """At t, from one form jet and with omega the basis frequency: the
-        width-equation residual alpha'' + omega**2 alpha - alpha**-3, the
-        third-order residual x''' + 4 omega**2 x' of x = alpha**2 and the
-        Riccati residual; raises where :meth:`derivatives` does."""
-        alpha, dalpha, ddalpha, dF, dddF = self._jet(complex(t))
-        omega = self.basis.omega
-        return (ddalpha + omega ** 2 * alpha - alpha ** -3,
-                dddF + 4 * omega ** 2 * dF,
-                riccati_residual(alpha, dalpha, ddalpha, omega))
+    def residuals(self, t, jet=None):
+        """At t, from one form jet (of the basis ``jet``) and with omega the
+        basis frequency: the width-equation residual alpha'' + omega**2 alpha
+        - alpha**-3, the third-order residual x''' + 4 omega**2 x' of
+        x = alpha**2 and the Riccati residual; raises where
+        :meth:`derivatives` does."""
+        alpha, dalpha, ddalpha, dF, dddF = self._jet(complex(t), jet)
+        return (ddalpha + self._w2 * alpha - alpha ** -3,
+                dddF + 4 * self._w2 * dF,
+                riccati_residual(alpha, dalpha, ddalpha, self.basis.omega))
 
-    def _jet(self, t: complex):
+    def width_residual(self, t, jet=None):
+        """The width-equation residual of :meth:`residuals` alone."""
+        alpha, _, ddalpha, _, _ = self._jet(complex(t), jet)
+        return ddalpha + self._w2 * alpha - alpha ** -3
+
+    def _jet(self, t: complex, jet=None):
         """(alpha, alpha', alpha'', F', F''') at t from one form jet."""
-        F, dF, ddF, dddF = self.form_jet(t)
+        F, dF, ddF, dddF = self.form_jet(t, jet)
         alpha = _root(F, t)
         return (alpha, dF / (2 * alpha),
                 ddF / (2 * alpha) - dF ** 2 / (4 * alpha ** 3), dF, dddF)
@@ -146,7 +174,7 @@ class PinneyWidth:
         the F of :meth:`form_jet`: the value :meth:`derivatives` gives, and
         the same domain error."""
         t = complex(t)
-        return _root(self._form(self.basis.u(t), self.basis.v(t)), t)
+        return _root(self._form(*self.basis.values(t)), t)
 
     def d1(self, t) -> complex:
         return self._jet(complex(t))[1]

@@ -35,7 +35,7 @@ The pair is used first same as last (Dormand & Prince 1980; Hairer, Norsett
 F_6 = accel(value') is the derivative at the new state.  A step evaluates it
 for the error estimate and an accepted step hands it on as the next step's
 F_0.  F_0 does not depend on d, so it carries across corners too: a step
-costs six ``accel`` calls, a rejected step keeps its F_0, and an
+costs six acceleration evaluations, a rejected step keeps its F_0, and an
 integration evaluates one first stage in all.
 
 A step fails, and is halved, when a stage raises ``ZeroDivisionError`` or
@@ -68,11 +68,17 @@ The coefficients that multiply stage values are held as complex constants
 first fails in ``float.__mul__``; the complex type then promotes the float
 to exactly ``complex(x, 0.0)`` and multiplies as ``complex * complex`` does.
 A complex constant skips that dispatch and gives the same bits, signed
-zeros included.  Nearby rewrites that look alike are not bit-identical, so
-the step does not make them: ``1 / (u * (u * u))`` for ``u ** -3`` in
-``accel`` flips signed zeros and turns the ``OverflowError`` at tiny u
-(an ``underflow`` halt) into a silent inf (an ``overflow`` halt), and the
-operand order of ``h_try * d`` and of every stage sum is kept.
+zeros included.  Likewise, where ``ode.accel`` is ``EpWidthOde.accel``
+itself, the complex kernel writes each stage as that method's expression,
+``nw2 * u + u ** -3`` with nw2 = ``ode._neg_w2``: the same bits and the same
+``ZeroDivisionError`` and ``OverflowError``, without six Python calls per
+step.  Every other acceleration is called: the linear oscillator's, an
+override in a subclass, an instance's own ``accel`` and ``accel_real``.
+Nearby rewrites that look alike are not bit-identical, so the step does not
+make them: ``1 / (u * (u * u))`` for ``u ** -3`` flips signed zeros and
+turns the ``OverflowError`` at tiny u (an ``underflow`` halt) into a silent
+inf (an ``overflow`` halt), and the operand order of ``h_try * d`` and of
+every stage sum is kept.
 
 A problem on the real line steps in float arithmetic, with the same
 unrolled step.  ``integrate`` picks the float kernel once per call when the
@@ -97,16 +103,9 @@ does on the real line: ``ZeroDivisionError`` where u * (u * u) is 0,
 overflows, because the square and multiply of ``c_powu`` then multiplies
 inf by the zero imaginary part.
 
-The float kernel records each accepted step as the plain tuple
-(t, value, slope), t complex and value and slope floats, and
-``ComplexTrajectory.to_rows`` reads these: a float's ``real`` and ``imag``
-are the parts of its ``complex(x)``, exact and with imaginary part +0.0 as
-in the complex kernel, so both kernels print the same bytes.  The
-``points`` of such a run are built on their first read, as
-``TrajectoryPoint(t, complex(value), complex(slope))``, equal to the
-complex kernel's by ``==`` and ``repr``.  The complex kernel builds its
-points as it steps, with ``tuple.__new__``, which skips the Python-level
-``__new__`` of the ``TrajectoryPoint`` named tuple.
+Both kernels record each accepted step as the plain tuple (t, value,
+slope), value and slope floats in the float kernel; ``ComplexTrajectory``
+reads these samples as they are and builds its points on first read.
 """
 
 from __future__ import annotations
@@ -303,11 +302,11 @@ class TrajectoryPoint(NamedTuple):
 class ComplexTrajectory:
     """The points of an integration and why it stopped.
 
-    ``points`` is a list of ``TrajectoryPoint``.  The float kernel records
-    its accepted steps as plain tuples (t, value, slope), value and slope
-    floats; ``points`` builds the ``TrajectoryPoint`` list of such a run,
-    with ``complex(value)`` and ``complex(slope)``, on its first read, and
-    ``to_rows`` reads the recorded tuples without it.
+    ``samples`` are the (t, value, slope) tuples an integration recorded
+    (floats where it stepped in floats); ``points`` builds from them, on its
+    first read, ``TrajectoryPoint(t, complex(value), complex(slope))``.  A
+    ``points`` list read or set becomes the samples, so the readers of
+    ``samples`` see a caller's edits to it.
     """
 
     __slots__ = ("_samples", "_points", "singular_near_zero", "halt_reason",
@@ -327,6 +326,10 @@ class ComplexTrajectory:
 
     def __repr__(self):
         return field_repr(self, self._FIELDS)
+
+    @property
+    def samples(self) -> list:
+        return self._samples
 
     @property
     def points(self) -> list:
@@ -352,8 +355,8 @@ class ComplexTrajectory:
 
     def to_rows(self):
         """One (re t, im t, re value, im value, re slope, im slope) tuple
-        per point.  A float's ``real`` and ``imag`` are the parts of its
-        ``complex``, so the float kernel's samples give the same rows."""
+        per sample.  A float's ``real`` and ``imag`` are those of its
+        ``complex(x)``, so both kernels print the same bytes."""
         return [
             (t.real, t.imag, value.real, value.imag, slope.real, slope.imag)
             for t, value, slope in self._samples
@@ -397,7 +400,7 @@ def integrate(
                 events.add(s)
     events = sorted(events)
 
-    points = [TrajectoryPoint(path.waypoints[0], y0, y1)]
+    samples = [(path.waypoints[0], y0, y1)]
     halt_kind = halt_reason = None
     if halt_radius and abs(y0) < halt_radius:
         halt_kind = "manifold"
@@ -415,8 +418,10 @@ def integrate(
     else:
         accel = ode.accel
         rows = _NY_COMPLEXES
-    append = points.append
-    new_point = tuple.__new__
+    # the width equation's own accel is written into the complex step
+    inline = getattr(accel, "__func__", None) is EpWidthOde.accel
+    nw2 = ode._neg_w2 if inline else None
+    append = samples.append
     max_steps = MAX_STEPS
     inf = math.inf
     c_row, abar_rows, ba_row, b_row, ea_row, e_row = rows
@@ -461,19 +466,33 @@ def integrate(
                 hc = h_try * d_step
                 hv = hc * y1
                 h2 = hc * hc
-                f1 = accel(y0 + c1 * hv)
-                f2 = accel(y0 + c2 * hv + h2 * (g20 * f0))
-                f3 = accel(y0 + c3 * hv + h2 * (g30 * f0 + g31 * f1))
-                f4 = accel(y0 + c4 * hv + h2 * (g40 * f0 + g41 * f1
-                                                + g42 * f2))
-                f5 = accel(y0 + hv + h2 * (g50 * f0 + g51 * f1 + g52 * f2
-                                           + g53 * f3))
-                z0 = y0 + hv + h2 * (ba0 * f0 + ba2 * f2 + ba3 * f3
-                                     + ba4 * f4)
+                # the last stage sits at the new state: the next first
+                # stage.  EpWidthOde.accel(u) is nw2 * u + u ** -3
+                if inline:
+                    f1 = nw2 * (u := y0 + c1 * hv) + u ** -3
+                    f2 = nw2 * (u := y0 + c2 * hv + h2 * (g20 * f0)) + u ** -3
+                    f3 = nw2 * (u := y0 + c3 * hv + h2 * (
+                        g30 * f0 + g31 * f1)) + u ** -3
+                    f4 = nw2 * (u := y0 + c4 * hv + h2 * (
+                        g40 * f0 + g41 * f1 + g42 * f2)) + u ** -3
+                    f5 = nw2 * (u := y0 + hv + h2 * (
+                        g50 * f0 + g51 * f1 + g52 * f2 + g53 * f3)) + u ** -3
+                    z0 = y0 + hv + h2 * (ba0 * f0 + ba2 * f2 + ba3 * f3
+                                         + ba4 * f4)
+                    f6 = nw2 * z0 + z0 ** -3
+                else:
+                    f1 = accel(y0 + c1 * hv)
+                    f2 = accel(y0 + c2 * hv + h2 * (g20 * f0))
+                    f3 = accel(y0 + c3 * hv + h2 * (g30 * f0 + g31 * f1))
+                    f4 = accel(y0 + c4 * hv + h2 * (g40 * f0 + g41 * f1
+                                                    + g42 * f2))
+                    f5 = accel(y0 + hv + h2 * (g50 * f0 + g51 * f1
+                                               + g52 * f2 + g53 * f3))
+                    z0 = y0 + hv + h2 * (ba0 * f0 + ba2 * f2 + ba3 * f3
+                                         + ba4 * f4)
+                    f6 = accel(z0)
                 z1 = y1 + hc * (b0 * f0 + b2 * f2 + b3 * f3 + b4 * f4
                                 + b5 * f5)
-                # the last stage sits at the new state: the next first stage
-                f6 = accel(z0)
                 rhs_evals += 6
                 az0 = abs(z0)
                 az1 = abs(z1)
@@ -512,8 +531,7 @@ def integrate(
                 accepted += 1
                 if not record_samples_only or s_cur == target:
                     t = base_t + d * (s_cur - base_s)
-                    append((t, y0, y1) if real
-                           else new_point(TrajectoryPoint, (t, y0, y1)))
+                    append((t, y0, y1))
                 if err == 0.0:
                     factor = 5.0
                 else:
@@ -551,16 +569,14 @@ def integrate(
     if halt_reason is None and halt_kind:
         halt_reason = _HALT_REASONS[halt_kind]
     traj = ComplexTrajectory(
-        points=points,
+        points=samples,
         singular_near_zero=ode.singular_near_zero,
         halt_reason=halt_reason,
         halt_kind=halt_kind,
         stats={"accepted": accepted, "rejected": rejected,
                "rhs_evals": rhs_evals},
     )
-    if real:
-        # the samples hold float values and slopes: points on first read
-        traj._points = None
+    traj._points = None  # built from the samples on first read
     return traj
 
 
@@ -653,7 +669,7 @@ def detect_singularity(traj: ComplexTrajectory) -> SingularityProbe:
     """
     if not traj.singular_near_zero:
         return SingularityProbe(t_star=None, kind="none")
-    pts = traj.points
+    pts = traj.samples
     if len(pts) < 6:
         return SingularityProbe(t_star=None, kind="none")
     _, end_value, _ = pts[-1]
@@ -729,7 +745,7 @@ def fit_local_exponent(traj: ComplexTrajectory, t_star: complex) -> ExponentFit:
     t_star = complex(t_star)
     pairs = [
         (abs(t - t_star), m)
-        for t, value, _ in traj.points
+        for t, value, _ in traj.samples
         if t != t_star and (m := abs(value)) > 0
     ]
     if not pairs:
@@ -779,14 +795,13 @@ def fit_local_exponent(traj: ComplexTrajectory, t_star: complex) -> ExponentFit:
 def invariant_drift(eta_traj: ComplexTrajectory, alpha_traj: ComplexTrajectory):
     """Largest deviation of the coupled-oscillator invariant along two
     trajectories sharing a sample grid."""
-    if len(eta_traj.points) != len(alpha_traj.points):
+    if len(eta_traj.samples) != len(alpha_traj.samples):
         raise ValueError("mismatched grids: different sample counts")
     values = []
-    for pe, pa in zip(eta_traj.points, alpha_traj.points):
-        if abs(pe.t - pa.t) > 1e-9 * (1.0 + abs(pe.t)):
-            raise ValueError(f"mismatched grids at t = {pe.t} vs {pa.t}")
-        values.append(
-            ermakov_invariant(pe.value, pe.slope, pa.value, pa.slope)
-        )
+    for (te, eta, deta), (ta, alpha, dalpha) in zip(eta_traj.samples,
+                                                    alpha_traj.samples):
+        if abs(te - ta) > 1e-9 * (1.0 + abs(te)):
+            raise ValueError(f"mismatched grids at t = {te} vs {ta}")
+        values.append(ermakov_invariant(eta, deta, alpha, dalpha))
     base = values[0]
     return max(abs(v - base) for v in values)

@@ -883,16 +883,18 @@ def exactlab_results(omega=1.0, params=(2, 1, 1), tol: float = 1e-10) -> dict:
     width = pinney_solution(quad, basis)
     t0, t1 = LAB_INTERVAL
     ts = [t0 + (t1 - t0) * i / (LAB_GRID - 1) for i in range(LAB_GRID)]
-
-    # one form jet per grid point gives all three residuals
+    # one basis jet per grid point serves both widths, and one form jet
+    # gives all three residuals of the (A, B, C) width
+    jets = [basis.jet(complex(t)) for t in ts]
     pinney_residual, third_max, riccati_max = (
-        max(map(abs, column)) for column in zip(*map(width.residuals, ts))
+        max(map(abs, column))
+        for column in zip(*map(width.residuals, ts, jets))
     )
 
     ode = EpWidthOde(omega_c)
     traj = integrate(ode, (width(t0), width.d1(t0)), [t0, t1], tol=tol)
     numeric_deviation = max(
-        abs(p.value - width(p.t.real)) for p in traj.points
+        abs(value - width(t.real)) for t, value, _ in traj.samples
     )
 
     # conservation benchmark: eta = sin, alpha constant 1, I = 1/2
@@ -906,7 +908,7 @@ def exactlab_results(omega=1.0, params=(2, 1, 1), tol: float = 1e-10) -> dict:
     drift = float(invariant_drift(eta_traj, alpha_traj))
 
     ic_width, mismatch = width_from_ics(1.0, 0.0, basis)
-    ic_residual = max(abs(ic_width.residuals(t)[0]) for t in ts)
+    ic_residual = max(map(abs, map(ic_width.width_residual, ts, jets)))
 
     return {
         "omega": complex_json(omega_c),
@@ -928,14 +930,8 @@ def exactlab_results(omega=1.0, params=(2, 1, 1), tol: float = 1e-10) -> dict:
         "invariant": {
             "drift": float(drift),
             "threshold": INVARIANT_DRIFT_PER_TOL * tol,
-            "initial_value": complex_json(
-                ermakov_invariant(
-                    eta_traj.points[0].value,
-                    eta_traj.points[0].slope,
-                    alpha_traj.points[0].value,
-                    alpha_traj.points[0].slope,
-                )
-            ),
+            "initial_value": complex_json(ermakov_invariant(
+                *eta_traj.samples[0][1:], *alpha_traj.samples[0][1:])),
         },
         "third_order": {"max_residual": float(third_max)},
         "riccati": {"max_residual": float(riccati_max)},
@@ -968,7 +964,7 @@ def probe_payload(omega, ic, path_points, tol: float = 1e-10) -> dict:
         "halted": traj.halted,
         "halt_reason": traj.halt_reason,
         "stats": traj.stats,
-        "samples": len(traj.points),
+        "samples": len(traj.samples),
         "kind": probe.kind,
         "t_star": complex_json(probe.t_star) if probe.t_star is not None else None,
         "fit_residual": (

@@ -1,13 +1,19 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from merosolve import numeric
 from merosolve.errors import ExponentUnresolvedError
-from merosolve.exactlab import QuadFormParams, oscillator_basis, pinney_solution
+from merosolve.exactlab import (
+    QuadFormParams,
+    oscillator_basis,
+    pinney_solution,
+    pinney_zero,
+)
 from merosolve.numeric import (
     TOL_MAX,
     TOL_MIN,
@@ -608,8 +614,8 @@ def test_real_problems_step_in_floats(omega, ic, path, steps_in_complex):
     ode = _CountingWidthOde(omega)
     traj = integrate(ode, ic, path, tol=1e-10)
     assert (ode.calls > 0) == steps_in_complex
-    # a float run builds its points on their first read, and keeps them
-    assert (traj._points is None) == (not steps_in_complex)
+    # either kernel builds its points on their first read, and keeps them
+    assert traj._points is None
     rows = traj.to_rows()
     assert traj.points is traj.points
     assert len(traj.points) > 1
@@ -629,6 +635,124 @@ def test_integrate_width_from_a_huge_initial_value():
     assert not traj.halted
     assert traj.end.t == 1
     assert abs(traj.end.value / 1e200 - math.cos(1.0)) <= 1e-8
+
+
+def _outcome(fn, *args):
+    """The repr of what ``fn(*args)`` returns or raises."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, ExponentUnresolvedError) as exc:
+        return repr((exc, vars(exc)))
+
+
+@pytest.mark.parametrize("ode, ic, path, real", [
+    # |value| falls from 2 to 0.5, so the singularity fit runs on floats
+    (EpWidthOde(1.0), (2.0, 0.0), [0, 1.5], True),
+    (LinearOscillatorOde(1.0), (0.0, 1.0), [0, 4], True),
+    (EpWidthOde(1.0), (2.0, 0.0), [0, _analytic_zero(1.0, 2.0)], False),
+    (LinearOscillatorOde(0.8 + 0.2j), (0.0, 1.0), [0, 2], False),
+], ids=["width-real", "linear-real", "width-probe", "linear-complex"])
+def test_both_kernels_record_samples_and_build_points_lazily(
+        ode, ic, path, real):
+    traj = integrate(ode, ic, path, tol=1e-10)
+    samples = traj.samples
+    assert traj._points is None
+    assert all(type(s) is tuple and len(s) == 3 for s in samples)
+    assert all(type(s[0]) is complex for s in samples)
+    # after the initial values, a float run holds floats
+    kind = float if real else complex
+    assert all(type(x) is kind for s in samples[1:] for x in s[1:])
+    rows = traj.to_rows()
+    probe_before = detect_singularity(traj)
+    t_star = probe_before.t_star or 0.5 + 2j
+    fit_before = _outcome(fit_local_exponent, traj, t_star)
+    points = traj.points
+    assert points == [
+        TrajectoryPoint(t, complex(value), complex(slope))
+        for t, value, slope in samples
+    ]
+    assert traj.samples is points and traj.points is points
+    # the readers give the same bits from samples and from points
+    assert repr(traj.to_rows()) == repr(rows)
+    assert _outcome(fit_local_exponent, traj, t_star) == fit_before
+    assert repr(detect_singularity(traj)) == repr(probe_before)
+
+
+def test_points_set_or_edited_by_a_caller_are_what_the_readers_read():
+    traj = integrate(EpWidthOde(1.0), (2.0, 0.0),
+                     [0, _analytic_zero(1.0, 2.0)], tol=1e-10)
+    assert detect_singularity(traj).kind == "zero-of-alpha"
+    # a constant tail has no zero to find
+    traj.points = [TrajectoryPoint(0.01 * k, 1 + 0j, 0j) for k in range(10)]
+    assert traj.samples is traj.points
+    assert detect_singularity(traj).kind == "none"
+    assert traj.to_rows()[-1] == (0.09, 0.0, 1.0, 0.0, 0.0, 0.0)
+    traj.points.append(TrajectoryPoint(0.5j, 2 + 0j, 3j))
+    assert traj.samples[-1] == (0.5j, 2 + 0j, 3j)
+    assert traj.to_rows()[-1] == (0.0, 0.5, 2.0, 0.0, 0.0, 3.0)
+
+
+class _CalledWidthOde(EpWidthOde):
+    """The width equation with its acceleration called at each stage, as
+    for any ``accel`` but ``EpWidthOde.accel`` itself."""
+
+    def accel(self, u):
+        return super().accel(u)
+
+
+def _accel_calls(ode, ic, path, tol):
+    """The trajectory and the number of calls to ``EpWidthOde.accel``."""
+    code = EpWidthOde.accel.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        traj = integrate(ode, ic, path, tol=tol)
+    finally:
+        sys.setprofile(None)
+    return traj, calls
+
+
+# the smallest width whose complex u ** -3 is finite: a stage just below it
+# raises OverflowError
+_EDGE_OF_CUBE = 1.7718548704178435e-103
+
+
+def _guard_off(ode):
+    ode.singular_near_zero = False
+    return ode
+
+
+@pytest.mark.parametrize("make, ic, path, halt_kind", [
+    (lambda cls: cls(0.7), (1.3, 0.4), [0, pinney_zero(1.3, 0.4, 0.7)],
+     "manifold"),
+    # without the guard the width starts at the edge of u ** -3 and heads
+    # into its zero: every stage 1 raises, and the step underflows
+    (lambda cls: _guard_off(cls(1.0)), (_EDGE_OF_CUBE, 1j * _EDGE_OF_CUBE),
+     [0, 1j], "underflow"),
+    # the width-square-overflows row, kept in complex arithmetic by the -0.0
+    (lambda cls: cls(1.0), (complex(1e200, -0.0), 0.0), [0, 1], "overflow"),
+], ids=["probe-to-pinney-zero", "underflow-at-a-zero",
+        "width-square-overflows"])
+def test_inline_width_acceleration_matches_the_called_one(
+        make, ic, path, halt_kind):
+    # the edge the underflow case relies on
+    assert complex(_EDGE_OF_CUBE) ** -3
+    with pytest.raises(OverflowError):
+        complex(math.nextafter(_EDGE_OF_CUBE, 0.0)) ** -3
+    inline, inline_calls = _accel_calls(make(EpWidthOde), ic, path, 1e-10)
+    called, calls = _accel_calls(make(_CalledWidthOde), ic, path, 1e-10)
+    # the inline step calls accel for the integration's first stage alone
+    assert inline_calls == 1 and calls > 1
+    assert repr(inline.samples) == repr(called.samples)
+    assert inline.stats == called.stats
+    assert inline.halt_kind == called.halt_kind == halt_kind
+    assert inline.halt_reason == called.halt_reason
 
 
 # the largest relative difference measured over the reference cases is
