@@ -608,7 +608,7 @@ def compute_resonances(poly: DifferentialPolynomial, fam: BalanceFamily, a):
     signals an inconsistent balance and raises.
     """
     a = canonical_scalar(a)
-    if is_zero(a, 0.0):
+    if not a:
         raise ValueError("leading coefficient must be nonzero")
     roots = rational_resonances(fam, a)
     if Fraction(-1) not in roots:

@@ -9,8 +9,9 @@ behavior is a pole of order p:
   which keeps the matching exact for exact input data.
 * rational: principal part plus a polynomial tail read off the data.
 
-Candidates are verified by substituting their expansion back into the
-equation; the verdict is stored on the candidate, never assumed.
+Both builders return a candidate verified by substituting its expansion
+back into the equation: the verdict is a field of the record, never
+assumed.  ``verify_candidate`` measures a residual and changes nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .balance import _numeric_roots
 from .errors import NoPeriodicCandidateError, NotLaurentError
 from .odemodel import DifferentialPolynomial
-from .records import field_repr
+from .records import Record
 from .scalars import (
     canonical_scalar,
     is_zero,
@@ -40,8 +41,11 @@ KIND_SIMPLY_PERIODIC = "simply-periodic"
 KIND_RATIONAL = "rational"
 
 
-class ClosedFormCandidate:
-    """A candidate exact solution with its verification record."""
+class ClosedFormCandidate(Record):
+    """A candidate exact solution with its verification record.  ``pole_part``
+    maps k >= 1 to c_{-k}; ``L`` = (pi/T)**2 and ``period`` = pi / sqrt(L),
+    principal branch, are simply periodic only, ``tail`` (k -> c_k) rational
+    only."""
 
     __slots__ = ("kind", "pole_part", "h0", "L", "period", "tail", "verified",
                  "residual_norm", "first_failing_order")
@@ -50,17 +54,9 @@ class ClosedFormCandidate:
                  period: complex = None, tail: dict = None,
                  verified: bool = None, residual_norm: float = None,
                  first_failing_order: Fraction = None):
-        self.kind = kind
-        self.pole_part = pole_part  # k -> c_{-k}, k >= 1
-        self.h0 = h0
-        self.L = L  # (pi/T)**2; simply periodic only
-        self.period = period  # pi / sqrt(L), principal branch
-        self.tail = {} if tail is None else tail  # rational tail k -> c_k
-        self.verified = verified
-        self.residual_norm = residual_norm
-        self.first_failing_order = first_failing_order
-
-    __repr__ = field_repr
+        super().__init__(kind, pole_part, h0, L, period,
+                         {} if tail is None else tail, verified,
+                         residual_norm, first_failing_order)
 
     @property
     def pole_order(self) -> int:
@@ -146,20 +142,20 @@ def build_periodic(local: LocalSolution) -> ClosedFormCandidate:
     lpoly = {}
     for k in range(1, p + 1, 2):
         g = gamma.coeffs.get(k, 0)
-        if is_zero(g, 0.0):
+        if not g:
             continue
         beta = mul_frac(
             pole_part[k], Fraction((-1) ** (k - 1), math.factorial(k - 1))
         )
         term = mul_frac(beta * g, Fraction(math.factorial(k)))
-        if not is_zero(term, 0.0):
+        if term:
             lpoly[(k + 1) // 2] = lpoly.get((k + 1) // 2, 0) + term
     if not lpoly:
         raise NoPeriodicCandidateError(
             "no periodic candidate: order-1 matching equation is degenerate"
         )
     if list(lpoly) == [1]:
-        if is_zero(c1, 0.0):
+        if not c1:
             raise NoPeriodicCandidateError(
                 "no periodic candidate: vanishing first-order coefficient "
                 "forces an infinite period"
@@ -180,7 +176,7 @@ def build_periodic(local: LocalSolution) -> ClosedFormCandidate:
         acc = c0
         for k in range(2, p + 1, 2):
             g = gamma.coeffs.get(k - 1, 0)
-            if is_zero(g, 0.0):
+            if not g:
                 continue
             beta = mul_frac(
                 pole_part[k], Fraction((-1) ** (k - 1), math.factorial(k - 1))
@@ -208,9 +204,7 @@ def build_periodic(local: LocalSolution) -> ClosedFormCandidate:
                 score += abs(to_complex(diff))
         if best is None or score < best[0] - 1e-15:
             best = (score, cand)
-    cand = best[1]
-    verify_candidate(cand, local.poly)
-    return cand
+    return _verified(best[1], local.poly)
 
 
 def build_rational(local: LocalSolution, m: int) -> ClosedFormCandidate:
@@ -226,27 +220,25 @@ def build_rational(local: LocalSolution, m: int) -> ClosedFormCandidate:
         if k > series.trunc:
             break
         c = series.coeffs.get(k, 0)
-        if not is_zero(c, 0.0):
+        if c:
             tail[k] = c
-    cand = ClosedFormCandidate(
+    return _verified(ClosedFormCandidate(
         kind=KIND_RATIONAL,
         pole_part=pole_part,
         h0=tail.get(0, 0),
         tail=tail,
-    )
-    verify_candidate(cand, local.poly)
-    return cand
+    ), local.poly)
 
 
-def verify_candidate(
+def _verified(
     cand: ClosedFormCandidate,
     poly: DifferentialPolynomial,
     K: int = DEFAULT_VERIFY_ORDER,
-) -> float:
-    """Expand the candidate through order K, substitute into the equation
-    and record the largest residual coefficient magnitude."""
-    expansion = cand.expand(K)
-    residual = substitute(poly, expansion)
+) -> ClosedFormCandidate:
+    """``cand`` with its verification record: expand it through order K,
+    substitute into the equation and take the largest residual coefficient
+    magnitude and the first order where one exceeds the tolerance."""
+    residual = substitute(poly, cand.expand(K))
     norm = 0.0
     first_failing = None
     for j, c in residual.coeffs.items():
@@ -254,10 +246,18 @@ def verify_candidate(
         norm = max(norm, mag)
         if first_failing is None and mag > VERIFY_TOLERANCE:
             first_failing = residual.exponent(j)
-    cand.residual_norm = norm
-    cand.verified = norm < VERIFY_TOLERANCE
-    cand.first_failing_order = first_failing
-    return norm
+    return cand.replace(verified=norm < VERIFY_TOLERANCE, residual_norm=norm,
+                        first_failing_order=first_failing)
+
+
+def verify_candidate(
+    cand: ClosedFormCandidate,
+    poly: DifferentialPolynomial,
+    K: int = DEFAULT_VERIFY_ORDER,
+) -> float:
+    """The largest residual coefficient magnitude of ``cand`` through
+    order K; ``cand`` itself does not change."""
+    return _verified(cand, poly, K).residual_norm
 
 
 def period_from_pole_data(local: LocalSolution):
@@ -268,10 +268,10 @@ def period_from_pole_data(local: LocalSolution):
     """
     _require_laurent(local, "period formula needs Laurent data")
     c_minus1 = local.series.coeffs.get(-1, 0)
-    if is_zero(c_minus1, 0.0):
+    if not c_minus1:
         raise ValueError("period formula needs a nonzero residue")
     c3 = local.series.coeffs.get(3, 0)
-    if is_zero(c3, 0.0):
+    if not c3:
         raise ValueError("period formula needs a nonzero tau^3 coefficient")
     factor1 = principal_root(to_complex(c_minus1) / 45.0, 4)
     factor2 = principal_root(to_complex(c3), 4)

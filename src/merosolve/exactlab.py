@@ -252,20 +252,30 @@ def width_from_ics(alpha0, dalpha0, basis: OscillatorBasis):
 
 def pinney_zero(alpha0: float, dalpha0: float, omega: float) -> complex:
     """The zero of the width pinned by real initial data (alpha0, dalpha0)
-    at a real omega != 0 that lies nearest t = 0.
+    at a real omega that lies nearest t = 0.
 
     alpha**2 is the form of :func:`width_from_ics`, A cos**2 wt +
     2 B cos wt sin wt / w + C sin**2 wt / w**2 with B = alpha0 dalpha0 and
     C = dalpha0**2 + alpha0**-2.  Since A C - B**2 = 1 it vanishes where
     tan wt = w (-B +- i) / C; the nearest zero is one of the principal
-    arctangents or a half-period beside it.  At a zero the width has a
-    square-root branch point, the oracle for a complex-time probe.
+    arctangents or a half-period beside it; at omega = 0 it is their limit
+    (-B + i) / C, a zero of A + 2 B t + C t**2.  At a zero the width has a
+    square-root branch point, the oracle for a complex-time probe.  At the
+    equilibrium, dalpha0 = 0 and alpha0**4 = 1 / omega**2, there is no zero
+    and ``ValueError`` says so.
     """
     b = alpha0 * dalpha0
     c = dalpha0 ** 2 + alpha0 ** -2
+    if omega == 0:
+        return complex(-b, 1) / c
     zeros = []
     for sign in (1, -1):
-        base = cmath.atan(omega * complex(-b, sign) / c) / omega
+        try:
+            base = cmath.atan(omega * complex(-b, sign) / c) / omega
+        except ValueError:  # tan wt = +-i: the width is constant
+            raise ValueError(
+                "the width is at its equilibrium, alpha0**4 = 1/omega**2 "
+                "with dalpha0 = 0, and has no zero") from None
         zeros += [base + k * math.pi / omega for k in (-1, 0, 1)]
     return min(zeros, key=abs)
 

@@ -105,7 +105,7 @@ inf by the zero imaginary part.
 
 Both kernels record each accepted step as the plain tuple (t, value,
 slope), value and slope floats in the float kernel; ``ComplexTrajectory``
-reads these samples as they are and builds its points on first read.
+keeps these samples and builds its points from them on each read.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ from typing import NamedTuple
 
 from .errors import ExponentUnresolvedError
 from .exactlab import ermakov_invariant
-from .records import Record, field_repr
+from .records import Record
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 MAX_STEPS = 500_000  # accepted plus rejected steps per integration
@@ -288,10 +288,6 @@ class ComplexPath:
         a, b = self.waypoints[seg], self.waypoints[seg + 1]
         return (b - a) / abs(b - a)
 
-    def point_at(self, s: float) -> complex:
-        seg = self.segment_of(s)
-        return self.waypoints[seg] + self.direction(seg) * (s - self.cums[seg])
-
 
 class TrajectoryPoint(NamedTuple):
     t: complex
@@ -299,51 +295,28 @@ class TrajectoryPoint(NamedTuple):
     slope: complex
 
 
-class ComplexTrajectory:
-    """The points of an integration and why it stopped.
+class ComplexTrajectory(Record):
+    """The samples of an integration and why it stopped.
 
     ``samples`` are the (t, value, slope) tuples an integration recorded
-    (floats where it stepped in floats); ``points`` builds from them, on its
-    first read, ``TrajectoryPoint(t, complex(value), complex(slope))``.  A
-    ``points`` list read or set becomes the samples, so the readers of
-    ``samples`` see a caller's edits to it.
+    (floats where it stepped in floats); ``points`` and ``end`` build
+    ``TrajectoryPoint(t, complex(value), complex(slope))`` from them on each
+    read.
     """
 
-    __slots__ = ("_samples", "_points", "singular_near_zero", "halt_reason",
-                 "halt_kind", "stats")
-    _FIELDS = ("points", "singular_near_zero", "halt_reason", "halt_kind",
-               "stats")
+    __slots__ = ("samples", "singular_near_zero", "halt_reason", "halt_kind",
+                 "stats")
 
-    def __init__(self, points: list, singular_near_zero: bool,
+    def __init__(self, samples: list, singular_near_zero: bool,
                  halt_reason: str = None, halt_kind: str = None,
                  stats: dict = None):
-        self.points = points
-        self.singular_near_zero = singular_near_zero
-        self.halt_reason = halt_reason
-        # "manifold" | "underflow" | "overflow" | "budget"
-        self.halt_kind = halt_kind
-        self.stats = {} if stats is None else stats
-
-    def __repr__(self):
-        return field_repr(self, self._FIELDS)
-
-    @property
-    def samples(self) -> list:
-        return self._samples
+        super().__init__(samples, singular_near_zero, halt_reason, halt_kind,
+                         {} if stats is None else stats)
 
     @property
     def points(self) -> list:
-        points = self._points
-        if points is None:
-            points = self.points = [
-                TrajectoryPoint(t, complex(value), complex(slope))
-                for t, value, slope in self._samples
-            ]
-        return points
-
-    @points.setter
-    def points(self, points: list):
-        self._samples = self._points = points
+        return [TrajectoryPoint(t, complex(value), complex(slope))
+                for t, value, slope in self.samples]
 
     @property
     def halted(self) -> bool:
@@ -351,7 +324,8 @@ class ComplexTrajectory:
 
     @property
     def end(self) -> TrajectoryPoint:
-        return self.points[-1]
+        t, value, slope = self.samples[-1]
+        return TrajectoryPoint(t, complex(value), complex(slope))
 
     def to_rows(self):
         """One (re t, im t, re value, im value, re slope, im slope) tuple
@@ -359,7 +333,7 @@ class ComplexTrajectory:
         ``complex(x)``, so both kernels print the same bytes."""
         return [
             (t.real, t.imag, value.real, value.imag, slope.real, slope.imag)
-            for t, value, slope in self._samples
+            for t, value, slope in self.samples
         ]
 
 
@@ -568,16 +542,10 @@ def integrate(
                     break
     if halt_reason is None and halt_kind:
         halt_reason = _HALT_REASONS[halt_kind]
-    traj = ComplexTrajectory(
-        points=samples,
-        singular_near_zero=ode.singular_near_zero,
-        halt_reason=halt_reason,
-        halt_kind=halt_kind,
-        stats={"accepted": accepted, "rejected": rejected,
-               "rhs_evals": rhs_evals},
+    return ComplexTrajectory(
+        samples, ode.singular_near_zero, halt_reason, halt_kind,
+        {"accepted": accepted, "rejected": rejected, "rhs_evals": rhs_evals},
     )
-    traj._points = None  # built from the samples on first read
-    return traj
 
 
 class SingularityProbe(Record):

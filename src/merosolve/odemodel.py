@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from functools import reduce
-from typing import Union
 
 from .errors import NormalizationError, OdeSyntaxError, UnboundParameterError
 from .records import Record
@@ -32,7 +31,6 @@ from .scalars import (
     QComplex,
     canonical_scalar,
     is_exact,
-    is_zero,
     parse_complex_literal,
     scalar_pow,
 )
@@ -66,9 +64,6 @@ class Mul(Record):
 
 class Pow(Record):
     __slots__ = ("base", "exponent")
-
-
-OdeAst = Union[Const, Param, Y, Add, Mul, Pow]
 
 
 def ast_parameters(ast) -> set:
@@ -328,7 +323,7 @@ class _Parser:
         )
 
 
-def parse_ode(text: str) -> OdeAst:
+def parse_ode(text: str):
     """Parse DSL text into an expression tree.  Deterministic; raises
     :class:`OdeSyntaxError` with line/column on malformed input."""
     if not text or not text.strip():
@@ -516,8 +511,6 @@ def _expand(ast, env):
     if isinstance(ast, Const):
         return [(ast.value, {})]
     if isinstance(ast, Param):
-        if ast.name not in env:
-            raise UnboundParameterError(f"parameter {ast.name!r} is not bound")
         return [(canonical_scalar(env[ast.name]), {})]
     if isinstance(ast, Y):
         return [(QComplex(1), {ast.order: 1})]
@@ -570,7 +563,7 @@ def _merge_raw(raw):
         else:
             merged[signature] = coeff
     return {
-        sig: coeff for sig, coeff in merged.items() if not is_zero(coeff)
+        sig: coeff for sig, coeff in merged.items() if coeff
     }
 
 

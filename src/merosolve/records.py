@@ -14,15 +14,6 @@ from __future__ import annotations
 setfield = object.__setattr__
 
 
-def field_repr(obj, names=None) -> str:
-    """``Name(field=value, ...)`` over ``names``, by default the
-    ``__slots__`` of ``obj``."""
-    if names is None:
-        names = obj.__slots__
-    body = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
-    return f"{type(obj).__qualname__}({body})"
-
-
 def _field_values(cls, args: tuple, kwargs: dict) -> tuple:
     """A ``cls`` record's fields in slot order; a missing, repeated, extra
     or unknown field raises ``TypeError`` naming the class and the field."""
@@ -66,7 +57,10 @@ class Record:
     def __hash__(self):
         return hash(self._values())
 
-    __repr__ = field_repr
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -130,11 +130,11 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 _CONTAINERS = (dict, list, tuple)
 
 
-def to_json(obj, indent: int = 0) -> str:
+def to_json(obj) -> str:
     """Emit JSON with fixed float formatting (17 significant digits,
     lowercase exponent) so identical payloads serialize byte-identically."""
     out = []
-    _write(obj, indent, out)
+    _write(obj, 0, out)
     return "".join(out)
 
 

@@ -50,10 +50,6 @@ DEFAULT_TRUNCATION = 12
 _ONE = QComplex(1)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 class PuiseuxSeries:
     """Immutable truncated series in fractional powers of tau."""
 
@@ -65,7 +61,7 @@ class PuiseuxSeries:
         clean = {}
         for j in sorted(coeffs):
             c = canonical_scalar(coeffs[j])
-            if is_zero(c, 0.0):
+            if not c:
                 continue
             if j > trunc:
                 raise ValueError(f"coefficient index {j} beyond truncation {trunc}")
@@ -145,7 +141,7 @@ class PuiseuxSeries:
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = _lcm(self.n, other.n)
+        n = math.lcm(self.n, other.n)
         a, b = self._with_branch(n), other._with_branch(n)
         trunc = min(a.trunc, b.trunc)
         coeffs = dict(a.coeffs)
@@ -163,14 +159,14 @@ class PuiseuxSeries:
         runs when one is float."""
         if not isinstance(other, PuiseuxSeries):
             scalar = canonical_scalar(other)
-            if is_zero(scalar, 0.0):
+            if not scalar:
                 return PuiseuxSeries.zero(self.n, self.trunc)
             return PuiseuxSeries(
                 self.n,
                 {j: c * scalar for j, c in self.coeffs.items()},
                 self.trunc,
             )
-        n = _lcm(self.n, other.n)
+        n = math.lcm(self.n, other.n)
         a, b = self._with_branch(n), other._with_branch(n)
         trunc = min(
             a.trunc + b._valuation_bound(), b.trunc + a._valuation_bound()
@@ -253,7 +249,7 @@ class PuiseuxSeries:
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        n = _lcm(self.n, other.n)
+        n = math.lcm(self.n, other.n)
         a, b = self._with_branch(n), other._with_branch(n)
         return a.coeffs == b.coeffs and a.trunc == b.trunc
 
@@ -356,7 +352,7 @@ class _PlanNode:
         if stored and stored[-1] == r:
             stored.pop()
         value = self._entry(r)
-        if is_zero(value, 0.0):
+        if not value:
             self.coef[r] = None
         else:
             self.coef[r] = value
@@ -468,7 +464,7 @@ def _residual_at(terms, index):
             c = term.coef[r]
             if c is not None:
                 e = e + c
-                if is_zero(e, 0.0):
+                if not e:
                     e = 0
     return e
 
@@ -525,7 +521,7 @@ def solve_local_series(
     if K < 0:
         raise ValueError("K must be nonnegative")
     a = canonical_scalar(a)
-    if is_zero(a, 0.0):
+    if not a:
         raise ValueError("leading coefficient must be nonzero")
     free = {Fraction(k): canonical_scalar(v) for k, v in (free or {}).items()}
     n = fam.branch_order
@@ -592,7 +588,7 @@ def solve_local_series(
     for term in terms:
         step = math.gcd(step, term.base - q_idx)
     for rho, r in resonance_orders.items():
-        if rho <= K and not is_zero(free_used[r], 0.0):
+        if rho <= K and free_used[r]:
             step = math.gcd(step, rho)
 
     for rho in range(1, K + 1):
@@ -619,8 +615,8 @@ def solve_local_series(
                 raise InternalInconsistencyError(
                     f"singular linear step at non-resonant order {Fraction(rho, n)}"
                 )
-            value = -(e / lam) if not is_zero(e, 0.0) else 0
-        if not is_zero(value, 0.0):
+            value = -(e / lam) if e else 0
+        if value:
             y.top = value
             for node in nodes:
                 node.refresh()

@@ -255,8 +255,8 @@ def test_integrate_csv_and_json_cells_of_extreme_floats(tmp_path, monkeypatch):
 
     tiny, huge = 5e-324, 1.7976931348623157e308
     traj = ComplexTrajectory(
-        points=[TrajectoryPoint(complex(-0.0, 0.0), complex(tiny, -huge),
-                                complex(huge, -tiny))],
+        samples=[TrajectoryPoint(complex(-0.0, 0.0), complex(tiny, -huge),
+                                 complex(huge, -tiny))],
         singular_near_zero=False,
         stats={"accepted": 0, "rejected": 0, "rhs_evals": 1},
     )

@@ -294,6 +294,26 @@ def test_pinney_zero_is_the_nearest_zero_of_the_form(a0, da0, omega):
         assert abs(abs(t_star.imag) - math.atanh(omega * a0 * a0) / omega) < 1e-15
 
 
+@pytest.mark.parametrize("a0, da0", [(1.0, 0.0), (0.7, 0.4), (2.0, -1.5)])
+def test_pinney_zero_at_zero_frequency_is_the_limit(a0, da0):
+    # at omega = 0 the form is A + 2 B t + C t**2, zero at (-B +- i) / C;
+    # the zero on the +i side continues the one found at small omega
+    t_star = pinney_zero(a0, da0, 0.0)
+    width, _ = width_from_ics(a0, da0, oscillator_basis(0.0))
+    assert abs(width.form_jet(t_star)[0]) < 1e-12
+    assert t_star == complex(-a0 * da0, 1) / (da0 ** 2 + a0 ** -2)
+    assert abs(t_star - pinney_zero(a0, da0, 1e-7)) < 1e-12
+    assert pinney_zero(1.0, 0.0, 0.0) == 1j
+
+
+@pytest.mark.parametrize("a0, omega", [(1.0, 1.0), (0.5, 4.0), (2.0, 0.25),
+                                       (1.0, -1.0)])
+def test_pinney_zero_names_the_equilibrium(a0, omega):
+    # alpha0**4 = 1 / omega**2 at rest: the width is constant, with no zero
+    with pytest.raises(ValueError, match="equilibrium"):
+        pinney_zero(a0, 0.0, omega)
+
+
 def test_pinney_constraint_property():
     # A*C - B^2 = 1 keeps the form positive and the residual tiny
     rng = random.Random(5)

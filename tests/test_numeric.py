@@ -36,7 +36,7 @@ def synthetic_ray_trajectory(func, t_star, radii, direction=1.0):
         TrajectoryPoint(t_star + direction * r, func(direction * r), 0j)
         for r in sorted(radii, reverse=True)
     ]
-    return ComplexTrajectory(points=pts, singular_near_zero=True)
+    return ComplexTrajectory(samples=pts, singular_near_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,6 @@ def test_path_validation():
         ComplexPath([0, 0])
     path = ComplexPath([0, 1, 1 + 1j])
     assert abs(path.length - 2) < 1e-15
-    assert path.point_at(1.5) == 1 + 0.5j
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +370,18 @@ def _drive(step, ode, ic, path, tol, sample_points=None,
                 events.add(s)
     events = sorted(events)
     points = [TrajectoryPoint(path.waypoints[0], y[0], y[1])]
-    traj = ComplexTrajectory(points=points,
-                             singular_near_zero=ode.singular_near_zero)
     stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0}
-    traj.stats = stats
 
-    def halt(kind, reason=None):
-        traj.halt_kind = kind
-        traj.halt_reason = reason or _HALT_REASONS[kind]
-        return traj
+    def finish(kind=None, reason=None):
+        if kind:
+            reason = reason or _HALT_REASONS[kind]
+        return ComplexTrajectory(points, ode.singular_near_zero, reason, kind,
+                                 stats)
 
     if halt_radius and abs(y[0]) < halt_radius:
-        return halt("manifold",
-                    "initial value already inside the singular-manifold guard")
+        return finish(
+            "manifold",
+            "initial value already inside the singular-manifold guard")
     h = min(path.length / 100.0, 0.05)
     h_min = 1e-14 * max(1.0, path.length)
     s_cur = 0.0
@@ -394,7 +392,7 @@ def _drive(step, ode, ic, path, tol, sample_points=None,
         direction = path.direction(seg)
         while s_cur < target - 1e-13 * max(1.0, path.length):
             if stats["accepted"] + stats["rejected"] >= numeric.MAX_STEPS:
-                return halt("budget")
+                return finish("budget")
             h_try = min(h, target - s_cur)
             try:
                 err, y_new, stall = step.attempt(y, h_try, direction, stats)
@@ -416,7 +414,7 @@ def _drive(step, ode, ic, path, tol, sample_points=None,
                     factor = min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
                 h = h_try * factor
                 if halt_radius and abs(y[0]) < halt_radius:
-                    return halt("manifold", (
+                    return finish("manifold", (
                         "approaching the singular manifold: |value| < "
                         f"{halt_radius:.3e}"
                     ))
@@ -427,8 +425,8 @@ def _drive(step, ode, ic, path, tol, sample_points=None,
                 else:
                     h = h_try * min(1.0, max(0.1, 0.9 * (tol / err) ** 0.2))
                 if h < h_min:
-                    return halt(stall)
-    return traj
+                    return finish(stall)
+    return finish()
 
 
 def _analytic_zero(omega, alpha0):
@@ -614,10 +612,8 @@ def test_real_problems_step_in_floats(omega, ic, path, steps_in_complex):
     ode = _CountingWidthOde(omega)
     traj = integrate(ode, ic, path, tol=1e-10)
     assert (ode.calls > 0) == steps_in_complex
-    # either kernel builds its points on their first read, and keeps them
-    assert traj._points is None
+    # either kernel builds complex points from its samples on each read
     rows = traj.to_rows()
-    assert traj.points is traj.points
     assert len(traj.points) > 1
     assert all(type(p) is TrajectoryPoint for p in traj.points)
     assert all(type(x) is complex for p in traj.points for x in p)
@@ -656,7 +652,6 @@ def test_both_kernels_record_samples_and_build_points_lazily(
         ode, ic, path, real):
     traj = integrate(ode, ic, path, tol=1e-10)
     samples = traj.samples
-    assert traj._points is None
     assert all(type(s) is tuple and len(s) == 3 for s in samples)
     assert all(type(s[0]) is complex for s in samples)
     # after the initial values, a float run holds floats
@@ -671,25 +666,11 @@ def test_both_kernels_record_samples_and_build_points_lazily(
         TrajectoryPoint(t, complex(value), complex(slope))
         for t, value, slope in samples
     ]
-    assert traj.samples is points and traj.points is points
-    # the readers give the same bits from samples and from points
+    assert traj.end == points[-1] and traj.samples is samples
+    # reading the points changes none of the bits the readers give
     assert repr(traj.to_rows()) == repr(rows)
     assert _outcome(fit_local_exponent, traj, t_star) == fit_before
     assert repr(detect_singularity(traj)) == repr(probe_before)
-
-
-def test_points_set_or_edited_by_a_caller_are_what_the_readers_read():
-    traj = integrate(EpWidthOde(1.0), (2.0, 0.0),
-                     [0, _analytic_zero(1.0, 2.0)], tol=1e-10)
-    assert detect_singularity(traj).kind == "zero-of-alpha"
-    # a constant tail has no zero to find
-    traj.points = [TrajectoryPoint(0.01 * k, 1 + 0j, 0j) for k in range(10)]
-    assert traj.samples is traj.points
-    assert detect_singularity(traj).kind == "none"
-    assert traj.to_rows()[-1] == (0.09, 0.0, 1.0, 0.0, 0.0, 0.0)
-    traj.points.append(TrajectoryPoint(0.5j, 2 + 0j, 3j))
-    assert traj.samples[-1] == (0.5j, 2 + 0j, 3j)
-    assert traj.to_rows()[-1] == (0.0, 0.5, 2.0, 0.0, 0.0, 3.0)
 
 
 class _CalledWidthOde(EpWidthOde):
@@ -918,9 +899,9 @@ def test_detect_reads_the_halt_kind(kind, found):
     t_star = 0.3 + 0.7j
     radii = [1e-3 * 1.2 ** k for k in range(30)]
     traj = synthetic_ray_trajectory(lambda tau: tau ** 0.5, t_star, radii)
-    t, value, slope = traj.points[-2]
-    traj.points.insert(-1, TrajectoryPoint(t, value * (1 + 1e-8), slope))
-    traj.halt_kind, traj.halt_reason = kind, "any text"
+    t, value, slope = traj.samples[-2]
+    traj.samples.insert(-1, TrajectoryPoint(t, value * (1 + 1e-8), slope))
+    traj = traj.replace(halt_kind=kind, halt_reason="any text")
     probe = detect_singularity(traj)
     assert probe.kind == found
     if found != "none":
@@ -1017,8 +998,9 @@ def test_quadratic_roots_without_cancellation():
 def test_detect_nothing_on_all_zero_window():
     # a manifold halt with every value 0: the fit is 0 everywhere and has
     # no root to report
-    traj = synthetic_ray_trajectory(lambda tau: 0j, 0.5j, [0.01 * k for k in range(1, 20)])
-    traj.halt_kind = "manifold"
+    traj = synthetic_ray_trajectory(
+        lambda tau: 0j, 0.5j, [0.01 * k for k in range(1, 20)]
+    ).replace(halt_kind="manifold")
     assert detect_singularity(traj).kind == "none"
 
 

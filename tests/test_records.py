@@ -63,7 +63,7 @@ LOCAL_REPR = (
     'degrees=((2, 1),))), clearing_multiplier=0))'
 )
 TRAJECTORY_REPR = (
-    'ComplexTrajectory(points=[TrajectoryPoint(t=0j, value=(1+0j), '
+    'ComplexTrajectory(samples=[TrajectoryPoint(t=0j, value=(1+0j), '
     'slope=(-0-0.5j))], singular_near_zero=False, '
     "halt_reason='step size underflow', halt_kind='underflow', "
     "stats={'accepted': 1})"
@@ -83,7 +83,7 @@ def test_repr_is_unchanged(w3):
     assert repr(DiffMonomial.from_map(QComplex(3, -1), {0: 2, 1: 1})) == MONOMIAL_REPR
     assert repr(fam) == FAMILY_REPR
     assert repr(solve_local_series(poly, fam, fam.leading_coeffs[0], K=4)) == LOCAL_REPR
-    traj = ComplexTrajectory(points=[TrajectoryPoint(0j, 1 + 0j, -0.5j)],
+    traj = ComplexTrajectory(samples=[TrajectoryPoint(0j, 1 + 0j, -0.5j)],
                              singular_near_zero=False,
                              halt_reason="step size underflow",
                              halt_kind="underflow", stats={"accepted": 1})
@@ -117,7 +117,11 @@ def test_equal_records_hash_equal(w3):
 def test_frozen_fields_refuse_assignment(w3):
     _, fam = w3
     for record, name in ((Y(1), "order"), (fam, "p"), (fam, "extra"),
-                         (SingularityProbe(1j, "none"), "kind")):
+                         (SingularityProbe(1j, "none"), "kind"),
+                         (ComplexTrajectory([], False), "halt_kind"),
+                         (ComplexTrajectory([], False), "points"),
+                         (ClosedFormCandidate("rational", {1: 1}, 0),
+                          "verified")):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
         with pytest.raises(AttributeError):
@@ -125,23 +129,26 @@ def test_frozen_fields_refuse_assignment(w3):
     assert fam.p == -1
 
 
-def test_mutable_records_take_assignment():
-    traj = ComplexTrajectory(points=[], singular_near_zero=False)
+def test_trajectory_and_candidate_default_their_fields():
+    traj = ComplexTrajectory([], False)
     assert traj.stats == {} and traj.halt_kind is None and not traj.halted
-    traj.halt_kind = "budget"
-    assert traj.halted
-    # the points given are the points read back, and the rows follow them
-    point = TrajectoryPoint(1j, 2 + 0j, complex(-0.0, 0.0))
-    traj.points = [point]
-    assert traj.points[0] is point and traj.end is point
-    assert repr(traj.to_rows()) == repr([(0.0, 1.0, 2.0, 0.0, -0.0, 0.0)])
+    assert traj.replace(halt_kind="budget").halted
     cand = ClosedFormCandidate("rational", {1: 1}, 0)
     assert cand.tail == {} and cand.verified is None
-    cand.verified = True
-    assert cand.verified
+    assert cand.replace(verified=True).verified and cand.verified is None
     # defaults are not shared between instances
     assert ComplexTrajectory([], False).stats is not traj.stats
     assert ClosedFormCandidate("rational", {}, 0).tail is not cand.tail
+
+
+def test_trajectory_points_are_built_from_the_samples():
+    # a float sample reads back as complex points, and the rows follow it
+    traj = ComplexTrajectory([(1j, 2.0, -0.0)], False)
+    point = TrajectoryPoint(1j, 2 + 0j, complex(-0.0, 0.0))
+    assert traj.points == [point] and traj.end == point
+    assert repr(traj.end) == repr(point)
+    assert all(type(x) is complex for x in traj.end)
+    assert repr(traj.to_rows()) == repr([(0.0, 1.0, 2.0, 0.0, -0.0, 0.0)])
 
 
 def test_differential_polynomial_still_validates():
@@ -192,7 +199,8 @@ def test_only_checking_or_defaulting_records_write_an_init():
     assert {"BalanceFamily", "ClaimedPole", "QuadFormParams"} <= \
         {cls.__name__ for cls in classes}
     own_init = sorted(cls.__name__ for cls in classes if "__init__" in vars(cls))
-    assert own_init == ["DifferentialPolynomial", "SingularityProbe"]
+    assert own_init == ["ClosedFormCandidate", "ComplexTrajectory",
+                        "DifferentialPolynomial", "SingularityProbe"]
 
 
 def test_the_base_builds_a_record_from_its_slots():
