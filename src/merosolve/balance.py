@@ -31,10 +31,18 @@ forced residue or another root solves its own resonance polynomial from
 the same linearization.  A family's branch order, consistency and
 two-term flag are read off its other fields, not stored.
 
-Roots come one of two ways.  An exact polynomial of degree 1 or 2 with
+Roots come one of three ways.  An exact polynomial of degree 1 or 2 with
 real coefficients whose discriminant's modulus is a rational square has
-its roots in Q(i), and the quadratic formula gives them, on integers.  Any
-other polynomial takes the numeric roots below and snaps them.  Exact
+its roots in Q(i), and the quadratic formula gives them, on integers; when
+the modulus is no square, no root lies in Q(i), so the leading roots are
+the numeric ones and there is no rational resonance to search for.  An
+exact binomial c_0 + c_n*x**n (every two-group balance leads with one)
+has the closed-form roots |w|**(1/n) * e**(i*(arg w + 2*pi*k)/n),
+w = -c_0/c_n.  They all lie in Q(i) only if the n-th roots of unity do,
+that is, for n = 1, 2 or 4; then they are formed in floats and snapped by
+the root rule below, and they are the roots when every one snaps.  Any
+other polynomial, and a binomial with an irrational root or a w beyond the
+float range, takes the numeric roots below and snaps them.  Exact
 coefficients are cleared to primitive Gaussian integers with leading
 coefficient d: divided by their rational content, which is read off the
 integer fields of the scalars (over the lcm L of their denominators every
@@ -519,12 +527,12 @@ def _snap(coeffs, z, d, exact: bool):
     return cand if abs(to_complex(value)) <= 1e-8 * scale else None
 
 
-def _quadratic_roots(coeffs):
+def _quadratic_roots(coeffs, irrational=None):
     """Roots in Q(i) of exact coefficients of degree 1 or 2 that are all
     real, listed by multiplicity, from the quadratic formula when |disc| is
-    a square; else None (irrational roots, other degrees, non-real or float
-    coefficients).  Cleared to integers c + b*x + a*x**2 with a > 0, the
-    roots are (-b -+ sqrt(disc))/(2a)."""
+    a square; ``irrational`` when it is not (no root lies in Q(i)); None for
+    other degrees and non-real or float coefficients.  Cleared to integers
+    c + b*x + a*x**2 with a > 0, the roots are (-b -+ sqrt(disc))/(2a)."""
     if not 2 <= len(coeffs) <= 3:
         return None
     parts = []
@@ -547,15 +555,39 @@ def _quadratic_roots(coeffs):
     disc = b * b - 4 * a * c
     s = math.isqrt(abs(disc))
     if s * s != abs(disc):
-        return None
+        return irrational
     if disc < 0:
         return [_norm(-b, -s, 2 * a), _norm(-b, s, 2 * a)]
     return [_norm(-b - s, 0, 2 * a), _norm(-b + s, 0, 2 * a)]
 
 
+def _binomial_roots(coeffs, d):
+    """Roots in Q(i) of exact coefficients c_0 + c_n*x**n, c_0 != 0, in
+    closed form: the n guesses |w|**(1/n) * e**(i*(arg w + 2*pi*k)/n) for
+    w = -c_0/c_n, each snapped by the root rule with cleared leading
+    coefficient d.  None at the first guess that does not snap (an
+    irrational root) or when w is beyond the float range."""
+    n = len(coeffs) - 1
+    try:
+        w = complex(-coeffs[0] / coeffs[-1])
+        radius = abs(w) ** (1.0 / n)
+    except OverflowError:
+        return None
+    phase = cmath.phase(w)
+    roots = []
+    for k in range(n):
+        guess = cmath.rect(radius, (phase + 2 * math.pi * k) / n)
+        root = _snap(coeffs, guess, d, True)
+        if root is None:
+            return None
+        roots.append(root)
+    return roots
+
+
 def _nonzero_roots(lead_coeffs):
     """Nonzero roots of the leading polynomial, sorted by (re, im): exact
-    where the root rule finds them, numeric otherwise."""
+    where the quadratic formula, the binomial's closed form or the root rule
+    finds them, numeric otherwise."""
     core = list(lead_coeffs)
     while core and not core[-1]:
         core.pop()
@@ -566,13 +598,20 @@ def _nonzero_roots(lead_coeffs):
     if len(core) <= 1:
         return ()
     exact = _is_exact_poly(core)
-    roots = _quadratic_roots(core) if exact else None
-    if roots is None:
-        roots = _numeric_roots(core)
-        if exact:
-            d = _cleared_lead(core)
+    # [] for a real quadratic with irrational roots: none of them would snap
+    roots = _quadratic_roots(core, irrational=[]) if exact else None
+    if roots is None and exact:
+        d = _cleared_lead(core)
+        # the roots of c_0 + c_n*x**n are all in Q(i) only if the n-th roots
+        # of unity are, that is, only for n = 1, 2 or 4
+        if 4 % (len(core) - 1) == 0 and not any(core[1:-1]):
+            roots = _binomial_roots(core, d)
+        if roots is None:
+            roots = _numeric_roots(core)
             snapped = (_snap(core, z, d, True) for z in roots)
             roots = [z if c is None else c for z, c in zip(roots, snapped)]
+    if not roots:
+        roots = _numeric_roots(core)
     roots.sort(key=lambda z: (to_complex(z).real, to_complex(z).imag))
     return tuple(roots)
 
@@ -590,7 +629,8 @@ def rational_resonances(fam: BalanceFamily, a):
             f"degenerate family at p = {fam.p}: resonance polynomial vanishes"
         )
     exact = _is_exact_poly(coeffs)
-    roots = _quadratic_roots(coeffs) if exact else None
+    # an irrational real quadratic has no rational root to search for
+    roots = _quadratic_roots(coeffs, irrational=[]) if exact else None
     if roots is None:
         if exact:
             d = _cleared_lead(coeffs)

@@ -44,8 +44,12 @@ finite (inf - inf in a stage gives NaN).  ``ComplexTrajectory.halt_kind``
 names why an integration stopped: ``manifold`` (the guard), ``budget``
 (``MAX_STEPS``), or, once failures shrink the step below its floor,
 ``overflow`` if the last failure was a non-finite state or estimate and
-``underflow`` otherwise (a stage raising, as ``u ** -3`` does at a zero of
-the width).
+``underflow`` otherwise: a stage raised, or the error stayed above tol.  An
+``underflow`` halt does not locate a zero of the width.  With the manifold
+guard on, no stage comes near the 1.8e-103 below which ``u ** -3`` raises,
+since the guard stops at |value| < 10*sqrt(tol); a stage raises there for
+another reason, such as an omega**2 beyond the float range or a start at
+the edge of ``u ** -3``'s range.
 
 The step is unrolled into straight-line code whose floating-point
 evaluation order is that of the generic Nystrom tableau loop, so
@@ -188,7 +192,8 @@ _NAN = math.nan
 
 _HALT_REASONS = {
     "budget": "step budget exhausted",
-    "underflow": "step size underflow near a singular point",
+    "underflow": "step size underflow: the step shrank below its floor, "
+                 "last failing by a stage raising or an error above tol",
     "overflow": "solution overflows to a non-finite state",
 }
 

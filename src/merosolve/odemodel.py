@@ -5,9 +5,13 @@ Grammar (whitespace insignificant)::
 
     expr   := ('+'|'-')? term (('+'|'-') term)*
     term   := factor ('*' factor)*
-    factor := base ('^' signed_int)?
+    factor := ('+'|'-') factor | base ('^' signed_int)?
     base   := number | name | yterm | '(' expr ')'
     yterm  := 'y' followed by primes, one per derivative order
+
+A sign at the start of an expression belongs to ``expr``; a sign after an
+operator, as in ``y'' + -y^3`` or ``y''*-y``, is a signed factor, and ``-``
+negates the factor as a leading one does its term (``-y^3`` is -(y^3)).
 
 ``y`` is the dependent variable, primes mark derivatives (``y''`` is the
 second derivative, at most order 9).  Numbers are read by
@@ -274,6 +278,13 @@ class _Parser:
         return Mul(tuple(flat))
 
     def factor(self):
+        # a sign after an operator, as in y'' + -y^3; one at the start of an
+        # expression is read by ``expr``, so it keeps its tree
+        tok = self.peek()
+        if tok.kind == "OP" and tok.value in "+-":
+            self.advance()
+            node = self.factor()
+            return _negate(node) if tok.value == "-" else node
         base = self.base()
         tok = self.peek()
         if tok.kind == "OP" and tok.value == "^":
@@ -398,15 +409,15 @@ def unparse(ast) -> str:
     if isinstance(ast, Add):
         parts = []
         for i, term in enumerate(ast.terms):
-            if i == 0:
-                if _is_negative_addend(term):
-                    parts.append("-" + unparse(_negate(term)))
-                else:
-                    parts.append(unparse(term))
-            elif _is_negative_addend(term):
-                parts.append(" - " + unparse(_negate(term)))
+            if _is_negative_addend(term):
+                # -(2 - y) negates to the sum 2 - y: it keeps its parentheses
+                term = _negate(term)
+                text = unparse(term)
+                if isinstance(term, Add):
+                    text = f"({text})"
+                parts.append(("-" if i == 0 else " - ") + text)
             else:
-                parts.append(" + " + unparse(term))
+                parts.append((" + " if i else "") + unparse(term))
         return "".join(parts)
     raise TypeError(f"not an AST node: {ast!r}")
 

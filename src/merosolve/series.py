@@ -263,17 +263,33 @@ class PuiseuxSeries:
 def substitute(poly: DifferentialPolynomial, s: PuiseuxSeries) -> PuiseuxSeries:
     """Residual series of the differential polynomial applied to s.
 
-    The result's truncation reflects how far the residual is guaranteed.
+    Each monomial is the left fold ``monomial(coeff) * f1**d1 * f2**d2``
+    over its factors, each power by the binary exponentiation of
+    ``PuiseuxSeries.pow``.  The squares that exponentiation builds are made
+    once per call and shared by every monomial, so each product keeps the
+    operands and the order of per-monomial ``pow``: the same series, with
+    y**2 built once for y**3 * y'' + y**4.  The result's truncation
+    reflects how far the residual is guaranteed.
     """
     max_order = poly.max_order
     derivs = [s]
     for k in range(1, max_order + 1):
         derivs.append(derivs[-1].differentiate())
+    # squares[k][i] is derivs[k] ** 2**i, built on first use
+    squares = [[f] for f in derivs]
     total = PuiseuxSeries.zero(s.n, math.inf)
     for mono in poly.monomials:
         term = PuiseuxSeries.monomial(mono.coeff, 0, n=1)
         for k, d in mono.degrees:
-            term = term * derivs[k].pow(d)
+            chain, power, i = squares[k], None, 0
+            while d:
+                if d & 1:
+                    power = chain[i] if power is None else power * chain[i]
+                d >>= 1
+                i += 1
+                if d and i == len(chain):
+                    chain.append(chain[-1] * chain[-1])
+            term = term * power
         total = total + term
     return total
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from merosolve import balance
+from merosolve import balance, closedform
 from merosolve.balance import (
     BalanceFamily,
     compute_resonances,
@@ -619,6 +619,177 @@ def test_quadratic_formula_on_mixed_exact_coefficients(coeffs, roots):
 ])
 def test_quadratic_formula_declines(coeffs):
     assert balance._quadratic_roots(coeffs) is None
+
+
+def reference_nonzero_roots(coeffs):
+    """The nonzero roots by the quadratic formula, else by Aberth and snap,
+    sorted: the root rule with no closed form for binomials."""
+    roots = balance._quadratic_roots(coeffs)
+    if roots is None:
+        d = balance._cleared_lead(coeffs)
+        roots = []
+        for z in balance._numeric_roots(coeffs):
+            c = balance._snap(coeffs, z, d, True)
+            roots.append(z if c is None else c)
+    roots.sort(key=lambda z: (to_complex(z).real, to_complex(z).imag))
+    return tuple(roots)
+
+
+def count_numeric_roots(monkeypatch):
+    """A list that grows by one at every ``_numeric_roots`` call, from the
+    balance search or from the closed forms, which import it."""
+    calls = []
+    numeric_roots = balance._numeric_roots
+
+    def spy(coeffs):
+        calls.append(coeffs)
+        return numeric_roots(coeffs)
+
+    monkeypatch.setattr(balance, "_numeric_roots", spy)
+    monkeypatch.setattr(closedform, "_numeric_roots", spy)
+    return calls
+
+
+def binomial(c0, cd, d):
+    """Ascending coefficients of c0 + cd*x**d."""
+    return [c0] + [QComplex(0)] * (d - 1) + [cd]
+
+
+def random_binomials(rng):
+    """Exact binomials c0 + cd*x**d, d = 1..8, with real and Gaussian
+    coefficients: x**d = lead*r**d for a rational or Gaussian r (every root
+    rational for d = 1, 2, 4, mixed otherwise), r of modulus about 10**20 or
+    10**-20, and x**d = k for a random k (irrational roots)."""
+    for d in range(1, 9):
+        for _ in range(12):
+            lead = random_gaussian_rational(rng, rng.random() < 0.5) or QComplex(1)
+            kind = rng.choice(["root", "large", "tiny", "any"])
+            r = random_gaussian_rational(rng, rng.random() < 0.5) or QComplex(1)
+            if kind == "large":
+                r = r * rng.choice([10**20, 2**60 + 1, 3 * 10**17])
+            elif kind == "tiny":
+                r = r / rng.choice([10**20, 2**60 + 1])
+            if kind == "any":
+                yield binomial(-r, lead, d)
+            else:
+                yield binomial(-lead * r**d, lead, d)
+
+
+@pytest.mark.parametrize("coeffs, closed", [
+    (binomial(QComplex(4), QComplex(1), 4), True),  # a^4 = -4
+    # -1 - a^4/4, as the width equation's leading polynomial has it
+    (binomial(QComplex(-1), QComplex(Fraction(-1, 4)), 4), True),
+    # a^d = (2/3)^d: every root rational for d = 1, 2, 4, mixed otherwise
+    *[(binomial(-QComplex(Fraction(2, 3)) ** d, QComplex(1), d), d in (1, 2, 4))
+      for d in range(1, 9)],
+    (binomial(QComplex(8), QComplex(1), 3), False),  # -2 and two irrational
+    (binomial(QComplex(-2), QComplex(1), 4), False),  # z^4 = 2
+    (binomial(QComplex(0, 8), QComplex(1, 1), 3), False),  # Gaussian
+])
+def test_binomial_closed_form_matches_aberth_and_snap(coeffs, closed, monkeypatch):
+    # a binomial whose roots all snap skips Aberth; one with an irrational
+    # root reaches it and keeps the bits it printed before
+    want = reference_nonzero_roots(coeffs)
+    calls = count_numeric_roots(monkeypatch)
+    got = balance._nonzero_roots(coeffs)
+    assert got == want
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert (not calls) == closed
+    assert all(isinstance(z, QComplex) for z in got) == closed
+
+
+def test_binomial_closed_form_matches_aberth_and_snap_on_a_sweep(monkeypatch):
+    rng = random.Random(20261021)
+    calls = count_numeric_roots(monkeypatch)
+    aberth = Counter()
+    for coeffs in random_binomials(rng):
+        want = reference_nonzero_roots(coeffs)
+        before = len(calls)
+        got = balance._nonzero_roots(coeffs)
+        # == and repr: the same exact values, the same float bits and kinds
+        assert got == want, coeffs
+        assert list(map(repr, got)) == list(map(repr, want)), coeffs
+        aberth[len(calls) > before] += 1
+    # both ways ran: roots all in closed form, and the fallback to Aberth
+    assert aberth[False] >= 25 and aberth[True] >= 60
+
+
+@pytest.mark.parametrize("coeffs", [
+    binomial(QComplex(-10**400), QComplex(1), 3),     # w overflows a float
+    binomial(QComplex(-1), QComplex(10**400), 3),     # w underflows to 0.0
+    binomial(QComplex(-10**400), QComplex(0, 1), 2),  # Gaussian
+])
+def test_binomial_beyond_floats_fails_as_aberth_does(coeffs):
+    # a guess that cannot be formed falls back, so the error is Aberth's
+    got = outcome(balance._nonzero_roots, coeffs)
+    assert got == outcome(reference_nonzero_roots, coeffs)
+    assert got[0] is OverflowError
+
+
+def test_width_analysis_takes_no_numeric_roots(monkeypatch):
+    # the leading equation a^4 = -4 takes its closed form and the forced
+    # residue's resonance polynomial r^2 - 3r + 8 (discriminant -23) has no
+    # rational root to search for
+    from merosolve.report import analyze_payload
+
+    calls = count_numeric_roots(monkeypatch)
+    payload = analyze_payload("y'' + omega^2*y - y^-3",
+                              {"omega": QComplex(Fraction(3, 2))}, K=48)
+    assert payload
+    assert calls == []
+
+
+def real_quadratic_family(coeffs):
+    """A family whose resonance polynomial is ``coeffs``: one degree group,
+    whose gamma the resonances read as it is."""
+    return BalanceFamily(
+        p=Fraction(-1), q=Fraction(-3), dominant=(0,), leading_poly=(0,),
+        leading_coeffs=(), resonances=(), linearization=((2, tuple(coeffs)),),
+    )
+
+
+def reference_rational_resonances(fam, a):
+    """Rational resonances by the quadratic formula, else by Aberth and
+    snap: the search that runs on an irrational quadratic as well."""
+    coeffs = balance._trim(balance._resonance_poly(fam, QComplex(a)))
+    roots = balance._quadratic_roots(coeffs)
+    if roots is None:
+        d = balance._cleared_lead(coeffs)
+        snapped = (balance._snap(coeffs, z, d, True)
+                   for z in balance._numeric_roots(coeffs))
+        roots = [c for c in snapped if c is not None]
+    return sorted({z.re for z in roots if z.im == 0})
+
+
+def test_rational_resonances_skip_the_search_on_irrational_quadratics(monkeypatch):
+    rng = random.Random(38)
+    calls = count_numeric_roots(monkeypatch)
+    kinds = Counter()
+    for _ in range(300):
+        lead = QComplex(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                 rng.randint(1, 9)))
+        u, v = (Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in "uv")
+        kind = rng.choice(["rational", "double", "conjugate", "irrational"])
+        if kind == "irrational":
+            # x^2 - 2u*x + u^2 - k*v^2, roots u +- v*sqrt(k)
+            k = rng.choice([2, 3, 5, 7, -1, -2, -23])
+            coeffs = [lead * QComplex(u * u - k * v * v), lead * QComplex(-2 * u),
+                      lead]
+        elif kind == "conjugate":
+            coeffs = poly_from_roots([QComplex(u, -v), QComplex(u, v)], lead)
+        else:
+            roots = [QComplex(u), QComplex(u if kind == "double" else v)]
+            coeffs = poly_from_roots(roots, lead)
+        fam = real_quadratic_family(coeffs)
+        want = reference_rational_resonances(fam, 1)
+        before = len(calls)
+        assert balance.rational_resonances(fam, 1) == want
+        assert len(calls) == before
+        kinds[kind] += 1
+    assert kinds["irrational"] >= 50
+    # the forced residue of the width equation: r^2 - 3r + 8
+    fam = real_quadratic_family([QComplex(8), QComplex(-3), QComplex(1)])
+    assert balance.rational_resonances(fam, 1) == []
 
 
 def yun_full_loop(f):

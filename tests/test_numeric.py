@@ -156,7 +156,9 @@ def test_integrate_halts_on_step_underflow():
     # below h_min without a single accepted step
     traj = integrate(EpWidthOde(1e200), (1.0, 0.0), [0, 1], tol=1e-10)
     assert traj.halted and traj.halt_kind == "underflow"
-    assert traj.halt_reason == "step size underflow near a singular point"
+    assert traj.halt_reason == (
+        "step size underflow: the step shrank below its floor, "
+        "last failing by a stage raising or an error above tol")
     assert traj.stats["accepted"] == 0
     assert traj.stats["rejected"] == 40
     assert len(traj.points) == 1
@@ -236,7 +238,8 @@ _NY_E = tuple(float(b5) - float(b4) for b5, b4 in zip(_REF_B5, _REF_B4))
 
 _HALT_REASONS = {
     "budget": "step budget exhausted",
-    "underflow": "step size underflow near a singular point",
+    "underflow": "step size underflow: the step shrank below its floor, "
+                 "last failing by a stage raising or an error above tol",
     "overflow": "solution overflows to a non-finite state",
 }
 

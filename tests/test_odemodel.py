@@ -77,6 +77,39 @@ def test_parse_leading_minus_and_parens():
     assert isinstance(ast, Mul)
 
 
+@pytest.mark.parametrize("text, explicit", [
+    ("y'' + -y^3", "y'' - y^3"),
+    ("y'' - (2 + -1*y)", "y'' - (2 - 1*y)"),
+    ("y''*-y", "y''*(-1)*y"),
+    ("y'' - -y^3", "y'' + y^3"),
+    ("y'' + -2*y^3", "y'' - 2*y^3"),
+    ("y'' - y*-(y + 1)", "y'' + y*(y + 1)"),
+    ("y'' + +y", "y'' + y"),
+])
+def test_sign_after_an_operator(text, explicit):
+    ast = parse_ode(text)
+    assert degrees_map(normalize(ast, {})) == \
+        degrees_map(normalize(parse_ode(explicit), {}))
+    # unparse writes the explicit form, which reads back as the same tree
+    assert parse_ode(unparse(ast)) == ast
+
+
+@pytest.mark.parametrize("text, column", [
+    ("y'' + -", 8), ("y'' - -", 8), ("y''*-", 6), ("y'' + - * y", 9)])
+def test_dangling_sign_reports_position(text, column):
+    with pytest.raises(OdeSyntaxError) as err:
+        parse_ode(text)
+    assert err.value.column == column
+
+
+def test_negated_sum_keeps_its_parentheses():
+    # unparse printed -(2 - y) as - 2 - y, which reads back as another sum
+    for text in ("y'' - (2 - y)", "-(y - 2) + y''", "y'' + (-1)*(2 - y)"):
+        ast = parse_ode(text)
+        assert parse_ode(unparse(ast)) == ast
+    assert unparse(parse_ode("y'' - (2 - y)")) == "y'' - (2 - y)"
+
+
 def test_unparse_round_trip_on_text():
     for text in (
         "y'' + omega^2*y - y^-3",

@@ -323,8 +323,8 @@ def test_dual_bookkeeping_in_family_json():
 
 def _polynomial_ode(rng):
     """A random y'' = P(y) or y' = P(y), deg P from 2 to 6 and coefficients
-    in +-{1, 2, 3}, as ``y'' - 2*y^3 + y - 3``: never ``+ -2*y`` or ``y^0``.
-    Returns the text, the order and deg P."""
+    in +-{1, 2, 3}, as ``y'' - 2*y^3 + y - 3``, a negative term also as
+    ``+ -2*y``: never ``y^0``.  Returns the text, the order and deg P."""
     order, degree = rng.choice((1, 2)), rng.randint(2, 6)
     coeffs = {degree: rng.choice((-3, -2, -1, 1, 2, 3))}
     for k in range(degree):
@@ -335,7 +335,8 @@ def _polynomial_ode(rng):
         c = -coeffs[k]  # the term of y^(order) - P(y)
         factors = [str(abs(c))] if abs(c) != 1 or k == 0 else []
         factors += [] if k == 0 else ["y"] if k == 1 else [f"y^{k}"]
-        text += (" + " if c > 0 else " - ") + "*".join(factors)
+        sign = " + " if c > 0 else rng.choice((" - ", " + -"))
+        text += sign + "*".join(factors)
     return text, order, degree
 
 

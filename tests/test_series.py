@@ -162,6 +162,75 @@ def test_substitute_branch_monomial_is_exact(ep_poly_w0):
     assert residual.is_zero_series
 
 
+def reference_substitute(poly, s):
+    """The residual with every monomial's powers built on their own by
+    ``PuiseuxSeries.pow``."""
+    derivs = [s]
+    for _ in range(poly.max_order):
+        derivs.append(derivs[-1].differentiate())
+    total = PuiseuxSeries.zero(s.n, math.inf)
+    for mono in poly.monomials:
+        term = PuiseuxSeries.monomial(mono.coeff, 0, n=1)
+        for k, d in mono.degrees:
+            term = term * derivs[k].pow(d)
+        total = total + term
+    return total
+
+
+# the equations of the output goldens in tests/test_golden.py
+GOLDEN_EQUATIONS = [
+    ("y'' + omega^2*y - y^-3", {"omega": 1}),
+    ("y'' + omega^2*y - y^-3", {"omega": Fraction(3, 2)}),
+    ("y'' + omega^2*y - y^-3", {"omega": 1.5}),
+    ("y'' + omega^2*y - y^-3", {"omega": 0}),
+    ("y' + 1 + y^2", {}),
+    ("y'' - 2*y^3", {}),
+    ("y'' - 6*y^2", {}),
+    ("y''' - 12*y*y'", {}),
+    ("y'' - y^6", {}),
+    ("y'' - 2*(-y)^3", {}),
+    ("y'' + k1*y*y' + k2*y^3", {"k1": 3.0, "k2": 1}),
+]
+
+
+@pytest.mark.parametrize("text, env", GOLDEN_EQUATIONS)
+def test_substitute_matches_per_monomial_pow(text, env):
+    # the squares shared between monomials are the ones pow builds, in the
+    # same order: repr pins float coefficients bit for bit
+    poly = normalize(parse_ode(text), env)
+    cases = []
+    for fam in find_balances(poly):
+        for a in fam.leading_coeffs:
+            y = solve_local_series(poly, fam, a, K=24).series
+            cases.append(y)
+            cases.append(PuiseuxSeries(
+                y.n, {j: complex(c) for j, c in y.coeffs.items()}, y.trunc))
+    assert cases
+    for y in cases:
+        got, want = substitute(poly, y), reference_substitute(poly, y)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+def test_substitute_builds_the_width_square_once(ep_poly, ep_branch_family,
+                                                 monkeypatch):
+    # y^3*y'' and y^4 share y^2: one product fewer than per-monomial pow
+    y = solve_local_series(ep_poly, ep_branch_family,
+                           ep_branch_family.leading_coeffs[0], K=48).series
+    calls = []
+    mul = PuiseuxSeries.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", spy)
+    shared = substitute(ep_poly, y)
+    built = len(calls)
+    assert shared == reference_substitute(ep_poly, y)
+    assert built == len(calls) - built - 1
+
+
 # ---------------------------------------------------------------------------
 # cot expansion
 # ---------------------------------------------------------------------------
