@@ -527,11 +527,11 @@ def _snap(coeffs, z, d, exact: bool):
     return cand if abs(to_complex(value)) <= 1e-8 * scale else None
 
 
-def _quadratic_roots(coeffs, irrational=None):
+def _quadratic_roots(coeffs):
     """Roots in Q(i) of exact coefficients of degree 1 or 2 that are all
     real, listed by multiplicity, from the quadratic formula when |disc| is
-    a square; ``irrational`` when it is not (no root lies in Q(i)); None for
-    other degrees and non-real or float coefficients.  Cleared to integers
+    a square; [] when it is not (no root lies in Q(i)); None for other
+    degrees and non-real or float coefficients.  Cleared to integers
     c + b*x + a*x**2 with a > 0, the roots are (-b -+ sqrt(disc))/(2a)."""
     if not 2 <= len(coeffs) <= 3:
         return None
@@ -555,7 +555,7 @@ def _quadratic_roots(coeffs, irrational=None):
     disc = b * b - 4 * a * c
     s = math.isqrt(abs(disc))
     if s * s != abs(disc):
-        return irrational
+        return []
     if disc < 0:
         return [_norm(-b, -s, 2 * a), _norm(-b, s, 2 * a)]
     return [_norm(-b - s, 0, 2 * a), _norm(-b + s, 0, 2 * a)]
@@ -598,20 +598,18 @@ def _nonzero_roots(lead_coeffs):
     if len(core) <= 1:
         return ()
     exact = _is_exact_poly(core)
-    # [] for a real quadratic with irrational roots: none of them would snap
-    roots = _quadratic_roots(core, irrational=[]) if exact else None
-    if roots is None and exact:
+    roots = _quadratic_roots(core) if exact else None
+    if exact and not roots:
         d = _cleared_lead(core)
         # the roots of c_0 + c_n*x**n are all in Q(i) only if the n-th roots
         # of unity are, that is, only for n = 1, 2 or 4
         if 4 % (len(core) - 1) == 0 and not any(core[1:-1]):
             roots = _binomial_roots(core, d)
-        if roots is None:
-            roots = _numeric_roots(core)
-            snapped = (_snap(core, z, d, True) for z in roots)
-            roots = [z if c is None else c for z, c in zip(roots, snapped)]
     if not roots:
         roots = _numeric_roots(core)
+        if exact:
+            snapped = (_snap(core, z, d, True) for z in roots)
+            roots = [z if c is None else c for z, c in zip(roots, snapped)]
     roots.sort(key=lambda z: (to_complex(z).real, to_complex(z).imag))
     return tuple(roots)
 
@@ -629,8 +627,8 @@ def rational_resonances(fam: BalanceFamily, a):
             f"degenerate family at p = {fam.p}: resonance polynomial vanishes"
         )
     exact = _is_exact_poly(coeffs)
-    # an irrational real quadratic has no rational root to search for
-    roots = _quadratic_roots(coeffs, irrational=[]) if exact else None
+    # [] for an irrational real quadratic: no rational root to search for
+    roots = _quadratic_roots(coeffs) if exact else None
     if roots is None:
         if exact:
             d = _cleared_lead(coeffs)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 
 from .balance import (
@@ -48,6 +49,22 @@ from .scalars import (
 
 DEFAULT_TRUNCATION = 12
 _ONE = QComplex(1)
+
+
+def _binary_pow(chain, d: int, mul):
+    """base**d for d >= 1 by binary exponentiation, where chain[i] is
+    base**2**i (chain[0] = base) and grows by ``mul(top, top)`` as the bits
+    of d need it.  Every power of the package folds in this order, so equal
+    operands give equal float bits."""
+    power, i = None, 0
+    while d:
+        if d & 1:
+            power = chain[i] if power is None else mul(power, chain[i])
+        d >>= 1
+        i += 1
+        if d and i == len(chain):
+            chain.append(mul(chain[-1], chain[-1]))
+    return power
 
 
 class PuiseuxSeries:
@@ -194,14 +211,7 @@ class PuiseuxSeries:
             raise ValueError("negative powers are not supported")
         if e == 0:
             return PuiseuxSeries.one(self.n)
-        base, result = self, None
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _binary_pow([self], e, operator.mul)
 
     __pow__ = pow
 
@@ -264,11 +274,11 @@ def substitute(poly: DifferentialPolynomial, s: PuiseuxSeries) -> PuiseuxSeries:
     """Residual series of the differential polynomial applied to s.
 
     Each monomial is the left fold ``monomial(coeff) * f1**d1 * f2**d2``
-    over its factors, each power by the binary exponentiation of
-    ``PuiseuxSeries.pow``.  The squares that exponentiation builds are made
-    once per call and shared by every monomial, so each product keeps the
-    operands and the order of per-monomial ``pow``: the same series, with
-    y**2 built once for y**3 * y'' + y**4.  The result's truncation
+    over its factors, each power by the binary exponentiation that
+    ``PuiseuxSeries.pow`` runs.  The squares it builds are made once per
+    call and shared by every monomial, so each product keeps the operands
+    and the order of per-monomial ``pow``: the same series, with y**2 built
+    once for y**3 * y'' + y**4.  The result's truncation
     reflects how far the residual is guaranteed.
     """
     max_order = poly.max_order
@@ -281,15 +291,7 @@ def substitute(poly: DifferentialPolynomial, s: PuiseuxSeries) -> PuiseuxSeries:
     for mono in poly.monomials:
         term = PuiseuxSeries.monomial(mono.coeff, 0, n=1)
         for k, d in mono.degrees:
-            chain, power, i = squares[k], None, 0
-            while d:
-                if d & 1:
-                    power = chain[i] if power is None else power * chain[i]
-                d >>= 1
-                i += 1
-                if d and i == len(chain):
-                    chain.append(chain[-1] * chain[-1])
-            term = term * power
+            term = term * _binary_pow(squares[k], d, operator.mul)
         total = total + term
     return total
 
@@ -458,14 +460,7 @@ def _online_plan(poly: DifferentialPolynomial, y: _Solution, n: int):
     for mono in poly.monomials:
         term = _Const(mono.coeff)
         for k, d in mono.degrees:
-            base, power = derivs[k], None
-            while d:
-                if d & 1:
-                    power = base if power is None else mul(power, base)
-                d >>= 1
-                if d:
-                    base = mul(base, base)
-            term = mul(term, power)
+            term = mul(term, _binary_pow([derivs[k]], d, mul))
         terms.append(term)
     return nodes, terms
 

@@ -591,7 +591,7 @@ def test_quadratic_formula_matches_aberth_and_snap(case):
     got = balance._quadratic_roots(coeffs)
     snapped = aberth_and_snap(coeffs)
     if roots is None:
-        assert got is None
+        assert got == []
         assert snapped == [None, None]
         return
     assert all(isinstance(z, QComplex) for z in got)
@@ -610,22 +610,24 @@ def test_quadratic_formula_on_mixed_exact_coefficients(coeffs, roots):
     assert balance._quadratic_roots(coeffs) == roots
 
 
-@pytest.mark.parametrize("coeffs", [
-    [QComplex(1)],                                      # degree 0
-    [QComplex(-1), 0, 0, QComplex(1)],                  # degree 3
-    [QComplex(1), QComplex(0, 1), QComplex(1)],         # a Gaussian coefficient
-    [QComplex(-2), 0, 1.0 + 0j],                        # a float coefficient
-    [QComplex(2), 0, QComplex(1)],                      # roots +-i*sqrt(2)
+# None where the formula does not apply, [] where no root lies in Q(i)
+@pytest.mark.parametrize("coeffs, expected", [
+    pytest.param([QComplex(1)], None, id="coeffs0"),  # degree 0
+    pytest.param([QComplex(-1), 0, 0, QComplex(1)], None, id="coeffs1"),  # degree 3
+    pytest.param([QComplex(1), QComplex(0, 1), QComplex(1)], None,
+                 id="coeffs2"),  # a Gaussian coefficient
+    pytest.param([QComplex(-2), 0, 1.0 + 0j], None, id="coeffs3"),  # a float coefficient
+    pytest.param([QComplex(2), 0, QComplex(1)], [], id="coeffs4"),  # roots +-i*sqrt(2)
 ])
-def test_quadratic_formula_declines(coeffs):
-    assert balance._quadratic_roots(coeffs) is None
+def test_quadratic_formula_declines(coeffs, expected):
+    assert balance._quadratic_roots(coeffs) == expected
 
 
 def reference_nonzero_roots(coeffs):
     """The nonzero roots by the quadratic formula, else by Aberth and snap,
     sorted: the root rule with no closed form for binomials."""
     roots = balance._quadratic_roots(coeffs)
-    if roots is None:
+    if not roots:
         d = balance._cleared_lead(coeffs)
         roots = []
         for z in balance._numeric_roots(coeffs):
@@ -753,7 +755,7 @@ def reference_rational_resonances(fam, a):
     snap: the search that runs on an irrational quadratic as well."""
     coeffs = balance._trim(balance._resonance_poly(fam, QComplex(a)))
     roots = balance._quadratic_roots(coeffs)
-    if roots is None:
+    if not roots:
         d = balance._cleared_lead(coeffs)
         snapped = (balance._snap(coeffs, z, d, True)
                    for z in balance._numeric_roots(coeffs))
