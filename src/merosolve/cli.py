@@ -14,7 +14,6 @@ import functools
 import sys
 from fractions import Fraction
 from itertools import chain
-from pathlib import Path
 
 from . import report as rpt
 from .errors import (
@@ -199,7 +198,8 @@ def _parse_path(text):
 
 def _emit(args, text):
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -246,7 +246,8 @@ def _analysis(args):
         ode_text = rpt.DEFAULT_ODE_TEXT
         env.setdefault("omega", parse_complex_literal("1"))
     elif ode_text.startswith("@"):
-        ode_text = Path(ode_text[1:]).read_text(encoding="utf-8").strip()
+        with open(ode_text[1:], encoding="utf-8") as f:
+            ode_text = f.read().strip()
     return rpt.Analysis(
         ode_text, env, K=args.order, n_max=args.branch_max,
         free=_parse_pairs(args.free, "--free", "R=VALUE", Fraction),

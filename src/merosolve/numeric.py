@@ -116,8 +116,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ExponentUnresolvedError
 from .exactlab import ermakov_invariant
@@ -294,10 +294,7 @@ class ComplexPath:
         return (b - a) / abs(b - a)
 
 
-class TrajectoryPoint(NamedTuple):
-    t: complex
-    value: complex
-    slope: complex
+TrajectoryPoint = namedtuple("TrajectoryPoint", "t value slope")
 
 
 class ComplexTrajectory(Record):
@@ -716,20 +713,28 @@ def fit_local_exponent(traj: ComplexTrajectory, t_star: complex) -> ExponentFit:
     :class:`ExponentUnresolvedError`.
     """
     t_star = complex(t_star)
-    pairs = [
-        (abs(t - t_star), m)
-        for t, value, _ in traj.samples
-        if t != t_star and (m := abs(value)) > 0
-    ]
-    if not pairs:
-        raise ValueError("trajectory has no usable samples")
-    rs = [r for r, _ in pairs]
-    r_lo, r_max = min(rs), max(rs)
+    samples = traj.samples
+    # a sample at t* (distance 0) or with a value whose modulus is not > 0
+    # takes no part; the moduli are taken only where the window reaches
+    rs = [abs(t - t_star) for t, _, _ in samples]
+    r_lo, r_max = min(rs, default=0.0), max(rs, default=0.0)
+    if not (r_lo > 0 and abs(samples[rs.index(r_lo)][1]) > 0
+            and abs(samples[rs.index(r_max)][1]) > 0):
+        usable = [r for r, (_, value, _) in zip(rs, samples)
+                  if r > 0 and abs(value) > 0]
+        if not usable:
+            raise ValueError("trajectory has no usable samples")
+        r_lo, r_max = min(usable), max(usable)
+
+    def window(r_hi):
+        return [(r, m) for r, (_, value, _) in zip(rs, samples)
+                if r_lo <= r <= r_hi and (m := abs(value)) > 0]
+
     r_hi = min(r_max, 10.0 * r_lo)
-    selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
+    selected = window(r_hi)
     while len(selected) < 8 and r_hi < r_max:
         r_hi = min(r_max, r_hi * 2.0)
-        selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
+        selected = window(r_hi)
     if len(selected) < 8:
         raise ValueError(
             f"need at least 8 samples inside the fit annulus, got {len(selected)}"

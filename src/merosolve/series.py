@@ -38,6 +38,8 @@ from .odemodel import DifferentialPolynomial
 from .records import Record
 from .scalars import (
     QComplex,
+    _norm,
+    _parts,
     canonical_scalar,
     is_exact,
     is_zero,
@@ -345,9 +347,16 @@ class _PlanNode:
     """One series of the online plan, kept by relative order: ``coef[r]``
     is the coefficient at index ``base + r``, or None where a
     :class:`PuiseuxSeries` would store nothing (an exact zero).  ``stored``
-    lists the relative orders of the other entries, ascending."""
+    lists the relative orders of the other entries, ascending.
 
-    __slots__ = ("base", "coef", "stored")
+    Once y's coefficient at order r >= 1 is known, a node's top changes in
+    two Cauchy pairs only, (0, r) and (r, 0), since only the factors' tops
+    changed.  An exact node adds that ``change`` to its top: exact sums are
+    canonical and order-free, so this is the value a new Cauchy sum would
+    give.  A float node sums its pairs again (``refresh``), because its bits
+    are those of the ordered fold that ``PuiseuxSeries.__mul__`` runs."""
+
+    __slots__ = ("base", "coef", "stored", "change")
 
     def __init__(self, base):
         self.base = base
@@ -356,6 +365,10 @@ class _PlanNode:
 
     def _entry(self, r):
         """Value of entry r from the factors, 0 when no pair contributes."""
+        raise NotImplementedError
+
+    def _change(self, r):
+        """Change of entry r >= 1 from the changes of the factors' tops."""
         raise NotImplementedError
 
     def extend(self):
@@ -376,6 +389,22 @@ class _PlanNode:
             self.coef[r] = value
             stored.append(r)
 
+    def add_change(self):
+        """Add the change of the factors' tops to the exact top coefficient."""
+        r = len(self.coef) - 1
+        change = self.change = self._change(r)
+        if not change:
+            return
+        old = self.coef[r]
+        if old is None:
+            self.coef[r] = change
+            self.stored.append(r)
+        elif value := old + change:
+            self.coef[r] = value
+        else:
+            self.coef[r] = None
+            self.stored.pop()
+
 
 class _Solution(_PlanNode):
     """The series y itself; ``top`` is its coefficient at the order being
@@ -384,6 +413,9 @@ class _Solution(_PlanNode):
     __slots__ = ("top",)
 
     def _entry(self, r):
+        return self.top
+
+    def _change(self, r):
         return self.top
 
 
@@ -398,9 +430,15 @@ class _Deriv(_PlanNode):
         self.n = n
 
     def _entry(self, r):
-        c = self.left.coef[r]
+        return self._derive(self.left.coef[r], r)
+
+    def _change(self, r):
+        return self._derive(self.left.change, r)
+
+    def _derive(self, c, r):
+        """Derivative term of c, the left factor's entry r or its change."""
         j = self.left.base + r
-        if c is None or j == 0:
+        if not c or j == 0:
             return 0
         return mul_ratio(c, j, self.n)
 
@@ -425,6 +463,15 @@ class _Mul(_PlanNode):
             if (c2 := bcoef[r - i]) is not None
         ])
 
+    def _change(self, r):
+        left, right = self.left, self.right
+        pairs = []
+        if left.change and (c := right.coef[0]) is not None:
+            pairs.append((left.change, c))
+        if right.change and (c := left.coef[0]) is not None:
+            pairs.append((c, right.change))
+        return sum_of_products(pairs)
+
 
 class _Const:
     """A monomial coefficient: its value at index 0, exact zero elsewhere.
@@ -433,6 +480,7 @@ class _Const:
 
     base = 0
     stored = (0,)
+    change = 0
 
     def __init__(self, coeff):
         self.coef = [coeff]
@@ -508,13 +556,26 @@ def solve_local_series(
     those and the monomial terms -- is a plan node that keeps its
     coefficients by relative order.  At order rho each node gains one
     coefficient, a Cauchy sum over the new pairs, with the unknown
-    coefficient of y taken as 0; the residual is read off the terms, and
-    once the coefficient is known the top of every node is recomputed with
-    it.  A node sums over its left factor in ascending index, as
-    ``PuiseuxSeries.__mul__`` does, multiplies the monomial coefficient in
-    first and skips exact zeros, so float coefficients are bit-identical to
-    solving with ``substitute``.  ``substitute`` itself stays the
+    coefficient of y taken as 0; the residual is read off the terms.  Once
+    the coefficient v is known, an exact solve (exact equation, leading
+    coefficient and free values) adds to each node's top the change that v
+    makes: v for y, the derivative of the change for a derivative, and
+    ``dl * right[0] + left[0] * dr`` for a product, since at order rho >= 1
+    only the pairs (0, rho) and (rho, 0) hold a factor's top.  Exact sums
+    are canonical and order-free, so this is the value a second Cauchy sum
+    would give, for two products in place of the sum.  A float solve sums
+    the node's pairs again instead: a node sums over its left factor in
+    ascending index, as ``PuiseuxSeries.__mul__`` does, multiplies the
+    monomial coefficient in first and skips exact zeros, so float
+    coefficients are bit-identical to solving with ``substitute``; adding a
+    change would round differently.  ``substitute`` itself stays the
     independent check.
+
+    An exact linear response is scaled once to Gaussian integers, so the
+    response at each order, and its zero test, run on plain ints; lambda is
+    built from them only where a non-resonant order has a nonzero residual.
+    A float response keeps its Horner sum and the rounding bound of its
+    zero test.
 
     Only orders on the solve's lattice are computed.  Its step g is the gcd
     of every term's offset from the balance index and of every resonance
@@ -565,7 +626,20 @@ def solve_local_series(
             if scaled.denominator == 1:
                 resonance_orders[int(scaled)] = Fraction(r)
     response = linear_response(fam, a)
-    response_sizes = None if all(map(is_exact, response)) else _moduli(response)
+    if all(map(is_exact, response)):
+        # lam(rho/n) * scale as Gaussian integers, highest degree first
+        response_sizes = None
+        parts = [_parts(c) for c in response]
+        lcm = math.lcm(*(d for _, _, d in parts))
+        deg = len(parts) - 1
+        scale = lcm * n ** deg
+        scaled = []
+        for k, (ca, cb, d) in enumerate(parts):
+            f = lcm // d * n ** (deg - k)
+            scaled.append((ca * f, cb * f))
+        scaled.reverse()
+    else:
+        response_sizes = _moduli(response)
 
     # an exact residual is compared with 0, so the tolerance is computed only
     # once a float enters: |a|**top overflows for a huge exact root
@@ -618,19 +692,36 @@ def solve_local_series(
             compatibility.append(CompatibilityCheck(r, is_zero(e, tol), e))
             value = free_used[r]
         else:
-            lam = 0
-            for c in reversed(response):
-                lam = mul_ratio(lam, rho, n) + c
-            if not lam or (response_sizes and abs(lam) <= _horner_rounding(
-                    response_sizes, rho / n)):
+            if response_sizes is None:
+                lam_a = lam_b = 0
+                for ca, cb in scaled:
+                    lam_a = lam_a * rho + ca
+                    lam_b = lam_b * rho + cb
+                singular = not (lam_a or lam_b)
+            else:
+                lam = 0
+                for c in reversed(response):
+                    lam = mul_ratio(lam, rho, n) + c
+                singular = not lam or abs(lam) <= _horner_rounding(
+                    response_sizes, rho / n)
+            if singular:
                 raise InternalInconsistencyError(
                     f"singular linear step at non-resonant order {Fraction(rho, n)}"
                 )
-            value = -(e / lam) if e else 0
+            if e:
+                if response_sizes is None:
+                    lam = _norm(lam_a, lam_b, scale)
+                value = -(e / lam)
+            else:
+                value = 0
         if value:
             y.top = value
-            for node in nodes:
-                node.refresh()
+            if exact:
+                for node in nodes:
+                    node.add_change()
+            else:
+                for node in nodes:
+                    node.refresh()
 
     coeffs = {j0 + r: c for r, c in enumerate(y.coef) if c is not None}
     series = PuiseuxSeries(n, coeffs, j0 + K)

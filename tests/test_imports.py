@@ -152,9 +152,13 @@ after_cli = [m for m in %r if m in sys.modules]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["analyze"])
+with contextlib.redirect_stdout(io.StringIO()):
+    report_code = cli.main(["report"])
+unused = [m for m in ("pathlib", "typing") if m in sys.modules]
 print(json.dumps({"bare": bare, "after_probe": after_probe, "codes": codes,
                   "after_cli": after_cli, "code": code,
-                  "analyze": out.getvalue()}))
+                  "analyze": out.getvalue(), "report_code": report_code,
+                  "unused": unused}))
 """ % (SYMBOLIC, SYMBOLIC)
 
 
@@ -162,7 +166,9 @@ def test_probe_loads_no_symbolic_layer():
     # the package alone loads no layer; a probe and its JSON need numeric,
     # exactlab and the writer, never the four symbolic layers or argparse.
     # The probe, integrate and verify-exact commands do without them too.
-    # The analysis that follows loads them on first use, output unchanged
+    # The analysis that follows loads them on first use, output unchanged.
+    # No command loads pathlib or typing: files are read and written with
+    # open, and TrajectoryPoint is a collections.namedtuple
     seen = run_child(PROBE_CHILD, "-S")
     assert seen["bare"] == []
     assert seen["after_probe"] == []
@@ -171,6 +177,8 @@ def test_probe_loads_no_symbolic_layer():
     assert seen["code"] == 0
     expected = (GOLDEN_DIR / "analyze-default.json").read_text(encoding="utf-8")
     assert seen["analyze"] == expected
+    assert seen["report_code"] == 0
+    assert seen["unused"] == []
 
 
 def test_package_exports_resolve_lazily():

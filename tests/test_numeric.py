@@ -1091,6 +1091,124 @@ def test_fit_exponent_needs_enough_samples():
         fit_local_exponent(traj, 0j)
 
 
+def reference_fit(traj, t_star):
+    """``fit_local_exponent`` with a (distance, modulus) pair taken for
+    every sample and the window filtered from those pairs."""
+    t_star = complex(t_star)
+    pairs = [
+        (abs(t - t_star), m)
+        for t, value, _ in traj.samples
+        if t != t_star and (m := abs(value)) > 0
+    ]
+    if not pairs:
+        raise ValueError("trajectory has no usable samples")
+    rs = [r for r, _ in pairs]
+    r_lo, r_max = min(rs), max(rs)
+    r_hi = min(r_max, 10.0 * r_lo)
+    selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
+    while len(selected) < 8 and r_hi < r_max:
+        r_hi = min(r_max, r_hi * 2.0)
+        selected = [(r, m) for r, m in pairs if r_lo <= r <= r_hi]
+    if len(selected) < 8:
+        raise ValueError(
+            f"need at least 8 samples inside the fit annulus, got {len(selected)}"
+        )
+    x = [math.log(r) for r, _ in selected]
+    yv = [math.log(m) for _, m in selected]
+    n = len(x)
+    x_mean = math.fsum(x) / n
+    y_mean = math.fsum(yv) / n
+    dx = [a - x_mean for a in x]
+    dy = [b - y_mean for b in yv]
+    sxx = math.fsum(d * d for d in dx)
+    if sxx == 0.0:
+        raise ValueError("degenerate fit window: all radii equal")
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
+    intercept = y_mean - slope * x_mean
+    ss_res = math.fsum(
+        (b - (slope * a + intercept)) ** 2 for a, b in zip(x, yv)
+    )
+    ss_tot = math.fsum(d * d for d in dy)
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    if r_squared <= 0.99:
+        raise ExponentUnresolvedError(
+            f"exponent unresolved: fit R^2 = {r_squared:.4f}", r_squared=r_squared
+        )
+    stderr = math.sqrt(ss_res / max(1, n - 2) / sxx)
+    return numeric.ExponentFit(
+        value=slope,
+        half_width=2.0 * stderr,
+        r_squared=r_squared,
+        n_samples=n,
+        window=(r_lo, r_hi),
+    )
+
+
+# (alpha0, alpha0', omega) of the probe-atlas benchmark's seeds 1 and 7
+_ATLAS_PROBES = [
+    (1.537852, 0.404464, 1.320118), (2.155668, -0.070091, 1.469031),
+    (1.057115, 0.001841, 0.715813), (1.96617, -0.623753, 0.902022),
+    (2.47733, -0.462703, 0.839534), (0.882834, 0.393808, 1.215274),
+    (1.779081, -0.254829, 0.9875), (1.388021, 0.705526, 1.553669),
+    (2.152709, -0.190082, 1.543468), (2.299825, 0.444216, 1.357849),
+    (1.33283, -0.288667, 0.98245), (1.657968, -0.773365, 0.750745),
+    (0.89215, 0.083828, 1.31005), (1.452344, 0.308137, 1.153449),
+    (1.031777, 0.714183, 0.639268), (1.95271, -0.487949, 0.923195),
+]
+
+
+@pytest.mark.parametrize("a0, da0, omega", _ATLAS_PROBES)
+def test_fit_matches_the_reference_on_atlas_probes(a0, da0, omega):
+    traj = integrate(EpWidthOde(omega), (a0, da0),
+                     [0, pinney_zero(a0, da0, omega)], tol=1e-10)
+    t_star = detect_singularity(traj).t_star
+    fit = fit_local_exponent(traj, t_star)
+    assert fit == reference_fit(traj, t_star)
+    assert repr(fit) == repr(reference_fit(traj, t_star))
+
+
+def _ray(t_star, radii, value=lambda tau: tau ** 0.5, direction=1.0):
+    return [(t_star + direction * r, value(direction * r), 0j) for r in radii]
+
+
+_T0 = 0.3 + 0.7j
+_FAR_TO_NEAR = [0.001 * 1.3 ** k for k in range(25)][::-1]
+
+
+@pytest.mark.parametrize("samples, t_star", [
+    # the probe golden's path and the detected zero
+    (integrate(EpWidthOde(0.0), (1.0, 0.0), [0, 0.999j], tol=1e-10).samples,
+     None),
+    # a sample at t* itself
+    (_ray(_T0, _FAR_TO_NEAR) + [(_T0, 0j, 0j)], _T0),
+    # the nearest sample's value is exactly zero, then one inside the window
+    (_ray(_T0, _FAR_TO_NEAR) + [(_T0 + 1e-4, 0j, 0j)], _T0),
+    (_ray(_T0, _FAR_TO_NEAR[:20]) + [(_T0 + 0.0015, 0.0, 0j)]
+     + _ray(_T0, _FAR_TO_NEAR[20:]), _T0),
+    # the farthest sample's value is zero, and the window widens to the
+    # farthest usable one
+    ([(_T0 + 5.0, 0j, 0j)]
+     + _ray(_T0, [1.0] + [0.001 * 2.0 ** k for k in range(7)][::-1]), _T0),
+    # a path past t* and back: the distances fall, then rise again
+    (_ray(_T0, _FAR_TO_NEAR) + _ray(_T0, _FAR_TO_NEAR[::-1], direction=1j),
+     _T0),
+    # radii a factor 2 apart: a decade holds 4 samples, the window widens
+    (_ray(_T0, [0.001 * 2.0 ** k for k in range(14)][::-1]), _T0),
+    # too few samples even after widening, and none usable at all
+    (_ray(_T0, [0.1, 0.2, 0.3]), _T0),
+    ([(_T0, 1j, 0j), (_T0 + 1, 0j, 0j)], _T0),
+    ([], _T0),
+], ids=["probe-golden", "sample-at-t-star", "zero-nearest", "zero-inside",
+        "zero-farthest", "two-segments", "widened", "too-few", "none-usable",
+        "empty"])
+def test_fit_matches_the_reference_on_hand_built_samples(samples, t_star):
+    traj = ComplexTrajectory(samples=samples, singular_near_zero=True)
+    if t_star is None:
+        t_star = detect_singularity(traj).t_star
+    assert _outcome(fit_local_exponent, traj, t_star) == \
+        _outcome(reference_fit, traj, t_star)
+
+
 # ---------------------------------------------------------------------------
 # invariant drift
 # ---------------------------------------------------------------------------

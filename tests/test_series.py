@@ -11,9 +11,9 @@ from merosolve.balance import (
     linearize,
     rational_resonances,
 )
-from merosolve.errors import TruncationError
+from merosolve.errors import InternalInconsistencyError, TruncationError
 from merosolve.odemodel import normalize, parse_ode
-from merosolve.scalars import QComplex, is_zero, poly_eval
+from merosolve.scalars import QComplex, is_exact, is_zero, poly_eval
 from merosolve.series import (
     PuiseuxSeries,
     cot_laurent,
@@ -470,6 +470,19 @@ SOLVE_CASES = [
      {Fraction(1): QComplex(Fraction(1, 3))}),
     ("y'' + omega^2*y - y^-3", {"omega": 1.5}, False,
      {Fraction(1): QComplex(Fraction(1, 3))}),
+    # exact solves update each node by the change of its factors' tops:
+    # two exact roots, gapped supports from exact free values, and an exact
+    # root of branch order 3 beside two float ones
+    ("y'' - 2*y^3 - 3*y*y'", {}, True, None),
+    ("y''' - c*y*y'", {"c": 12}, True,
+     {Fraction(4): QComplex(Fraction(37, 100), Fraction(-11, 10)),
+      Fraction(6): QComplex(Fraction(3, 2))}),
+    ("y'' - c*y^4", {"c": Fraction(80, 243)}, True,
+     {Fraction(10, 3): QComplex(Fraction(1, 4), Fraction(1, 2))}),
+    # y*(y'' - 2*y^3 - c*y): at a = -1 the free value 2 = c**2/72 cancels
+    # the top of y**2 to an exact zero at order 4 and at later orders, and
+    # y**4 sums over y**2 as its left factor
+    ("y*y'' - 2*y^4 - c*y^2", {"c": 12}, True, {Fraction(4): QComplex(2)}),
 ]
 
 
@@ -489,7 +502,8 @@ def test_truncated_solve_matches_untruncated_reference(text, env, exact, free):
         for a in fam.leading_coeffs:
             for K in (16, 48):
                 series = solve_local_series(poly, fam, a, K=K, free=free).series
-                assert series.is_exact == exact
+                # a float root of an exact equation gives a float series
+                assert series.is_exact == (exact and is_exact(a))
                 assert series == reference_solve(poly, fam, a, K, free)
 
 
@@ -499,37 +513,49 @@ def test_forced_solve_matches_an_every_order_run(ep_poly):
     fam = next(f for f in find_balances(ep_poly) if f.p == -1)
     # the search linearized this inconsistent family too
     assert fam.linearization == linearize(ep_poly, fam.p, fam.dominant)
-    a, K = QComplex(0, 1), 24
-    local = solve_local_series(ep_poly, fam, a, K=K, force=True)
+    a = QComplex(0, 1)
     j0, q_idx = -1, int(fam.q)
     resonant = {r: r for r in rational_resonances(fam, a)
                 if r > 0 and r.denominator == 1}
     response = linear_response(fam, a)
-    coeffs = {j0: a}
-    checks = []
-    for rho in range(K + 1):
-        e = substitute(ep_poly, PuiseuxSeries(1, coeffs, math.inf)).coeffs.get(
-            q_idx + rho, 0)
-        if rho == 0 or rho in resonant:
-            checks.append((Fraction(rho), e))
-            continue
-        lam = poly_eval(response, Fraction(rho))
-        assert lam
-        if e:
-            coeffs[j0 + rho] = -(e / lam)
-    assert local.series == PuiseuxSeries(1, coeffs, j0 + K)
-    assert [(c.resonance, c.residual) for c in local.compatibility] == checks
+    for K in (24, 48):
+        local = solve_local_series(ep_poly, fam, a, K=K, force=True)
+        coeffs = {j0: a}
+        checks = []
+        for rho in range(K + 1):
+            e = substitute(ep_poly, PuiseuxSeries(1, coeffs, math.inf)).coeffs.get(
+                q_idx + rho, 0)
+            if rho == 0 or rho in resonant:
+                checks.append((Fraction(rho), e))
+                continue
+            lam = poly_eval(response, Fraction(rho))
+            assert lam
+            if e:
+                coeffs[j0 + rho] = -(e / lam)
+        assert local.series == PuiseuxSeries(1, coeffs, j0 + K)
+        assert [(c.resonance, c.residual) for c in local.compatibility] == checks
+
+
+def test_singular_step_at_a_resonance_the_family_does_not_store(w3_poly,
+                                                                w3_family):
+    # the solve reads the stored resonances at the family's first root; cut
+    # to -1, they make order 4 non-resonant, and the exact response vanishes
+    # there
+    fam = w3_family.replace(resonances=(Fraction(-1),))
+    with pytest.raises(InternalInconsistencyError,
+                       match="singular linear step at non-resonant order 4$"):
+        solve_local_series(w3_poly, fam, fam.leading_coeffs[0], K=6)
 
 
 def cauchy_orders(monkeypatch, poly, a, K, free=None):
-    """Orders at which the solve sums a product node's Cauchy pairs: a
-    node's relative order is the solve's order, since every node gains one
-    coefficient per order."""
-    orders = set()
+    """The order of each Cauchy sum the solve runs over a product node's
+    pairs, in call order: a node's relative order is the solve's order,
+    since every node gains one coefficient per order."""
+    orders = []
     entry = series_module._Mul._entry
 
     def spy(node, r):
-        orders.add(r)
+        orders.append(r)
         return entry(node, r)
 
     monkeypatch.setattr(series_module._Mul, "_entry", spy)
@@ -546,13 +572,28 @@ def test_cauchy_sums_run_only_on_the_terms_lattice(monkeypatch):
                       {"omega": Fraction(3, 2)})
     a = find_balances(width)[-1].leading_coeffs[0]
     orders = cauchy_orders(monkeypatch, width, a, 48)
-    assert orders == set(range(0, 49, 4))
+    assert set(orders) == set(range(0, 49, 4))
     # a free value at resonance 1 (order 2) brings in every 2nd order
     free = {Fraction(1): QComplex(Fraction(1, 3))}
-    assert cauchy_orders(monkeypatch, width, a, 48, free) == set(range(0, 49, 2))
+    assert set(cauchy_orders(monkeypatch, width, a, 48, free)) == \
+        set(range(0, 49, 2))
     # both terms of y'' = 2 y^3 sit at the balance index: y = a/tau exactly
     cubic = normalize(parse_ode("y'' - 2*y^3"), {})
-    assert cauchy_orders(monkeypatch, cubic, QComplex(-1), 12) == {0}
+    assert set(cauchy_orders(monkeypatch, cubic, QComplex(-1), 12)) == {0}
+
+
+def test_exact_solve_sums_each_product_once_per_order(monkeypatch):
+    # the width plan has 6 product nodes and K = 48 has 13 lattice orders.
+    # An exact solve sums each node once per order, then adds the change of
+    # its factors' tops; a float solve sums it again, for its bits, at the
+    # 12 orders that take a nonzero coefficient
+    width = "y'' + omega^2*y - y^-3"
+    for omega, sums in ((Fraction(3, 2), 6 * 13), (1.5, 6 * 13 + 6 * 12)):
+        poly = normalize(parse_ode(width), {"omega": omega})
+        a = find_balances(poly)[-1].leading_coeffs[0]
+        orders = cauchy_orders(monkeypatch, poly, a, 48)
+        assert len(orders) == sums
+        assert set(orders) == set(range(0, 49, 4))
 
 
 def test_synthetic_laurent_solution_requires_nonzero(ep_poly):
